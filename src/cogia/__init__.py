@@ -62,7 +62,6 @@ from .scenario import (
     derive_seed,
     generate_channels,
     load_scenario,
-    validate_alloc,
 )
 
 __all__ = [
@@ -79,5 +78,5 @@ __all__ = [
     "WaterfillResult", "pcell_sum_rate", "rate_region_sweep",
     "scell_sum_rate", "waterfill", "waterfill_cell",
     "ChannelSet", "NetworkDims", "NoiseAndPower", "Scenario", "StreamAlloc",
-    "derive_seed", "generate_channels", "load_scenario", "validate_alloc",
+    "derive_seed", "generate_channels", "load_scenario",
 ]

@@ -39,6 +39,17 @@ Receive side
 The secondary data streams are dirty-paper encoded against the known
 primary-induced interference; the model here is ideal presubtraction, so
 secondary decoding sees only the diagonal effective channel plus noise.
+
+Stage order and failures
+------------------------
+:func:`build_all` builds the secondary precoders first (they depend on no
+other stage), then primary precoders, corrections, primary and secondary
+combiners.  No stage checks the allocation against the antenna counts;
+the construction itself refuses what the network cannot carry, on every
+generic draw: NoComplement for an empty null space, RankDeficient for a
+rank shortfall forced by a formed matrix having more columns than rows.
+DegenerateChannel is kept for measure-zero accidents of one draw, which
+:func:`draw_system` redraws.
 """
 
 from __future__ import annotations
@@ -47,14 +58,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannel, InfeasibleAlloc, NoComplement
+from .errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import DEFAULT_POLICY, TolerancePolicy, min_norm_right_solve, null_space_basis
 from .scenario import (
     PRECODER_STREAM_P1,
     PRECODER_STREAM_P2,
     ChannelSet,
+    NetworkDims,
     StreamAlloc,
     _SubstreamFactory,
+    derive_seed,
+    generate_channels,
 )
 
 __all__ = [
@@ -67,9 +81,13 @@ __all__ = [
     "build_primary_receivers",
     "build_secondary_receivers",
     "build_all",
+    "draw_system",
+    "MAX_DEGENERATE_RETRIES",
     "effective_channels",
     "interference_report",
 ]
+
+MAX_DEGENERATE_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -144,36 +162,29 @@ def build_primary_precoders(
     Z = dims.Z
     factory = _SubstreamFactory(seed)
 
-    def one_user(d_i: int, avoid_channel: np.ndarray, stream_id: int, name: str) -> np.ndarray:
-        if d_i > dims.M_P:
-            raise InfeasibleAlloc(f"{name} = {d_i} exceeds M_P = {dims.M_P}")
-        if d_i > Z and dims.M_S < dims.N_P:
-            raise InfeasibleAlloc(
-                f"{name} = {d_i} > Z = {Z} needs corrections, but M_S = {dims.M_S} < N_P = {dims.N_P}"
-            )
+    def one_user(d_i: int, avoid_channel: np.ndarray, stream_id: int, user: str) -> np.ndarray:
         if d_i == 0:
             return np.zeros((dims.M_P, 0))
         n_null = min(Z, d_i)
         parts = []
         if n_null:
-            basis = null_space_basis(avoid_channel, pol)
-            if basis.shape[1] < n_null:
-                raise DegenerateChannel(
-                    f"null space for {name} has {basis.shape[1]} < {n_null} dimensions"
-                )
-            parts.append(basis[:, :n_null])
+            # the null space of an N_P x M_P channel has at least Z dimensions
+            parts.append(null_space_basis(avoid_channel, pol)[:, :n_null])
         if d_i > n_null:
             raw = factory.stream(stream_id).standard_normal((dims.M_P, d_i - n_null))
             parts.append(_unit_columns(raw))
         V = np.hstack(parts)
+        # more columns than rows is a shortfall every draw repeats
+        if V.shape[1] > V.shape[0]:
+            raise RankDeficient(f"V_{user} is {V.shape[0]}x{V.shape[1]}: its columns cannot be independent")
         if d_i > 1:
             s = np.linalg.svd(V, compute_uv=False)
             if s[-1] <= pol.rank_tol * s[0]:
-                raise DegenerateChannel(f"columns of V_{name[2:]} are not linearly independent")
+                raise DegenerateChannel(f"columns of V_{user} are not linearly independent")
         return V
 
-    V_P1 = one_user(d.d_P1, ch.H_P2, PRECODER_STREAM_P1, "d_P1")
-    V_P2 = one_user(d.d_P2, ch.H_P1, PRECODER_STREAM_P2, "d_P2")
+    V_P1 = one_user(d.d_P1, ch.H_P2, PRECODER_STREAM_P1, "P1")
+    V_P2 = one_user(d.d_P2, ch.H_P1, PRECODER_STREAM_P2, "P2")
     return V_P1, V_P2
 
 
@@ -194,11 +205,10 @@ def build_corrections(
     M_S = ch.dims.M_S
 
     def corrections(V: np.ndarray, H_other: np.ndarray, Hp_other: np.ndarray) -> np.ndarray:
-        d_i = V.shape[1]
-        Vbar = np.zeros((M_S, d_i))
-        if d_i > Z:
-            rhs = -(H_other @ V[:, Z:])
-            Vbar[:, Z:] = min_norm_right_solve(Hp_other, rhs, pol)
+        Vbar = np.zeros((M_S, V.shape[1]))
+        corrected = V[:, Z:]
+        if corrected.shape[1]:
+            Vbar[:, Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected), pol)
         return Vbar
 
     Vbar_P1 = corrections(V_P1, ch.H_P2, ch.Hp_P2)
@@ -214,31 +224,24 @@ def build_secondary_precoders(
     """Secondary precoders V_S1, V_S2 implementing the stacked-space alignment.
 
     Stream g of S_j is orthogonal to the other secondary user's whole
-    channel and to rows g' != g among the first d_Sj rows of its own
-    channel, while keeping a nonzero gain on its own row g.
+    channel and to the channel rows the selector U_Sj assigns to S_j's
+    other streams, while keeping a nonzero gain on its own row g.
     """
-    dims = ch.dims
-    M_S, N_S = dims.M_S, dims.N_S
-    headroom = M_S - N_S
+    M_S = ch.dims.M_S
+    U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
 
-    for name, d_j in (("d_S1", d.d_S1), ("d_S2", d.d_S2)):
-        if d_j == 0:
-            continue
-        if d_j > headroom:
-            raise InfeasibleAlloc(f"{name} <= M_S - N_S violated: {d_j} > {M_S} - {N_S}")
-        if d_j > N_S:
-            raise InfeasibleAlloc(f"{name} <= N_S violated: {d_j} > {N_S}")
-
-    def one_user(H_own: np.ndarray, H_other: np.ndarray, d_j: int, user: str) -> np.ndarray:
-        if d_j == 0:
+    def one_user(H_own: np.ndarray, H_other: np.ndarray, U: np.ndarray, user: str) -> np.ndarray:
+        if U.shape[1] == 0:
             return np.zeros((M_S, 0))
         cols = []
-        own_rows = H_own[:d_j]
-        for g in range(d_j):
+        own_rows = U.T @ H_own
+        for g, h_g in enumerate(own_rows):
             avoid = np.vstack([np.delete(own_rows, g, axis=0), H_other])
             basis = null_space_basis(avoid, pol)
-            # cols(avoid) = M_S > rows(avoid) here, so the basis is never empty
-            h_g = H_own[g]
+            if basis.shape[1] == 0:
+                raise NoComplement(
+                    f"avoid space for stream {g + 1} of {user} fills the {M_S}-dim transmit space"
+                )
             v = basis @ (basis.T @ h_g)
             gain = np.linalg.norm(v)
             if gain <= pol.rank_tol * np.linalg.norm(h_g):
@@ -248,8 +251,8 @@ def build_secondary_precoders(
             cols.append(v / gain)
         return np.column_stack(cols)
 
-    V_S1 = one_user(ch.H_S1, ch.H_S2, d.d_S1, "S1")
-    V_S2 = one_user(ch.H_S2, ch.H_S1, d.d_S2, "S2")
+    V_S1 = one_user(ch.H_S1, ch.H_S2, U_S1, "S1")
+    V_S2 = one_user(ch.H_S2, ch.H_S1, U_S2, "S2")
     return V_S1, V_S2
 
 
@@ -314,12 +317,12 @@ def build_primary_receivers(
 
 
 def build_secondary_receivers(n_rx: int, d: StreamAlloc) -> tuple[np.ndarray, np.ndarray]:
-    """Selector combiners U_S1, U_S2: the first d_Sj receive coordinates."""
-    for name, d_j in (("d_S1", d.d_S1), ("d_S2", d.d_S2)):
-        if d_j > n_rx:
-            raise InfeasibleAlloc(f"{name} <= N_S violated: {d_j} > {n_rx}")
-    eye = np.eye(n_rx)
-    return eye[:, : d.d_S1].copy(), eye[:, : d.d_S2].copy()
+    """Selector combiners U_S1, U_S2: the first d_Sj of n_rx receive coordinates."""
+    U_S1, U_S2 = np.eye(n_rx, d.d_S1), np.eye(n_rx, d.d_S2)
+    for U, user in ((U_S1, "S1"), (U_S2, "S2")):
+        if U.shape[1] > U.shape[0]:
+            raise RankDeficient(f"selector U_{user} is {U.shape[0]}x{U.shape[1]}: too few receive coordinates")
+    return U_S1, U_S2
 
 
 def build_all(
@@ -330,9 +333,9 @@ def build_all(
 ) -> PrecoderReceiverSet:
     """Run the full construction and return the frozen precoder/receiver set."""
     Z = ch.dims.Z
+    V_S1, V_S2 = build_secondary_precoders(ch, d, pol)
     V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol)
     Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z, pol)
-    V_S1, V_S2 = build_secondary_precoders(ch, d, pol)
     U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2, pol)
     U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
     arrays = dict(
@@ -342,6 +345,25 @@ def build_all(
     for a in arrays.values():
         a.flags.writeable = False
     return PrecoderReceiverSet(Z=Z, **arrays)
+
+
+def draw_system(
+    dims: NetworkDims, alloc: StreamAlloc, seed: int, pol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple[ChannelSet, PrecoderReceiverSet]:
+    """Draw channels and build, redrawing degenerate draws.
+
+    Attempt ``a`` draws from ``derive_seed(seed, a)``; after
+    MAX_DEGENERATE_RETRIES degenerate attempts TooManyDegenerateDraws is
+    raised.  Structural failures propagate from the first attempt.
+    """
+    for attempt in range(MAX_DEGENERATE_RETRIES):
+        draw_seed = derive_seed(seed, attempt)
+        ch = generate_channels(dims, draw_seed)
+        try:
+            return ch, build_all(ch, alloc, draw_seed, pol)
+        except DegenerateChannel:
+            continue
+    raise TooManyDegenerateDraws(f"{MAX_DEGENERATE_RETRIES} degenerate draws in a row for dims {dims.as_tuple()}")
 
 
 def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveChannels:

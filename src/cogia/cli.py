@@ -37,10 +37,10 @@ from .errors import (
     ScenarioError,
     TooManyDegenerateDraws,
 )
-from .alignment import build_all, effective_channels, interference_report
+from .alignment import draw_system, effective_channels, interference_report
 from .numerics import DEFAULT_POLICY, svd_factor
 from .rates import kkt_violation, pcell_sum_rate, rate_region_sweep, scell_sum_rate
-from .scenario import Scenario, derive_seed, generate_channels, load_scenario
+from .scenario import Scenario, derive_seed, load_scenario
 
 _REPORT_COLUMNS = [
     "pcell_intra_at_P2",
@@ -58,7 +58,8 @@ _REPORT_COLUMNS = [
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() first: numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+        return repr(float(value))
     return str(value)
 
 
@@ -117,9 +118,7 @@ def cmd_verify(args) -> int:
     kkt_overall = 0.0
     try:
         for t in range(trials):
-            trial_seed = derive_seed(seed, t)
-            ch = generate_channels(dims, trial_seed)
-            prs = build_all(ch, alloc, trial_seed, pol)
+            ch, prs = draw_system(dims, alloc, derive_seed(seed, t), pol)
             report = interference_report(ch, prs, pol)
             eff = effective_channels(ch, prs)
             rp = pcell_sum_rate(prs, eff, noise, pol)

@@ -11,6 +11,12 @@ Feasibility is decided two independent ways:
   all interference to numerical precision and every effective channel
   has full column rank.
 
+The oracle never restates the predicate: it finds infeasibility by the
+construction failing.  A failure every generic draw repeats (NoComplement,
+RankDeficient) is structural and settles the tuple on the first draw;
+DegenerateChannel is a measure-zero accident that
+:func:`cogia.alignment.draw_system`, the package's one redraw loop, redraws.
+
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
 are deliberately not asserted here.
@@ -23,17 +29,10 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .alignment import build_all, effective_channels, interference_report
-from .errors import (
-    DegenerateChannel,
-    GridTooLarge,
-    InfeasibleAlloc,
-    NoComplement,
-    RankDeficient,
-    TooManyDegenerateDraws,
-)
+from .alignment import draw_system, effective_channels, interference_report
+from .errors import GridTooLarge, NoComplement, RankDeficient
 from .numerics import DEFAULT_POLICY, TolerancePolicy, rank_under_policy
-from .scenario import NetworkDims, StreamAlloc, derive_seed, generate_channels
+from .scenario import NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
     "Violation",
@@ -44,10 +43,7 @@ __all__ = [
     "enumerate_region",
     "grid_tuples",
     "projected_frontier",
-    "MAX_DEGENERATE_RETRIES",
 ]
-
-MAX_DEGENERATE_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,8 @@ class FeasibilityVerdict:
     violated: tuple[Violation, ...] = ()
 
     def __post_init__(self) -> None:
-        assert self.feasible == (len(self.violated) == 0)
+        if self.feasible != (len(self.violated) == 0):
+            raise ValueError(f"feasible={self.feasible} contradicts {len(self.violated)} violations")
 
 
 @dataclass(frozen=True)
@@ -145,58 +142,48 @@ def constructive_check(
 ) -> FeasibilityVerdict:
     """Feasibility by running the full construction on random channels.
 
-    Every trial must finish with worst-case residual interference at or
-    below ``zero_tol`` and full-column-rank effective channels.  A
-    structural failure (InfeasibleAlloc, NoComplement, RankDeficient) on
-    a generic draw marks the tuple infeasible immediately; degenerate
-    draws are redrawn up to MAX_DEGENERATE_RETRIES times per trial.
+    Trial ``t`` builds through ``draw_system(dims, d, derive_seed(seed, t))``.
+    A structural failure (NoComplement, RankDeficient) marks the tuple
+    infeasible at once; every trial that builds must finish with worst-case
+    residual interference at or below ``zero_tol`` and full-column-rank
+    effective channels.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for t in range(trials):
-        for attempt in range(MAX_DEGENERATE_RETRIES):
-            trial_seed = derive_seed(seed, t, attempt)
-            ch = generate_channels(dims, trial_seed)
-            try:
-                prs = build_all(ch, d, trial_seed, pol)
-            except DegenerateChannel:
-                continue
-            except (InfeasibleAlloc, NoComplement, RankDeficient) as exc:
-                return FeasibilityVerdict(
-                    False,
-                    (Violation("construction succeeds", f"trial {t}: {type(exc).__name__}: {exc}", "constructive"),),
-                )
-            report = interference_report(ch, prs, pol)
-            if report.worst_case > pol.zero_tol:
-                return FeasibilityVerdict(
-                    False,
-                    (Violation(
-                        "residual interference <= zero_tol",
-                        f"trial {t}: worst_case = {report.worst_case:.3e}",
-                        "constructive",
-                    ),),
-                )
-            eff = effective_channels(ch, prs)
-            streams = (
-                (prs.U_P1.T @ eff.G_P1, "P1"),
-                (prs.U_P2.T @ eff.G_P2, "P2"),
-                (eff.D_S1, "S1"),
-                (eff.D_S2, "S2"),
+        try:
+            ch, prs = draw_system(dims, d, derive_seed(seed, t), pol)
+        except (NoComplement, RankDeficient) as exc:
+            return FeasibilityVerdict(
+                False,
+                (Violation("construction succeeds", f"trial {t}: {type(exc).__name__}: {exc}", "constructive"),),
             )
-            if not all(_full_column_rank(M, pol) for M, _ in streams):
-                bad = [name for M, name in streams if not _full_column_rank(M, pol)]
-                return FeasibilityVerdict(
-                    False,
-                    (Violation(
-                        "effective channels have full column rank",
-                        f"trial {t}: rank-deficient at {', '.join(bad)}",
-                        "constructive",
-                    ),),
-                )
-            break
-        else:
-            raise TooManyDegenerateDraws(
-                f"trial {t} hit {MAX_DEGENERATE_RETRIES} degenerate draws for dims {dims.as_tuple()}"
+        report = interference_report(ch, prs, pol)
+        if report.worst_case > pol.zero_tol:
+            return FeasibilityVerdict(
+                False,
+                (Violation(
+                    "residual interference <= zero_tol",
+                    f"trial {t}: worst_case = {report.worst_case:.3e}",
+                    "constructive",
+                ),),
+            )
+        eff = effective_channels(ch, prs)
+        streams = (
+            (prs.U_P1.T @ eff.G_P1, "P1"),
+            (prs.U_P2.T @ eff.G_P2, "P2"),
+            (eff.D_S1, "S1"),
+            (eff.D_S2, "S2"),
+        )
+        if not all(_full_column_rank(M, pol) for M, _ in streams):
+            bad = [name for M, name in streams if not _full_column_rank(M, pol)]
+            return FeasibilityVerdict(
+                False,
+                (Violation(
+                    "effective channels have full column rank",
+                    f"trial {t}: rank-deficient at {', '.join(bad)}",
+                    "constructive",
+                ),),
             )
     return FeasibilityVerdict(True)
 

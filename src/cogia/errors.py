@@ -14,15 +14,19 @@ class NoComplement(CogiaError):
 
 
 class RankDeficient(CogiaError):
-    """A matrix that must have full row rank does not; no right inverse exists."""
+    """A formed matrix lacks the rank the construction needs, on every draw.
+
+    A fat matrix without full row rank has no right inverse; a matrix with
+    more columns than rows cannot have independent columns.
+    """
 
 
 class InfeasibleAlloc(CogiaError):
-    """Stream allocation violates a structural dimension bound."""
+    """Allocation fails the closed-form predicate (CLI and rate-sweep pre-flights only)."""
 
 
 class DegenerateChannel(CogiaError):
-    """A measure-zero channel draw broke a genericity assumption; redraw."""
+    """A measure-zero channel draw broke a genericity assumption; redraw (never structural)."""
 
 
 class TooManyDegenerateDraws(CogiaError):

@@ -26,16 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import EffectiveChannels, PrecoderReceiverSet, build_all, effective_channels
-from .errors import DegenerateChannel, InfeasibleAlloc, ScenarioError, TooManyDegenerateDraws
+from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels
+from .dof import closed_form_feasible
+from .errors import InfeasibleAlloc, ScenarioError
 from .numerics import DEFAULT_POLICY, TolerancePolicy, svd_factor
-from .scenario import (
-    NetworkDims,
-    NoiseAndPower,
-    StreamAlloc,
-    derive_seed,
-    generate_channels,
-)
+from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
 __all__ = [
     "StreamGroup",
@@ -336,19 +331,6 @@ def scell_sum_rate(
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
-def _draw_system(dims: NetworkDims, alloc: StreamAlloc, seed: int, pol: TolerancePolicy):
-    """Channels + construction with bounded redraws on degenerate draws."""
-    for attempt in range(10):
-        trial_seed = derive_seed(seed, attempt)
-        ch = generate_channels(dims, trial_seed)
-        try:
-            prs = build_all(ch, alloc, trial_seed, pol)
-        except DegenerateChannel:
-            continue
-        return ch, prs
-    raise TooManyDegenerateDraws(f"10 degenerate draws in a row for dims {dims.as_tuple()}")
-
-
 def rate_region_sweep(
     dims: NetworkDims,
     splits: list[StreamAlloc] | tuple[StreamAlloc, ...],
@@ -365,8 +347,6 @@ def rate_region_sweep(
     monotone in the budget draw by draw.  ``budgets`` entries are
     (Qav_P, Qav_S) pairs; ``RatePoint.Qav`` reports the primary budget.
     """
-    from .dof import closed_form_feasible
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     splits = list(splits)
@@ -382,7 +362,7 @@ def rate_region_sweep(
     for s_idx, split in enumerate(splits):
         samples = np.zeros((len(budgets), trials, 2))
         for t in range(trials):
-            ch, prs = _draw_system(dims, split, derive_seed(seed, s_idx, t), pol)
+            ch, prs = draw_system(dims, split, derive_seed(seed, s_idx, t), pol)
             eff = effective_channels(ch, prs)
             for b_idx, (qav_p, qav_s) in enumerate(budgets):
                 noise = NoiseAndPower(

@@ -45,7 +45,6 @@ __all__ = [
     "derive_seed",
     "substream",
     "generate_channels",
-    "validate_alloc",
     "load_scenario",
     "scenario_from_dict",
 ]
@@ -136,6 +135,20 @@ class NoiseAndPower:
                 raise ScenarioError(f"{name} must be a positive number, got {v!r}")
 
 
+def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
+    """Shape of each channel matrix, in stream-id order (see CHANNEL_STREAMS)."""
+    return {
+        "H_P1": (dims.N_P, dims.M_P),
+        "H_P2": (dims.N_P, dims.M_P),
+        "Hp_P1": (dims.N_P, dims.M_S),
+        "Hp_P2": (dims.N_P, dims.M_S),
+        "H_S1": (dims.N_S, dims.M_S),
+        "H_S2": (dims.N_S, dims.M_S),
+        "Hp_S1": (dims.N_S, dims.M_P),
+        "Hp_S2": (dims.N_S, dims.M_P),
+    }
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """The eight channel matrices of one network realization.
@@ -157,18 +170,7 @@ class ChannelSet:
     Hp_S2: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.dims
-        expected = {
-            "H_P1": (d.N_P, d.M_P),
-            "H_P2": (d.N_P, d.M_P),
-            "Hp_P1": (d.N_P, d.M_S),
-            "Hp_P2": (d.N_P, d.M_S),
-            "H_S1": (d.N_S, d.M_S),
-            "H_S2": (d.N_S, d.M_S),
-            "Hp_S1": (d.N_S, d.M_P),
-            "Hp_S2": (d.N_S, d.M_P),
-        }
-        for name, shape in expected.items():
+        for name, shape in _channel_shapes(self.dims).items():
             m = getattr(self, name)
             if m.shape != shape:
                 raise ScenarioError(f"{name} must have shape {shape}, got {m.shape}")
@@ -245,29 +247,12 @@ def generate_channels(dims: NetworkDims, seed: int) -> ChannelSet:
     are returned read-only.
     """
     factory = _SubstreamFactory(seed)
-    shapes = {
-        "H_P1": (dims.N_P, dims.M_P),
-        "H_P2": (dims.N_P, dims.M_P),
-        "Hp_P1": (dims.N_P, dims.M_S),
-        "Hp_P2": (dims.N_P, dims.M_S),
-        "H_S1": (dims.N_S, dims.M_S),
-        "H_S2": (dims.N_S, dims.M_S),
-        "Hp_S1": (dims.N_S, dims.M_P),
-        "Hp_S2": (dims.N_S, dims.M_P),
-    }
     mats = {}
-    for name, shape in shapes.items():
+    for name, shape in _channel_shapes(dims).items():
         m = factory.stream(CHANNEL_STREAMS[name]).standard_normal(shape)
         m.flags.writeable = False
         mats[name] = m
     return ChannelSet(dims=dims, **mats)
-
-
-def validate_alloc(dims: NetworkDims, d: StreamAlloc):
-    """Closed-form feasibility verdict for an allocation (delegates to dof)."""
-    from .dof import closed_form_feasible
-
-    return closed_form_feasible(dims, d)
 
 
 # ---------------------------------------------------------------------------

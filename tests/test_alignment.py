@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import cogia.alignment
 from cogia.alignment import (
+    MAX_DEGENERATE_RETRIES,
     PrecoderReceiverSet,
     build_all,
     build_corrections,
@@ -11,12 +13,14 @@ from cogia.alignment import (
     build_primary_receivers,
     build_secondary_precoders,
     build_secondary_receivers,
+    draw_system,
     effective_channels,
     interference_report,
 )
-from cogia.errors import InfeasibleAlloc, NoComplement
+from cogia.dof import closed_form_feasible
+from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
 from cogia.numerics import DEFAULT_POLICY
-from cogia.scenario import NetworkDims, StreamAlloc, generate_channels
+from cogia.scenario import NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
 def system(dims_tuple, seed):
@@ -48,15 +52,20 @@ class TestPrimaryPrecoders:
         assert np.linalg.norm(ch.H_P2 @ V_P1[:, 1]) > 1e-3
 
     def test_too_many_streams(self):
+        # four precoder columns in a 3-dim transmit space
         _, ch = system((3, 3, 3, 3), 5)
-        with pytest.raises(InfeasibleAlloc):
+        with pytest.raises(RankDeficient, match="V_P1 is 3x4"):
             build_primary_precoders(ch, StreamAlloc(4, 0, 0, 0), 5)
 
     def test_corrections_impossible(self):
-        # d_P1 > Z needs a correction, but M_S < N_P
+        # d_P1 > Z needs a correction, but the 3x2 Hp_P2 has no right inverse
         _, ch = system((3, 2, 3, 2), 6)
-        with pytest.raises(InfeasibleAlloc):
-            build_primary_precoders(ch, StreamAlloc(1, 0, 0, 0), 6)
+        alloc = StreamAlloc(1, 0, 0, 0)
+        V_P1, V_P2 = build_primary_precoders(ch, alloc, 6)
+        with pytest.raises(RankDeficient):
+            build_corrections(ch, V_P1, V_P2, Z=0)
+        with pytest.raises(RankDeficient):
+            build_all(ch, alloc, 6)
 
     def test_deterministic(self):
         _, ch = system((5, 5, 5, 3), 2)
@@ -99,8 +108,9 @@ class TestSecondaryPrecoders:
         assert np.linalg.norm(ch.H_S2 @ V_S1) < 1e-9
 
     def test_no_headroom_raises(self):
+        # H_S2 alone fills the 3-dim transmit space
         _, ch = system((3, 3, 3, 3), 10)
-        with pytest.raises(InfeasibleAlloc, match="M_S - N_S"):
+        with pytest.raises(NoComplement, match="stream 1 of S1"):
             build_secondary_precoders(ch, StreamAlloc(0, 0, 1, 0))
 
     def test_alignment_structure(self):
@@ -120,8 +130,9 @@ class TestSecondaryPrecoders:
         np.testing.assert_allclose(np.linalg.norm(V_S1, axis=0), 1.0, atol=1e-12)
 
     def test_receive_bound(self):
+        # three streams, two receive coordinates to align them onto
         _, ch = system((8, 8, 2, 2), 12)
-        with pytest.raises(InfeasibleAlloc, match="N_S"):
+        with pytest.raises(RankDeficient, match="U_S1 is 2x3"):
             build_secondary_precoders(ch, StreamAlloc(0, 0, 3, 0))
 
 
@@ -276,3 +287,56 @@ class TestConstructionInvariants:
         prs = build_all(ch, StreamAlloc(1, 0, 2, 2), 24)
         np.testing.assert_allclose(prs.U_S1.T @ prs.U_S1, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(prs.U_P1.T @ prs.U_P1, np.eye(1), atol=1e-12)
+
+
+def spy_on_draws(monkeypatch) -> list[int]:
+    """Record the seed of every channel draw made through cogia.alignment."""
+    seeds: list[int] = []
+    real = cogia.alignment.generate_channels
+
+    def spy(dims, seed):
+        seeds.append(seed)
+        return real(dims, seed)
+
+    monkeypatch.setattr(cogia.alignment, "generate_channels", spy)
+    return seeds
+
+
+class TestDrawSystem:
+    # one tuple per closed-form condition, each violating only that one
+    # except (3,3,3,3)/(4,0,0,0), which also breaks the receiver count
+    @pytest.mark.parametrize(
+        "dims_tuple, alloc_tuple, condition, error",
+        [
+            ((5, 5, 5, 3), (0, 0, 3, 0), "d_S1 <= M_S - N_S", NoComplement),
+            ((3, 3, 3, 3), (0, 0, 1, 0), "d_S1 <= M_S - N_S", NoComplement),
+            ((8, 8, 2, 2), (0, 0, 3, 0), "d_S1 <= N_S", RankDeficient),
+            ((3, 3, 3, 3), (4, 0, 0, 0), "d_P1 <= M_P", RankDeficient),
+            ((5, 5, 5, 3), (2, 0, 2, 2), "N_P >= d_P1 + d_S1 + d_S2", NoComplement),
+            ((3, 2, 3, 1), (1, 0, 0, 0), "M_S >= N_P when d_Pi > Z", RankDeficient),
+        ],
+    )
+    def test_structural_failure_on_first_draw(self, monkeypatch, dims_tuple, alloc_tuple, condition, error):
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        assert condition in [v.condition for v in closed_form_feasible(dims, alloc).violated]
+        seeds = spy_on_draws(monkeypatch)
+        with pytest.raises(error):
+            draw_system(dims, alloc, 31)
+        assert seeds == [derive_seed(31, 0)]
+
+    def test_feasible_first_draw_matches_build_all(self):
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        ch, prs = draw_system(dims, alloc, 4)
+        draw_seed = derive_seed(4, 0)
+        assert np.array_equal(ch.H_P1, generate_channels(dims, draw_seed).H_P1)
+        assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
+
+    def test_degenerate_draws_exhaust_budget(self, monkeypatch):
+        def degenerate(ch, d, seed, pol=DEFAULT_POLICY):
+            raise DegenerateChannel("forced")
+
+        monkeypatch.setattr(cogia.alignment, "build_all", degenerate)
+        seeds = spy_on_draws(monkeypatch)
+        with pytest.raises(TooManyDegenerateDraws):
+            draw_system(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), 9)
+        assert seeds == [derive_seed(9, a) for a in range(MAX_DEGENERATE_RETRIES)]

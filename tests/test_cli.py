@@ -3,7 +3,9 @@
 import json
 import math
 
+import cogia.alignment
 from cogia.cli import main
+from cogia.errors import DegenerateChannel
 
 REFERENCE_NETWORK = {
     "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
@@ -38,6 +40,34 @@ class TestVerify:
         assert len(rows) == 20
         worst = max(float(r[header.index("worst_case")]) for r in rows)
         assert worst <= 1e-9
+
+    def test_report_cells_are_plain_numbers(self, tmp_path):
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        _, rows = read_rows(out / "verify_report.csv")
+        for row in rows:
+            for cell in row:
+                assert not cell.startswith("np.")
+                float(cell)
+
+    def test_degenerate_first_draw_is_redrawn(self, tmp_path, monkeypatch):
+        # every trial's first draw is degenerate, its second one builds
+        real = cogia.alignment.build_all
+        calls = []
+
+        def flaky(ch, d, seed, pol):
+            calls.append(seed)
+            if len(calls) % 2:
+                raise DegenerateChannel("forced")
+            return real(ch, d, seed, pol)
+
+        monkeypatch.setattr(cogia.alignment, "build_all", flaky)
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--trials", "3", "--quiet"]) == 0
+        _, rows = read_rows(out / "verify_report.csv")
+        assert len(rows) == 3 and len(calls) == 6
 
     def test_infeasible_alloc_exits_two(self, tmp_path, capsys):
         bad = dict(REFERENCE_NETWORK, alloc={"d_P1": 0, "d_P2": 0, "d_S1": 3, "d_S2": 0})

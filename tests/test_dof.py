@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cogia.dof import (
+    FeasibilityVerdict,
     closed_form_feasible,
     constructive_check,
     enumerate_region,
@@ -23,6 +24,10 @@ class TestClosedForm:
         verdict = closed_form_feasible(NetworkDims(5, 5, 5, 3), StreamAlloc(0, 0, 3, 0))
         assert not verdict.feasible
         assert any(v.condition == "d_S1 <= M_S - N_S" and v.origin == "structural" for v in verdict.violated)
+
+    def test_zero_headroom(self):
+        verdict = closed_form_feasible(NetworkDims(3, 3, 3, 3), StreamAlloc(0, 0, 1, 0))
+        assert not verdict.feasible
 
     def test_receiver_dimension_count(self):
         verdict = closed_form_feasible(NetworkDims(5, 5, 5, 3), StreamAlloc(2, 0, 2, 2))
@@ -46,6 +51,12 @@ class TestClosedForm:
                 continue
             smaller = StreamAlloc(max(t.d_P1 - 1, 0), t.d_P2, t.d_S1, max(t.d_S2 - 1, 0))
             assert closed_form_feasible(dims, smaller).feasible
+
+
+class TestVerdict:
+    def test_infeasible_needs_a_violation(self):
+        with pytest.raises(ValueError):
+            FeasibilityVerdict(False, ())
 
 
 class TestConstructiveCheck:

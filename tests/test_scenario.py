@@ -17,7 +17,6 @@ from cogia.scenario import (
     load_scenario,
     scenario_from_dict,
     substream,
-    validate_alloc,
 )
 
 
@@ -120,22 +119,6 @@ class TestDeriveSeed:
             derive_seed(-1)
         with pytest.raises(ScenarioError):
             derive_seed(1 << 64)
-
-
-class TestValidateAlloc:
-    def test_feasible_reference_split(self):
-        verdict = validate_alloc(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2))
-        assert verdict.feasible and not verdict.violated
-
-    def test_secondary_bound_violation(self):
-        verdict = validate_alloc(NetworkDims(5, 5, 5, 3), StreamAlloc(0, 0, 3, 0))
-        assert not verdict.feasible
-        conditions = [v.condition for v in verdict.violated]
-        assert "d_S1 <= M_S - N_S" in conditions
-
-    def test_zero_headroom(self):
-        verdict = validate_alloc(NetworkDims(3, 3, 3, 3), StreamAlloc(0, 0, 1, 0))
-        assert not verdict.feasible
 
 
 class TestScenarioFiles:
