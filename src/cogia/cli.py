@@ -38,8 +38,8 @@ from .errors import (
     TooManyDegenerateDraws,
 )
 from .alignment import draw_system, effective_channels, interference_report
-from .numerics import DEFAULT_POLICY, svd_factor
-from .rates import kkt_violation, pcell_sum_rate, rate_region_sweep, scell_sum_rate
+from .numerics import DEFAULT_POLICY
+from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
 
 _REPORT_COLUMNS = [
@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
             eff = effective_channels(ch, prs)
             rp = pcell_sum_rate(prs, eff, noise, pol)
             rs = scell_sum_rate(prs, eff, noise, pol)
-            kkt = _trial_kkt(prs, eff, noise, rp, rs)
+            kkt = _trial_kkt(rp, rs)
             worst_overall = max(worst_overall, report.worst_case)
             kkt_overall = max(kkt_overall, kkt)
             rows.append(
@@ -153,24 +153,9 @@ def cmd_verify(args) -> int:
     return 2
 
 
-def _trial_kkt(prs, eff, noise, rp, rs) -> float:
+def _trial_kkt(rp, rs) -> float:
     """Worst KKT gap across both cells of one trial."""
-    gap = 0.0
-    specs = [
-        (prs.U_P1.T @ eff.G_P1, noise.sigma2_P1, rp.allocation),
-        (prs.U_P2.T @ eff.G_P2, noise.sigma2_P2, rp.allocation),
-        (eff.D_S1, noise.sigma2_S1, rs.allocation),
-        (eff.D_S2, noise.sigma2_S2, rs.allocation),
-    ]
-    user_idx = {id(rp.allocation): 0, id(rs.allocation): 0}
-    for E, s2, cell in specs:
-        if E.shape[1] == 0:
-            continue
-        _, gammas, _ = svd_factor(E)
-        res = cell.users[user_idx[id(cell)]]
-        user_idx[id(cell)] += 1
-        gap = max(gap, kkt_violation(res, gammas, s2))
-    return gap
+    return max(rp.allocation.kkt_gap, rs.allocation.kkt_gap)
 
 
 def cmd_dof_region(args) -> int:

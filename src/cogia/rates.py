@@ -10,9 +10,14 @@ each E_i by SVD and fills power over the stream costs
     q_l = max(0, lam - sigma_i^2 / gamma_l^2)
 
 (the positive-part clamp is required for a valid power allocation).  The
-water level is found by monotone bisection on the exact traced transmit
-power, which stays correct when precoder columns are not orthonormal.
-The transmit power spent on correction vectors is not charged to either
+traced transmit power ``sum_l w_l (lam - c_l)^+`` is piecewise linear in
+the water level, so ``lam`` comes in closed form from the sorted stream
+costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005) and is then moved by
+single ulps to the smallest double whose traced power reaches the
+budget.  The weights ``w_l`` are the exact traced powers of the
+precoder directions, so the solve stays correct when precoder columns
+are not orthonormal.  Each cell solve carries its own KKT gap.  The
+transmit power spent on correction vectors is not charged to either
 cell's constraint, mirroring the rate problem's trace term exactly; it
 is reported separately so the modeling gap stays visible.
 
@@ -46,7 +51,6 @@ __all__ = [
     "rate_region_sweep",
 ]
 
-_BISECT_REL_TOL = 1e-8
 _LOG2 = math.log(2.0)
 
 
@@ -72,24 +76,29 @@ class WaterfillResult:
 
     ``achieved_constraint`` is the traced power of the whole solve this
     user took part in (shared across users of a cell), so it is directly
-    comparable to the budget.
+    comparable to ``budget``, the budget of that solve.
     """
 
     water_level: float
     per_stream_power: np.ndarray
     Q: np.ndarray
     achieved_constraint: float
+    budget: float
     no_positive_gain: bool = False
 
 
 @dataclass(frozen=True)
 class CellAllocation:
-    """Joint allocation for one cell: shared water level, per-user results."""
+    """Joint allocation for one cell: shared water level, per-user results.
+
+    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users.
+    """
 
     water_level: float
     users: tuple[WaterfillResult, ...]
     achieved_constraint: float
     no_positive_gain: bool = False
+    kkt_gap: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -122,13 +131,15 @@ def waterfill_cell(
 ) -> CellAllocation:
     """Joint water-filling across all groups under one budget.
 
-    The common water level ``lam`` solves
-    ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T) = budget`` by
-    bisection; streams whose singular value falls below ``rank_tol``
-    times the group's largest get zero power.
+    The common water level ``lam`` is the smallest double whose traced
+    power ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T)`` reaches
+    ``budget``.  Streams whose singular value falls below ``rank_tol``
+    times the group's largest get zero power.  ``lam`` is 0 when the
+    budget is 0, no stream is alive, or every alive stream has zero
+    traced weight.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if not (math.isfinite(budget) and budget >= 0):
+        raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     costs: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     alive_any = False
@@ -153,32 +164,24 @@ def waterfill_cell(
             total += float(w @ q)
         return trace_prefactor * total
 
-    if not alive_any or budget == 0.0:
-        lam = 0.0
-    else:
-        finite_costs = np.concatenate([c[np.isfinite(c)] for c in costs])
-        n_streams = sum(len(c) for c in costs)
-        hi = float(finite_costs.max()) + budget * max(n_streams, 1)
-        grown = False
-        for _ in range(200):
-            if traced_power(hi) >= budget:
-                grown = True
-                break
-            hi *= 2.0
-        if not grown:
-            # every active stream has zero traced weight; nothing to allocate
-            lam = 0.0
-        else:
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                if traced_power(mid) < budget:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = hi
+    lam = 0.0
+    if alive_any and budget > 0.0:
+        c = np.concatenate(costs)
+        live = np.isfinite(c)
+        order = np.argsort(c[live], kind="stable")
+        c = c[live][order]
+        w = np.concatenate(weights)[live][order]
+        W, S = np.cumsum(w), np.cumsum(w * c)
+        if W[-1] > 0.0:
+            # last prefix whose top cost lies below the water level; the
+            # first positive weight always qualifies, so W[k] > 0
+            level = budget / trace_prefactor
+            k = np.flatnonzero(W * c - S < level)[-1]
+            lam = float((level + S[k]) / W[k])
+            while traced_power(lam) < budget:
+                lam = float(np.nextafter(lam, math.inf))
+            while traced_power(below := float(np.nextafter(lam, 0.0))) >= budget:
+                lam = below
 
     allocations = []
     achieved = 0.0
@@ -196,6 +199,7 @@ def waterfill_cell(
             per_stream_power=q,
             Q=Q,
             achieved_constraint=achieved,
+            budget=budget,
             no_positive_gain=not alive_any,
         )
         for q, Q in allocations
@@ -205,6 +209,10 @@ def waterfill_cell(
         users=users,
         achieved_constraint=achieved,
         no_positive_gain=not alive_any,
+        kkt_gap=max(
+            (kkt_violation(res, grp.gammas, grp.sigma2) for grp, res in zip(groups, users)),
+            default=0.0,
+        ),
     )
 
 
@@ -236,19 +244,20 @@ def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     """Largest violation of the water-filling optimality conditions.
 
     Active streams must sit exactly at ``lam - sigma2/gamma^2``; inactive
-    streams must have cost at or above the water level.  Dead streams
+    streams must have cost at or above the water level; and a positive
+    water level must spend the whole budget, measured as
+    ``|achieved_constraint - budget| / budget``.  Dead streams
     (gamma == 0) are skipped.
     """
     g = np.asarray(gammas, dtype=float)
-    worst = 0.0
-    for q, gamma in zip(result.per_stream_power, g):
-        if gamma <= 0.0:
-            continue
-        cost = sigma2 / gamma**2
-        if q > 0.0:
-            worst = max(worst, abs(q - (result.water_level - cost)))
-        else:
-            worst = max(worst, max(0.0, result.water_level - cost))
+    live = g > 0.0
+    cost = sigma2 / g[live] ** 2
+    q = result.per_stream_power[live]
+    lam = result.water_level
+    gaps = np.where(q > 0.0, np.abs(q - (lam - cost)), np.maximum(0.0, lam - cost))
+    worst = float(gaps.max(initial=0.0))
+    if lam > 0.0:
+        worst = max(worst, abs(result.achieved_constraint - result.budget) / result.budget)
     return worst
 
 
@@ -262,28 +271,38 @@ def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> float:
     return 0.5 * logdet / _LOG2
 
 
-def _cell_rate(
+def _factor_cell(
     effectives: list[np.ndarray],
     precoders: list[np.ndarray],
     sigma2s: list[float],
-    budget: float,
-    pol: TolerancePolicy,
-) -> tuple[float, CellAllocation]:
-    groups = []
+) -> list[tuple[np.ndarray, StreamGroup]]:
+    """Per-draw half of a cell solve: factor each served user's channel."""
     served = []
     for E, V, s2 in zip(effectives, precoders, sigma2s):
         if E.shape[1] == 0:
             continue
         _, gammas, Psi = svd_factor(E)
-        groups.append(StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi))
-        served.append((E, s2))
-    if not groups:
+        served.append((E, StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi)))
+    return served
+
+
+def _fill_cell(
+    served: list[tuple[np.ndarray, StreamGroup]],
+    budget: float,
+    pol: TolerancePolicy,
+) -> tuple[float, CellAllocation]:
+    """Per-budget half of a cell solve: water-fill and sum the user rates."""
+    if not served:
         return 0.0, CellAllocation(0.0, (), 0.0, no_positive_gain=True)
-    alloc = waterfill_cell(groups, budget, pol, trace_prefactor=0.5)
+    alloc = waterfill_cell([grp for _, grp in served], budget, pol, trace_prefactor=0.5)
     rate = 0.0
-    for (E, s2), res in zip(served, alloc.users):
-        rate += _user_rate(E, res.Q, s2)
+    for (E, grp), res in zip(served, alloc.users):
+        rate += _user_rate(E, res.Q, grp.sigma2)
     return rate, alloc
+
+
+def _primary_effectives(prs: PrecoderReceiverSet, eff: EffectiveChannels) -> list[np.ndarray]:
+    return [prs.U_P1.T @ eff.G_P1, prs.U_P2.T @ eff.G_P2]
 
 
 def pcell_sum_rate(
@@ -293,24 +312,14 @@ def pcell_sum_rate(
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users)."""
-    E1 = prs.U_P1.T @ eff.G_P1
-    E2 = prs.U_P2.T @ eff.G_P2
-    rate, alloc = _cell_rate(
-        [E1, E2],
-        [prs.V_P1, prs.V_P2],
-        [noise.sigma2_P1, noise.sigma2_P2],
-        noise.Qav_P,
-        pol,
-    )
+    effectives = _primary_effectives(prs, eff)
+    served = _factor_cell(effectives, [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
+    rate, alloc = _fill_cell(served, noise.Qav_P, pol)
+    Vbars = [Vbar for E, Vbar in zip(effectives, (prs.Vbar_P1, prs.Vbar_P2)) if E.shape[1]]
     correction = 0.0
-    idx = 0
-    for E, Vbar in ((E1, prs.Vbar_P1), (E2, prs.Vbar_P2)):
-        if E.shape[1] == 0:
-            continue
-        Q = alloc.users[idx].Q
-        VbQ = Vbar @ Q
+    for Vbar, res in zip(Vbars, alloc.users):
+        VbQ = Vbar @ res.Q
         correction += 0.5 * float(np.einsum("ij,ij->", VbQ, Vbar))
-        idx += 1
     return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction)
 
 
@@ -321,13 +330,8 @@ def scell_sum_rate(
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CellRateResult:
     """Secondary-cell sum rate; interference-free by the ideal-DPC model."""
-    rate, alloc = _cell_rate(
-        [eff.D_S1, eff.D_S2],
-        [prs.V_S1, prs.V_S2],
-        [noise.sigma2_S1, noise.sigma2_S2],
-        noise.Qav_S,
-        pol,
-    )
+    served = _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
+    rate, alloc = _fill_cell(served, noise.Qav_S, pol)
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -344,11 +348,15 @@ def rate_region_sweep(
 
     One RatePoint per (split, budget) pair, ordered by split then budget.
     Channel draws are shared across budgets within a split, so rates are
-    monotone in the budget draw by draw.  ``budgets`` entries are
-    (Qav_P, Qav_S) pairs; ``RatePoint.Qav`` reports the primary budget.
+    monotone in the budget draw by draw, and each draw is factored once
+    for all budgets.  ``budgets`` entries are (Qav_P, Qav_S) pairs;
+    ``RatePoint.Qav`` reports the primary budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for qav_p, qav_s in budgets:
+        # the noise and budget checks, once per budget and before any draw
+        NoiseAndPower(*sigma2s, Qav_P=qav_p, Qav_S=qav_s)
     splits = list(splits)
     for split in splits:
         if split.total == 0:
@@ -364,19 +372,13 @@ def rate_region_sweep(
         for t in range(trials):
             ch, prs = draw_system(dims, split, derive_seed(seed, s_idx, t), pol)
             eff = effective_channels(ch, prs)
-            for b_idx, (qav_p, qav_s) in enumerate(budgets):
-                noise = NoiseAndPower(
-                    sigma2_P1=sigma2s[0],
-                    sigma2_P2=sigma2s[1],
-                    sigma2_S1=sigma2s[2],
-                    sigma2_S2=sigma2s[3],
-                    Qav_P=qav_p,
-                    Qav_S=qav_s,
-                )
-                rp = pcell_sum_rate(prs, eff, noise, pol)
-                rs = scell_sum_rate(prs, eff, noise, pol)
-                samples[b_idx, t, 0] = rp.sum_rate
-                samples[b_idx, t, 1] = rs.sum_rate
+            cells = (
+                _factor_cell(_primary_effectives(prs, eff), [prs.V_P1, prs.V_P2], sigma2s[:2]),
+                _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+            )
+            for b_idx, cell_budgets in enumerate(budgets):
+                for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
+                    samples[b_idx, t, c_idx] = _fill_cell(served, qav, pol)[0]
         for b_idx, (qav_p, _qav_s) in enumerate(budgets):
             mean = samples[b_idx].mean(axis=0)
             if trials > 1:

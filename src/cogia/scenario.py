@@ -28,6 +28,7 @@ almost surely, so the generic position is all the constructions need.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -131,8 +132,8 @@ class NoiseAndPower:
     def __post_init__(self) -> None:
         for name in ("sigma2_P1", "sigma2_P2", "sigma2_S1", "sigma2_S2", "Qav_P", "Qav_S"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0):
-                raise ScenarioError(f"{name} must be a positive number, got {v!r}")
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 and math.isfinite(v)):
+                raise ScenarioError(f"{name} must be a finite positive number, got {v!r}")
 
 
 def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
@@ -354,10 +355,10 @@ def scenario_from_dict(data: Any) -> Scenario:
     if "budgets" in data:
         raw_budgets = data["budgets"]
         if not isinstance(raw_budgets, list) or not raw_budgets:
-            raise ScenarioError("'budgets' must be a non-empty list of positive numbers")
+            raise ScenarioError("'budgets' must be a non-empty list of finite positive numbers")
         for i, b in enumerate(raw_budgets):
-            if not (isinstance(b, (int, float)) and not isinstance(b, bool) and b > 0):
-                raise ScenarioError(f"budgets[{i}] must be a positive number, got {b!r}")
+            if not (isinstance(b, (int, float)) and not isinstance(b, bool) and b > 0 and math.isfinite(b)):
+                raise ScenarioError(f"budgets[{i}] must be a finite positive number, got {b!r}")
             budgets.append((float(b), float(b)))
     else:
         budgets.append((noise.Qav_P, noise.Qav_S))

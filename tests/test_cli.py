@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 import cogia.alignment
 from cogia.cli import main
 from cogia.errors import DegenerateChannel
@@ -104,6 +106,24 @@ class TestVerify:
         for entry in manifest["outputs"]:
             data = (out / entry["path"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+
+class TestNonFiniteScenario:
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"budgets": [1.0, math.inf]},
+            {"power": {"Qav_P": math.inf, "Qav_S": 10.0}},
+            {"noise": {"sigma2_S1": math.inf}},
+        ],
+    )
+    def test_infinity_is_a_scenario_error(self, tmp_path, capsys, command, patch):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, **patch))
+        assert "Infinity" in (tmp_path / "scenario.json").read_text()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDofRegion:

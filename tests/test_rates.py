@@ -1,10 +1,12 @@
 """Water-filling, cell rates and rate-region sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import cogia.rates
 from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, effective_channels
 from cogia.errors import InfeasibleAlloc, ScenarioError
 from cogia.rates import (
@@ -99,6 +101,13 @@ class TestWaterfill:
             evals = np.linalg.eigvalsh((res.Q + res.Q.T) / 2)
             assert evals.min() > -1e-9
 
+    def test_kkt_gap_catches_unspent_budget(self):
+        gammas = np.array([2.0, 1.0, 0.5])
+        res = waterfill(gammas, 1.0, np.eye(3), np.eye(3), budget=10.0)
+        assert kkt_violation(res, gammas, 1.0) <= 1e-8
+        halved = dataclasses.replace(res, achieved_constraint=res.achieved_constraint / 2)
+        assert kkt_violation(halved, gammas, 1.0) > 1e-8
+
     def test_beats_random_diagonal_allocations(self):
         # independent oracle: dense random search over feasible diagonal
         # allocations in the same Psi basis can never do better
@@ -126,7 +135,75 @@ class TestWaterfill:
             assert rate(np.full(n, budget / n)) <= best + 1e-6
 
 
+def traced_power(groups, lam, trace_prefactor, rank_tol=1e-9):
+    """The solve's traced power at water level ``lam``, in the same float order."""
+    total = 0.0
+    for grp in groups:
+        g = np.asarray(grp.gammas, dtype=float)
+        alive = g > rank_tol * g.max() if g.size and g.max() > 0.0 else np.zeros(g.shape, dtype=bool)
+        cost = np.full(g.shape, np.inf)
+        cost[alive] = grp.sigma2 / g[alive] ** 2
+        VPsi = grp.V @ grp.Psi
+        w = np.einsum("ij,ij->j", VPsi, VPsi)
+        w[~alive] = 0.0
+        q = np.maximum(0.0, lam - cost)
+        q[~alive] = 0.0
+        total += float(w @ q)
+    return trace_prefactor * total
+
+
 class TestCellWaterfill:
+    def test_smallest_double_reaching_budget_seeded(self):
+        for i in range(200):
+            rng = np.random.default_rng(7000 + i)
+            groups = []
+            for _ in range(int(rng.integers(1, 3))):
+                n = int(rng.integers(1, 5))
+                gammas = rng.uniform(0.2, 3.0, size=n)
+                V = rng.standard_normal((n + 2, n))
+                if n > 1 and i % 3 == 0:
+                    gammas[1] = gammas[0]  # tied costs
+                if n > 1 and i % 5 == 1:
+                    V[:, 0] = 0.0  # alive stream with zero traced weight
+                if n > 2 and i % 7 == 2:
+                    gammas[-1] = 0.0  # dead stream
+                groups.append(StreamGroup(gammas, float(rng.uniform(0.5, 2.0)), V, haar_columns(rng, n, n)))
+            budget = float(rng.uniform(0.0, 1.0) * 10.0 ** rng.integers(-3, 4)) if i % 10 else 0.0
+            prefactor = (1.0, 0.5)[i % 2]
+            lam = waterfill_cell(groups, budget, trace_prefactor=prefactor).water_level
+            if budget == 0.0:
+                assert lam == 0.0
+                continue
+            assert traced_power(groups, lam, prefactor) >= budget
+            assert traced_power(groups, np.nextafter(lam, 0.0), prefactor) < budget
+
+    def test_zero_level_edge_cases(self):
+        rng = np.random.default_rng(8)
+        V, Psi = rng.standard_normal((4, 2)), haar_columns(rng, 2, 2)
+        live = StreamGroup(np.array([1.0, 2.0]), 1.0, V, Psi)
+        weightless = StreamGroup(np.array([1.0, 2.0]), 1.0, np.zeros((4, 2)), Psi)
+        dead = StreamGroup(np.zeros(2), 1.0, V, Psi)
+        for prefactor in (1.0, 0.5):
+            assert waterfill_cell([live], 0.0, trace_prefactor=prefactor).water_level == 0.0
+            assert waterfill_cell([weightless], 3.0, trace_prefactor=prefactor).water_level == 0.0
+            assert waterfill_cell([dead], 3.0, trace_prefactor=prefactor).water_level == 0.0
+        cell = waterfill_cell([weightless, live], 3.0)
+        assert cell.water_level > 0.0
+        assert cell.users[0].per_stream_power.all()  # free streams still fill to the level
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
+    def test_bad_budget_raises(self, budget):
+        grp = StreamGroup(np.array([1.0]), 1.0, np.eye(1), np.eye(1))
+        with pytest.raises(ValueError):
+            waterfill_cell([grp], budget)
+
+    def test_carried_kkt_gap(self):
+        rng = np.random.default_rng(12)
+        groups = [StreamGroup(rng.uniform(0.5, 2.0, 3), 1.5, rng.standard_normal((5, 3)), haar_columns(rng, 3, 3))]
+        cell = waterfill_cell(groups, budget=4.0)
+        assert cell.kkt_gap == kkt_violation(cell.users[0], groups[0].gammas, 1.5)
+        assert cell.kkt_gap <= 1e-8
+
     def test_shared_water_level_two_users(self):
         rng = np.random.default_rng(9)
         g1, g2 = rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 3)
@@ -291,3 +368,17 @@ class TestRateRegionSweep:
         a = rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(10.0, 10.0)], trials=5, seed=11)
         b = rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(10.0, 10.0)], trials=5, seed=11)
         assert a == b
+
+    def test_factors_each_user_once_per_draw(self, monkeypatch):
+        calls = []
+        real = cogia.rates.svd_factor
+        monkeypatch.setattr(cogia.rates, "svd_factor", lambda E: calls.append(E) or real(E))
+        budgets = [(1.0, 1.0), (10.0, 10.0), (100.0, 100.0)]
+        rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], budgets, trials=4, seed=2)
+        assert len(calls) == 3 * 4  # served users P1, S1, S2 per trial
+
+    @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
+    def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
+        monkeypatch.setattr(cogia.rates, "draw_system", lambda *a: pytest.fail("drew a channel"))
+        with pytest.raises(ScenarioError):
+            rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=2, seed=0)
