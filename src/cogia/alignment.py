@@ -36,18 +36,26 @@ Receive side
   first d_Sj receive coordinates and the effective secondary channel is
   diagonal.
 
+The secondary precoders and the primary combiners are the same
+zero-forcing problem, solved by one routine: given target rows and fixed
+avoid rows, column g is the normalized projection of target row g onto
+the orthogonal complement of the other target rows and the avoid rows.
+An empty complement raises NoComplement and a lost gain raises
+DegenerateChannel.
+
 The secondary data streams are dirty-paper encoded against the known
 primary-induced interference; the model here is ideal presubtraction, so
 secondary decoding sees only the diagonal effective channel plus noise.
 
 Stage order and failures
 ------------------------
-:func:`build_all` builds the secondary precoders first (they depend on no
-other stage), then primary precoders, corrections, primary and secondary
-combiners.  No stage checks the allocation against the antenna counts;
-the construction itself refuses what the network cannot carry, on every
-generic draw: NoComplement for an empty null space, RankDeficient for a
-rank shortfall forced by a formed matrix having more columns than rows.
+:func:`build_all` builds the secondary selector combiners first and the
+secondary precoders aligned to them (they depend on no other stage), then
+primary precoders, corrections and primary combiners.  No stage checks
+the allocation against the antenna counts; the construction itself
+refuses what the network cannot carry, on every generic draw:
+NoComplement for an empty null space, RankDeficient for a rank shortfall
+forced by a formed matrix having more columns than rows.
 DegenerateChannel is kept for measure-zero accidents of one draw, which
 :func:`draw_system` redraws.
 """
@@ -59,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
-from .numerics import DEFAULT_POLICY, TolerancePolicy, min_norm_right_solve, null_space_basis
+from .numerics import DEFAULT_POLICY, TolerancePolicy, full_column_rank, min_norm_right_solve, null_space_basis
 from .scenario import (
     PRECODER_STREAM_P1,
     PRECODER_STREAM_P2,
@@ -115,13 +123,18 @@ class PrecoderReceiverSet:
 class EffectiveChannels:
     """End-to-end channels seen by each stream after the construction.
 
-    G_Pi column l is the vector multiplying the l-th data symbol of P_i
-    at its receiver (direct channel plus correction path).  D_Sj is the
-    post-combining secondary channel, diagonal by construction.
+    G_Pi (N_P x d_Pi): column l is the vector multiplying the l-th data
+    symbol of P_i at its receiver (direct channel plus correction path).
+    D_Pi = U_Pi.T @ G_Pi (d_Pi x d_Pi) is the post-combining primary
+    channel; its off-diagonal entries vanish when the combiners
+    zero-force.  D_Sj (d_Sj x d_Sj) is the post-combining secondary
+    channel, diagonal by construction.
     """
 
     G_P1: np.ndarray
     G_P2: np.ndarray
+    D_P1: np.ndarray
+    D_P2: np.ndarray
     D_S1: np.ndarray
     D_S2: np.ndarray
 
@@ -177,10 +190,9 @@ def build_primary_precoders(
         # more columns than rows is a shortfall every draw repeats
         if V.shape[1] > V.shape[0]:
             raise RankDeficient(f"V_{user} is {V.shape[0]}x{V.shape[1]}: its columns cannot be independent")
-        if d_i > 1:
-            s = np.linalg.svd(V, compute_uv=False)
-            if s[-1] <= pol.rank_tol * s[0]:
-                raise DegenerateChannel(f"columns of V_{user} are not linearly independent")
+        # a single unit column is always independent
+        if d_i > 1 and not full_column_rank(V, pol):
+            raise DegenerateChannel(f"columns of V_{user} are not linearly independent")
         return V
 
     V_P1 = one_user(d.d_P1, ch.H_P2, PRECODER_STREAM_P1, "P1")
@@ -192,17 +204,16 @@ def build_corrections(
     ch: ChannelSet,
     V_P1: np.ndarray,
     V_P2: np.ndarray,
-    Z: int,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Secondary correction matrices Vbar_P1, Vbar_P2.
 
-    Column l is zero for l <= Z; beyond that it solves
+    Column l is zero for l <= Z = ``ch.dims.Z``; beyond that it solves
     ``Hp_other @ vbar_l = -H_other @ v_l`` (minimum-norm), so the stream
     vanishes at the non-intended primary user.  Raises RankDeficient when
     the needed right pseudo-inverse does not exist.
     """
-    M_S = ch.dims.M_S
+    M_S, Z = ch.dims.M_S, ch.dims.Z
 
     def corrections(V: np.ndarray, H_other: np.ndarray, Hp_other: np.ndarray) -> np.ndarray:
         Vbar = np.zeros((M_S, V.shape[1]))
@@ -216,6 +227,36 @@ def build_corrections(
     return Vbar_P1, Vbar_P2
 
 
+def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str, pol: TolerancePolicy) -> np.ndarray:
+    """Unit zero-forcing columns, one per row of ``targets``.
+
+    Column g is the normalized projection of target row g onto the
+    orthogonal complement of the other target rows and the ``avoid``
+    rows, which maximizes the surviving gain among all directions that
+    meet every zero-forcing constraint.  No target rows give no columns.
+    """
+    n = targets.shape[1]
+    cols = []
+    for g, t in enumerate(targets):
+        basis = null_space_basis(np.vstack([np.delete(targets, g, axis=0), avoid]), pol)
+        if basis.shape[1] == 0:
+            raise NoComplement(f"avoid space for stream {g + 1} of {user} fills all {n} dimensions")
+        v = basis @ (basis.T @ t)
+        gain = np.linalg.norm(v)
+        if gain <= pol.rank_tol * np.linalg.norm(t):
+            raise DegenerateChannel(f"stream {g + 1} of {user} has no component in its zero-forcing space")
+        cols.append(v / gain)
+    return np.column_stack(cols) if cols else np.zeros((n, 0))
+
+
+def _align_secondary(
+    ch: ChannelSet, U_S1: np.ndarray, U_S2: np.ndarray, pol: TolerancePolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    V_S1 = _zero_force(U_S1.T @ ch.H_S1, ch.H_S2, "S1", pol)
+    V_S2 = _zero_force(U_S2.T @ ch.H_S2, ch.H_S1, "S2", pol)
+    return V_S1, V_S2
+
+
 def build_secondary_precoders(
     ch: ChannelSet,
     d: StreamAlloc,
@@ -227,33 +268,7 @@ def build_secondary_precoders(
     channel and to the channel rows the selector U_Sj assigns to S_j's
     other streams, while keeping a nonzero gain on its own row g.
     """
-    M_S = ch.dims.M_S
-    U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
-
-    def one_user(H_own: np.ndarray, H_other: np.ndarray, U: np.ndarray, user: str) -> np.ndarray:
-        if U.shape[1] == 0:
-            return np.zeros((M_S, 0))
-        cols = []
-        own_rows = U.T @ H_own
-        for g, h_g in enumerate(own_rows):
-            avoid = np.vstack([np.delete(own_rows, g, axis=0), H_other])
-            basis = null_space_basis(avoid, pol)
-            if basis.shape[1] == 0:
-                raise NoComplement(
-                    f"avoid space for stream {g + 1} of {user} fills the {M_S}-dim transmit space"
-                )
-            v = basis @ (basis.T @ h_g)
-            gain = np.linalg.norm(v)
-            if gain <= pol.rank_tol * np.linalg.norm(h_g):
-                raise DegenerateChannel(
-                    f"stream {g + 1} of {user} is orthogonal to its own channel row"
-                )
-            cols.append(v / gain)
-        return np.column_stack(cols)
-
-    V_S1 = one_user(ch.H_S1, ch.H_S2, U_S1, "S1")
-    V_S2 = one_user(ch.H_S2, ch.H_S1, U_S2, "S2")
-    return V_S1, V_S2
+    return _align_secondary(ch, *build_secondary_receivers(ch.dims.N_S, d), pol)
 
 
 def _primary_effective(
@@ -287,32 +302,10 @@ def build_primary_receivers(
     stream gain among all valid zero-forcing directions.
     """
     G_P1, G_P2 = _primary_effective(ch, V_P1, V_P2, Vbar_P1, Vbar_P2)
-
-    def one_user(G: np.ndarray, Hp_own: np.ndarray, user: str) -> np.ndarray:
-        N_P, d_i = G.shape
-        if d_i == 0:
-            return np.zeros((N_P, 0))
-        inter = (Hp_own @ np.hstack([V_S1, V_S2])).T  # interference rows to avoid
-        cols: list[np.ndarray] = []
-        for l in range(d_i):
-            base = np.vstack([np.delete(G, l, axis=1).T, inter])
-            basis = null_space_basis(base, pol)
-            if basis.shape[1] == 0:
-                raise NoComplement(
-                    f"avoid space for stream {l + 1} of {user} fills the {N_P}-dim receive space"
-                )
-            g = G[:, l]
-            u = basis @ (basis.T @ g)
-            gain = np.linalg.norm(u)
-            if gain <= pol.rank_tol * np.linalg.norm(g):
-                raise DegenerateChannel(
-                    f"stream {l + 1} of {user} has no component in its interference-free space"
-                )
-            cols.append(u / gain)
-        return np.column_stack(cols)
-
-    U_P1 = one_user(G_P1, ch.Hp_P1, "P1")
-    U_P2 = one_user(G_P2, ch.Hp_P2, "P2")
+    V_S = np.hstack([V_S1, V_S2])
+    # rows to avoid: the secondary streams as seen at the primary user
+    U_P1 = _zero_force(G_P1.T, (ch.Hp_P1 @ V_S).T, "P1", pol)
+    U_P2 = _zero_force(G_P2.T, (ch.Hp_P2 @ V_S).T, "P2", pol)
     return U_P1, U_P2
 
 
@@ -332,19 +325,18 @@ def build_all(
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> PrecoderReceiverSet:
     """Run the full construction and return the frozen precoder/receiver set."""
-    Z = ch.dims.Z
-    V_S1, V_S2 = build_secondary_precoders(ch, d, pol)
-    V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol)
-    Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z, pol)
-    U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2, pol)
     U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
+    V_S1, V_S2 = _align_secondary(ch, U_S1, U_S2, pol)
+    V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol)
+    Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, pol)
+    U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2, pol)
     arrays = dict(
         V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2,
         V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2, U_S1=U_S1, U_S2=U_S2,
     )
     for a in arrays.values():
         a.flags.writeable = False
-    return PrecoderReceiverSet(Z=Z, **arrays)
+    return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)
 
 
 def draw_system(
@@ -369,9 +361,14 @@ def draw_system(
 def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveChannels:
     """End-to-end effective channels for all four users."""
     G_P1, G_P2 = _primary_effective(ch, prs.V_P1, prs.V_P2, prs.Vbar_P1, prs.Vbar_P2)
-    D_S1 = prs.U_S1.T @ ch.H_S1 @ prs.V_S1
-    D_S2 = prs.U_S2.T @ ch.H_S2 @ prs.V_S2
-    return EffectiveChannels(G_P1=G_P1, G_P2=G_P2, D_S1=D_S1, D_S2=D_S2)
+    return EffectiveChannels(
+        G_P1=G_P1,
+        G_P2=G_P2,
+        D_P1=prs.U_P1.T @ G_P1,
+        D_P2=prs.U_P2.T @ G_P2,
+        D_S1=prs.U_S1.T @ ch.H_S1 @ prs.V_S1,
+        D_S2=prs.U_S2.T @ ch.H_S2 @ prs.V_S2,
+    )
 
 
 def _rel(residual: np.ndarray, reference: np.ndarray) -> float:
@@ -410,8 +407,8 @@ def interference_report(
         "scell_intra_at_S1": _rel(ch.H_S1 @ prs.V_S2, ch.H_S1),
         "intercell_post_at_P1": _rel(prs.U_P1.T @ (ch.Hp_P1 @ V_S), ch.Hp_P1),
         "intercell_post_at_P2": _rel(prs.U_P2.T @ (ch.Hp_P2 @ V_S), ch.Hp_P2),
-        "cross_stream_at_P1": _rel(_offdiag(prs.U_P1.T @ eff.G_P1), ch.H_P1),
-        "cross_stream_at_P2": _rel(_offdiag(prs.U_P2.T @ eff.G_P2), ch.H_P2),
+        "cross_stream_at_P1": _rel(_offdiag(eff.D_P1), ch.H_P1),
+        "cross_stream_at_P2": _rel(_offdiag(eff.D_P2), ch.H_P2),
         "cross_stream_at_S1": _rel(_offdiag(eff.D_S1), ch.H_S1),
         "cross_stream_at_S2": _rel(_offdiag(eff.D_S2), ch.H_S2),
     }

@@ -172,15 +172,13 @@ def cmd_dof_region(args) -> int:
         print(f"grid too large: {exc}", file=sys.stderr)
         return 2
 
-    feasible = set(region.points)
-    frontier = set(region.frontier)
+    def grid_rows(reg) -> list[list]:
+        points, frontier = set(reg.points), set(reg.frontier)
+        return [list(t.as_tuple()) + [int(t in points), int(t in frontier)] for t in grid_tuples(dims)]
+
     header = ["d_P1", "d_P2", "d_S1", "d_S2", "feasible", "frontier"]
-    rows = [
-        list(t.as_tuple()) + [int(t in feasible), int(t in frontier)]
-        for t in grid_tuples(dims)
-    ]
     region_path = out_dir / "region.csv"
-    _write_csv(region_path, header, rows)
+    _write_csv(region_path, header, grid_rows(region))
 
     projected_path = out_dir / "region_projected.csv"
     _write_csv(projected_path, ["dS_sum", "dP_sum_max"], [list(p) for p in projected_frontier(region)])
@@ -194,14 +192,9 @@ def cmd_dof_region(args) -> int:
         except (GridTooLarge, TooManyDegenerateDraws) as exc:
             print(f"constructive enumeration failed: {exc}", file=sys.stderr)
             return 2
-        feasible_c = set(region_c.points)
-        frontier_c = set(region_c.frontier)
-        rows_c = [
-            list(t.as_tuple()) + [int(t in feasible_c), int(t in frontier_c)]
-            for t in grid_tuples(dims)
-        ]
         constructive_path = out_dir / "region_constructive.csv"
-        _write_csv(constructive_path, header, rows_c)
+        _write_csv(constructive_path, header, grid_rows(region_c))
+        feasible, feasible_c = set(region.points), set(region_c.points)
         diff_rows = [
             list(t.as_tuple()) + [int(t in feasible), int(t in feasible_c)]
             for t in grid_tuples(dims)

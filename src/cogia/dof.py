@@ -31,7 +31,7 @@ import numpy as np
 
 from .alignment import draw_system, effective_channels, interference_report
 from .errors import GridTooLarge, NoComplement, RankDeficient
-from .numerics import DEFAULT_POLICY, TolerancePolicy, rank_under_policy
+from .numerics import DEFAULT_POLICY, TolerancePolicy, full_column_rank
 from .scenario import NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
@@ -126,13 +126,6 @@ def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdic
     return FeasibilityVerdict(feasible=not v, violated=tuple(v))
 
 
-def _full_column_rank(M: np.ndarray, pol: TolerancePolicy) -> bool:
-    if M.shape[1] == 0:
-        return True
-    s = np.linalg.svd(M, compute_uv=False)
-    return rank_under_policy(s, pol) == M.shape[1]
-
-
 def constructive_check(
     dims: NetworkDims,
     d: StreamAlloc,
@@ -169,14 +162,9 @@ def constructive_check(
                 ),),
             )
         eff = effective_channels(ch, prs)
-        streams = (
-            (prs.U_P1.T @ eff.G_P1, "P1"),
-            (prs.U_P2.T @ eff.G_P2, "P2"),
-            (eff.D_S1, "S1"),
-            (eff.D_S2, "S2"),
-        )
-        if not all(_full_column_rank(M, pol) for M, _ in streams):
-            bad = [name for M, name in streams if not _full_column_rank(M, pol)]
+        streams = ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
+        bad = [name for M, name in streams if not full_column_rank(M, pol)]
+        if bad:
             return FeasibilityVerdict(
                 False,
                 (Violation(

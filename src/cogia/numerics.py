@@ -1,14 +1,17 @@
 """Deterministic dense linear-algebra kernel.
 
-Null-space bases, orthogonal complements, SVD factorizations and
-minimum-norm right solves, all sharing a single rank-tolerance policy so
-that every rank decision in the package is made the same way.  Matrices
-are plain real float64 ``numpy.ndarray`` values; all functions are pure
-and return freshly allocated arrays.
+Null-space bases, orthogonal complements, SVD factorizations,
+minimum-norm right solves and the full-column-rank predicate, all
+sharing a single rank-tolerance policy: every rank decision in the
+package goes through :func:`rank_under_policy`, and this is the only
+module that calls ``numpy.linalg.svd``.  Matrices are plain real float64
+``numpy.ndarray`` values; all functions are pure and return freshly
+allocated arrays.
 
-Orthonormal factors follow one sign convention: the first nonzero entry
-of each column is made positive (for ``svd_factor`` the convention is
-applied to the left factor and compensated in the right one).  This keeps
+Orthonormal factors follow one sign convention, applied by one routine:
+the first nonzero entry of each column is made positive (for
+``svd_factor`` the convention is applied to the left factor and each
+right-factor column flips with its left-factor column).  This keeps
 regression output byte-stable across reruns.
 """
 
@@ -28,6 +31,7 @@ __all__ = [
     "min_norm_right_solve",
     "svd_factor",
     "rank_under_policy",
+    "full_column_rank",
 ]
 
 
@@ -76,6 +80,16 @@ def rank_under_policy(s: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> i
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > pol.rank_tol * s[0]))
+
+
+def full_column_rank(M: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
+    """True when the columns of ``M`` are independent under the policy.
+
+    A matrix with no columns has full column rank.
+    """
+    if M.shape[1] == 0:
+        return True
+    return rank_under_policy(np.linalg.svd(M, compute_uv=False), pol) == M.shape[1]
 
 
 def null_space_basis(A, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -149,11 +163,7 @@ def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     A = _as_matrix(A)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    phi = u.copy()
-    psi = vt.T.copy()
-    for j in range(phi.shape[1]):
-        nz = np.flatnonzero(phi[:, j])
-        if nz.size and phi[nz[0], j] < 0.0:
-            phi[:, j] = -phi[:, j]
-            psi[:, j] = -psi[:, j]
-    return phi, s, psi
+    # Phi columns are unit vectors, so the first nonzero entry of each
+    # stacked column lies in Phi and the Psi column flips with it
+    B = _fix_column_signs(np.vstack([u, vt.T]))
+    return B[: u.shape[0]], s, B[u.shape[0] :]

@@ -91,7 +91,8 @@ class WaterfillResult:
 class CellAllocation:
     """Joint allocation for one cell: shared water level, per-user results.
 
-    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users.
+    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users,
+    with dead streams judged by the solve's own policy.
     """
 
     water_level: float
@@ -142,26 +143,20 @@ def waterfill_cell(
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
     costs: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    alive_any = False
     for grp in groups:
-        g = np.asarray(grp.gammas, dtype=float)
-        gmax = g.max() if g.size else 0.0
-        alive = g > pol.rank_tol * gmax if gmax > 0.0 else np.zeros(g.shape, dtype=bool)
-        alive_any = alive_any or bool(alive.any())
-        cost = np.full(g.shape, np.inf)
-        cost[alive] = grp.sigma2 / g[alive] ** 2
+        cost = _stream_costs(grp.gammas, grp.sigma2, pol)
         VPsi = grp.V @ grp.Psi
         w = np.einsum("ij,ij->j", VPsi, VPsi)
-        w[~alive] = 0.0
+        w[np.isinf(cost)] = 0.0
         costs.append(cost)
         weights.append(w)
+    alive_any = any(np.isfinite(c).any() for c in costs)
 
     def traced_power(lam: float) -> float:
+        # a dead stream's infinite cost gives it max(0, lam - inf) = 0
         total = 0.0
         for c, w in zip(costs, weights):
-            q = np.maximum(0.0, lam - c)
-            q[~np.isfinite(c)] = 0.0
-            total += float(w @ q)
+            total += float(w @ np.maximum(0.0, lam - c))
         return trace_prefactor * total
 
     lam = 0.0
@@ -187,7 +182,6 @@ def waterfill_cell(
     achieved = 0.0
     for grp, c in zip(groups, costs):
         q = np.maximum(0.0, lam - c)
-        q[~np.isfinite(c)] = 0.0
         Q = (grp.Psi * q) @ grp.Psi.T
         VQ = grp.V @ Q
         achieved += float(np.einsum("ij,ij->", VQ, grp.V))
@@ -209,10 +203,7 @@ def waterfill_cell(
         users=users,
         achieved_constraint=achieved,
         no_positive_gain=not alive_any,
-        kkt_gap=max(
-            (kkt_violation(res, grp.gammas, grp.sigma2) for grp, res in zip(groups, users)),
-            default=0.0,
-        ),
+        kkt_gap=max((_kkt_gap(res, c) for res, c in zip(users, costs)), default=0.0),
     )
 
 
@@ -240,25 +231,42 @@ def waterfill(
     return cell.users[0]
 
 
+def _stream_costs(gammas, sigma2: float, pol: TolerancePolicy) -> np.ndarray:
+    """Stream costs ``sigma2 / gamma^2``; infinite for dead streams.
+
+    A stream is dead when its gamma is at or below ``rank_tol`` times the
+    group's largest; every gamma of an all-zero group is dead.
+    """
+    g = np.asarray(gammas, dtype=float)
+    gmax = g.max() if g.size else 0.0
+    alive = g > pol.rank_tol * gmax if gmax > 0.0 else np.zeros(g.shape, dtype=bool)
+    cost = np.full(g.shape, np.inf)
+    cost[alive] = sigma2 / g[alive] ** 2
+    return cost
+
+
+def _kkt_gap(result: WaterfillResult, cost: np.ndarray) -> float:
+    q = result.per_stream_power
+    lam = result.water_level
+    # a dead stream (infinite cost) gets no power and contributes 0
+    gaps = np.where(q > 0.0, np.abs(q - (lam - cost)), np.maximum(0.0, lam - cost))
+    worst = float(gaps.max(initial=0.0))
+    if lam > 0.0:
+        worst = max(worst, abs(result.achieved_constraint - result.budget) / result.budget)
+    return worst
+
+
 def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     """Largest violation of the water-filling optimality conditions.
 
     Active streams must sit exactly at ``lam - sigma2/gamma^2``; inactive
     streams must have cost at or above the water level; and a positive
     water level must spend the whole budget, measured as
-    ``|achieved_constraint - budget| / budget``.  Dead streams
-    (gamma == 0) are skipped.
+    ``|achieved_constraint - budget| / budget``.  Streams the solve treats
+    as dead under the default policy (gamma at or below ``rank_tol``
+    times the largest gamma) are skipped, as the solve skips them.
     """
-    g = np.asarray(gammas, dtype=float)
-    live = g > 0.0
-    cost = sigma2 / g[live] ** 2
-    q = result.per_stream_power[live]
-    lam = result.water_level
-    gaps = np.where(q > 0.0, np.abs(q - (lam - cost)), np.maximum(0.0, lam - cost))
-    worst = float(gaps.max(initial=0.0))
-    if lam > 0.0:
-        worst = max(worst, abs(result.achieved_constraint - result.budget) / result.budget)
-    return worst
+    return _kkt_gap(result, _stream_costs(gammas, sigma2, DEFAULT_POLICY))
 
 
 def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> float:
@@ -301,10 +309,6 @@ def _fill_cell(
     return rate, alloc
 
 
-def _primary_effectives(prs: PrecoderReceiverSet, eff: EffectiveChannels) -> list[np.ndarray]:
-    return [prs.U_P1.T @ eff.G_P1, prs.U_P2.T @ eff.G_P2]
-
-
 def pcell_sum_rate(
     prs: PrecoderReceiverSet,
     eff: EffectiveChannels,
@@ -312,7 +316,7 @@ def pcell_sum_rate(
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users)."""
-    effectives = _primary_effectives(prs, eff)
+    effectives = [eff.D_P1, eff.D_P2]
     served = _factor_cell(effectives, [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
     rate, alloc = _fill_cell(served, noise.Qav_P, pol)
     Vbars = [Vbar for E, Vbar in zip(effectives, (prs.Vbar_P1, prs.Vbar_P2)) if E.shape[1]]
@@ -373,7 +377,7 @@ def rate_region_sweep(
             ch, prs = draw_system(dims, split, derive_seed(seed, s_idx, t), pol)
             eff = effective_channels(ch, prs)
             cells = (
-                _factor_cell(_primary_effectives(prs, eff), [prs.V_P1, prs.V_P2], sigma2s[:2]),
+                _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
                 _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
             )
             for b_idx, cell_budgets in enumerate(budgets):

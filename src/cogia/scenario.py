@@ -305,6 +305,17 @@ def _section(data: dict, name: str, keys: set) -> dict:
     return obj
 
 
+def _record(obj: Any, keys: set, where: str) -> dict:
+    """A JSON object holding exactly ``keys``."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object")
+    _reject_unknown(obj, keys, where)
+    missing = keys - obj.keys()
+    if missing:
+        raise ScenarioError(f"{where} is missing keys: {sorted(missing)}")
+    return obj
+
+
 def scenario_from_dict(data: Any) -> Scenario:
     """Validate and convert a scenario JSON document."""
     if not isinstance(data, dict):
@@ -312,19 +323,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     _reject_unknown(data, _TOP_KEYS, "scenario")
     if "dims" not in data:
         raise ScenarioError("scenario requires a 'dims' object")
-    dims_obj = _section(data, "dims", _DIMS_KEYS)
-    missing = _DIMS_KEYS - dims_obj.keys()
-    if missing:
-        raise ScenarioError(f"dims is missing keys: {sorted(missing)}")
-    dims = NetworkDims(**dims_obj)
-
-    alloc = None
-    if "alloc" in data:
-        alloc_obj = _section(data, "alloc", _ALLOC_KEYS)
-        missing = _ALLOC_KEYS - alloc_obj.keys()
-        if missing:
-            raise ScenarioError(f"alloc is missing keys: {sorted(missing)}")
-        alloc = StreamAlloc(**alloc_obj)
+    dims = NetworkDims(**_record(data["dims"], _DIMS_KEYS, "dims"))
+    alloc = StreamAlloc(**_record(data["alloc"], _ALLOC_KEYS, "alloc")) if "alloc" in data else None
 
     noise_obj = _section(data, "noise", _NOISE_KEYS)
     power_obj = _section(data, "power", _POWER_KEYS)
@@ -341,13 +341,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         if not isinstance(raw_splits, list) or not raw_splits:
             raise ScenarioError("'splits' must be a non-empty list of alloc objects")
         for i, s in enumerate(raw_splits):
-            if not isinstance(s, dict):
-                raise ScenarioError(f"splits[{i}] must be an object")
-            _reject_unknown(s, _ALLOC_KEYS, f"splits[{i}]")
-            missing = _ALLOC_KEYS - s.keys()
-            if missing:
-                raise ScenarioError(f"splits[{i}] is missing keys: {sorted(missing)}")
-            splits.append(StreamAlloc(**s))
+            splits.append(StreamAlloc(**_record(s, _ALLOC_KEYS, f"splits[{i}]")))
     elif alloc is not None:
         splits.append(alloc)
 

@@ -5,6 +5,7 @@ they complete.  The full-grid agreement sweep (criterion 3) dominates
 the runtime at a few minutes; everything else finishes in seconds.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -171,28 +172,47 @@ def test_criterion_5_rate_region_qualitative():
            f"{elapsed:.1f} s")
 
 
-def test_criterion_6_cli_determinism(tmp_path):
-    config = {
-        "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
-        "alloc": {"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2},
-        "power": {"Qav_P": 10.0, "Qav_S": 10.0},
-        "budgets": [1.0, 10.0],
-        "seed": 5,
-        "trials": 10,
-    }
+CRITERION_6_CONFIG = {
+    "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
+    "alloc": {"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2},
+    "power": {"Qav_P": 10.0, "Qav_S": 10.0},
+    "budgets": [1.0, 10.0],
+    "seed": 5,
+    "trials": 10,
+}
+
+# sha256 of the criterion-6 data files, recorded with numpy 2.4.6 on
+# OpenBLAS 0.3.31 (x86-64).  A change to these is a change to the numerics
+# and must be made on purpose; another BLAS/LAPACK build may move the last
+# bits of a float, which shows here first.
+CRITERION_6_SHA256 = {
+    "verify_report.csv": "28fd0c1ac790f2658c69f63aec5faa0ac11ee3ab347c875e191b0fce6aaf8ea7",
+    "rates.csv": "57f458fd3f6ea828bba7329ede9c1c4feeba04280db1dcc092badef89fec97a3",
+    "region.csv": "37261951e8fb54e5940b240871f67be4efb8b17bdea29680b5b1c564e6d73dcb",
+    "region_projected.csv": "ff748e54057ce73fa037d3be4c7364b4c4c71d77452fb39158430690fdff75dc",
+}
+
+
+def run_criterion_6_commands(tmp_path, out):
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(config))
-    data_files = ("verify_report.csv", "region.csv", "region_projected.csv", "rates.csv")
-    outs = []
-    for run in ("run1", "run2"):
-        out = tmp_path / run
-        for cmd in ("verify", "dof-region", "rates"):
-            code = cli_main([cmd, "--config", str(cfg), "--out", str(out), "--quiet"])
-            assert code == 0
-        outs.append(out)
-    identical = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in data_files)
+    cfg.write_text(json.dumps(CRITERION_6_CONFIG))
+    for cmd in ("verify", "dof-region", "rates"):
+        assert cli_main([cmd, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+
+
+def test_criterion_6_cli_determinism(tmp_path):
+    outs = [tmp_path / "run1", tmp_path / "run2"]
+    for out in outs:
+        run_criterion_6_commands(tmp_path, out)
+    identical = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in CRITERION_6_SHA256)
     report(6, "CLI determinism", identical,
-           f"{len(data_files)} data files byte-identical across reruns")
+           f"{len(CRITERION_6_SHA256)} data files byte-identical across reruns")
+
+
+def test_criterion_6_golden_outputs(tmp_path):
+    run_criterion_6_commands(tmp_path, tmp_path / "out")
+    got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in CRITERION_6_SHA256}
+    assert got == CRITERION_6_SHA256
 
 
 def test_criterion_7_numerics_kernel():

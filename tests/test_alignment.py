@@ -63,7 +63,7 @@ class TestPrimaryPrecoders:
         alloc = StreamAlloc(1, 0, 0, 0)
         V_P1, V_P2 = build_primary_precoders(ch, alloc, 6)
         with pytest.raises(RankDeficient):
-            build_corrections(ch, V_P1, V_P2, Z=0)
+            build_corrections(ch, V_P1, V_P2)
         with pytest.raises(RankDeficient):
             build_all(ch, alloc, 6)
 
@@ -78,14 +78,14 @@ class TestCorrections:
     def test_zero_when_null_space_covers(self):
         _, ch = system((4, 4, 2, 2), 3)
         V_P1, V_P2 = build_primary_precoders(ch, StreamAlloc(2, 2, 0, 0), 3)
-        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z=2)
+        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
         assert not Vbar_P1.any() and not Vbar_P2.any()
 
     def test_residual_cancellation(self):
         _, ch = system((5, 5, 5, 3), 8)
         alloc = StreamAlloc(1, 1, 1, 1)
         V_P1, V_P2 = build_primary_precoders(ch, alloc, 8)
-        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z=0)
+        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
         assert np.linalg.norm(ch.H_P2 @ V_P1[:, 0] + ch.Hp_P2 @ Vbar_P1[:, 0]) < 1e-9
         assert np.linalg.norm(ch.H_P1 @ V_P2[:, 0] + ch.Hp_P1 @ Vbar_P2[:, 0]) < 1e-9
 
@@ -93,7 +93,7 @@ class TestCorrections:
         # effective column must match the explicit pseudo-inverse expression
         _, ch = system((5, 5, 5, 3), 8)
         V_P1, V_P2 = build_primary_precoders(ch, StreamAlloc(1, 1, 1, 1), 8)
-        Vbar_P1, _ = build_corrections(ch, V_P1, V_P2, Z=0)
+        Vbar_P1, _ = build_corrections(ch, V_P1, V_P2)
         v = V_P1[:, 0]
         pinv_term = ch.Hp_P2.T @ np.linalg.solve(ch.Hp_P2 @ ch.Hp_P2.T, ch.H_P2 @ v)
         closed = ch.H_P1 @ v - ch.Hp_P1 @ pinv_term
@@ -141,7 +141,7 @@ class TestPrimaryReceivers:
         _, ch = system((5, 5, 5, 3), 13)
         alloc = StreamAlloc(1, 0, 0, 0)
         V_P1, V_P2 = build_primary_precoders(ch, alloc, 13)
-        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z=0)
+        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
         empty = np.zeros((5, 0))
         U_P1, _ = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, empty, empty)
         g = ch.H_P1 @ V_P1[:, 0] + ch.Hp_P1 @ Vbar_P1[:, 0]
@@ -158,7 +158,7 @@ class TestPrimaryReceivers:
         _, ch = system((5, 5, 5, 3), 15)
         alloc = StreamAlloc(2, 0, 2, 2)  # 1 + 2 + 2 = 5 directions in 5-space
         V_P1, V_P2 = build_primary_precoders(ch, alloc, 15)
-        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, Z=0)
+        Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
         V_S1, V_S2 = build_secondary_precoders(ch, alloc)
         with pytest.raises(NoComplement):
             build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)

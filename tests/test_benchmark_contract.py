@@ -1,0 +1,58 @@
+"""What the benchmark under perfbench/ needs from the package.
+
+The benchmark's tracer wraps every (module, function) pair it lists at each
+call site, and its set-up probe makes the first construction and rate calls
+of a fresh interpreter.  A refactor that renames or drops one of those
+functions breaks the benchmark; these tests catch it in the test suite.
+"""
+
+import importlib
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cogia import alignment, rates, scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist(tracer):
+    missing = [
+        f"{layer}.{name}"
+        for layer, name in tracer.TARGETS
+        if not hasattr(importlib.import_module(f"cogia.{layer}"), name)
+    ]
+    assert missing == []
+
+
+def test_traced_readme_run_leaves_no_wrappers(tracer):
+    with tracer.Tracer() as tr:
+        sc = scenario.load_scenario(BENCH / "scenarios" / "readme.json")
+        ch = scenario.generate_channels(sc.dims, sc.seed)
+        prs = alignment.build_all(ch, sc.alloc, sc.seed)
+        assert alignment.interference_report(ch, prs).worst_case <= 1e-9
+        eff = alignment.effective_channels(ch, prs)
+        rp = rates.pcell_sum_rate(prs, eff, sc.noise)
+        rs = rates.scell_sum_rate(prs, eff, sc.noise)
+    assert rp.sum_rate > 0.0 and rs.sum_rate > 0.0
+    assert tr.call_count("alignment.build_all") == 1
+    assert tracer.leftover_wrappers() == []
+
+
+def test_setup_probe_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "setup_probe.py")], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -42,6 +42,7 @@ def synthetic_prs_eff(E1, V1, n_rx=None):
     )
     eff = EffectiveChannels(
         G_P1=G, G_P2=np.zeros((n_rx, 0)),
+        D_P1=U.T @ G, D_P2=np.zeros((0, 0)),
         D_S1=np.zeros((0, 0)), D_S2=np.zeros((0, 0)),
     )
     return prs, eff
@@ -100,6 +101,16 @@ class TestWaterfill:
                 assert abs(res.achieved_constraint - budget) <= 1e-8 * budget
             evals = np.linalg.eigvalsh((res.Q + res.Q.T) / 2)
             assert evals.min() > -1e-9
+
+    def test_kkt_gap_skips_streams_the_solve_treats_as_dead(self):
+        # gamma 1.0 is below rank_tol * 1e12, so the solve gives it no power
+        # although its cost (1.0) lies under the water level (about 10)
+        gammas = np.array([1e12, 1.0])
+        res = waterfill(gammas, 1.0, np.eye(2), np.eye(2), budget=10.0)
+        assert res.per_stream_power[1] == 0.0 and res.water_level > 1.0
+        assert kkt_violation(res, gammas, 1.0) <= 1e-8
+        cell = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 10.0, trace_prefactor=1.0)
+        assert cell.kkt_gap <= 1e-8
 
     def test_kkt_gap_catches_unspent_budget(self):
         gammas = np.array([2.0, 1.0, 0.5])
