@@ -58,17 +58,41 @@ NoComplement for an empty null space, RankDeficient for a rank shortfall
 forced by a formed matrix having more columns than rows.
 DegenerateChannel is kept for measure-zero accidents of one draw, which
 :func:`draw_system` redraws.
+
+Stacked draws
+-------------
+Every stage takes a :class:`ChannelSet` of one draw (2-D matrices) or of
+a stack of draws (a leading lane axis, one lane per draw) and returns
+arrays with the same leading axes: one draw is the plain 2-D case of the
+same code, and lane ``i`` of a stacked build is bit for bit the build of
+draw ``i`` alone.  A failure that only some lanes have carries a *lane
+mask*, a boolean array over the lane axes, in its ``lanes`` attribute:
+DegenerateChannel, and RankDeficient from a rank shortfall of one draw.
+A failure the shapes alone decide applies to every lane (``lanes`` is
+None).  The stages raise at the first check any lane fails, so a build
+either returns every lane or none; :func:`draw_system` redraws just the
+degenerate lanes and builds the stack again.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
-from .numerics import DEFAULT_POLICY, TolerancePolicy, full_column_rank, min_norm_right_solve, null_space_basis
+from .numerics import (
+    DEFAULT_POLICY,
+    TolerancePolicy,
+    full_column_rank,
+    lane_norm,
+    matrix_transpose,
+    min_norm_right_solve,
+    null_space_basis,
+)
 from .scenario import (
+    CHANNEL_STREAMS,
     PRECODER_STREAM_P1,
     PRECODER_STREAM_P2,
     ChannelSet,
@@ -90,6 +114,7 @@ __all__ = [
     "build_secondary_receivers",
     "build_all",
     "draw_system",
+    "select_lane",
     "MAX_DEGENERATE_RETRIES",
     "effective_channels",
     "interference_report",
@@ -103,7 +128,8 @@ class PrecoderReceiverSet:
     """All transmit precoders, corrections and receive combiners.
 
     Shapes: V_Pi is M_P x d_Pi, Vbar_Pi is M_S x d_Pi (columns 1..Z are
-    zero), V_Sj is M_S x d_Sj, U_Pi is N_P x d_Pi, U_Sj is N_S x d_Sj.
+    zero), V_Sj is M_S x d_Sj, U_Pi is N_P x d_Pi, U_Sj is N_S x d_Sj,
+    each behind the lane axes of the channels it was built for.
     """
 
     V_P1: np.ndarray
@@ -145,54 +171,66 @@ class InterferenceReport:
 
     Every entry is a Frobenius norm divided by the Frobenius norm of the
     channel it travels through, so a perfect construction reports values
-    at numerical-noise level regardless of channel scale.
+    at numerical-noise level regardless of channel scale.  Entries are
+    floats for one draw and arrays over the lanes for a stack.  ``eff``
+    holds the effective channels the report measured.
     """
 
     entries: dict[str, float]
     worst_case: float
+    eff: EffectiveChannels
 
 
 def _unit_columns(M: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=0)
-    if np.any(norms == 0.0):
-        raise DegenerateChannel("drawn precoder column has zero norm")
-    return M / norms
+    norms = np.linalg.norm(M, axis=-2)
+    zero = (norms == 0.0).any(axis=-1)
+    if zero.any():
+        raise DegenerateChannel("drawn precoder column has zero norm", lanes=zero)
+    return M / norms[..., None, :]
 
 
 def build_primary_precoders(
     ch: ChannelSet,
     d: StreamAlloc,
-    seed: int,
+    seed: int | list[int],
     pol: TolerancePolicy = DEFAULT_POLICY,
+    *,
+    streams: _SubstreamFactory | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Primary precoders V_P1, V_P2.
 
     First min(Z, d_Pi) columns from the null space of the other user's
     channel; the rest are random isotropic unit columns from the seed's
-    reserved substreams.
+    reserved substreams.  ``seed`` holds one seed per lane of ``ch`` (a
+    list, or an integer for one draw); ``streams`` lends a Philox instance
+    to reuse.
     """
     dims = ch.dims
     Z = dims.Z
-    factory = _SubstreamFactory(seed)
+    lanes = ch.H_P1.shape[:-2]
+    if lanes != ((len(seed),) if isinstance(seed, list) else ()):
+        raise ValueError(f"need one seed per lane of the channels, {lanes}, got {seed!r}")
+    streams = streams or _SubstreamFactory()
 
     def one_user(d_i: int, avoid_channel: np.ndarray, stream_id: int, user: str) -> np.ndarray:
         if d_i == 0:
-            return np.zeros((dims.M_P, 0))
+            return np.zeros(lanes + (dims.M_P, 0))
         n_null = min(Z, d_i)
         parts = []
         if n_null:
             # the null space of an N_P x M_P channel has at least Z dimensions
-            parts.append(null_space_basis(avoid_channel, pol)[:, :n_null])
+            parts.append(null_space_basis(avoid_channel, pol)[..., :n_null])
         if d_i > n_null:
-            raw = factory.stream(stream_id).standard_normal((dims.M_P, d_i - n_null))
-            parts.append(_unit_columns(raw))
-        V = np.hstack(parts)
+            parts.append(_unit_columns(streams.normal(seed, stream_id, (dims.M_P, d_i - n_null))))
+        V = np.concatenate(parts, axis=-1)
         # more columns than rows is a shortfall every draw repeats
-        if V.shape[1] > V.shape[0]:
-            raise RankDeficient(f"V_{user} is {V.shape[0]}x{V.shape[1]}: its columns cannot be independent")
+        if V.shape[-1] > V.shape[-2]:
+            raise RankDeficient(f"V_{user} is {V.shape[-2]}x{V.shape[-1]}: its columns cannot be independent")
         # a single unit column is always independent
-        if d_i > 1 and not full_column_rank(V, pol):
-            raise DegenerateChannel(f"columns of V_{user} are not linearly independent")
+        if d_i > 1:
+            dependent = ~full_column_rank(V, pol)
+            if dependent.any():
+                raise DegenerateChannel(f"columns of V_{user} are not linearly independent", lanes=dependent)
         return V
 
     V_P1 = one_user(d.d_P1, ch.H_P2, PRECODER_STREAM_P1, "P1")
@@ -216,10 +254,10 @@ def build_corrections(
     M_S, Z = ch.dims.M_S, ch.dims.Z
 
     def corrections(V: np.ndarray, H_other: np.ndarray, Hp_other: np.ndarray) -> np.ndarray:
-        Vbar = np.zeros((M_S, V.shape[1]))
-        corrected = V[:, Z:]
-        if corrected.shape[1]:
-            Vbar[:, Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected), pol)
+        Vbar = np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
+        corrected = V[..., Z:]
+        if corrected.shape[-1]:
+            Vbar[..., Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected), pol)
         return Vbar
 
     Vbar_P1 = corrections(V_P1, ch.H_P2, ch.Hp_P2)
@@ -235,25 +273,28 @@ def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str, pol: Toleranc
     rows, which maximizes the surviving gain among all directions that
     meet every zero-forcing constraint.  No target rows give no columns.
     """
-    n = targets.shape[1]
-    cols = []
-    for g, t in enumerate(targets):
-        basis = null_space_basis(np.vstack([np.delete(targets, g, axis=0), avoid]), pol)
-        if basis.shape[1] == 0:
+    lanes, (d, n) = targets.shape[:-2], targets.shape[-2:]
+    cols = np.empty(lanes + (n, d))
+    for g in range(d):
+        others = np.concatenate([targets[..., :g, :], targets[..., g + 1 :, :], avoid], axis=-2)
+        basis = null_space_basis(others, pol)
+        if basis.shape[-1] == 0:
             raise NoComplement(f"avoid space for stream {g + 1} of {user} fills all {n} dimensions")
-        v = basis @ (basis.T @ t)
-        gain = np.linalg.norm(v)
-        if gain <= pol.rank_tol * np.linalg.norm(t):
-            raise DegenerateChannel(f"stream {g + 1} of {user} has no component in its zero-forcing space")
-        cols.append(v / gain)
-    return np.column_stack(cols) if cols else np.zeros((n, 0))
+        t = targets[..., g, :]
+        v = (basis @ (matrix_transpose(basis) @ t[..., None]))[..., 0]
+        gain = lane_norm(v, 1)
+        lost = gain <= pol.rank_tol * lane_norm(t, 1)
+        if lost.any():
+            raise DegenerateChannel(f"stream {g + 1} of {user} has no component in its zero-forcing space", lanes=lost)
+        cols[..., g] = v / gain[..., None]
+    return cols
 
 
 def _align_secondary(
     ch: ChannelSet, U_S1: np.ndarray, U_S2: np.ndarray, pol: TolerancePolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    V_S1 = _zero_force(U_S1.T @ ch.H_S1, ch.H_S2, "S1", pol)
-    V_S2 = _zero_force(U_S2.T @ ch.H_S2, ch.H_S1, "S2", pol)
+    V_S1 = _zero_force(matrix_transpose(U_S1) @ ch.H_S1, ch.H_S2, "S1", pol)
+    V_S2 = _zero_force(matrix_transpose(U_S2) @ ch.H_S2, ch.H_S1, "S2", pol)
     return V_S1, V_S2
 
 
@@ -302,10 +343,10 @@ def build_primary_receivers(
     stream gain among all valid zero-forcing directions.
     """
     G_P1, G_P2 = _primary_effective(ch, V_P1, V_P2, Vbar_P1, Vbar_P2)
-    V_S = np.hstack([V_S1, V_S2])
+    V_S = np.concatenate([V_S1, V_S2], axis=-1)
     # rows to avoid: the secondary streams as seen at the primary user
-    U_P1 = _zero_force(G_P1.T, (ch.Hp_P1 @ V_S).T, "P1", pol)
-    U_P2 = _zero_force(G_P2.T, (ch.Hp_P2 @ V_S).T, "P2", pol)
+    U_P1 = _zero_force(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1", pol)
+    U_P2 = _zero_force(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2", pol)
     return U_P1, U_P2
 
 
@@ -321,41 +362,91 @@ def build_secondary_receivers(n_rx: int, d: StreamAlloc) -> tuple[np.ndarray, np
 def build_all(
     ch: ChannelSet,
     d: StreamAlloc,
-    seed: int,
+    seed: int | list[int],
     pol: TolerancePolicy = DEFAULT_POLICY,
+    *,
+    streams: _SubstreamFactory | None = None,
 ) -> PrecoderReceiverSet:
-    """Run the full construction and return the frozen precoder/receiver set."""
+    """Run the full construction and return the frozen precoder/receiver set.
+
+    ``ch`` holds one draw or a stack of draws; ``seed`` holds one seed
+    per lane (a list, or an integer for one draw) and ``streams`` lends a
+    Philox instance to reuse.  The selectors U_Sj are the same for every
+    lane.
+    """
+    lanes = ch.H_P1.shape[:-2]
     U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
     V_S1, V_S2 = _align_secondary(ch, U_S1, U_S2, pol)
-    V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol)
+    V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol, streams=streams)
     Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, pol)
     U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2, pol)
     arrays = dict(
-        V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2,
-        V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2, U_S1=U_S1, U_S2=U_S2,
+        V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
+        U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
     )
     for a in arrays.values():
         a.flags.writeable = False
     return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)
 
 
+def select_lane(obj, lane: int):
+    """Lane ``lane`` of a stacked ChannelSet, PrecoderReceiverSet or EffectiveChannels (views)."""
+    arrays = {
+        f.name: getattr(obj, f.name)[lane]
+        for f in dataclasses.fields(obj)
+        if isinstance(getattr(obj, f.name), np.ndarray)
+    }
+    return dataclasses.replace(obj, **arrays)
+
+
+def _redrawn(ch: ChannelSet, idx: np.ndarray, fresh: ChannelSet) -> ChannelSet:
+    """``ch`` with lanes ``idx`` replaced by the lanes of ``fresh``, in order."""
+    arrays = {}
+    for name in CHANNEL_STREAMS:
+        m = getattr(ch, name).copy()
+        m[idx] = getattr(fresh, name)
+        m.flags.writeable = False
+        arrays[name] = m
+    return ChannelSet(dims=ch.dims, **arrays)
+
+
 def draw_system(
-    dims: NetworkDims, alloc: StreamAlloc, seed: int, pol: TolerancePolicy = DEFAULT_POLICY
+    dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int], pol: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[ChannelSet, PrecoderReceiverSet]:
     """Draw channels and build, redrawing degenerate draws.
 
-    Attempt ``a`` draws from ``derive_seed(seed, a)``; after
-    MAX_DEGENERATE_RETRIES degenerate attempts TooManyDegenerateDraws is
-    raised.  Structural failures propagate from the first attempt.
+    ``seeds`` is one trial seed, which gives 2-D arrays, or a list of
+    trial seeds, which gives one lane per seed along a leading axis; lane
+    ``i`` is bit for bit the result for ``seeds[i]`` alone.  Attempt ``a``
+    of a lane draws from ``derive_seed(seed, a)``.  When the build reports
+    degenerate lanes, only those lanes are redrawn and the stack is built
+    again; a lane whose MAX_DEGENERATE_RETRIES attempts were all
+    degenerate raises TooManyDegenerateDraws, with that lane in its mask.
+    Structural failures propagate from the first attempt.  All draws of
+    one call share one Philox instance.
     """
-    for attempt in range(MAX_DEGENERATE_RETRIES):
-        draw_seed = derive_seed(seed, attempt)
-        ch = generate_channels(dims, draw_seed)
+    single = not isinstance(seeds, (list, tuple))
+    trial_seeds = [seeds] if single else list(seeds)
+    streams = _SubstreamFactory()
+    attempts = np.zeros(len(trial_seeds), dtype=int)
+    draw_seeds = [derive_seed(s, 0) for s in trial_seeds]
+    ch = generate_channels(dims, draw_seeds[0] if single else draw_seeds, streams=streams)
+    while True:
         try:
-            return ch, build_all(ch, alloc, draw_seed, pol)
-        except DegenerateChannel:
-            continue
-    raise TooManyDegenerateDraws(f"{MAX_DEGENERATE_RETRIES} degenerate draws in a row for dims {dims.as_tuple()}")
+            return ch, build_all(ch, alloc, draw_seeds[0] if single else draw_seeds, pol, streams=streams)
+        except DegenerateChannel as exc:
+            redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
+            attempts[redraw] += 1
+            spent = attempts >= MAX_DEGENERATE_RETRIES
+            if spent.any():
+                raise TooManyDegenerateDraws(
+                    f"{MAX_DEGENERATE_RETRIES} degenerate draws in a row for dims {dims.as_tuple()}",
+                    lanes=None if single else spent,
+                ) from exc
+            for i in redraw:
+                draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))
+            fresh = generate_channels(dims, draw_seeds[0] if single else [draw_seeds[i] for i in redraw], streams=streams)
+            ch = fresh if single else _redrawn(ch, redraw, fresh)
 
 
 def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveChannels:
@@ -364,25 +455,22 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
     return EffectiveChannels(
         G_P1=G_P1,
         G_P2=G_P2,
-        D_P1=prs.U_P1.T @ G_P1,
-        D_P2=prs.U_P2.T @ G_P2,
-        D_S1=prs.U_S1.T @ ch.H_S1 @ prs.V_S1,
-        D_S2=prs.U_S2.T @ ch.H_S2 @ prs.V_S2,
+        D_P1=matrix_transpose(prs.U_P1) @ G_P1,
+        D_P2=matrix_transpose(prs.U_P2) @ G_P2,
+        D_S1=matrix_transpose(prs.U_S1) @ ch.H_S1 @ prs.V_S1,
+        D_S2=matrix_transpose(prs.U_S2) @ ch.H_S2 @ prs.V_S2,
     )
 
 
-def _rel(residual: np.ndarray, reference: np.ndarray) -> float:
-    r = float(np.linalg.norm(residual))
-    h = float(np.linalg.norm(reference))
-    return r / h if h > 0.0 else r
+def _rel(residual: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    r, h = lane_norm(residual), lane_norm(reference)
+    return np.where(h > 0.0, r / np.where(h > 0.0, h, 1.0), r)[()]
 
 
 def _offdiag(M: np.ndarray) -> np.ndarray:
-    if M.size == 0:
-        return M
     out = M.copy()
-    k = min(M.shape)
-    out[np.arange(k), np.arange(k)] = 0.0
+    k = np.arange(min(M.shape[-2:]))
+    out[..., k, k] = 0.0
     return out
 
 
@@ -396,21 +484,22 @@ def interference_report(
     Categories: primary intra-cell leakage after corrections, secondary
     intra-cell leakage, post-combining inter-cell leakage at the primary
     users, and post-combining cross-stream leakage among each user's own
-    desired streams.
+    desired streams.  The effective channels are formed here once and
+    returned in the report.
     """
     eff = effective_channels(ch, prs)
-    V_S = np.hstack([prs.V_S1, prs.V_S2])
+    V_S = np.concatenate([prs.V_S1, prs.V_S2], axis=-1)
     entries = {
         "pcell_intra_at_P2": _rel(ch.H_P2 @ prs.V_P1 + ch.Hp_P2 @ prs.Vbar_P1, ch.H_P2),
         "pcell_intra_at_P1": _rel(ch.H_P1 @ prs.V_P2 + ch.Hp_P1 @ prs.Vbar_P2, ch.H_P1),
         "scell_intra_at_S2": _rel(ch.H_S2 @ prs.V_S1, ch.H_S2),
         "scell_intra_at_S1": _rel(ch.H_S1 @ prs.V_S2, ch.H_S1),
-        "intercell_post_at_P1": _rel(prs.U_P1.T @ (ch.Hp_P1 @ V_S), ch.Hp_P1),
-        "intercell_post_at_P2": _rel(prs.U_P2.T @ (ch.Hp_P2 @ V_S), ch.Hp_P2),
+        "intercell_post_at_P1": _rel(matrix_transpose(prs.U_P1) @ (ch.Hp_P1 @ V_S), ch.Hp_P1),
+        "intercell_post_at_P2": _rel(matrix_transpose(prs.U_P2) @ (ch.Hp_P2 @ V_S), ch.Hp_P2),
         "cross_stream_at_P1": _rel(_offdiag(eff.D_P1), ch.H_P1),
         "cross_stream_at_P2": _rel(_offdiag(eff.D_P2), ch.H_P2),
         "cross_stream_at_S1": _rel(_offdiag(eff.D_S1), ch.H_S1),
         "cross_stream_at_S2": _rel(_offdiag(eff.D_S2), ch.H_S2),
     }
-    worst = max(entries.values(), default=0.0)
-    return InterferenceReport(entries=entries, worst_case=worst)
+    worst = np.max(np.stack(list(entries.values())), axis=0)
+    return InterferenceReport(entries=entries, worst_case=worst, eff=eff)

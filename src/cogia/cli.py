@@ -37,7 +37,7 @@ from .errors import (
     ScenarioError,
     TooManyDegenerateDraws,
 )
-from .alignment import draw_system, effective_channels, interference_report
+from .alignment import draw_system, interference_report, select_lane
 from .numerics import DEFAULT_POLICY
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
@@ -94,13 +94,21 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _seed_and_trials(args, scenario: Scenario) -> tuple[int, int]:
+    """The run's seed and trial count: the command line's, else the scenario's."""
+    seed = args.seed if args.seed is not None else scenario.seed
+    trials = args.trials if args.trials is not None else scenario.trials
+    if trials < 1:
+        raise ScenarioError(f"trials must be a positive integer, got {trials}")
+    return seed, trials
+
+
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.config)
     if scenario.alloc is None:
         print("verify requires an 'alloc' object in the scenario", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else scenario.seed
-    trials = args.trials if args.trials is not None else scenario.trials
+    seed, trials = _seed_and_trials(args, scenario)
     dims, alloc, noise = scenario.dims, scenario.alloc, scenario.noise
     pol = DEFAULT_POLICY
 
@@ -117,18 +125,18 @@ def cmd_verify(args) -> int:
     worst_overall = 0.0
     kkt_overall = 0.0
     try:
+        ch, prs = draw_system(dims, alloc, [derive_seed(seed, t) for t in range(trials)], pol)
+        report = interference_report(ch, prs, pol)
         for t in range(trials):
-            ch, prs = draw_system(dims, alloc, derive_seed(seed, t), pol)
-            report = interference_report(ch, prs, pol)
-            eff = effective_channels(ch, prs)
-            rp = pcell_sum_rate(prs, eff, noise, pol)
-            rs = scell_sum_rate(prs, eff, noise, pol)
+            prs_t, eff_t = select_lane(prs, t), select_lane(report.eff, t)
+            rp = pcell_sum_rate(prs_t, eff_t, noise, pol)
+            rs = scell_sum_rate(prs_t, eff_t, noise, pol)
             kkt = _trial_kkt(rp, rs)
-            worst_overall = max(worst_overall, report.worst_case)
+            worst_overall = max(worst_overall, report.worst_case[t])
             kkt_overall = max(kkt_overall, kkt)
             rows.append(
-                [t, report.worst_case]
-                + [report.entries[c] for c in _REPORT_COLUMNS]
+                [t, report.worst_case[t]]
+                + [report.entries[c][t] for c in _REPORT_COLUMNS]
                 + [kkt, rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
             )
     except CogiaError as exc:
@@ -160,8 +168,7 @@ def _trial_kkt(rp, rs) -> float:
 
 def cmd_dof_region(args) -> int:
     scenario = load_scenario(args.config)
-    seed = args.seed if args.seed is not None else scenario.seed
-    trials = args.trials if args.trials is not None else scenario.trials
+    seed, trials = _seed_and_trials(args, scenario)
     dims = scenario.dims
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,8 +223,7 @@ def cmd_rates(args) -> int:
     if not scenario.splits:
         print("rates requires 'alloc' or 'splits' in the scenario", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else scenario.seed
-    trials = args.trials if args.trials is not None else scenario.trials
+    seed, trials = _seed_and_trials(args, scenario)
     dims, noise = scenario.dims, scenario.noise
     sigma2s = (noise.sigma2_P1, noise.sigma2_P2, noise.sigma2_S1, noise.sigma2_S2)
 

@@ -29,8 +29,8 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .alignment import draw_system, effective_channels, interference_report
-from .errors import GridTooLarge, NoComplement, RankDeficient
+from .alignment import draw_system, interference_report
+from .errors import GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import DEFAULT_POLICY, TolerancePolicy, full_column_rank
 from .scenario import NetworkDims, StreamAlloc, derive_seed
 
@@ -135,45 +135,71 @@ def constructive_check(
 ) -> FeasibilityVerdict:
     """Feasibility by running the full construction on random channels.
 
-    Trial ``t`` builds through ``draw_system(dims, d, derive_seed(seed, t))``.
-    A structural failure (NoComplement, RankDeficient) marks the tuple
-    infeasible at once; every trial that builds must finish with worst-case
-    residual interference at or below ``zero_tol`` and full-column-rank
-    effective channels.
+    Trial ``t`` builds through ``draw_system`` with the trial seed
+    ``derive_seed(seed, t)``.  A structural failure (NoComplement,
+    RankDeficient) marks the tuple infeasible; every trial that builds
+    must finish with worst-case residual interference at or below
+    ``zero_tol`` and full-column-rank effective channels.  The verdict
+    names the first failing trial in index order.
+
+    Trial 0 is built alone: on a generic draw it settles every structural
+    failure at the cost of one build.  Trials 1..T-1 are then built as
+    one stack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for t in range(trials):
+    violation = _first_failure(dims, d, [derive_seed(seed, 0)], 0, pol)
+    if violation is None and trials > 1:
+        violation = _first_failure(dims, d, [derive_seed(seed, t) for t in range(1, trials)], 1, pol)
+    return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
+
+
+def _first_failure(
+    dims: NetworkDims, d: StreamAlloc, seeds: list[int], first: int, pol: TolerancePolicy
+) -> Violation | None:
+    """The violation of the first failing trial of ``seeds`` (trial ``first`` onward), or None.
+
+    A build failure names its lanes; the trials before the first of them
+    are built again without it, since one of them can still fail first.
+    TooManyDegenerateDraws propagates when no earlier trial fails.
+    """
+    n, raised = len(seeds), None
+    while n:
         try:
-            ch, prs = draw_system(dims, d, derive_seed(seed, t), pol)
-        except (NoComplement, RankDeficient) as exc:
-            return FeasibilityVerdict(
-                False,
-                (Violation("construction succeeds", f"trial {t}: {type(exc).__name__}: {exc}", "constructive"),),
-            )
+            # one trial is the plain 2-D case
+            ch, prs = draw_system(dims, d, seeds[:n] if n > 1 else seeds[0], pol)
+        except (NoComplement, RankDeficient, TooManyDegenerateDraws) as exc:
+            n = 0 if exc.lanes is None else int(np.flatnonzero(exc.lanes)[0])
+            raised = exc
+            continue
         report = interference_report(ch, prs, pol)
-        if report.worst_case > pol.zero_tol:
-            return FeasibilityVerdict(
-                False,
-                (Violation(
-                    "residual interference <= zero_tol",
-                    f"trial {t}: worst_case = {report.worst_case:.3e}",
-                    "constructive",
-                ),),
+        eff = report.eff
+        deficient = {
+            name: np.atleast_1d(~full_column_rank(M, pol))
+            for M, name in ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
+        }
+        worst = np.atleast_1d(report.worst_case)
+        leaky = worst > pol.zero_tol
+        failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
+        if failing.size == 0:
+            break
+        t = failing[0]
+        if leaky[t]:
+            return Violation(
+                "residual interference <= zero_tol",
+                f"trial {first + t}: worst_case = {worst[t]:.3e}",
+                "constructive",
             )
-        eff = effective_channels(ch, prs)
-        streams = ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
-        bad = [name for M, name in streams if not full_column_rank(M, pol)]
-        if bad:
-            return FeasibilityVerdict(
-                False,
-                (Violation(
-                    "effective channels have full column rank",
-                    f"trial {t}: rank-deficient at {', '.join(bad)}",
-                    "constructive",
-                ),),
-            )
-    return FeasibilityVerdict(True)
+        return Violation(
+            "effective channels have full column rank",
+            f"trial {first + t}: rank-deficient at {', '.join(name for name, bad in deficient.items() if bad[t])}",
+            "constructive",
+        )
+    if raised is None:
+        return None
+    if isinstance(raised, TooManyDegenerateDraws):
+        raise raised
+    return Violation("construction succeeds", f"trial {first + n}: {type(raised).__name__}: {raised}", "constructive")
 
 
 def grid_tuples(dims: NetworkDims) -> Iterator[StreamAlloc]:

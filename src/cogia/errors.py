@@ -2,7 +2,16 @@
 
 
 class CogiaError(Exception):
-    """Base class for all cogia-specific errors."""
+    """Base class for all cogia-specific errors.
+
+    ``lanes`` tells which lanes of a stacked construction the error
+    applies to: a boolean mask over the leading (lane) axes, or None when
+    it applies to every lane (a failure fixed by the shapes alone).
+    """
+
+    def __init__(self, message: str = "", lanes=None):
+        super().__init__(message)
+        self.lanes = lanes
 
 
 class ScenarioError(CogiaError, ValueError):

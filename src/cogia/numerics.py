@@ -4,7 +4,7 @@ Null-space bases, orthogonal complements, SVD factorizations,
 minimum-norm right solves and the full-column-rank predicate, all
 sharing a single rank-tolerance policy: every rank decision in the
 package goes through :func:`rank_under_policy`, and this is the only
-module that calls ``numpy.linalg.svd``.  Matrices are plain real float64
+module that calls ``numpy.linalg.svd``.  Matrices are real float64
 ``numpy.ndarray`` values; all functions are pure and return freshly
 allocated arrays.
 
@@ -13,6 +13,25 @@ the first nonzero entry of each column is made positive (for
 ``svd_factor`` the convention is applied to the left factor and each
 right-factor column flips with its left-factor column).  This keeps
 regression output byte-stable across reruns.
+
+Stacked matrices
+----------------
+Every function takes one matrix ``(rows, cols)`` or a stack
+``(..., rows, cols)`` whose leading axes are *lanes*: independent
+problems solved together, one per channel draw.  One matrix is the
+plain 2-D case of the same code.  Lane ``i`` of a stacked result equals,
+bit for bit, the result for lane ``i`` alone: numpy's stacked
+``linalg.svd`` and ``@`` work matrix by matrix, and :func:`lane_norm`
+forms each lane's norm as the same dot product ``numpy.linalg.norm``
+uses.
+
+Rank decisions are made per lane and reported by a *lane mask*, a
+boolean array over the leading axes, in the ``lanes`` attribute of the
+error raised.  A right solve whose matrix lacks full row rank raises
+RankDeficient for the lanes concerned.  A null-space basis needs one
+column count for all lanes, so lanes whose rank falls below the best
+lane's raise DegenerateChannel: a rank loss that other draws of the
+same matrix do not share is a measure-zero accident of the draw.
 """
 
 from __future__ import annotations
@@ -21,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoComplement, RankDeficient
+from .errors import DegenerateChannel, NoComplement, RankDeficient
 
 __all__ = [
     "TolerancePolicy",
@@ -32,6 +51,8 @@ __all__ = [
     "svd_factor",
     "rank_under_policy",
     "full_column_rank",
+    "matrix_transpose",
+    "lane_norm",
 ]
 
 
@@ -58,77 +79,104 @@ DEFAULT_POLICY = TolerancePolicy()
 
 def _as_matrix(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.ndim < 2:
+        raise ValueError(f"{name} must be 2-D or a stack of 2-D matrices, got shape {A.shape}")
+    if A.size and not np.isfinite(A).all():
         raise ValueError(f"{name} contains non-finite entries")
     return A
 
 
+def matrix_transpose(A: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (a view)."""
+    return A.swapaxes(-1, -2)
+
+
+def lane_norm(x: np.ndarray, core_ndim: int = 2) -> np.ndarray:
+    """2-norm of the entries of each lane's last ``core_ndim`` axes.
+
+    Frobenius norm of each matrix (``core_ndim=2``) or norm of each vector
+    (``core_ndim=1``), bit for bit ``numpy.linalg.norm`` of that lane alone:
+    the square root of the dot product of its C-ordered entries.  One
+    matrix (or vector) gives a scalar.
+    """
+    f = np.ascontiguousarray(x).reshape(x.shape[: x.ndim - core_ndim] + (-1,))
+    return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
+
+
 def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    """Flip columns so the first nonzero entry of each is positive."""
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0.0:
-            B[:, j] = -col
+    """Flip columns in place so the first nonzero entry of each is positive."""
+    first = np.argmax(B != 0.0, axis=-2)
+    lead = np.take_along_axis(B, first[..., None, :], axis=-2)
+    np.negative(B, out=B, where=lead < 0.0)
     return B
 
 
-def rank_under_policy(s: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Numerical rank from a nonincreasing singular-value vector."""
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > pol.rank_tol * s[0]))
+def rank_under_policy(s: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Numerical rank from nonincreasing singular values (last axis), per lane."""
+    s = np.asarray(s)
+    return np.count_nonzero(s > pol.rank_tol * s[..., :1], axis=-1)
 
 
-def full_column_rank(M: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> bool:
-    """True when the columns of ``M`` are independent under the policy.
+def _common_rank(rank: np.ndarray) -> int:
+    """The rank every lane shares; lanes below the best lane's are degenerate."""
+    top = int(rank.max())
+    low = rank < top
+    if low.any():
+        raise DegenerateChannel(f"numerical rank falls below {top} in {np.count_nonzero(low)} lane(s)", lanes=low)
+    return top
+
+
+def full_column_rank(M: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Per lane: True when the columns of ``M`` are independent under the policy.
 
     A matrix with no columns has full column rank.
     """
-    if M.shape[1] == 0:
-        return True
-    return rank_under_policy(np.linalg.svd(M, compute_uv=False), pol) == M.shape[1]
+    M = np.asarray(M)
+    if M.shape[-1] == 0:
+        return np.ones(M.shape[:-2], dtype=bool)
+    return rank_under_policy(np.linalg.svd(M, compute_uv=False), pol) == M.shape[-1]
 
 
 def null_space_basis(A, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the null space of ``A``.
 
     Returns an n x k matrix (k = nullity, possibly 0) with orthonormal
-    columns annihilated by ``A``.  Columns are ordered by ascending
-    associated singular value (directions with no singular value count as
-    zero) and sign-fixed.  ``A`` may have zero rows, in which case the
-    basis spans all of R^n.
+    columns annihilated by ``A``, per lane for a stack.  Columns are
+    ordered by ascending associated singular value (directions with no
+    singular value count as zero) and sign-fixed.  ``A`` may have zero
+    rows, in which case the basis spans all of R^n.  Lanes of a stack
+    must share the nullity: lanes of lower rank than the others raise
+    DegenerateChannel.
     """
     A = _as_matrix(A)
-    m, n = A.shape
+    lead, (m, n) = A.shape[:-2], A.shape[-2:]
     if m == 0:
-        return np.eye(n)
+        return np.broadcast_to(np.eye(n), lead + (n, n)).copy()
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = rank_under_policy(s, pol)
+    rank = _common_rank(rank_under_policy(s, pol))
     if rank == n:
-        return np.zeros((n, 0))
-    sv = np.zeros(n)
-    sv[: s.size] = s
-    null_idx = np.arange(rank, n)
-    order = null_idx[np.argsort(sv[null_idx], kind="stable")]
-    return _fix_column_signs(vt[order].T.copy())
+        return np.zeros(lead + (n, 0))
+    rows = vt[..., rank:, :]
+    if s[..., rank:].any():
+        # nonzero singular values below the tolerance come after the zeros
+        sv = np.zeros(lead + (n,))
+        sv[..., : s.shape[-1]] = s
+        order = rank + np.argsort(sv[..., rank:], axis=-1, kind="stable")
+        rows = np.take_along_axis(vt, order[..., :, None], axis=-2)
+    return _fix_column_signs(matrix_transpose(rows).copy())
 
 
 def orth_complement_vector(S, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Unit vector orthogonal to every row of ``S``.
+    """Unit vector orthogonal to every row of ``S`` (per lane for a stack).
 
     Deterministic: the first column of ``null_space_basis(S)``.  Raises
     NoComplement when the rows of ``S`` already span the full space.
     """
     B = null_space_basis(S, pol)
-    if B.shape[1] == 0:
-        S = np.asarray(S)
-        raise NoComplement(
-            f"rows of a {S.shape[0]}x{S.shape[1]} matrix leave no orthogonal direction"
-        )
-    return B[:, 0].copy()
+    if B.shape[-1] == 0:
+        m, n = np.shape(S)[-2:]
+        raise NoComplement(f"rows of a {m}x{n} matrix leave no orthogonal direction")
+    return B[..., :, 0].copy()
 
 
 def min_norm_right_solve(A, b, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -136,21 +184,26 @@ def min_norm_right_solve(A, b, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndar
 
     Equals ``A.T @ inv(A @ A.T) @ b``; computed through the SVD for
     stability.  ``b`` may be a vector or a matrix of stacked right-hand
-    sides.  Raises RankDeficient when the row rank of ``A`` is below its
-    row count under the policy.
+    sides (with the lane axes of ``A`` in front).  Raises RankDeficient
+    when the row rank of ``A`` is below its row count under the policy,
+    for the lanes where it is.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if b.shape[0] != m:
-        raise ValueError(f"rhs has leading dimension {b.shape[0]}, expected {m}")
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if m > n or rank_under_policy(s, pol) < m:
+    m, n = A.shape[-2:]
+    vector = b.ndim == A.ndim - 1
+    rows = b.shape[-1] if vector else b.shape[-2]
+    if rows != m:
+        raise ValueError(f"rhs has leading dimension {rows}, expected {m}")
+    if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
-    coeffs = u.T @ b
-    if b.ndim == 1:
-        return vt.T @ (coeffs / s)
-    return vt.T @ (coeffs / s[:, None])
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    short = rank_under_policy(s, pol) < m
+    if short.any():
+        raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}", lanes=short)
+    coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
+    x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
+    return x[..., 0] if vector else x
 
 
 def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,5 +218,6 @@ def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     # Phi columns are unit vectors, so the first nonzero entry of each
     # stacked column lies in Phi and the Psi column flips with it
-    B = _fix_column_signs(np.vstack([u, vt.T]))
-    return B[: u.shape[0]], s, B[u.shape[0] :]
+    m = u.shape[-2]
+    B = _fix_column_signs(np.concatenate([u, matrix_transpose(vt)], axis=-2))
+    return B[..., :m, :], s, B[..., m:, :]

@@ -351,10 +351,11 @@ def rate_region_sweep(
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
     One RatePoint per (split, budget) pair, ordered by split then budget.
-    Channel draws are shared across budgets within a split, so rates are
-    monotone in the budget draw by draw, and each draw is factored once
-    for all budgets.  ``budgets`` entries are (Qav_P, Qav_S) pairs;
-    ``RatePoint.Qav`` reports the primary budget.
+    All draws of a split are built as one stack.  Channel draws are shared
+    across budgets within a split, so rates are monotone in the budget
+    draw by draw, and each draw is factored once for all budgets.
+    ``budgets`` entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav``
+    reports the primary budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -373,12 +374,12 @@ def rate_region_sweep(
     points: list[RatePoint] = []
     for s_idx, split in enumerate(splits):
         samples = np.zeros((len(budgets), trials, 2))
+        ch, prs = draw_system(dims, split, [derive_seed(seed, s_idx, t) for t in range(trials)], pol)
+        eff = effective_channels(ch, prs)
         for t in range(trials):
-            ch, prs = draw_system(dims, split, derive_seed(seed, s_idx, t), pol)
-            eff = effective_channels(ch, prs)
             cells = (
-                _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
-                _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+                _factor_cell([eff.D_P1[t], eff.D_P2[t]], [prs.V_P1[t], prs.V_P2[t]], sigma2s[:2]),
+                _factor_cell([eff.D_S1[t], eff.D_S2[t]], [prs.V_S1[t], prs.V_S2[t]], sigma2s[2:]),
             )
             for b_idx, cell_budgets in enumerate(budgets):
                 for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):

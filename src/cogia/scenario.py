@@ -152,12 +152,14 @@ def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The eight channel matrices of one network realization.
+    """The eight channel matrices of one network realization, or a stack.
 
     H_Pi  : N_P x M_P, primary BS to primary user i
     Hp_Pi : N_P x M_S, secondary BS to primary user i
     H_Sj  : N_S x M_S, secondary BS to secondary user j
     Hp_Sj : N_S x M_P, primary BS to secondary user j
+
+    All eight may carry the same leading lane axes, one lane per draw.
     """
 
     dims: NetworkDims
@@ -171,11 +173,12 @@ class ChannelSet:
     Hp_S2: np.ndarray
 
     def __post_init__(self) -> None:
+        lanes = self.H_P1.shape[:-2]
         for name, shape in _channel_shapes(self.dims).items():
             m = getattr(self, name)
-            if m.shape != shape:
-                raise ScenarioError(f"{name} must have shape {shape}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
+            if m.shape != lanes + shape:
+                raise ScenarioError(f"{name} must have shape {lanes + shape}, got {m.shape}")
+            if not np.isfinite(m).all():
                 raise ScenarioError(f"{name} contains non-finite entries")
 
 
@@ -214,23 +217,25 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 
 class _SubstreamFactory:
-    """Reuses one Philox instance across streams of the same seed.
+    """Reuses one Philox instance across seeds and streams.
 
     State reset is bit-identical to constructing a fresh
-    ``Philox(key=(seed, stream))`` but roughly 3x cheaper, which matters
-    in the million-draw feasibility sweeps.  Not thread-safe; create one
-    per call site.
+    ``Philox(key=(seed, stream))`` but several times cheaper, which
+    matters in the million-draw feasibility sweeps.  Not thread-safe;
+    create one per call site.
     """
 
-    def __init__(self, seed: int):
-        self._seed = _normalize_seed(seed)
+    def __init__(self):
         self._bg = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
+        self._state = self._bg.state
 
-    def stream(self, stream: int) -> np.random.Generator:
-        st = self._bg.state
+    def stream(self, seed: int, stream: int) -> np.random.Generator:
+        # the kept state dict is reused; its stale buffer is never read
+        # because buffer_pos 4 marks the buffer empty
+        st = self._state
         st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = self._seed
+        st["state"]["key"][0] = _normalize_seed(seed)
         st["state"]["key"][1] = stream & _MASK64
         st["buffer_pos"] = 4
         st["has_uint32"] = 0
@@ -238,19 +243,37 @@ class _SubstreamFactory:
         self._bg.state = st
         return self._gen
 
+    def normal(self, seed: int | list[int], stream: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Standard normals of ``shape`` from substream ``stream`` of ``seed``.
 
-def generate_channels(dims: NetworkDims, seed: int) -> ChannelSet:
-    """Draw all eight channel matrices for one network realization.
+        A list of seeds gives one lane per seed, stacked along a leading
+        axis.
+        """
+        if not isinstance(seed, list):
+            return self.stream(seed, stream).standard_normal(shape)
+        out = np.empty((len(seed),) + tuple(shape))
+        for lane, lane_seed in zip(out, seed):
+            self.stream(lane_seed, stream).standard_normal(out=lane)
+        return out
+
+
+def generate_channels(
+    dims: NetworkDims, seed: int | list[int], *, streams: _SubstreamFactory | None = None
+) -> ChannelSet:
+    """Draw all eight channel matrices for one network realization per seed.
 
     Each matrix gets i.i.d. standard normal entries from its own Philox
     substream (see module docstring), so the same (dims, seed) always
-    yields the same bits and matrices never perturb each other.  Arrays
-    are returned read-only.
+    yields the same bits and matrices never perturb each other.  One seed
+    gives 2-D matrices; a list of seeds gives one lane per seed along a
+    leading axis, lane ``i`` equal to the draw for ``seed[i]`` alone.
+    ``streams`` lends a Philox instance to reuse.  Arrays are returned
+    read-only.
     """
-    factory = _SubstreamFactory(seed)
+    streams = streams or _SubstreamFactory()
     mats = {}
     for name, shape in _channel_shapes(dims).items():
-        m = factory.stream(CHANNEL_STREAMS[name]).standard_normal(shape)
+        m = streams.normal(seed, CHANNEL_STREAMS[name], shape)
         m.flags.writeable = False
         mats[name] = m
     return ChannelSet(dims=dims, **mats)

@@ -1,5 +1,7 @@
 """Construction tests: precoders, corrections, combiners, leakage report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from cogia.alignment import (
 from cogia.dof import closed_form_feasible
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
 from cogia.numerics import DEFAULT_POLICY
-from cogia.scenario import NetworkDims, StreamAlloc, derive_seed, generate_channels
+from cogia.scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
 def system(dims_tuple, seed):
@@ -294,9 +296,9 @@ def spy_on_draws(monkeypatch) -> list[int]:
     seeds: list[int] = []
     real = cogia.alignment.generate_channels
 
-    def spy(dims, seed):
-        seeds.append(seed)
-        return real(dims, seed)
+    def spy(dims, seed, **kwargs):
+        seeds.extend([seed] if np.ndim(seed) == 0 else seed)
+        return real(dims, seed, **kwargs)
 
     monkeypatch.setattr(cogia.alignment, "generate_channels", spy)
     return seeds
@@ -332,7 +334,7 @@ class TestDrawSystem:
         assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
 
     def test_degenerate_draws_exhaust_budget(self, monkeypatch):
-        def degenerate(ch, d, seed, pol=DEFAULT_POLICY):
+        def degenerate(ch, d, seed, pol=DEFAULT_POLICY, **kwargs):
             raise DegenerateChannel("forced")
 
         monkeypatch.setattr(cogia.alignment, "build_all", degenerate)
@@ -340,3 +342,65 @@ class TestDrawSystem:
         with pytest.raises(TooManyDegenerateDraws):
             draw_system(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), 9)
         assert seeds == [derive_seed(9, a) for a in range(MAX_DEGENERATE_RETRIES)]
+
+
+PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet) if f.name != "Z"]
+CHANNEL_ARRAYS = [f.name for f in dataclasses.fields(ChannelSet) if f.name != "dims"]
+# the README scenario and the widest benchmark scenario
+STACK_CASES = [((5, 5, 5, 3), (1, 0, 2, 2)), ((12, 16, 10, 5), (4, 4, 3, 3))]
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("dims_tuple, alloc_tuple", STACK_CASES)
+    def test_lane_equals_single_draw(self, dims_tuple, alloc_tuple):
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        seeds = [derive_seed(7, t) for t in range(20)]
+        ch, prs = draw_system(dims, alloc, seeds)
+        assert prs.V_P1.shape == (20, dims.M_P, alloc.d_P1)
+        for t, seed in enumerate(seeds):
+            ch_t, prs_t = draw_system(dims, alloc, seed)
+            for name in CHANNEL_ARRAYS:
+                assert same_bits(getattr(ch, name)[t], getattr(ch_t, name)), (t, name)
+            for name in PRS_ARRAYS:
+                assert same_bits(getattr(prs, name)[t], getattr(prs_t, name)), (t, name)
+
+    @pytest.mark.parametrize("dims_tuple, alloc_tuple", STACK_CASES)
+    def test_only_the_degenerate_lane_is_redrawn(self, monkeypatch, dims_tuple, alloc_tuple):
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        seeds = [derive_seed(8, t) for t in range(20)]
+        _, clean = draw_system(dims, alloc, seeds)
+        real = cogia.alignment.build_all
+        forced = np.zeros(20, dtype=bool)
+        forced[5] = True
+        builds = []
+
+        def flaky(ch, d, seed, pol, **kwargs):
+            builds.append(len(seed))
+            if len(builds) == 1:
+                raise DegenerateChannel("forced", lanes=forced)
+            return real(ch, d, seed, pol, **kwargs)
+
+        monkeypatch.setattr(cogia.alignment, "build_all", flaky)
+        drawn = spy_on_draws(monkeypatch)
+        _, prs = draw_system(dims, alloc, seeds)
+        redraw_seed = derive_seed(seeds[5], 1)
+        assert drawn == [derive_seed(s, 0) for s in seeds] + [redraw_seed]
+        assert builds == [20, 20]
+        redrawn = real(generate_channels(dims, redraw_seed), alloc, redraw_seed)
+        for name in PRS_ARRAYS:
+            for t in range(20):
+                expected = getattr(redrawn, name) if t == 5 else getattr(clean, name)[t]
+                assert same_bits(getattr(prs, name)[t], expected), (t, name)
+
+    def test_stacked_report_matches_single_reports(self):
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 1, 1, 1)
+        seeds = [derive_seed(9, t) for t in range(6)]
+        report = interference_report(*draw_system(dims, alloc, seeds))
+        for t, seed in enumerate(seeds):
+            single = interference_report(*draw_system(dims, alloc, seed))
+            assert report.worst_case[t] == single.worst_case
+            assert all(report.entries[k][t] == v for k, v in single.entries.items())

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cogia import alignment, rates, scenario
+from cogia import alignment, dof, rates, scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -48,6 +48,19 @@ def test_traced_readme_run_leaves_no_wrappers(tracer):
         rs = rates.scell_sum_rate(prs, eff, sc.noise)
     assert rp.sum_rate > 0.0 and rs.sum_rate > 0.0
     assert tr.call_count("alignment.build_all") == 1
+    assert tracer.leftover_wrappers() == []
+
+
+def test_traced_check_builds_its_trials_as_one_stack(tracer):
+    dims, alloc = scenario.NetworkDims(5, 5, 5, 3), scenario.StreamAlloc(1, 0, 2, 2)
+    with tracer.Tracer() as tr:
+        assert dof.constructive_check(dims, alloc, trials=20, seed=5).feasible
+    # trial 0 alone, then trials 1..19 in one call, each with one Philox
+    # instance and one set of effective channels
+    assert tr.call_count("alignment.build_all") == 2
+    assert tr.counts["scenario.philox_inits"] == 2
+    assert tr.call_count("alignment.effective_channels") == 2
+    assert tr.counts["numpy.svd.matrices"] > tr.counts["numpy.svd.calls"]
     assert tracer.leftover_wrappers() == []
 
 

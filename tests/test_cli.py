@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import cogia.alignment
 from cogia.cli import main
 from cogia.errors import DegenerateChannel
+from cogia.scenario import derive_seed
 
 REFERENCE_NETWORK = {
     "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
@@ -54,22 +56,25 @@ class TestVerify:
                 float(cell)
 
     def test_degenerate_first_draw_is_redrawn(self, tmp_path, monkeypatch):
-        # every trial's first draw is degenerate, its second one builds
+        # every trial's first draw is degenerate, its second one builds;
+        # the three trials are built as one stack
         real = cogia.alignment.build_all
         calls = []
 
-        def flaky(ch, d, seed, pol):
-            calls.append(seed)
-            if len(calls) % 2:
-                raise DegenerateChannel("forced")
-            return real(ch, d, seed, pol)
+        def flaky(ch, d, seeds, pol, **kwargs):
+            calls.append(list(seeds))
+            if len(calls) == 1:
+                raise DegenerateChannel("forced", lanes=np.ones(len(seeds), dtype=bool))
+            return real(ch, d, seeds, pol, **kwargs)
 
         monkeypatch.setattr(cogia.alignment, "build_all", flaky)
         cfg = write_config(tmp_path, REFERENCE_NETWORK)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--trials", "3", "--quiet"]) == 0
         _, rows = read_rows(out / "verify_report.csv")
-        assert len(rows) == 3 and len(calls) == 6
+        trial_seeds = [derive_seed(REFERENCE_NETWORK["seed"], t) for t in range(3)]
+        assert len(rows) == 3
+        assert calls == [[derive_seed(s, attempt) for s in trial_seeds] for attempt in (0, 1)]
 
     def test_infeasible_alloc_exits_two(self, tmp_path, capsys):
         bad = dict(REFERENCE_NETWORK, alloc={"d_P1": 0, "d_P2": 0, "d_S1": 3, "d_S2": 0})
@@ -124,6 +129,17 @@ class TestNonFiniteScenario:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
         assert "scenario error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("argv", [["verify"], ["rates"], ["dof-region", "--constructive"]])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_is_a_scenario_error(self, tmp_path, capsys, argv, trials):
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", cfg, "--out", str(out), "--trials", trials, "--quiet"]) == 1
+        assert f"scenario error: trials must be a positive integer, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDofRegion:

@@ -1,8 +1,13 @@
 """Feasibility predicate, constructive oracle and region enumeration."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
+import cogia.alignment
+import cogia.dof
 from cogia.dof import (
     FeasibilityVerdict,
     closed_form_feasible,
@@ -12,8 +17,8 @@ from cogia.dof import (
     grid_tuples,
     projected_frontier,
 )
-from cogia.errors import GridTooLarge
-from cogia.scenario import NetworkDims, StreamAlloc, derive_seed
+from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
+from cogia.scenario import MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
 
 
 class TestClosedForm:
@@ -91,6 +96,62 @@ class TestConstructiveCheck:
                 assert constructive_check(dims, at_bound, trials=10, seed=1).feasible
             beyond = StreamAlloc(0, 0, k + 1, 0)
             assert not constructive_check(dims, beyond, trials=10, seed=1).feasible
+
+    def test_agrees_with_closed_form_up_to_max_antennas(self):
+        # the exhaustive criterion-3 sweep stops at 5 antennas; here 300
+        # seeded pairs reach MAX_ANTENNAS: 100 feasible, 100 one stream
+        # beyond a feasible tuple and 100 drawn uniformly among the
+        # infeasible ones
+        rng = random.Random(16)
+        feasible, beyond, infeasible = [], [], []
+        while min(len(feasible), len(beyond), len(infeasible)) < 100:
+            q = [rng.randint(1, MAX_ANTENNAS) for _ in range(4)]
+            a = [rng.randint(0, q[0]), rng.randint(0, q[0]), rng.randint(0, q[1]), rng.randint(0, q[1])]
+            dims = NetworkDims(*q)
+            if not closed_form_feasible(dims, StreamAlloc(*a)).feasible:
+                infeasible.append((dims, StreamAlloc(*a)))
+                continue
+            feasible.append((dims, StreamAlloc(*a)))
+            a[rng.randrange(4)] += 1
+            if not closed_form_feasible(dims, StreamAlloc(*a)).feasible:
+                beyond.append((dims, StreamAlloc(*a)))
+        pairs = feasible[:100] + beyond[:100] + infeasible[:100]
+        mismatches = []
+        for dims, alloc in pairs:
+            cf = closed_form_feasible(dims, alloc).feasible
+            seed = derive_seed(16, *dims.as_tuple(), *alloc.as_tuple())
+            if constructive_check(dims, alloc, trials=20, seed=seed).feasible != cf:
+                mismatches.append((dims.as_tuple(), alloc.as_tuple(), cf))
+        assert mismatches == []
+
+    def test_earlier_failure_outranks_a_later_lane_out_of_redraws(self, monkeypatch):
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        real_build, real_report = cogia.alignment.build_all, cogia.dof.interference_report
+
+        def build(ch, d, seeds, pol, **kwargs):
+            # trials 1..19 are built as one stack; its lane 5 (trial 6) is
+            # degenerate on every draw
+            if isinstance(seeds, list) and len(seeds) > 5:
+                lanes = np.zeros(len(seeds), dtype=bool)
+                lanes[5] = True
+                raise DegenerateChannel("forced", lanes=lanes)
+            return real_build(ch, d, seeds, pol, **kwargs)
+
+        def leaky_trial_3(ch, prs, pol):
+            report = real_report(ch, prs, pol)
+            if np.shape(report.worst_case) == (5,):
+                worst = report.worst_case.copy()
+                worst[2] = 1.0
+                report = dataclasses.replace(report, worst_case=worst)
+            return report
+
+        monkeypatch.setattr(cogia.alignment, "build_all", build)
+        with pytest.raises(TooManyDegenerateDraws):
+            constructive_check(dims, alloc, trials=20, seed=3)
+        monkeypatch.setattr(cogia.dof, "interference_report", leaky_trial_3)
+        verdict = constructive_check(dims, alloc, trials=20, seed=3)
+        assert not verdict.feasible
+        assert verdict.violated[0].detail == "trial 3: worst_case = 1.000e+00"
 
     def test_bound_sharpness_hundred_seeds(self):
         dims = NetworkDims(5, 5, 5, 3)  # M_S - N_S = 2

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from cogia.errors import NoComplement, RankDeficient
+from cogia.errors import DegenerateChannel, NoComplement, RankDeficient
 from cogia.numerics import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    full_column_rank,
     min_norm_right_solve,
     null_space_basis,
     orth_complement_vector,
@@ -179,3 +180,40 @@ class TestKernelProperties:
         p1, g1, s1 = svd_factor(A)
         p2, g2, s2 = svd_factor(A.copy())
         assert np.array_equal(p1, p2) and np.array_equal(g1, g2) and np.array_equal(s1, s2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestStacks:
+    """A stack of matrices gives, lane by lane, the bits of each matrix alone."""
+
+    def test_lanes_match_single_matrices(self):
+        for idx, (m, n) in enumerate(random_shapes(40)):
+            A = np.random.default_rng(300 + idx).standard_normal((5, m, n))
+            basis = null_space_basis(A)
+            factors = svd_factor(A)
+            ranks = full_column_rank(A)
+            for t in range(5):
+                assert same_bits(basis[t], null_space_basis(A[t]))
+                for stacked, single in zip(factors, svd_factor(A[t])):
+                    assert same_bits(stacked[t], single)
+                assert ranks[t] == full_column_rank(A[t])
+            if m <= n:
+                b = np.random.default_rng(600 + idx).standard_normal((5, m, 2))
+                x = min_norm_right_solve(A, b)
+                for t in range(5):
+                    assert same_bits(x[t], min_norm_right_solve(A[t], b[t]))
+
+    def test_rank_loss_in_one_lane_names_that_lane(self):
+        A = np.random.default_rng(21).standard_normal((3, 2, 4))
+        A[1, 1] = 2.0 * A[1, 0]  # lane 1 has rank 1, the others rank 2
+        with pytest.raises(DegenerateChannel) as info:
+            null_space_basis(A)
+        assert info.value.lanes.tolist() == [False, True, False]
+        with pytest.raises(RankDeficient) as info:
+            min_norm_right_solve(A, np.ones((3, 2)))
+        assert info.value.lanes.tolist() == [False, True, False]
+        assert full_column_rank(np.swapaxes(A, -1, -2)).tolist() == [True, False, True]
