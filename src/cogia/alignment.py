@@ -76,7 +76,6 @@ degenerate lanes and builds the stack again.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +113,15 @@ __all__ = [
     "build_secondary_receivers",
     "build_all",
     "draw_system",
-    "select_lane",
     "MAX_DEGENERATE_RETRIES",
     "effective_channels",
     "interference_report",
 ]
 
 MAX_DEGENERATE_RETRIES = 10
+# the most lanes a long run builds and evaluates at once: it bounds memory,
+# and lanes are independent, so the split does not change any bit
+LANE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -389,16 +390,6 @@ def build_all(
     return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)
 
 
-def select_lane(obj, lane: int):
-    """Lane ``lane`` of a stacked ChannelSet, PrecoderReceiverSet or EffectiveChannels (views)."""
-    arrays = {
-        f.name: getattr(obj, f.name)[lane]
-        for f in dataclasses.fields(obj)
-        if isinstance(getattr(obj, f.name), np.ndarray)
-    }
-    return dataclasses.replace(obj, **arrays)
-
-
 def _redrawn(ch: ChannelSet, idx: np.ndarray, fresh: ChannelSet) -> ChannelSet:
     """``ch`` with lanes ``idx`` replaced by the lanes of ``fresh``, in order."""
     arrays = {}
@@ -447,6 +438,11 @@ def draw_system(
                 draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))
             fresh = generate_channels(dims, draw_seeds[0] if single else [draw_seeds[i] for i in redraw], streams=streams)
             ch = fresh if single else _redrawn(ch, redraw, fresh)
+
+
+def lane_chunks(count: int) -> list[slice]:
+    """Consecutive runs of at most LANE_CHUNK lanes covering ``range(count)``."""
+    return [slice(start, min(start + LANE_CHUNK, count)) for start in range(0, count, LANE_CHUNK)]
 
 
 def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveChannels:

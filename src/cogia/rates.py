@@ -21,6 +21,14 @@ transmit power spent on correction vectors is not charged to either
 cell's constraint, mirroring the rate problem's trace term exactly; it
 is reported separately so the modeling gap stays visible.
 
+Every array, and every number of a result, may carry leading lane axes
+(one lane per channel draw, as in :mod:`cogia.numerics`); lane ``t`` of a
+stacked result is bit for bit the result for lane ``t`` alone.  Each
+lane's costs are sorted on their own, dead streams last with infinite
+cost and zero weight, masked out of the prefix sums so that no
+``0 * inf`` forms.  The ulp snap steps only the lanes not yet at their
+smallest double; a lane with water level 0 never steps.
+
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.
 """
 
@@ -31,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels
+from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels, lane_chunks
 from .dof import closed_form_feasible
 from .errors import InfeasibleAlloc, ScenarioError
-from .numerics import DEFAULT_POLICY, TolerancePolicy, svd_factor
+from .numerics import DEFAULT_POLICY, TolerancePolicy, matrix_transpose, svd_factor
 from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
 __all__ = [
@@ -104,7 +112,7 @@ class CellAllocation:
 
 @dataclass(frozen=True)
 class CellRateResult:
-    """Sum rate of one cell plus the allocation that achieves it."""
+    """Sum rate of one cell plus the allocation that achieves it (per lane)."""
 
     sum_rate: float
     allocation: CellAllocation
@@ -130,7 +138,7 @@ def waterfill_cell(
     pol: TolerancePolicy = DEFAULT_POLICY,
     trace_prefactor: float = 0.5,
 ) -> CellAllocation:
-    """Joint water-filling across all groups under one budget.
+    """Joint water-filling across all groups under one budget, per lane.
 
     The common water level ``lam`` is the smallest double whose traced
     power ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T)`` reaches
@@ -141,52 +149,59 @@ def waterfill_cell(
     """
     if not (math.isfinite(budget) and budget >= 0):
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    costs: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for grp in groups:
-        cost = _stream_costs(grp.gammas, grp.sigma2, pol)
+    costs = [_stream_costs(grp.gammas, grp.sigma2, pol) for grp in groups]
+    weights = []
+    for grp, cost in zip(groups, costs):
         VPsi = grp.V @ grp.Psi
-        w = np.einsum("ij,ij->j", VPsi, VPsi)
-        w[np.isinf(cost)] = 0.0
-        costs.append(cost)
-        weights.append(w)
-    alive_any = any(np.isfinite(c).any() for c in costs)
+        weights.append(np.where(np.isinf(cost), 0.0, np.einsum("...ij,...ij->...j", VPsi, VPsi)))
+    lanes = np.broadcast_shapes(*(cost.shape[:-1] for cost in costs))
+    c = np.concatenate([np.zeros(lanes + (0,)), *costs], axis=-1)
+    w = np.concatenate([np.zeros(lanes + (0,)), *weights], axis=-1)
+    no_gain = ~np.isfinite(c).any(axis=-1)
+    # a dead stream has zero weight, so a positive weight is a live one
+    solve = (w > 0.0).any(axis=-1) & (budget > 0.0)
 
-    def traced_power(lam: float) -> float:
+    def traced_power(lam: np.ndarray) -> np.ndarray:
         # a dead stream's infinite cost gives it max(0, lam - inf) = 0
         total = 0.0
-        for c, w in zip(costs, weights):
-            total += float(w @ np.maximum(0.0, lam - c))
+        for cost, wg in zip(costs, weights):
+            x = np.maximum(0.0, lam[..., None] - cost)
+            total = total + (wg[..., None, :] @ x[..., :, None])[..., 0, 0]
         return trace_prefactor * total
 
-    lam = 0.0
-    if alive_any and budget > 0.0:
-        c = np.concatenate(costs)
+    lam = np.zeros(lanes)
+    if solve.any():
+        # per lane: the live costs in stable ascending order, then the dead
+        # ones, whose cost is masked to 0 in the prefix sums
+        order = np.argsort(c, axis=-1, kind="stable")
+        c, w = np.take_along_axis(c, order, -1), np.take_along_axis(w, order, -1)
         live = np.isfinite(c)
-        order = np.argsort(c[live], kind="stable")
-        c = c[live][order]
-        w = np.concatenate(weights)[live][order]
-        W, S = np.cumsum(w), np.cumsum(w * c)
-        if W[-1] > 0.0:
-            # last prefix whose top cost lies below the water level; the
-            # first positive weight always qualifies, so W[k] > 0
-            level = budget / trace_prefactor
-            k = np.flatnonzero(W * c - S < level)[-1]
-            lam = float((level + S[k]) / W[k])
-            while traced_power(lam) < budget:
-                lam = float(np.nextafter(lam, math.inf))
-            while traced_power(below := float(np.nextafter(lam, 0.0))) >= budget:
-                lam = below
+        c = np.where(live, c, 0.0)
+        W, S = np.cumsum(w, axis=-1), np.cumsum(w * c, axis=-1)
+        # last live prefix whose top cost lies below the water level; the
+        # first positive weight always qualifies, so W[k] > 0 where we solve
+        level = budget / trace_prefactor
+        below_level = live & (W * c - S < level)
+        k = (c.shape[-1] - 1 - np.argmax(below_level[..., ::-1], axis=-1))[..., None]
+        W_k, S_k = np.take_along_axis(W, k, -1)[..., 0], np.take_along_axis(S, k, -1)[..., 0]
+        lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
+        up = solve & (traced_power(lam) < budget)
+        while up.any():
+            lam = np.where(up, np.nextafter(lam, math.inf), lam)
+            up = up & (traced_power(lam) < budget)
+        down = solve & (traced_power(np.nextafter(lam, 0.0)) >= budget)
+        while down.any():
+            lam = np.where(down, np.nextafter(lam, 0.0), lam)
+            down = down & (traced_power(np.nextafter(lam, 0.0)) >= budget)
 
     allocations = []
-    achieved = 0.0
-    for grp, c in zip(groups, costs):
-        q = np.maximum(0.0, lam - c)
-        Q = (grp.Psi * q) @ grp.Psi.T
-        VQ = grp.V @ Q
-        achieved += float(np.einsum("ij,ij->", VQ, grp.V))
+    achieved = np.zeros(lanes)
+    for grp, cost in zip(groups, costs):
+        q = np.maximum(0.0, lam[..., None] - cost)
+        Q = (grp.Psi * q[..., None, :]) @ matrix_transpose(grp.Psi)
+        achieved = achieved + np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
         allocations.append((q, Q))
-    achieved *= trace_prefactor
+    achieved, lam, no_gain = (achieved * trace_prefactor)[()], lam[()], no_gain[()]
     users = tuple(
         WaterfillResult(
             water_level=lam,
@@ -194,16 +209,14 @@ def waterfill_cell(
             Q=Q,
             achieved_constraint=achieved,
             budget=budget,
-            no_positive_gain=not alive_any,
+            no_positive_gain=no_gain,
         )
         for q, Q in allocations
     )
+    gaps = [_kkt_gap(res, cost) for res, cost in zip(users, costs)]
+    kkt_gap = np.max(gaps, axis=0, initial=0.0)[()]
     return CellAllocation(
-        water_level=lam,
-        users=users,
-        achieved_constraint=achieved,
-        no_positive_gain=not alive_any,
-        kkt_gap=max((_kkt_gap(res, c) for res, c in zip(users, costs)), default=0.0),
+        water_level=lam, users=users, achieved_constraint=achieved, no_positive_gain=no_gain, kkt_gap=kkt_gap
     )
 
 
@@ -232,28 +245,26 @@ def waterfill(
 
 
 def _stream_costs(gammas, sigma2: float, pol: TolerancePolicy) -> np.ndarray:
-    """Stream costs ``sigma2 / gamma^2``; infinite for dead streams.
+    """Stream costs ``sigma2 / gamma^2`` (last axis); infinite for dead streams.
 
     A stream is dead when its gamma is at or below ``rank_tol`` times the
     group's largest; every gamma of an all-zero group is dead.
     """
     g = np.asarray(gammas, dtype=float)
-    gmax = g.max() if g.size else 0.0
-    alive = g > pol.rank_tol * gmax if gmax > 0.0 else np.zeros(g.shape, dtype=bool)
-    cost = np.full(g.shape, np.inf)
-    cost[alive] = sigma2 / g[alive] ** 2
-    return cost
+    alive = g > pol.rank_tol * g.max(axis=-1, keepdims=True, initial=0.0)
+    return np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
 
 
-def _kkt_gap(result: WaterfillResult, cost: np.ndarray) -> float:
+def _kkt_gap(result: WaterfillResult, cost: np.ndarray) -> np.ndarray:
     q = result.per_stream_power
-    lam = result.water_level
+    lam = np.asarray(result.water_level)
     # a dead stream (infinite cost) gets no power and contributes 0
-    gaps = np.where(q > 0.0, np.abs(q - (lam - cost)), np.maximum(0.0, lam - cost))
-    worst = float(gaps.max(initial=0.0))
-    if lam > 0.0:
-        worst = max(worst, abs(result.achieved_constraint - result.budget) / result.budget)
-    return worst
+    gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
+    worst = gaps.max(axis=-1, initial=0.0)
+    if result.budget > 0.0:
+        unspent = np.abs(result.achieved_constraint - result.budget) / result.budget
+        worst = np.where(lam > 0.0, np.maximum(worst, unspent), worst)
+    return worst[()]
 
 
 def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
@@ -269,12 +280,10 @@ def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     return _kkt_gap(result, _stream_costs(gammas, sigma2, DEFAULT_POLICY))
 
 
-def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> float:
-    if E.shape[1] == 0:
-        return 0.0
-    M = np.eye(E.shape[0]) + (E @ Q @ E.T) / sigma2
+def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
+    M = np.eye(E.shape[-2]) + (E @ Q @ matrix_transpose(E)) / sigma2
     sign, logdet = np.linalg.slogdet(M)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise ArithmeticError("rate determinant is not positive definite")
     return 0.5 * logdet / _LOG2
 
@@ -284,10 +293,10 @@ def _factor_cell(
     precoders: list[np.ndarray],
     sigma2s: list[float],
 ) -> list[tuple[np.ndarray, StreamGroup]]:
-    """Per-draw half of a cell solve: factor each served user's channel."""
+    """Per-draw half of a cell solve: factor each served user's channel stack."""
     served = []
     for E, V, s2 in zip(effectives, precoders, sigma2s):
-        if E.shape[1] == 0:
+        if E.shape[-1] == 0:
             continue
         _, gammas, Psi = svd_factor(E)
         served.append((E, StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi)))
@@ -298,14 +307,16 @@ def _fill_cell(
     served: list[tuple[np.ndarray, StreamGroup]],
     budget: float,
     pol: TolerancePolicy,
-) -> tuple[float, CellAllocation]:
+    lanes: tuple[int, ...],
+) -> tuple[np.ndarray, CellAllocation]:
     """Per-budget half of a cell solve: water-fill and sum the user rates."""
     if not served:
-        return 0.0, CellAllocation(0.0, (), 0.0, no_positive_gain=True)
+        zero = np.zeros(lanes)[()]
+        return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones(lanes, dtype=bool)[()], kkt_gap=zero)
     alloc = waterfill_cell([grp for _, grp in served], budget, pol, trace_prefactor=0.5)
     rate = 0.0
     for (E, grp), res in zip(served, alloc.users):
-        rate += _user_rate(E, res.Q, grp.sigma2)
+        rate = rate + _user_rate(E, res.Q, grp.sigma2)
     return rate, alloc
 
 
@@ -315,16 +326,15 @@ def pcell_sum_rate(
     noise: NoiseAndPower,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CellRateResult:
-    """Primary-cell water-filling sum rate (joint over both users)."""
-    effectives = [eff.D_P1, eff.D_P2]
-    served = _factor_cell(effectives, [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
-    rate, alloc = _fill_cell(served, noise.Qav_P, pol)
-    Vbars = [Vbar for E, Vbar in zip(effectives, (prs.Vbar_P1, prs.Vbar_P2)) if E.shape[1]]
-    correction = 0.0
-    for Vbar, res in zip(Vbars, alloc.users):
-        VbQ = Vbar @ res.Q
-        correction += 0.5 * float(np.einsum("ij,ij->", VbQ, Vbar))
-    return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction)
+    """Primary-cell water-filling sum rate (joint over both users), per lane."""
+    lanes = eff.D_P1.shape[:-2]
+    served = _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
+    rate, alloc = _fill_cell(served, noise.Qav_P, pol, lanes)
+    correction = np.zeros(lanes)
+    # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
+    for Vbar, res in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.users):
+        correction = correction + 0.5 * np.einsum("...ij,...ij->...", Vbar @ res.Q, Vbar)
+    return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction[()])
 
 
 def scell_sum_rate(
@@ -333,9 +343,9 @@ def scell_sum_rate(
     noise: NoiseAndPower,
     pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> CellRateResult:
-    """Secondary-cell sum rate; interference-free by the ideal-DPC model."""
+    """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
     served = _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
-    rate, alloc = _fill_cell(served, noise.Qav_S, pol)
+    rate, alloc = _fill_cell(served, noise.Qav_S, pol, eff.D_S1.shape[:-2])
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -351,11 +361,12 @@ def rate_region_sweep(
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
     One RatePoint per (split, budget) pair, ordered by split then budget.
-    All draws of a split are built as one stack.  Channel draws are shared
-    across budgets within a split, so rates are monotone in the budget
-    draw by draw, and each draw is factored once for all budgets.
-    ``budgets`` entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav``
-    reports the primary budget.
+    The draws of a split are built and water-filled as stacks of at most
+    ``alignment.LANE_CHUNK`` lanes.  Channel draws are shared across
+    budgets within a split, so rates are monotone in the budget draw by
+    draw, and each stack is factored once for all budgets.  ``budgets``
+    entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav`` reports the
+    primary budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -374,16 +385,17 @@ def rate_region_sweep(
     points: list[RatePoint] = []
     for s_idx, split in enumerate(splits):
         samples = np.zeros((len(budgets), trials, 2))
-        ch, prs = draw_system(dims, split, [derive_seed(seed, s_idx, t) for t in range(trials)], pol)
-        eff = effective_channels(ch, prs)
-        for t in range(trials):
+        seeds = [derive_seed(seed, s_idx, t) for t in range(trials)]
+        for part in lane_chunks(trials):
+            ch, prs = draw_system(dims, split, seeds[part], pol)
+            eff = effective_channels(ch, prs)
             cells = (
-                _factor_cell([eff.D_P1[t], eff.D_P2[t]], [prs.V_P1[t], prs.V_P2[t]], sigma2s[:2]),
-                _factor_cell([eff.D_S1[t], eff.D_S2[t]], [prs.V_S1[t], prs.V_S2[t]], sigma2s[2:]),
+                _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
+                _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
             )
             for b_idx, cell_budgets in enumerate(budgets):
                 for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
-                    samples[b_idx, t, c_idx] = _fill_cell(served, qav, pol)[0]
+                    samples[b_idx, part, c_idx] = _fill_cell(served, qav, pol, eff.D_P1.shape[:-2])[0]
         for b_idx, (qav_p, _qav_s) in enumerate(budgets):
             mean = samples[b_idx].mean(axis=0)
             if trials > 1:

@@ -3,8 +3,10 @@
 The network is a two-cell downlink: a primary base station with ``M_P``
 transmit antennas serving users P1/P2 (``N_P`` receive antennas each) and
 a cognitive secondary base station with ``M_S`` antennas serving users
-S1/S2 (``N_S`` antennas each).  Eight real channel matrices connect both
-base stations to all four users.
+S1/S2 (``N_S`` antennas each).  Real channel matrices connect both base
+stations to all four users; the six the model reads are drawn (the
+primary base station's channels to the secondary users, Hp_S1 and
+Hp_S2, are not: under ideal dirty-paper coding nothing depends on them).
 
 Randomness contract
 -------------------
@@ -14,7 +16,8 @@ reproducible across platforms and insensitive to draw order:
 * stream key = ``(seed, stream_id)``; channel matrices use stream ids
   0..7 in the fixed order H_P1, H_P2, Hp_P1, Hp_P2, H_S1, H_S2, Hp_S1,
   Hp_S2, so adding a consumer of a new stream never perturbs existing
-  matrices;
+  matrices; ids 6 and 7 stay reserved for Hp_S1 and Hp_S2, which are
+  not drawn;
 * stream ids 8 and 9 are reserved for the random primary precoder
   columns of P1 and P2 (see :mod:`cogia.alignment`);
 * multi-trial experiments derive one sub-seed per trial with
@@ -54,7 +57,8 @@ MAX_ANTENNAS = 16
 
 _MASK64 = (1 << 64) - 1
 
-# stream ids for the eight channel matrices, in field order
+# stream ids for the drawn channel matrices, in field order; ids 6 and 7
+# stay reserved for Hp_S1 and Hp_S2 (primary BS to secondary user j)
 CHANNEL_STREAMS = {
     "H_P1": 0,
     "H_P2": 1,
@@ -62,8 +66,6 @@ CHANNEL_STREAMS = {
     "Hp_P2": 3,
     "H_S1": 4,
     "H_S2": 5,
-    "Hp_S1": 6,
-    "Hp_S2": 7,
 }
 PRECODER_STREAM_P1 = 8
 PRECODER_STREAM_P2 = 9
@@ -145,21 +147,18 @@ def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
         "Hp_P2": (dims.N_P, dims.M_S),
         "H_S1": (dims.N_S, dims.M_S),
         "H_S2": (dims.N_S, dims.M_S),
-        "Hp_S1": (dims.N_S, dims.M_P),
-        "Hp_S2": (dims.N_S, dims.M_P),
     }
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The eight channel matrices of one network realization, or a stack.
+    """The channel matrices of one network realization, or a stack.
 
     H_Pi  : N_P x M_P, primary BS to primary user i
     Hp_Pi : N_P x M_S, secondary BS to primary user i
     H_Sj  : N_S x M_S, secondary BS to secondary user j
-    Hp_Sj : N_S x M_P, primary BS to secondary user j
 
-    All eight may carry the same leading lane axes, one lane per draw.
+    All six may carry the same leading lane axes, one lane per draw.
     """
 
     dims: NetworkDims
@@ -169,8 +168,6 @@ class ChannelSet:
     Hp_P2: np.ndarray
     H_S1: np.ndarray
     H_S2: np.ndarray
-    Hp_S1: np.ndarray
-    Hp_S2: np.ndarray
 
     def __post_init__(self) -> None:
         lanes = self.H_P1.shape[:-2]
@@ -260,7 +257,7 @@ class _SubstreamFactory:
 def generate_channels(
     dims: NetworkDims, seed: int | list[int], *, streams: _SubstreamFactory | None = None
 ) -> ChannelSet:
-    """Draw all eight channel matrices for one network realization per seed.
+    """Draw the channel matrices of one network realization per seed.
 
     Each matrix gets i.i.d. standard normal entries from its own Philox
     substream (see module docstring), so the same (dims, seed) always

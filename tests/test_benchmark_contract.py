@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cogia import alignment, dof, rates, scenario
+from cogia import alignment, cli, dof, rates, scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -61,6 +61,18 @@ def test_traced_check_builds_its_trials_as_one_stack(tracer):
     assert tr.counts["scenario.philox_inits"] == 2
     assert tr.call_count("alignment.effective_channels") == 2
     assert tr.counts["numpy.svd.matrices"] > tr.counts["numpy.svd.calls"]
+    assert tracer.leftover_wrappers() == []
+
+
+def test_traced_rates_fill_each_cell_once_per_budget(tracer, tmp_path):
+    config = BENCH / "scenarios" / "readme.json"
+    with tracer.Tracer() as tr:
+        assert cli.main(["rates", "--config", str(config), "--out", str(tmp_path), "--trials", "4", "--quiet"]) == 0
+    # splits (1,0,2,2) and (1,1,1,1): one stacked factorization per served
+    # user (P1, S1, S2, then all four); one solve per split, budget and
+    # cell, whatever the trial count
+    assert tr.call_count("numerics.svd_factor") == 3 + 4
+    assert tr.call_count("rates.waterfill_cell") == 2 * 3 * 2
     assert tracer.leftover_wrappers() == []
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import cogia.alignment
+import cogia.cli
+import cogia.rates
 from cogia.cli import main
 from cogia.errors import DegenerateChannel
 from cogia.scenario import derive_seed
@@ -230,6 +232,13 @@ class TestRates:
         )
         assert abs(rp - rs) <= 3.0 * se
 
+    def test_empty_split_is_a_scenario_error(self, tmp_path, capsys):
+        empty = dict(self.CONFIG, splits=[{"d_P1": 0, "d_P2": 0, "d_S1": 0, "d_S2": 0}])
+        cfg = write_config(tmp_path, empty)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "scenario error: a rate sweep split must carry at least one stream" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_stderr_clt_scaling(self, tmp_path):
         # doubling the trial count should shrink stderr like 1/sqrt(2),
         # within 30 percent of the CLT prediction
@@ -244,6 +253,27 @@ class TestRates:
         ratio = float(rows_b[0][i]) / float(rows_a[0][i])
         predicted = 2.0**-0.5
         assert 0.7 * predicted <= ratio <= 1.3 * predicted
+
+
+class TestLaneChunks:
+    def test_chunked_runs_match_one_stack(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, budgets=[1.0, 10.0]))
+
+        def run(out):
+            for cmd in ("verify", "rates"):
+                assert main([cmd, "--config", cfg, "--out", str(out), "--trials", "10", "--quiet"]) == 0
+            return [(out / name).read_bytes() for name in ("verify_report.csv", "rates.csv")]
+
+        whole = run(tmp_path / "whole")
+        stacks = []
+        for module in (cogia.cli, cogia.rates):
+            real = module.draw_system
+            monkeypatch.setattr(
+                module, "draw_system", lambda d, a, seeds, pol, real=real: stacks.append(len(seeds)) or real(d, a, seeds, pol)
+            )
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        assert run(tmp_path / "chunked") == whole
+        assert stacks == [3, 3, 3, 1] * 2  # verify, then the one rates split
 
 
 class TestDeterminism:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import cogia.rates
-from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, effective_channels
+from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, draw_system, effective_channels
 from cogia.errors import InfeasibleAlloc, ScenarioError
 from cogia.rates import (
+    CellAllocation,
     StreamGroup,
     kkt_violation,
     pcell_sum_rate,
@@ -18,7 +19,7 @@ from cogia.rates import (
     waterfill,
     waterfill_cell,
 )
-from cogia.scenario import NetworkDims, NoiseAndPower, StreamAlloc, generate_channels
+from cogia.scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
 
 
 def haar_columns(rng, m, k):
@@ -330,6 +331,79 @@ class TestCellRates:
         assert res.uncharged_correction_power > 0.0
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def lane(obj, t):
+    """Lane ``t`` of a stacked PrecoderReceiverSet or EffectiveChannels (views)."""
+    arrays = {f.name: getattr(obj, f.name)[t] for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)}
+    return dataclasses.replace(obj, **arrays)
+
+
+def assert_cell_lane(stacked: CellAllocation, single: CellAllocation, t: int) -> None:
+    for name in ("water_level", "achieved_constraint", "kkt_gap", "no_positive_gain"):
+        assert same_bits(getattr(stacked, name)[t], getattr(single, name)), (t, name)
+    assert len(stacked.users) == len(single.users)
+    for u, (res, res_t) in enumerate(zip(stacked.users, single.users)):
+        for name in ("water_level", "achieved_constraint", "no_positive_gain", "per_stream_power", "Q"):
+            assert same_bits(getattr(res, name)[t], getattr(res_t, name)), (t, u, name)
+        assert res.budget == res_t.budget
+
+
+class TestStackedRates:
+    @pytest.mark.parametrize(
+        "dims_tuple, alloc_tuple",
+        [((5, 5, 5, 3), (1, 0, 2, 2)), ((5, 5, 5, 3), (1, 1, 1, 1)), ((12, 16, 10, 5), (4, 4, 3, 3))],
+    )
+    def test_lane_equals_single_draw(self, dims_tuple, alloc_tuple):
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        ch, prs = draw_system(dims, alloc, [derive_seed(7, t) for t in range(20)])
+        eff = effective_channels(ch, prs)
+        noise = NoiseAndPower(sigma2_P1=0.5, sigma2_S2=2.0, Qav_P=10.0, Qav_S=3.0)
+        for rate in (pcell_sum_rate, scell_sum_rate):
+            stacked = rate(prs, eff, noise)
+            assert stacked.sum_rate.shape == (20,)
+            for t in range(20):
+                single = rate(lane(prs, t), lane(eff, t), noise)
+                assert same_bits(stacked.sum_rate[t], single.sum_rate), (rate.__name__, t)
+                assert same_bits(
+                    np.broadcast_to(stacked.uncharged_correction_power, (20,))[t], single.uncharged_correction_power
+                ), (rate.__name__, t)
+                assert_cell_lane(stacked.allocation, single.allocation, t)
+
+    def test_waterfill_cell_lane_equals_single_solve(self):
+        # lanes differ in their dead-stream count; one lane is all dead, one
+        # has zero traced weight, one has tied costs
+        T = 8
+        rng = np.random.default_rng(55)
+        shapes = ((6, 3), (4, 2))
+        gammas = [rng.uniform(0.2, 3.0, (T, n)) for _, n in shapes]
+        Vs = [rng.standard_normal((T, m, n)) for m, n in shapes]
+        Psis = [np.stack([haar_columns(rng, n, n) for _ in range(T)]) for _, n in shapes]
+        gammas[0][1, 2] = 0.0
+        gammas[0][2, 1:] = 0.0
+        gammas[1][2, 1] = 1e-12
+        gammas[0][3], gammas[1][3] = 0.0, 0.0
+        Vs[0][4], Vs[1][4] = 0.0, 0.0
+        gammas[0][5, 1] = gammas[0][5, 0]
+        Vs[1][6][:, 0] = 0.0
+        gammas[1][7] = 0.0
+        groups = [StreamGroup(g, s2, V, Psi) for g, s2, V, Psi in zip(gammas, (1.5, 0.7), Vs, Psis)]
+        for budget in (0.0, 0.3, 4.0, 1e3):
+            for prefactor in (1.0, 0.5):
+                stacked = waterfill_cell(groups, budget, trace_prefactor=prefactor)
+                assert stacked.water_level.shape == (T,)
+                for t in range(T):
+                    lane_groups = [StreamGroup(g.gammas[t], g.sigma2, g.V[t], g.Psi[t]) for g in groups]
+                    assert_cell_lane(stacked, waterfill_cell(lane_groups, budget, trace_prefactor=prefactor), t)
+                assert stacked.no_positive_gain.tolist() == [t == 3 for t in range(T)]
+                if budget:
+                    assert (stacked.water_level[[3, 4]] == 0.0).all()
+                    assert (np.delete(stacked.water_level, [3, 4]) > 0.0).all()
+
+
 class TestRateRegionSweep:
     DIMS = NetworkDims(5, 5, 5, 3)
 
@@ -386,7 +460,8 @@ class TestRateRegionSweep:
         monkeypatch.setattr(cogia.rates, "svd_factor", lambda E: calls.append(E) or real(E))
         budgets = [(1.0, 1.0), (10.0, 10.0), (100.0, 100.0)]
         rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], budgets, trials=4, seed=2)
-        assert len(calls) == 3 * 4  # served users P1, S1, S2 per trial
+        # served users P1, S1, S2, each factored once over the stack of 4 trials
+        assert [E.shape[:-2] for E in calls] == [(4,)] * 3
 
     @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):

@@ -50,7 +50,7 @@ class TestChannelGeneration:
         dims = NetworkDims(2, 2, 1, 1)
         a = generate_channels(dims, 7)
         b = generate_channels(dims, 7)
-        for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2", "Hp_S1", "Hp_S2"):
+        for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_changes_output(self):
@@ -64,7 +64,6 @@ class TestChannelGeneration:
         assert ch.H_P1.shape == (5, 5)
         assert ch.H_S1.shape == (3, 5)
         assert ch.Hp_P1.shape == (5, 5)
-        assert ch.Hp_S1.shape == (3, 5)
 
     def test_matches_documented_substreams(self):
         # matrix k comes from the Philox stream keyed (seed, k), in field order
@@ -83,7 +82,7 @@ class TestChannelGeneration:
             ch = generate_channels(dims, seed)
             samples.extend(
                 getattr(ch, n)
-                for n in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2", "Hp_S1", "Hp_S2")
+                for n in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2")
             )
             seed += 1
         pooled = np.concatenate([s.ravel() for s in samples])
@@ -101,7 +100,7 @@ class TestChannelGeneration:
         for seed in range(1000):
             dims = NetworkDims(*(int(v) for v in rng.integers(1, 9, size=4)))
             ch = generate_channels(dims, seed)
-            for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2", "Hp_S1", "Hp_S2"):
+            for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2"):
                 M = getattr(ch, name)
                 s = np.linalg.svd(M, compute_uv=False)
                 rank = int(np.count_nonzero(s > DEFAULT_POLICY.rank_tol * s[0]))
