@@ -34,8 +34,6 @@ from .errors import (
     TooManyDegenerateDraws,
 )
 from .numerics import (
-    DEFAULT_POLICY,
-    TolerancePolicy,
     min_norm_right_solve,
     null_space_basis,
     orth_complement_vector,
@@ -72,8 +70,8 @@ __all__ = [
     "closed_form_feasible", "constructive_check", "enumerate_region",
     "CogiaError", "DegenerateChannel", "GridTooLarge", "InfeasibleAlloc",
     "NoComplement", "RankDeficient", "ScenarioError", "TooManyDegenerateDraws",
-    "DEFAULT_POLICY", "TolerancePolicy", "min_norm_right_solve",
-    "null_space_basis", "orth_complement_vector", "svd_factor",
+    "min_norm_right_solve", "null_space_basis", "orth_complement_vector",
+    "svd_factor",
     "CellAllocation", "CellRateResult", "RatePoint", "StreamGroup",
     "WaterfillResult", "pcell_sum_rate", "rate_region_sweep",
     "scell_sum_rate", "waterfill", "waterfill_cell",

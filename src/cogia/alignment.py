@@ -82,8 +82,7 @@ import numpy as np
 
 from .errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import (
-    DEFAULT_POLICY,
-    TolerancePolicy,
+    RANK_TOL,
     full_column_rank,
     lane_norm,
     matrix_transpose,
@@ -194,7 +193,6 @@ def build_primary_precoders(
     ch: ChannelSet,
     d: StreamAlloc,
     seed: int | list[int],
-    pol: TolerancePolicy = DEFAULT_POLICY,
     *,
     streams: _SubstreamFactory | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +218,7 @@ def build_primary_precoders(
         parts = []
         if n_null:
             # the null space of an N_P x M_P channel has at least Z dimensions
-            parts.append(null_space_basis(avoid_channel, pol)[..., :n_null])
+            parts.append(null_space_basis(avoid_channel)[..., :n_null])
         if d_i > n_null:
             parts.append(_unit_columns(streams.normal(seed, stream_id, (dims.M_P, d_i - n_null))))
         V = np.concatenate(parts, axis=-1)
@@ -229,7 +227,7 @@ def build_primary_precoders(
             raise RankDeficient(f"V_{user} is {V.shape[-2]}x{V.shape[-1]}: its columns cannot be independent")
         # a single unit column is always independent
         if d_i > 1:
-            dependent = ~full_column_rank(V, pol)
+            dependent = ~full_column_rank(V)
             if dependent.any():
                 raise DegenerateChannel(f"columns of V_{user} are not linearly independent", lanes=dependent)
         return V
@@ -243,7 +241,6 @@ def build_corrections(
     ch: ChannelSet,
     V_P1: np.ndarray,
     V_P2: np.ndarray,
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Secondary correction matrices Vbar_P1, Vbar_P2.
 
@@ -258,7 +255,7 @@ def build_corrections(
         Vbar = np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
         corrected = V[..., Z:]
         if corrected.shape[-1]:
-            Vbar[..., Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected), pol)
+            Vbar[..., Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected))
         return Vbar
 
     Vbar_P1 = corrections(V_P1, ch.H_P2, ch.Hp_P2)
@@ -266,7 +263,7 @@ def build_corrections(
     return Vbar_P1, Vbar_P2
 
 
-def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str, pol: TolerancePolicy) -> np.ndarray:
+def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str) -> np.ndarray:
     """Unit zero-forcing columns, one per row of ``targets``.
 
     Column g is the normalized projection of target row g onto the
@@ -278,39 +275,33 @@ def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str, pol: Toleranc
     cols = np.empty(lanes + (n, d))
     for g in range(d):
         others = np.concatenate([targets[..., :g, :], targets[..., g + 1 :, :], avoid], axis=-2)
-        basis = null_space_basis(others, pol)
+        basis = null_space_basis(others)
         if basis.shape[-1] == 0:
             raise NoComplement(f"avoid space for stream {g + 1} of {user} fills all {n} dimensions")
         t = targets[..., g, :]
         v = (basis @ (matrix_transpose(basis) @ t[..., None]))[..., 0]
         gain = lane_norm(v, 1)
-        lost = gain <= pol.rank_tol * lane_norm(t, 1)
+        lost = gain <= RANK_TOL * lane_norm(t, 1)
         if lost.any():
             raise DegenerateChannel(f"stream {g + 1} of {user} has no component in its zero-forcing space", lanes=lost)
         cols[..., g] = v / gain[..., None]
     return cols
 
 
-def _align_secondary(
-    ch: ChannelSet, U_S1: np.ndarray, U_S2: np.ndarray, pol: TolerancePolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    V_S1 = _zero_force(matrix_transpose(U_S1) @ ch.H_S1, ch.H_S2, "S1", pol)
-    V_S2 = _zero_force(matrix_transpose(U_S2) @ ch.H_S2, ch.H_S1, "S2", pol)
+def _align_secondary(ch: ChannelSet, U_S1: np.ndarray, U_S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    V_S1 = _zero_force(matrix_transpose(U_S1) @ ch.H_S1, ch.H_S2, "S1")
+    V_S2 = _zero_force(matrix_transpose(U_S2) @ ch.H_S2, ch.H_S1, "S2")
     return V_S1, V_S2
 
 
-def build_secondary_precoders(
-    ch: ChannelSet,
-    d: StreamAlloc,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> tuple[np.ndarray, np.ndarray]:
+def build_secondary_precoders(ch: ChannelSet, d: StreamAlloc) -> tuple[np.ndarray, np.ndarray]:
     """Secondary precoders V_S1, V_S2 implementing the stacked-space alignment.
 
     Stream g of S_j is orthogonal to the other secondary user's whole
     channel and to the channel rows the selector U_Sj assigns to S_j's
     other streams, while keeping a nonzero gain on its own row g.
     """
-    return _align_secondary(ch, *build_secondary_receivers(ch.dims.N_S, d), pol)
+    return _align_secondary(ch, *build_secondary_receivers(ch.dims.N_S, d))
 
 
 def _primary_effective(
@@ -333,7 +324,6 @@ def build_primary_receivers(
     Vbar_P2: np.ndarray,
     V_S1: np.ndarray,
     V_S2: np.ndarray,
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing combiners U_P1, U_P2.
 
@@ -346,8 +336,8 @@ def build_primary_receivers(
     G_P1, G_P2 = _primary_effective(ch, V_P1, V_P2, Vbar_P1, Vbar_P2)
     V_S = np.concatenate([V_S1, V_S2], axis=-1)
     # rows to avoid: the secondary streams as seen at the primary user
-    U_P1 = _zero_force(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1", pol)
-    U_P2 = _zero_force(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2", pol)
+    U_P1 = _zero_force(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1")
+    U_P2 = _zero_force(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2")
     return U_P1, U_P2
 
 
@@ -364,7 +354,6 @@ def build_all(
     ch: ChannelSet,
     d: StreamAlloc,
     seed: int | list[int],
-    pol: TolerancePolicy = DEFAULT_POLICY,
     *,
     streams: _SubstreamFactory | None = None,
 ) -> PrecoderReceiverSet:
@@ -377,10 +366,10 @@ def build_all(
     """
     lanes = ch.H_P1.shape[:-2]
     U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
-    V_S1, V_S2 = _align_secondary(ch, U_S1, U_S2, pol)
-    V_P1, V_P2 = build_primary_precoders(ch, d, seed, pol, streams=streams)
-    Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2, pol)
-    U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2, pol)
+    V_S1, V_S2 = _align_secondary(ch, U_S1, U_S2)
+    V_P1, V_P2 = build_primary_precoders(ch, d, seed, streams=streams)
+    Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
+    U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
     arrays = dict(
         V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
         U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
@@ -401,9 +390,7 @@ def _redrawn(ch: ChannelSet, idx: np.ndarray, fresh: ChannelSet) -> ChannelSet:
     return ChannelSet(dims=ch.dims, **arrays)
 
 
-def draw_system(
-    dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int], pol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[ChannelSet, PrecoderReceiverSet]:
+def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -> tuple[ChannelSet, PrecoderReceiverSet]:
     """Draw channels and build, redrawing degenerate draws.
 
     ``seeds`` is one trial seed, which gives 2-D arrays, or a list of
@@ -424,7 +411,7 @@ def draw_system(
     ch = generate_channels(dims, draw_seeds[0] if single else draw_seeds, streams=streams)
     while True:
         try:
-            return ch, build_all(ch, alloc, draw_seeds[0] if single else draw_seeds, pol, streams=streams)
+            return ch, build_all(ch, alloc, draw_seeds[0] if single else draw_seeds, streams=streams)
         except DegenerateChannel as exc:
             redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
             attempts[redraw] += 1
@@ -470,11 +457,7 @@ def _offdiag(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def interference_report(
-    ch: ChannelSet,
-    prs: PrecoderReceiverSet,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> InterferenceReport:
+def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> InterferenceReport:
     """Measure every residual interference path of the construction.
 
     Categories: primary intra-cell leakage after corrections, secondary

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import sys
@@ -40,7 +41,7 @@ from .errors import (
     TooManyDegenerateDraws,
 )
 from .alignment import draw_system, interference_report, lane_chunks
-from .numerics import DEFAULT_POLICY
+from .numerics import ZERO_TOL
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
 
@@ -97,8 +98,11 @@ def _say(args, message: str) -> None:
 
 
 def _seed_and_trials(args, scenario: Scenario) -> tuple[int, int]:
-    """The run's seed and trial count: the command line's, else the scenario's."""
-    seed = args.seed if args.seed is not None else scenario.seed
+    """The run's seed and trial count: the command line's, else the scenario's.
+
+    A command-line seed is held to the scenario file's rule.
+    """
+    seed = derive_seed(args.seed) if args.seed is not None else scenario.seed
     trials = args.trials if args.trials is not None else scenario.trials
     if trials < 1:
         raise ScenarioError(f"trials must be a positive integer, got {trials}")
@@ -112,7 +116,6 @@ def cmd_verify(args) -> int:
         return 1
     seed, trials = _seed_and_trials(args, scenario)
     dims, alloc, noise = scenario.dims, scenario.alloc, scenario.noise
-    pol = DEFAULT_POLICY
 
     verdict = closed_form_feasible(dims, alloc)
     if not verdict.feasible:
@@ -128,10 +131,10 @@ def cmd_verify(args) -> int:
     rows = []
     try:
         for part in lane_chunks(trials):
-            ch, prs = draw_system(dims, alloc, seeds[part], pol)
-            report = interference_report(ch, prs, pol)
-            rp = pcell_sum_rate(prs, report.eff, noise, pol)
-            rs = scell_sum_rate(prs, report.eff, noise, pol)
+            ch, prs = draw_system(dims, alloc, seeds[part])
+            report = interference_report(ch, prs)
+            rp = pcell_sum_rate(prs, report.eff, noise)
+            rs = scell_sum_rate(prs, report.eff, noise)
             columns = [report.worst_case, *(report.entries[c] for c in _REPORT_COLUMNS)]
             columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
             rows.extend([t, *row] for t, row in zip(range(part.start, part.stop), zip(*columns)))
@@ -148,10 +151,10 @@ def cmd_verify(args) -> int:
     _say(args, f"worst residual interference (relative): {worst_overall:.3e}")
     _say(args, f"worst water-filling KKT gap: {kkt_overall:.3e}")
     _say(args, f"wrote {report_path} and {manifest}")
-    if worst_overall <= pol.zero_tol:
+    if worst_overall <= ZERO_TOL:
         _say(args, "PASS: intra- and inter-cell interference cancelled to tolerance")
         return 0
-    print(f"FAIL: worst residual {worst_overall:.3e} exceeds {pol.zero_tol:.1e}", file=sys.stderr)
+    print(f"FAIL: worst residual {worst_overall:.3e} exceeds {ZERO_TOL:.1e}", file=sys.stderr)
     return 2
 
 
@@ -250,7 +253,9 @@ def cmd_rates(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cogia",
         description="Two-cell cognitive network interference-alignment simulator",
@@ -267,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check interference cancellation numerically")
     common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_region = sub.add_parser("dof-region", help="enumerate the achievable DoF region")
     common(p_region)
@@ -276,19 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also enumerate by explicit construction and emit a diff file",
     )
-    p_region.set_defaults(func=cmd_dof_region)
 
     p_rates = sub.add_parser("rates", help="Monte Carlo sum-rate sweep")
     common(p_rates)
-    p_rates.set_defaults(func=cmd_rates)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a handler replaced on the module is the one that runs
+    handlers = {"verify": cmd_verify, "dof-region": cmd_dof_region, "rates": cmd_rates}
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

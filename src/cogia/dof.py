@@ -31,7 +31,7 @@ import numpy as np
 
 from .alignment import draw_system, interference_report
 from .errors import GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
-from .numerics import DEFAULT_POLICY, TolerancePolicy, full_column_rank
+from .numerics import ZERO_TOL, full_column_rank
 from .scenario import NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
@@ -131,7 +131,6 @@ def constructive_check(
     d: StreamAlloc,
     trials: int = 20,
     seed: int = 0,
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> FeasibilityVerdict:
     """Feasibility by running the full construction on random channels.
 
@@ -139,8 +138,8 @@ def constructive_check(
     ``derive_seed(seed, t)``.  A structural failure (NoComplement,
     RankDeficient) marks the tuple infeasible; every trial that builds
     must finish with worst-case residual interference at or below
-    ``zero_tol`` and full-column-rank effective channels.  The verdict
-    names the first failing trial in index order.
+    ``numerics.ZERO_TOL`` and full-column-rank effective channels.  The
+    verdict names the first failing trial in index order.
 
     Trial 0 is built alone: on a generic draw it settles every structural
     failure at the cost of one build.  Trials 1..T-1 are then built as
@@ -148,15 +147,13 @@ def constructive_check(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    violation = _first_failure(dims, d, [derive_seed(seed, 0)], 0, pol)
+    violation = _first_failure(dims, d, [derive_seed(seed, 0)], 0)
     if violation is None and trials > 1:
-        violation = _first_failure(dims, d, [derive_seed(seed, t) for t in range(1, trials)], 1, pol)
+        violation = _first_failure(dims, d, [derive_seed(seed, t) for t in range(1, trials)], 1)
     return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
 
 
-def _first_failure(
-    dims: NetworkDims, d: StreamAlloc, seeds: list[int], first: int, pol: TolerancePolicy
-) -> Violation | None:
+def _first_failure(dims: NetworkDims, d: StreamAlloc, seeds: list[int], first: int) -> Violation | None:
     """The violation of the first failing trial of ``seeds`` (trial ``first`` onward), or None.
 
     A build failure names its lanes; the trials before the first of them
@@ -167,26 +164,26 @@ def _first_failure(
     while n:
         try:
             # one trial is the plain 2-D case
-            ch, prs = draw_system(dims, d, seeds[:n] if n > 1 else seeds[0], pol)
+            ch, prs = draw_system(dims, d, seeds[:n] if n > 1 else seeds[0])
         except (NoComplement, RankDeficient, TooManyDegenerateDraws) as exc:
             n = 0 if exc.lanes is None else int(np.flatnonzero(exc.lanes)[0])
             raised = exc
             continue
-        report = interference_report(ch, prs, pol)
+        report = interference_report(ch, prs)
         eff = report.eff
         deficient = {
-            name: np.atleast_1d(~full_column_rank(M, pol))
+            name: np.atleast_1d(~full_column_rank(M))
             for M, name in ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
         }
         worst = np.atleast_1d(report.worst_case)
-        leaky = worst > pol.zero_tol
+        leaky = worst > ZERO_TOL
         failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
         if failing.size == 0:
             break
         t = failing[0]
         if leaky[t]:
             return Violation(
-                "residual interference <= zero_tol",
+                "residual interference <= ZERO_TOL",
                 f"trial {first + t}: worst_case = {worst[t]:.3e}",
                 "constructive",
             )
@@ -236,7 +233,6 @@ def enumerate_region(
     seed: int = 0,
     trials: int = 20,
     cap: int = 10_000,
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> DofRegion:
     """Enumerate the achievable DoF region over the full tuple grid."""
     size = grid_size(dims)
@@ -249,7 +245,7 @@ def enumerate_region(
         if mode == "closed_form":
             ok = closed_form_feasible(dims, alloc).feasible
         else:
-            ok = constructive_check(dims, alloc, trials=trials, seed=derive_seed(seed, *alloc.as_tuple()), pol=pol).feasible
+            ok = constructive_check(dims, alloc, trials=trials, seed=derive_seed(seed, *alloc.as_tuple())).feasible
         if ok:
             points.append(alloc)
     return DofRegion(dims=dims, points=tuple(points), frontier=_compute_frontier(points))

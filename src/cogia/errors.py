@@ -31,7 +31,7 @@ class RankDeficient(CogiaError):
 
 
 class InfeasibleAlloc(CogiaError):
-    """Allocation fails the closed-form predicate (CLI and rate-sweep pre-flights only)."""
+    """A rate-sweep split fails the closed-form predicate (raised by ``rate_region_sweep`` only)."""
 
 
 class DegenerateChannel(CogiaError):

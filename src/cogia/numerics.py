@@ -1,12 +1,13 @@
 """Deterministic dense linear-algebra kernel.
 
 Null-space bases, orthogonal complements, SVD factorizations,
-minimum-norm right solves and the full-column-rank predicate, all
-sharing a single rank-tolerance policy: every rank decision in the
-package goes through :func:`rank_under_policy`, and this is the only
-module that calls ``numpy.linalg.svd``.  Matrices are real float64
-``numpy.ndarray`` values; all functions are pure and return freshly
-allocated arrays.
+minimum-norm right solves and the full-column-rank predicate.  The
+package makes every rank decision at one threshold, :data:`RANK_TOL`,
+and judges every residual that should vanish against another,
+:data:`ZERO_TOL`.  Rank decisions on singular values go through
+:func:`rank_under_policy`, and this is the only module that calls
+``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
+values; all functions are pure and return freshly allocated arrays.
 
 Orthonormal factors follow one sign convention, applied by one routine:
 the first nonzero entry of each column is made positive (for
@@ -36,15 +37,13 @@ same matrix do not share is a measure-zero accident of the draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateChannel, NoComplement, RankDeficient
 
 __all__ = [
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
+    "RANK_TOL",
+    "ZERO_TOL",
     "null_space_basis",
     "orth_complement_vector",
     "min_norm_right_solve",
@@ -56,33 +55,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Shared numerical thresholds.
-
-    rank_tol: singular values below ``rank_tol * largest`` count as zero.
-    zero_tol: absolute threshold for residuals that should vanish.
-    """
-
-    rank_tol: float = 1e-9
-    zero_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rank_tol < 1.0:
-            raise ValueError(f"rank_tol must lie in (0, 1), got {self.rank_tol}")
-        if not 0.0 < self.zero_tol < 1.0:
-            raise ValueError(f"zero_tol must lie in (0, 1), got {self.zero_tol}")
+# singular values at or below RANK_TOL times the largest count as zero
+RANK_TOL = 1e-9
+# residuals that should vanish count as zero at or below ZERO_TOL
+ZERO_TOL = 1e-9
 
 
-DEFAULT_POLICY = TolerancePolicy()
-
-
-def _as_matrix(A, name: str = "matrix") -> np.ndarray:
+def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim < 2:
-        raise ValueError(f"{name} must be 2-D or a stack of 2-D matrices, got shape {A.shape}")
+        raise ValueError(f"matrix must be 2-D or a stack of 2-D matrices, got shape {A.shape}")
     if A.size and not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("matrix contains non-finite entries")
     return A
 
 
@@ -111,10 +95,10 @@ def _fix_column_signs(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def rank_under_policy(s: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def rank_under_policy(s: np.ndarray) -> np.ndarray:
     """Numerical rank from nonincreasing singular values (last axis), per lane."""
     s = np.asarray(s)
-    return np.count_nonzero(s > pol.rank_tol * s[..., :1], axis=-1)
+    return np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def _common_rank(rank: np.ndarray) -> int:
@@ -126,18 +110,18 @@ def _common_rank(rank: np.ndarray) -> int:
     return top
 
 
-def full_column_rank(M: np.ndarray, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Per lane: True when the columns of ``M`` are independent under the policy.
+def full_column_rank(M: np.ndarray) -> np.ndarray:
+    """Per lane: True when the columns of ``M`` are independent at RANK_TOL.
 
     A matrix with no columns has full column rank.
     """
     M = np.asarray(M)
     if M.shape[-1] == 0:
         return np.ones(M.shape[:-2], dtype=bool)
-    return rank_under_policy(np.linalg.svd(M, compute_uv=False), pol) == M.shape[-1]
+    return rank_under_policy(np.linalg.svd(M, compute_uv=False)) == M.shape[-1]
 
 
-def null_space_basis(A, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def null_space_basis(A) -> np.ndarray:
     """Orthonormal basis of the null space of ``A``.
 
     Returns an n x k matrix (k = nullity, possibly 0) with orthonormal
@@ -153,7 +137,7 @@ def null_space_basis(A, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     if m == 0:
         return np.broadcast_to(np.eye(n), lead + (n, n)).copy()
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = _common_rank(rank_under_policy(s, pol))
+    rank = _common_rank(rank_under_policy(s))
     if rank == n:
         return np.zeros(lead + (n, 0))
     rows = vt[..., rank:, :]
@@ -166,27 +150,27 @@ def null_space_basis(A, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return _fix_column_signs(matrix_transpose(rows).copy())
 
 
-def orth_complement_vector(S, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def orth_complement_vector(S) -> np.ndarray:
     """Unit vector orthogonal to every row of ``S`` (per lane for a stack).
 
     Deterministic: the first column of ``null_space_basis(S)``.  Raises
     NoComplement when the rows of ``S`` already span the full space.
     """
-    B = null_space_basis(S, pol)
+    B = null_space_basis(S)
     if B.shape[-1] == 0:
         m, n = np.shape(S)[-2:]
         raise NoComplement(f"rows of a {m}x{n} matrix leave no orthogonal direction")
     return B[..., :, 0].copy()
 
 
-def min_norm_right_solve(A, b, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+def min_norm_right_solve(A, b) -> np.ndarray:
     """Minimum-norm solution of ``A x = b`` for a fat full-row-rank ``A``.
 
     Equals ``A.T @ inv(A @ A.T) @ b``; computed through the SVD for
     stability.  ``b`` may be a vector or a matrix of stacked right-hand
     sides (with the lane axes of ``A`` in front).  Raises RankDeficient
-    when the row rank of ``A`` is below its row count under the policy,
-    for the lanes where it is.
+    when the row rank of ``A`` at RANK_TOL is below its row count, for
+    the lanes where it is.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -198,7 +182,7 @@ def min_norm_right_solve(A, b, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndar
     if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    short = rank_under_policy(s, pol) < m
+    short = rank_under_policy(s) < m
     if short.any():
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}", lanes=short)
     coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)

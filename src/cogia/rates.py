@@ -42,7 +42,7 @@ import numpy as np
 from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels, lane_chunks
 from .dof import closed_form_feasible
 from .errors import InfeasibleAlloc, ScenarioError
-from .numerics import DEFAULT_POLICY, TolerancePolicy, matrix_transpose, svd_factor
+from .numerics import RANK_TOL, matrix_transpose, svd_factor
 from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
 __all__ = [
@@ -99,8 +99,7 @@ class WaterfillResult:
 class CellAllocation:
     """Joint allocation for one cell: shared water level, per-user results.
 
-    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users,
-    with dead streams judged by the solve's own policy.
+    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users.
     """
 
     water_level: float
@@ -135,21 +134,21 @@ class RatePoint:
 def waterfill_cell(
     groups: list[StreamGroup] | tuple[StreamGroup, ...],
     budget: float,
-    pol: TolerancePolicy = DEFAULT_POLICY,
+    *,
     trace_prefactor: float = 0.5,
 ) -> CellAllocation:
     """Joint water-filling across all groups under one budget, per lane.
 
     The common water level ``lam`` is the smallest double whose traced
     power ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T)`` reaches
-    ``budget``.  Streams whose singular value falls below ``rank_tol``
-    times the group's largest get zero power.  ``lam`` is 0 when the
-    budget is 0, no stream is alive, or every alive stream has zero
-    traced weight.
+    ``budget``.  Streams whose singular value is at or below
+    ``numerics.RANK_TOL`` times the group's largest get zero power.
+    ``lam`` is 0 when the budget is 0, no stream is alive, or every alive
+    stream has zero traced weight.
     """
     if not (math.isfinite(budget) and budget >= 0):
         raise ValueError(f"budget must be finite and nonnegative, got {budget}")
-    costs = [_stream_costs(grp.gammas, grp.sigma2, pol) for grp in groups]
+    costs = [_stream_costs(grp.gammas, grp.sigma2) for grp in groups]
     weights = []
     for grp, cost in zip(groups, costs):
         VPsi = grp.V @ grp.Psi
@@ -226,7 +225,7 @@ def waterfill(
     V,
     Psi,
     budget: float,
-    pol: TolerancePolicy = DEFAULT_POLICY,
+    *,
     trace_prefactor: float = 1.0,
 ) -> WaterfillResult:
     """Single-user water-filling; constraint ``tr(V Q V^T) <= budget``.
@@ -240,18 +239,18 @@ def waterfill(
         V=np.asarray(V, dtype=float),
         Psi=np.asarray(Psi, dtype=float),
     )
-    cell = waterfill_cell([group], budget, pol, trace_prefactor=trace_prefactor)
+    cell = waterfill_cell([group], budget, trace_prefactor=trace_prefactor)
     return cell.users[0]
 
 
-def _stream_costs(gammas, sigma2: float, pol: TolerancePolicy) -> np.ndarray:
+def _stream_costs(gammas, sigma2: float) -> np.ndarray:
     """Stream costs ``sigma2 / gamma^2`` (last axis); infinite for dead streams.
 
-    A stream is dead when its gamma is at or below ``rank_tol`` times the
+    A stream is dead when its gamma is at or below RANK_TOL times the
     group's largest; every gamma of an all-zero group is dead.
     """
     g = np.asarray(gammas, dtype=float)
-    alive = g > pol.rank_tol * g.max(axis=-1, keepdims=True, initial=0.0)
+    alive = g > RANK_TOL * g.max(axis=-1, keepdims=True, initial=0.0)
     return np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
 
 
@@ -273,11 +272,11 @@ def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     Active streams must sit exactly at ``lam - sigma2/gamma^2``; inactive
     streams must have cost at or above the water level; and a positive
     water level must spend the whole budget, measured as
-    ``|achieved_constraint - budget| / budget``.  Streams the solve treats
-    as dead under the default policy (gamma at or below ``rank_tol``
-    times the largest gamma) are skipped, as the solve skips them.
+    ``|achieved_constraint - budget| / budget``.  Dead streams (gamma at
+    or below ``numerics.RANK_TOL`` times the largest gamma) are skipped,
+    as the solve skips them.
     """
-    return _kkt_gap(result, _stream_costs(gammas, sigma2, DEFAULT_POLICY))
+    return _kkt_gap(result, _stream_costs(gammas, sigma2))
 
 
 def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
@@ -306,30 +305,24 @@ def _factor_cell(
 def _fill_cell(
     served: list[tuple[np.ndarray, StreamGroup]],
     budget: float,
-    pol: TolerancePolicy,
     lanes: tuple[int, ...],
 ) -> tuple[np.ndarray, CellAllocation]:
     """Per-budget half of a cell solve: water-fill and sum the user rates."""
     if not served:
         zero = np.zeros(lanes)[()]
         return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones(lanes, dtype=bool)[()], kkt_gap=zero)
-    alloc = waterfill_cell([grp for _, grp in served], budget, pol, trace_prefactor=0.5)
+    alloc = waterfill_cell([grp for _, grp in served], budget, trace_prefactor=0.5)
     rate = 0.0
     for (E, grp), res in zip(served, alloc.users):
         rate = rate + _user_rate(E, res.Q, grp.sigma2)
     return rate, alloc
 
 
-def pcell_sum_rate(
-    prs: PrecoderReceiverSet,
-    eff: EffectiveChannels,
-    noise: NoiseAndPower,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> CellRateResult:
+def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
     lanes = eff.D_P1.shape[:-2]
     served = _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
-    rate, alloc = _fill_cell(served, noise.Qav_P, pol, lanes)
+    rate, alloc = _fill_cell(served, noise.Qav_P, lanes)
     correction = np.zeros(lanes)
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
     for Vbar, res in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.users):
@@ -337,15 +330,10 @@ def pcell_sum_rate(
     return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction[()])
 
 
-def scell_sum_rate(
-    prs: PrecoderReceiverSet,
-    eff: EffectiveChannels,
-    noise: NoiseAndPower,
-    pol: TolerancePolicy = DEFAULT_POLICY,
-) -> CellRateResult:
+def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
     served = _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
-    rate, alloc = _fill_cell(served, noise.Qav_S, pol, eff.D_S1.shape[:-2])
+    rate, alloc = _fill_cell(served, noise.Qav_S, eff.D_S1.shape[:-2])
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -356,7 +344,6 @@ def rate_region_sweep(
     trials: int,
     seed: int,
     sigma2s: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
-    pol: TolerancePolicy = DEFAULT_POLICY,
 ) -> list[RatePoint]:
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
@@ -387,7 +374,7 @@ def rate_region_sweep(
         samples = np.zeros((len(budgets), trials, 2))
         seeds = [derive_seed(seed, s_idx, t) for t in range(trials)]
         for part in lane_chunks(trials):
-            ch, prs = draw_system(dims, split, seeds[part], pol)
+            ch, prs = draw_system(dims, split, seeds[part])
             eff = effective_channels(ch, prs)
             cells = (
                 _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
@@ -395,7 +382,7 @@ def rate_region_sweep(
             )
             for b_idx, cell_budgets in enumerate(budgets):
                 for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
-                    samples[b_idx, part, c_idx] = _fill_cell(served, qav, pol, eff.D_P1.shape[:-2])[0]
+                    samples[b_idx, part, c_idx] = _fill_cell(served, qav, eff.D_P1.shape[:-2])[0]
         for b_idx, (qav_p, _qav_s) in enumerate(budgets):
             mean = samples[b_idx].mean(axis=0)
             if trials > 1:

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from cogia.cli import main as cli_main
 from cogia.dof import closed_form_feasible, constructive_check, grid_tuples
@@ -63,6 +64,7 @@ def test_criterion_2_bound_sharpness():
            f"{checked_at} at-bound and {checked_beyond} beyond-bound checks in {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_3_predicate_oracle_agreement():
     t0 = time.perf_counter()
     tuples = 0

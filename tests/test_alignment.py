@@ -21,7 +21,6 @@ from cogia.alignment import (
 )
 from cogia.dof import closed_form_feasible
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
-from cogia.numerics import DEFAULT_POLICY
 from cogia.scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
@@ -334,7 +333,7 @@ class TestDrawSystem:
         assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
 
     def test_degenerate_draws_exhaust_budget(self, monkeypatch):
-        def degenerate(ch, d, seed, pol=DEFAULT_POLICY, **kwargs):
+        def degenerate(ch, d, seed, **kwargs):
             raise DegenerateChannel("forced")
 
         monkeypatch.setattr(cogia.alignment, "build_all", degenerate)
@@ -378,11 +377,11 @@ class TestStackedDraws:
         forced[5] = True
         builds = []
 
-        def flaky(ch, d, seed, pol, **kwargs):
+        def flaky(ch, d, seed, **kwargs):
             builds.append(len(seed))
             if len(builds) == 1:
                 raise DegenerateChannel("forced", lanes=forced)
-            return real(ch, d, seed, pol, **kwargs)
+            return real(ch, d, seed, **kwargs)
 
         monkeypatch.setattr(cogia.alignment, "build_all", flaky)
         drawn = spy_on_draws(monkeypatch)

@@ -73,6 +73,7 @@ def test_traced_rates_fill_each_cell_once_per_budget(tracer, tmp_path):
     # cell, whatever the trial count
     assert tr.call_count("numerics.svd_factor") == 3 + 4
     assert tr.call_count("rates.waterfill_cell") == 2 * 3 * 2
+    assert tr.call_count("cli.cmd_rates") == 1
     assert tracer.leftover_wrappers() == []
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, CSV artifacts, manifests, determinism."""
 
+import argparse
 import json
 import math
 
@@ -63,11 +64,11 @@ class TestVerify:
         real = cogia.alignment.build_all
         calls = []
 
-        def flaky(ch, d, seeds, pol, **kwargs):
+        def flaky(ch, d, seeds, **kwargs):
             calls.append(list(seeds))
             if len(calls) == 1:
                 raise DegenerateChannel("forced", lanes=np.ones(len(seeds), dtype=bool))
-            return real(ch, d, seeds, pol, **kwargs)
+            return real(ch, d, seeds, **kwargs)
 
         monkeypatch.setattr(cogia.alignment, "build_all", flaky)
         cfg = write_config(tmp_path, REFERENCE_NETWORK)
@@ -142,6 +143,35 @@ class TestTrialCount:
         assert main(argv + ["--config", cfg, "--out", str(out), "--trials", trials, "--quiet"]) == 1
         assert f"scenario error: trials must be a positive integer, got {trials}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("argv", [["verify"], ["rates"], ["dof-region"], ["dof-region", "--constructive"]])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_a_scenario_error(self, tmp_path, capsys, argv, seed):
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", cfg, "--out", str(out), "--seed", str(seed), "--quiet"]) == 1
+        assert f"scenario error: seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        parsers = []
+        real_parse = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "parse_args", lambda self, *a, **k: parsers.append(self) or real_parse(self, *a, **k)
+        )
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        argv = ["dof-region", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(argv) == 0
+        # a handler replaced after the parser exists is the one that runs
+        seen = []
+        monkeypatch.setattr(cogia.cli, "cmd_dof_region", lambda args: seen.append(args.command) or 0)
+        assert main(argv) == 0
+        assert seen == ["dof-region"]
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 class TestDofRegion:
@@ -269,7 +299,7 @@ class TestLaneChunks:
         for module in (cogia.cli, cogia.rates):
             real = module.draw_system
             monkeypatch.setattr(
-                module, "draw_system", lambda d, a, seeds, pol, real=real: stacks.append(len(seeds)) or real(d, a, seeds, pol)
+                module, "draw_system", lambda d, a, seeds, real=real: stacks.append(len(seeds)) or real(d, a, seeds)
             )
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
         assert run(tmp_path / "chunked") == whole

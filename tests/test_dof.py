@@ -128,17 +128,17 @@ class TestConstructiveCheck:
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
         real_build, real_report = cogia.alignment.build_all, cogia.dof.interference_report
 
-        def build(ch, d, seeds, pol, **kwargs):
+        def build(ch, d, seeds, **kwargs):
             # trials 1..19 are built as one stack; its lane 5 (trial 6) is
             # degenerate on every draw
             if isinstance(seeds, list) and len(seeds) > 5:
                 lanes = np.zeros(len(seeds), dtype=bool)
                 lanes[5] = True
                 raise DegenerateChannel("forced", lanes=lanes)
-            return real_build(ch, d, seeds, pol, **kwargs)
+            return real_build(ch, d, seeds, **kwargs)
 
-        def leaky_trial_3(ch, prs, pol):
-            report = real_report(ch, prs, pol)
+        def leaky_trial_3(ch, prs):
+            report = real_report(ch, prs)
             if np.shape(report.worst_case) == (5,):
                 worst = report.worst_case.copy()
                 worst[2] = 1.0

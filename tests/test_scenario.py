@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cogia.errors import ScenarioError
-from cogia.numerics import DEFAULT_POLICY
+from cogia.numerics import RANK_TOL
 from cogia.scenario import (
     MAX_ANTENNAS,
     NetworkDims,
@@ -103,7 +103,7 @@ class TestChannelGeneration:
             for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2"):
                 M = getattr(ch, name)
                 s = np.linalg.svd(M, compute_uv=False)
-                rank = int(np.count_nonzero(s > DEFAULT_POLICY.rank_tol * s[0]))
+                rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
                 assert rank == min(M.shape), f"{name} rank-deficient at seed {seed}"
 
 
