@@ -49,15 +49,21 @@ secondary decoding sees only the diagonal effective channel plus noise.
 
 Stage order and failures
 ------------------------
-:func:`build_all` builds the secondary selector combiners first and the
-secondary precoders aligned to them (they depend on no other stage), then
-primary precoders, corrections and primary combiners.  No stage checks
-the allocation against the antenna counts; the construction itself
-refuses what the network cannot carry, on every generic draw:
+:func:`build_all` builds the secondary selector combiners first, then
+the secondary precoders aligned to them (they read only H_S1 and H_S2),
+then primary precoders, corrections and primary combiners.  No stage
+checks the allocation against the antenna counts; the construction
+itself refuses what the network cannot carry, on every generic draw:
 NoComplement for an empty null space, RankDeficient for a rank shortfall
 forced by a formed matrix having more columns than rows.
 DegenerateChannel is kept for measure-zero accidents of one draw, which
 :func:`draw_system` redraws.
+
+:func:`draw_system` runs the same stages and draws each channel matrix
+just before the first stage that reads it: the selectors need no draw,
+the secondary alignment draws H_S1 and H_S2, and the primary stages draw
+the other four.  A refusal at the selectors therefore draws nothing, and
+one at the secondary alignment draws only H_S1 and H_S2.
 
 Stacked draws
 -------------
@@ -96,9 +102,10 @@ from .scenario import (
     ChannelSet,
     NetworkDims,
     StreamAlloc,
-    _SubstreamFactory,
+    _checked_seeds,
+    _draw_channels,
+    _thread_streams,
     derive_seed,
-    generate_channels,
 )
 
 __all__ = [
@@ -193,23 +200,21 @@ def build_primary_precoders(
     ch: ChannelSet,
     d: StreamAlloc,
     seed: int | list[int],
-    *,
-    streams: _SubstreamFactory | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Primary precoders V_P1, V_P2.
 
     First min(Z, d_Pi) columns from the null space of the other user's
     channel; the rest are random isotropic unit columns from the seed's
     reserved substreams.  ``seed`` holds one seed per lane of ``ch`` (a
-    list, or an integer for one draw); ``streams`` lends a Philox instance
-    to reuse.
+    list, or an integer for one draw).
     """
     dims = ch.dims
     Z = dims.Z
     lanes = ch.H_P1.shape[:-2]
     if lanes != ((len(seed),) if isinstance(seed, list) else ()):
         raise ValueError(f"need one seed per lane of the channels, {lanes}, got {seed!r}")
-    streams = streams or _SubstreamFactory()
+    _checked_seeds(seed)
+    streams = _thread_streams()
 
     def one_user(d_i: int, avoid_channel: np.ndarray, stream_id: int, user: str) -> np.ndarray:
         if d_i == 0:
@@ -288,9 +293,11 @@ def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str) -> np.ndarray
     return cols
 
 
-def _align_secondary(ch: ChannelSet, U_S1: np.ndarray, U_S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    V_S1 = _zero_force(matrix_transpose(U_S1) @ ch.H_S1, ch.H_S2, "S1")
-    V_S2 = _zero_force(matrix_transpose(U_S2) @ ch.H_S2, ch.H_S1, "S2")
+def _align_secondary(
+    H_S1: np.ndarray, H_S2: np.ndarray, U_S1: np.ndarray, U_S2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    V_S1 = _zero_force(matrix_transpose(U_S1) @ H_S1, H_S2, "S1")
+    V_S2 = _zero_force(matrix_transpose(U_S2) @ H_S2, H_S1, "S2")
     return V_S1, V_S2
 
 
@@ -301,7 +308,7 @@ def build_secondary_precoders(ch: ChannelSet, d: StreamAlloc) -> tuple[np.ndarra
     channel and to the channel rows the selector U_Sj assigns to S_j's
     other streams, while keeping a nonzero gain on its own row g.
     """
-    return _align_secondary(ch, *build_secondary_receivers(ch.dims.N_S, d))
+    return _align_secondary(ch.H_S1, ch.H_S2, *build_secondary_receivers(ch.dims.N_S, d))
 
 
 def _primary_effective(
@@ -350,24 +357,18 @@ def build_secondary_receivers(n_rx: int, d: StreamAlloc) -> tuple[np.ndarray, np
     return U_S1, U_S2
 
 
-def build_all(
+def _build_primary(
     ch: ChannelSet,
     d: StreamAlloc,
     seed: int | list[int],
-    *,
-    streams: _SubstreamFactory | None = None,
+    U_S1: np.ndarray,
+    U_S2: np.ndarray,
+    V_S1: np.ndarray,
+    V_S2: np.ndarray,
 ) -> PrecoderReceiverSet:
-    """Run the full construction and return the frozen precoder/receiver set.
-
-    ``ch`` holds one draw or a stack of draws; ``seed`` holds one seed
-    per lane (a list, or an integer for one draw) and ``streams`` lends a
-    Philox instance to reuse.  The selectors U_Sj are the same for every
-    lane.
-    """
+    """The primary stages on top of the finished secondary ones, and the frozen set."""
     lanes = ch.H_P1.shape[:-2]
-    U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
-    V_S1, V_S2 = _align_secondary(ch, U_S1, U_S2)
-    V_P1, V_P2 = build_primary_precoders(ch, d, seed, streams=streams)
+    V_P1, V_P2 = build_primary_precoders(ch, d, seed)
     Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
     U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
     arrays = dict(
@@ -379,39 +380,70 @@ def build_all(
     return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)
 
 
-def _redrawn(ch: ChannelSet, idx: np.ndarray, fresh: ChannelSet) -> ChannelSet:
-    """``ch`` with lanes ``idx`` replaced by the lanes of ``fresh``, in order."""
-    arrays = {}
-    for name in CHANNEL_STREAMS:
-        m = getattr(ch, name).copy()
-        m[idx] = getattr(fresh, name)
+def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> PrecoderReceiverSet:
+    """Run the full construction and return the frozen precoder/receiver set.
+
+    ``ch`` holds one draw or a stack of draws; ``seed`` holds one seed
+    per lane (a list, or an integer for one draw).  The selectors U_Sj
+    are the same for every lane.
+    """
+    U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
+    V_S1, V_S2 = _align_secondary(ch.H_S1, ch.H_S2, U_S1, U_S2)
+    return _build_primary(ch, d, seed, U_S1, U_S2, V_S1, V_S2)
+
+
+# the channels the secondary alignment reads, drawn before the others
+_SECONDARY_CHANNELS = ("H_S1", "H_S2")
+
+
+def _redrawn(dims: NetworkDims, mats: dict, idx: np.ndarray, seeds: list[int], single: bool) -> dict:
+    """Every channel matrix at the lanes' current ``seeds``.
+
+    Lanes ``idx`` of the matrices in ``mats`` are drawn again; a matrix
+    not drawn yet is drawn for every lane.
+    """
+    if single:
+        return _draw_channels(dims, seeds[0], CHANNEL_STREAMS)
+    out = _draw_channels(dims, seeds, [name for name in CHANNEL_STREAMS if name not in mats])
+    fresh = _draw_channels(dims, [seeds[i] for i in idx], mats)
+    for name, m in mats.items():
+        m = m.copy()
+        m[idx] = fresh[name]
         m.flags.writeable = False
-        arrays[name] = m
-    return ChannelSet(dims=ch.dims, **arrays)
+        out[name] = m
+    return out
 
 
 def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -> tuple[ChannelSet, PrecoderReceiverSet]:
-    """Draw channels and build, redrawing degenerate draws.
+    """Draw channels stage by stage and build, redrawing degenerate draws.
 
     ``seeds`` is one trial seed, which gives 2-D arrays, or a list of
     trial seeds, which gives one lane per seed along a leading axis; lane
     ``i`` is bit for bit the result for ``seeds[i]`` alone.  Attempt ``a``
-    of a lane draws from ``derive_seed(seed, a)``.  When the build reports
-    degenerate lanes, only those lanes are redrawn and the stack is built
-    again; a lane whose MAX_DEGENERATE_RETRIES attempts were all
-    degenerate raises TooManyDegenerateDraws, with that lane in its mask.
-    Structural failures propagate from the first attempt.  All draws of
-    one call share one Philox instance.
+    of a lane draws from ``derive_seed(seed, a)``.  The stages are those
+    of :func:`build_all`, and each channel matrix is drawn just before
+    the first stage that reads it, so a structural failure of the
+    selectors draws nothing and one of the secondary alignment draws only
+    H_S1 and H_S2.  Structural failures propagate from the first attempt.
+    When a stage reports degenerate lanes, those lanes are redrawn, every
+    matrix of them, and the stack is built again; a lane whose
+    MAX_DEGENERATE_RETRIES attempts were all degenerate raises
+    TooManyDegenerateDraws, with that lane in its mask.  Every draw comes
+    from the calling thread's one Philox instance.
     """
     single = not isinstance(seeds, (list, tuple))
     trial_seeds = [seeds] if single else list(seeds)
-    streams = _SubstreamFactory()
     attempts = np.zeros(len(trial_seeds), dtype=int)
     draw_seeds = [derive_seed(s, 0) for s in trial_seeds]
-    ch = generate_channels(dims, draw_seeds[0] if single else draw_seeds, streams=streams)
+    U_S1, U_S2 = build_secondary_receivers(dims.N_S, alloc)
+    mats = _draw_channels(dims, draw_seeds[0] if single else draw_seeds, _SECONDARY_CHANNELS)
     while True:
+        lane_seeds = draw_seeds[0] if single else draw_seeds
         try:
-            return ch, build_all(ch, alloc, draw_seeds[0] if single else draw_seeds, streams=streams)
+            V_S1, V_S2 = _align_secondary(mats["H_S1"], mats["H_S2"], U_S1, U_S2)
+            mats.update(_draw_channels(dims, lane_seeds, [name for name in CHANNEL_STREAMS if name not in mats]))
+            ch = ChannelSet(dims=dims, **mats)
+            return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:
             redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
             attempts[redraw] += 1
@@ -423,8 +455,7 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
                 ) from exc
             for i in redraw:
                 draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))
-            fresh = generate_channels(dims, draw_seeds[0] if single else [draw_seeds[i] for i in redraw], streams=streams)
-            ch = fresh if single else _redrawn(ch, redraw, fresh)
+            mats = _redrawn(dims, mats, redraw, draw_seeds, single)
 
 
 def lane_chunks(count: int) -> list[slice]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -213,13 +214,22 @@ def substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _checked_seeds(seed: int | list[int]) -> int | list[int]:
+    """``seed`` unchanged, once it (or each seed of a list) fits in 64 unsigned bits."""
+    for s in seed if isinstance(seed, list) else [seed]:
+        _normalize_seed(s)
+    return seed
+
+
 class _SubstreamFactory:
     """Reuses one Philox instance across seeds and streams.
 
     State reset is bit-identical to constructing a fresh
     ``Philox(key=(seed, stream))`` but several times cheaper, which
-    matters in the million-draw feasibility sweeps.  Not thread-safe;
-    create one per call site.
+    matters in the million-draw feasibility sweeps.  Not thread-safe:
+    every draw of the package goes through the one instance of its thread
+    (:func:`_thread_streams`).  Seeds are not checked here; callers check
+    them once per draw call.
     """
 
     def __init__(self):
@@ -232,7 +242,7 @@ class _SubstreamFactory:
         # because buffer_pos 4 marks the buffer empty
         st = self._state
         st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = _normalize_seed(seed)
+        st["state"]["key"][0] = seed
         st["state"]["key"][1] = stream & _MASK64
         st["buffer_pos"] = 4
         st["has_uint32"] = 0
@@ -254,9 +264,29 @@ class _SubstreamFactory:
         return out
 
 
-def generate_channels(
-    dims: NetworkDims, seed: int | list[int], *, streams: _SubstreamFactory | None = None
-) -> ChannelSet:
+_THREAD = threading.local()
+
+
+def _thread_streams() -> _SubstreamFactory:
+    """This thread's Philox instance, made at the thread's first draw."""
+    streams = getattr(_THREAD, "streams", None)
+    if streams is None:
+        streams = _THREAD.streams = _SubstreamFactory()
+    return streams
+
+
+def _draw_channels(dims: NetworkDims, seed: int | list[int], names) -> dict[str, np.ndarray]:
+    """Read-only channel matrices ``names`` for checked seeds, each from its own substream."""
+    streams, shapes = _thread_streams(), _channel_shapes(dims)
+    mats = {}
+    for name in names:
+        m = streams.normal(seed, CHANNEL_STREAMS[name], shapes[name])
+        m.flags.writeable = False
+        mats[name] = m
+    return mats
+
+
+def generate_channels(dims: NetworkDims, seed: int | list[int]) -> ChannelSet:
     """Draw the channel matrices of one network realization per seed.
 
     Each matrix gets i.i.d. standard normal entries from its own Philox
@@ -264,16 +294,10 @@ def generate_channels(
     yields the same bits and matrices never perturb each other.  One seed
     gives 2-D matrices; a list of seeds gives one lane per seed along a
     leading axis, lane ``i`` equal to the draw for ``seed[i]`` alone.
-    ``streams`` lends a Philox instance to reuse.  Arrays are returned
-    read-only.
+    Every seed is checked before the first matrix is drawn.  Arrays are
+    returned read-only.
     """
-    streams = streams or _SubstreamFactory()
-    mats = {}
-    for name, shape in _channel_shapes(dims).items():
-        m = streams.normal(seed, CHANNEL_STREAMS[name], shape)
-        m.flags.writeable = False
-        mats[name] = m
-    return ChannelSet(dims=dims, **mats)
+    return ChannelSet(dims=dims, **_draw_channels(dims, _checked_seeds(seed), CHANNEL_STREAMS))
 
 
 # ---------------------------------------------------------------------------

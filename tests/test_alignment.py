@@ -1,11 +1,13 @@
 """Construction tests: precoders, corrections, combiners, leakage report."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import cogia.alignment
+import cogia.scenario
 from cogia.alignment import (
     MAX_DEGENERATE_RETRIES,
     PrecoderReceiverSet,
@@ -19,9 +21,9 @@ from cogia.alignment import (
     effective_channels,
     interference_report,
 )
-from cogia.dof import closed_form_feasible
+from cogia.dof import closed_form_feasible, grid_tuples
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
-from cogia.scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
+from cogia.scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
 def system(dims_tuple, seed):
@@ -290,17 +292,26 @@ class TestConstructionInvariants:
         np.testing.assert_allclose(prs.U_P1.T @ prs.U_P1, np.eye(1), atol=1e-12)
 
 
-def spy_on_draws(monkeypatch) -> list[int]:
-    """Record the seed of every channel draw made through cogia.alignment."""
-    seeds: list[int] = []
-    real = cogia.alignment.generate_channels
+def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
+    """Record (seed, stream id) for every lane of every draw the package makes."""
+    drawn: list[tuple[int, int]] = []
+    real = cogia.scenario._SubstreamFactory.normal
 
-    def spy(dims, seed, **kwargs):
-        seeds.extend([seed] if np.ndim(seed) == 0 else seed)
-        return real(dims, seed, **kwargs)
+    def spy(self, seed, stream, shape):
+        drawn.extend((s, stream) for s in (seed if isinstance(seed, list) else [seed]))
+        return real(self, seed, stream, shape)
 
-    monkeypatch.setattr(cogia.alignment, "generate_channels", spy)
-    return seeds
+    monkeypatch.setattr(cogia.scenario._SubstreamFactory, "normal", spy)
+    return drawn
+
+
+CHANNEL_IDS = tuple(CHANNEL_STREAMS.values())
+SECONDARY_IDS = (CHANNEL_STREAMS["H_S1"], CHANNEL_STREAMS["H_S2"])
+
+
+def channel_draws(drawn: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The channel-matrix draws among ``drawn``, sorted."""
+    return sorted((s, k) for s, k in drawn if k in CHANNEL_IDS)
 
 
 class TestDrawSystem:
@@ -320,10 +331,43 @@ class TestDrawSystem:
     def test_structural_failure_on_first_draw(self, monkeypatch, dims_tuple, alloc_tuple, condition, error):
         dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
         assert condition in [v.condition for v in closed_form_feasible(dims, alloc).violated]
-        seeds = spy_on_draws(monkeypatch)
+        drawn = spy_on_draws(monkeypatch)
         with pytest.raises(error):
             draw_system(dims, alloc, 31)
-        assert seeds == [derive_seed(31, 0)]
+        # the selectors refuse before any draw, the secondary alignment
+        # after drawing H_S1 and H_S2, the primary stages after all six
+        drawn_ids = {"d_S1 <= N_S": (), "d_S1 <= M_S - N_S": SECONDARY_IDS}.get(condition, CHANNEL_IDS)
+        assert channel_draws(drawn) == sorted((derive_seed(31, 0), k) for k in drawn_ids)
+
+    def test_refusal_stage_matches_a_violated_condition(self, monkeypatch):
+        # every closed-form-infeasible tuple of every quartet with entries
+        # <= 3: the stage that refuses it, read from what it drew, must
+        # have a closed-form condition of its own among the violated ones
+        stage_conditions = {
+            (): {"d_S1 <= N_S", "d_S2 <= N_S"},
+            SECONDARY_IDS: {"d_S1 <= M_S - N_S", "d_S2 <= M_S - N_S"},
+            CHANNEL_IDS: {
+                "d_P1 <= M_P", "d_P2 <= M_P", "N_P >= d_P1 + d_S1 + d_S2", "N_P >= d_P2 + d_S1 + d_S2",
+                "M_S >= N_P when d_Pi > Z",
+            },
+        }
+        refused = dict.fromkeys(stage_conditions, 0)
+        drawn = spy_on_draws(monkeypatch)
+        for q in itertools.product(range(1, 4), repeat=4):
+            dims = NetworkDims(*q)
+            for alloc in grid_tuples(dims):
+                violated = {v.condition for v in closed_form_feasible(dims, alloc).violated}
+                if not violated:
+                    continue
+                drawn.clear()
+                with pytest.raises((NoComplement, RankDeficient)):
+                    draw_system(dims, alloc, derive_seed(4, *q, *alloc.as_tuple()))
+                stage = tuple(sorted({k for _, k in channel_draws(drawn)}))
+                assert stage in stage_conditions, (q, alloc, stage)
+                assert violated & stage_conditions[stage], (q, alloc, stage, violated)
+                refused[stage] += 1
+        assert sum(refused.values()) == 6977
+        assert min(refused.values()) > 0
 
     def test_feasible_first_draw_matches_build_all(self):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
@@ -333,14 +377,16 @@ class TestDrawSystem:
         assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
 
     def test_degenerate_draws_exhaust_budget(self, monkeypatch):
-        def degenerate(ch, d, seed, **kwargs):
+        def degenerate(ch, d, seed, *secondary):
             raise DegenerateChannel("forced")
 
-        monkeypatch.setattr(cogia.alignment, "build_all", degenerate)
-        seeds = spy_on_draws(monkeypatch)
+        monkeypatch.setattr(cogia.alignment, "_build_primary", degenerate)
+        drawn = spy_on_draws(monkeypatch)
         with pytest.raises(TooManyDegenerateDraws):
             draw_system(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), 9)
-        assert seeds == [derive_seed(9, a) for a in range(MAX_DEGENERATE_RETRIES)]
+        assert channel_draws(drawn) == sorted(
+            (derive_seed(9, a), k) for a in range(MAX_DEGENERATE_RETRIES) for k in CHANNEL_IDS
+        )
 
 
 PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet) if f.name != "Z"]
@@ -372,24 +418,60 @@ class TestStackedDraws:
         dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
         seeds = [derive_seed(8, t) for t in range(20)]
         _, clean = draw_system(dims, alloc, seeds)
-        real = cogia.alignment.build_all
+        redraw_seed = derive_seed(seeds[5], 1)
+        redrawn = build_all(generate_channels(dims, redraw_seed), alloc, redraw_seed)
+        real = cogia.alignment._build_primary
         forced = np.zeros(20, dtype=bool)
         forced[5] = True
         builds = []
 
-        def flaky(ch, d, seed, **kwargs):
+        def flaky(ch, d, seed, *secondary):
             builds.append(len(seed))
             if len(builds) == 1:
                 raise DegenerateChannel("forced", lanes=forced)
-            return real(ch, d, seed, **kwargs)
+            return real(ch, d, seed, *secondary)
 
-        monkeypatch.setattr(cogia.alignment, "build_all", flaky)
+        monkeypatch.setattr(cogia.alignment, "_build_primary", flaky)
         drawn = spy_on_draws(monkeypatch)
         _, prs = draw_system(dims, alloc, seeds)
-        redraw_seed = derive_seed(seeds[5], 1)
-        assert drawn == [derive_seed(s, 0) for s in seeds] + [redraw_seed]
+        assert channel_draws(drawn) == sorted(
+            (s, k) for s in [derive_seed(s, 0) for s in seeds] + [redraw_seed] for k in CHANNEL_IDS
+        )
         assert builds == [20, 20]
-        redrawn = real(generate_channels(dims, redraw_seed), alloc, redraw_seed)
+        for name in PRS_ARRAYS:
+            for t in range(20):
+                expected = getattr(redrawn, name) if t == 5 else getattr(clean, name)[t]
+                assert same_bits(getattr(prs, name)[t], expected), (t, name)
+
+    def test_lane_degenerate_at_the_secondary_alignment_is_redrawn(self, monkeypatch):
+        # the first attempt stops before the primary channels are drawn: the
+        # other lanes draw them at their first seeds, the redrawn lane draws
+        # all six at its next seed
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        seeds = [derive_seed(8, t) for t in range(20)]
+        _, clean = draw_system(dims, alloc, seeds)
+        redraw_seed = derive_seed(seeds[5], 1)
+        redrawn = build_all(generate_channels(dims, redraw_seed), alloc, redraw_seed)
+        real = cogia.alignment._align_secondary
+        forced = np.zeros(20, dtype=bool)
+        forced[5] = True
+        aligned = []
+
+        def flaky(H_S1, *rest):
+            aligned.append(len(H_S1))
+            if len(aligned) == 1:
+                raise DegenerateChannel("forced", lanes=forced)
+            return real(H_S1, *rest)
+
+        monkeypatch.setattr(cogia.alignment, "_align_secondary", flaky)
+        drawn = spy_on_draws(monkeypatch)
+        _, prs = draw_system(dims, alloc, seeds)
+        first = [derive_seed(s, 0) for s in seeds]
+        assert channel_draws(drawn) == sorted(
+            [(first[t], k) for t in range(20) for k in (SECONDARY_IDS if t == 5 else CHANNEL_IDS)]
+            + [(redraw_seed, k) for k in CHANNEL_IDS]
+        )
+        assert aligned == [20, 20]
         for name in PRS_ARRAYS:
             for t in range(20):
                 expected = getattr(redrawn, name) if t == 5 else getattr(clean, name)[t]

@@ -53,12 +53,15 @@ def test_traced_readme_run_leaves_no_wrappers(tracer):
 
 def test_traced_check_builds_its_trials_as_one_stack(tracer):
     dims, alloc = scenario.NetworkDims(5, 5, 5, 3), scenario.StreamAlloc(1, 0, 2, 2)
+    # a first draw makes this thread's Philox instance, whatever ran before
+    scenario.generate_channels(dims, 0)
     with tracer.Tracer() as tr:
         assert dof.constructive_check(dims, alloc, trials=20, seed=5).feasible
-    # trial 0 alone, then trials 1..19 in one call, each with one Philox
-    # instance and one set of effective channels
-    assert tr.call_count("alignment.build_all") == 2
-    assert tr.counts["scenario.philox_inits"] == 2
+    # trial 0 alone, then trials 1..19 in one call (draw_system runs the
+    # stages of build_all itself), each with one set of effective
+    # channels, every draw from the thread's Philox instance
+    assert tr.call_count("alignment.build_primary_receivers") == 2
+    assert tr.counts["scenario.philox_inits"] == 0
     assert tr.call_count("alignment.effective_channels") == 2
     assert tr.counts["numpy.svd.matrices"] > tr.counts["numpy.svd.calls"]
     assert tracer.leftover_wrappers() == []

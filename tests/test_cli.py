@@ -61,16 +61,16 @@ class TestVerify:
     def test_degenerate_first_draw_is_redrawn(self, tmp_path, monkeypatch):
         # every trial's first draw is degenerate, its second one builds;
         # the three trials are built as one stack
-        real = cogia.alignment.build_all
+        real = cogia.alignment._build_primary
         calls = []
 
-        def flaky(ch, d, seeds, **kwargs):
+        def flaky(ch, d, seeds, *secondary):
             calls.append(list(seeds))
             if len(calls) == 1:
                 raise DegenerateChannel("forced", lanes=np.ones(len(seeds), dtype=bool))
-            return real(ch, d, seeds, **kwargs)
+            return real(ch, d, seeds, *secondary)
 
-        monkeypatch.setattr(cogia.alignment, "build_all", flaky)
+        monkeypatch.setattr(cogia.alignment, "_build_primary", flaky)
         cfg = write_config(tmp_path, REFERENCE_NETWORK)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--trials", "3", "--quiet"]) == 0

@@ -57,6 +57,26 @@ class TestClosedForm:
             smaller = StreamAlloc(max(t.d_P1 - 1, 0), t.d_P2, t.d_S1, max(t.d_S2 - 1, 0))
             assert closed_form_feasible(dims, smaller).feasible
 
+    def test_region_is_a_down_set(self):
+        # seeded quartets up to MAX_ANTENNAS: one stream more never makes an
+        # infeasible tuple feasible, one stream less never makes a feasible
+        # one infeasible
+        rng = random.Random(4)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            dims = NetworkDims(*(rng.randint(1, MAX_ANTENNAS) for _ in range(4)))
+            for _ in range(20):
+                # small counts are drawn as often as large ones
+                t = [rng.randint(0, rng.randint(0, top)) for top in (dims.M_P, dims.M_P, dims.M_S, dims.M_S)]
+                feasible = closed_form_feasible(dims, StreamAlloc(*t)).feasible
+                seen[feasible] += 1
+                for k in range(4):
+                    step = list(t)
+                    step[k] += -1 if feasible else 1
+                    if step[k] >= 0:
+                        assert closed_form_feasible(dims, StreamAlloc(*step)).feasible == feasible, (dims, t, step)
+        assert min(seen.values()) >= 1000
+
 
 class TestVerdict:
     def test_infeasible_needs_a_violation(self):
@@ -126,16 +146,16 @@ class TestConstructiveCheck:
 
     def test_earlier_failure_outranks_a_later_lane_out_of_redraws(self, monkeypatch):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
-        real_build, real_report = cogia.alignment.build_all, cogia.dof.interference_report
+        real_build, real_report = cogia.alignment._build_primary, cogia.dof.interference_report
 
-        def build(ch, d, seeds, **kwargs):
+        def build(ch, d, seeds, *secondary):
             # trials 1..19 are built as one stack; its lane 5 (trial 6) is
             # degenerate on every draw
             if isinstance(seeds, list) and len(seeds) > 5:
                 lanes = np.zeros(len(seeds), dtype=bool)
                 lanes[5] = True
                 raise DegenerateChannel("forced", lanes=lanes)
-            return real_build(ch, d, seeds, **kwargs)
+            return real_build(ch, d, seeds, *secondary)
 
         def leaky_trial_3(ch, prs):
             report = real_report(ch, prs)
@@ -145,7 +165,7 @@ class TestConstructiveCheck:
                 report = dataclasses.replace(report, worst_case=worst)
             return report
 
-        monkeypatch.setattr(cogia.alignment, "build_all", build)
+        monkeypatch.setattr(cogia.alignment, "_build_primary", build)
         with pytest.raises(TooManyDegenerateDraws):
             constructive_check(dims, alloc, trials=20, seed=3)
         monkeypatch.setattr(cogia.dof, "interference_report", leaky_trial_3)

@@ -1,10 +1,13 @@
 """Scenario validation, channel generation and config file parsing."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import cogia.scenario
 from cogia.errors import ScenarioError
 from cogia.numerics import RANK_TOL
 from cogia.scenario import (
@@ -88,6 +91,45 @@ class TestChannelGeneration:
         pooled = np.concatenate([s.ravel() for s in samples])
         assert abs(pooled.mean()) < 0.05
         assert abs(pooled.var() - 1.0) < 0.05
+
+    def test_bad_seed_in_a_stack_raises_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cogia.scenario._SubstreamFactory, "normal", lambda self, *args: drawn.append(args))
+        bad_seeds = ((-1, "64 unsigned bits"), (1 << 64, "64 unsigned bits"), (2.0, "integer"), (True, "integer"))
+        for bad, message in bad_seeds:
+            with pytest.raises(ScenarioError, match=message):
+                generate_channels(NetworkDims(2, 2, 2, 2), [1, 2, bad])
+        assert drawn == []
+
+    def test_threads_draw_the_same_bits(self):
+        # each thread draws from its own Philox instance: interleaved draws
+        # of four threads equal the draws of one
+        dims = NetworkDims(4, 4, 3, 2)
+        expected = {seed: generate_channels(dims, [seed, seed + 1]) for seed in range(0, 400, 2)}
+        results, errors = {}, []
+
+        def worker(start):
+            try:
+                for seed in range(start, 400, 8):
+                    results[seed] = generate_channels(dims, [seed, seed + 1])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(start,)) for start in (0, 2, 4, 6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert results.keys() == expected.keys()
+        for seed, ch in results.items():
+            for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2"):
+                assert np.array_equal(getattr(ch, name), getattr(expected[seed], name)), (seed, name)
 
     def test_read_only(self):
         ch = generate_channels(NetworkDims(2, 2, 2, 2), 0)
