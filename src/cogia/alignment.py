@@ -476,11 +476,6 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
     )
 
 
-def _rel(residual: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    r, h = lane_norm(residual), lane_norm(reference)
-    return np.where(h > 0.0, r / np.where(h > 0.0, h, 1.0), r)[()]
-
-
 def _offdiag(M: np.ndarray) -> np.ndarray:
     out = M.copy()
     k = np.arange(min(M.shape[-2:]))
@@ -495,21 +490,27 @@ def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> Interferenc
     intra-cell leakage, post-combining inter-cell leakage at the primary
     users, and post-combining cross-stream leakage among each user's own
     desired streams.  The effective channels are formed here once and
-    returned in the report.
+    returned in the report.  Each channel's norm is taken once, and the
+    ten ratios and ``worst_case`` are formed together, per lane; an
+    entry whose channel has zero norm reports the residual norm itself.
     """
     eff = effective_channels(ch, prs)
     V_S = np.concatenate([prs.V_S1, prs.V_S2], axis=-1)
-    entries = {
-        "pcell_intra_at_P2": _rel(ch.H_P2 @ prs.V_P1 + ch.Hp_P2 @ prs.Vbar_P1, ch.H_P2),
-        "pcell_intra_at_P1": _rel(ch.H_P1 @ prs.V_P2 + ch.Hp_P1 @ prs.Vbar_P2, ch.H_P1),
-        "scell_intra_at_S2": _rel(ch.H_S2 @ prs.V_S1, ch.H_S2),
-        "scell_intra_at_S1": _rel(ch.H_S1 @ prs.V_S2, ch.H_S1),
-        "intercell_post_at_P1": _rel(matrix_transpose(prs.U_P1) @ (ch.Hp_P1 @ V_S), ch.Hp_P1),
-        "intercell_post_at_P2": _rel(matrix_transpose(prs.U_P2) @ (ch.Hp_P2 @ V_S), ch.Hp_P2),
-        "cross_stream_at_P1": _rel(_offdiag(eff.D_P1), ch.H_P1),
-        "cross_stream_at_P2": _rel(_offdiag(eff.D_P2), ch.H_P2),
-        "cross_stream_at_S1": _rel(_offdiag(eff.D_S1), ch.H_S1),
-        "cross_stream_at_S2": _rel(_offdiag(eff.D_S2), ch.H_S2),
+    # entry: (residual, the channel it travels through)
+    paths = {
+        "pcell_intra_at_P2": (ch.H_P2 @ prs.V_P1 + ch.Hp_P2 @ prs.Vbar_P1, "H_P2"),
+        "pcell_intra_at_P1": (ch.H_P1 @ prs.V_P2 + ch.Hp_P1 @ prs.Vbar_P2, "H_P1"),
+        "scell_intra_at_S2": (ch.H_S2 @ prs.V_S1, "H_S2"),
+        "scell_intra_at_S1": (ch.H_S1 @ prs.V_S2, "H_S1"),
+        "intercell_post_at_P1": (matrix_transpose(prs.U_P1) @ (ch.Hp_P1 @ V_S), "Hp_P1"),
+        "intercell_post_at_P2": (matrix_transpose(prs.U_P2) @ (ch.Hp_P2 @ V_S), "Hp_P2"),
+        "cross_stream_at_P1": (_offdiag(eff.D_P1), "H_P1"),
+        "cross_stream_at_P2": (_offdiag(eff.D_P2), "H_P2"),
+        "cross_stream_at_S1": (_offdiag(eff.D_S1), "H_S1"),
+        "cross_stream_at_S2": (_offdiag(eff.D_S2), "H_S2"),
     }
-    worst = np.max(np.stack(list(entries.values())), axis=0)
-    return InterferenceReport(entries=entries, worst_case=worst, eff=eff)
+    norms = {name: lane_norm(getattr(ch, name)) for name in CHANNEL_STREAMS}
+    r = np.stack([lane_norm(residual) for residual, _ in paths.values()])
+    h = np.stack([norms[name] for _, name in paths.values()])
+    rel = np.where(h > 0.0, r / np.where(h > 0.0, h, 1.0), r)
+    return InterferenceReport(entries=dict(zip(paths, rel)), worst_case=rel.max(axis=0), eff=eff)

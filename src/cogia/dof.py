@@ -16,6 +16,9 @@ construction failing.  A failure every generic draw repeats (NoComplement,
 RankDeficient) is structural and settles the tuple on the first draw;
 DegenerateChannel is a measure-zero accident that
 :func:`cogia.alignment.draw_system`, the package's one redraw loop, redraws.
+Every trial that builds is verified in one pass: the first trial's
+draw is joined in front of the stack of the others, and the whole stack
+gets one interference report and one rank test per effective channel.
 
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
@@ -24,15 +27,15 @@ are deliberately not asserted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Literal
 
 import numpy as np
 
-from .alignment import draw_system, interference_report
+from .alignment import PrecoderReceiverSet, draw_system, interference_report
 from .errors import GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import ZERO_TOL, full_column_rank
-from .scenario import NetworkDims, StreamAlloc, derive_seed
+from .scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
     "Violation",
@@ -142,61 +145,82 @@ def constructive_check(
     verdict names the first failing trial in index order.
 
     Trial 0 is built alone: on a generic draw it settles every structural
-    failure at the cost of one build.  Trials 1..T-1 are then built as
-    one stack.
+    failure at the cost of one build, before any other trial seed is
+    derived.  Trials 1..T-1 are then built as one stack, trial 0's lane
+    is joined in front, and all trials are verified in one pass: one
+    interference report and one rank test per effective channel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    violation = _first_failure(dims, d, [derive_seed(seed, 0)], 0)
-    if violation is None and trials > 1:
-        violation = _first_failure(dims, d, [derive_seed(seed, t) for t in range(1, trials)], 1)
-    return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
-
-
-def _first_failure(dims: NetworkDims, d: StreamAlloc, seeds: list[int], first: int) -> Violation | None:
-    """The violation of the first failing trial of ``seeds`` (trial ``first`` onward), or None.
-
-    A build failure names its lanes; the trials before the first of them
-    are built again without it, since one of them can still fail first.
-    TooManyDegenerateDraws propagates when no earlier trial fails.
-    """
+    try:
+        first = draw_system(dims, d, derive_seed(seed, 0))
+    except (NoComplement, RankDeficient) as exc:
+        return _verdict(_refusal(0, exc))
+    seeds = [derive_seed(seed, t) for t in range(1, trials)]
+    # a build failure names its lanes; the trials before the first of them
+    # are built again without it, since one of them can still fail first
     n, raised = len(seeds), None
     while n:
         try:
-            # one trial is the plain 2-D case
-            ch, prs = draw_system(dims, d, seeds[:n] if n > 1 else seeds[0])
+            rest = draw_system(dims, d, seeds[:n])
+            break
         except (NoComplement, RankDeficient, TooManyDegenerateDraws) as exc:
             n = 0 if exc.lanes is None else int(np.flatnonzero(exc.lanes)[0])
             raised = exc
-            continue
-        report = interference_report(ch, prs)
-        eff = report.eff
-        deficient = {
-            name: np.atleast_1d(~full_column_rank(M))
-            for M, name in ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
-        }
-        worst = np.atleast_1d(report.worst_case)
-        leaky = worst > ZERO_TOL
-        failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
-        if failing.size == 0:
-            break
-        t = failing[0]
-        if leaky[t]:
-            return Violation(
-                "residual interference <= ZERO_TOL",
-                f"trial {first + t}: worst_case = {worst[t]:.3e}",
-                "constructive",
-            )
-        return Violation(
-            "effective channels have full column rank",
-            f"trial {first + t}: rank-deficient at {', '.join(name for name, bad in deficient.items() if bad[t])}",
-            "constructive",
-        )
-    if raised is None:
+    ch, prs = _prepend(first, rest) if n else first
+    violation = _first_failure(ch, prs)
+    if violation is None and raised is not None:
+        if isinstance(raised, TooManyDegenerateDraws):
+            raise raised
+        violation = _refusal(1 + n, raised)
+    return _verdict(violation)
+
+
+def _verdict(violation: Violation | None) -> FeasibilityVerdict:
+    return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
+
+
+def _refusal(trial: int, exc: Exception) -> Violation:
+    return Violation("construction succeeds", f"trial {trial}: {type(exc).__name__}: {exc}", "constructive")
+
+
+def _prepend(
+    first: tuple[ChannelSet, PrecoderReceiverSet], rest: tuple[ChannelSet, PrecoderReceiverSet]
+) -> tuple[ChannelSet, PrecoderReceiverSet]:
+    """One draw's channels and construction joined in front of a stack's, as lane 0."""
+    (ch0, prs0), (ch, prs) = first, rest
+    ch_all = ChannelSet(
+        dims=ch.dims, **{name: np.concatenate([getattr(ch0, name)[None], getattr(ch, name)]) for name in CHANNEL_STREAMS}
+    )
+    arrays = {
+        f.name: np.concatenate([getattr(prs0, f.name)[None], getattr(prs, f.name)])
+        for f in fields(prs)
+        if f.name != "Z"
+    }
+    return ch_all, PrecoderReceiverSet(Z=prs.Z, **arrays)
+
+
+def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None:
+    """The violation of the first trial (lane) whose construction leaks or loses rank, or None."""
+    report = interference_report(ch, prs)
+    eff = report.eff
+    deficient = {
+        name: np.atleast_1d(~full_column_rank(M))
+        for M, name in ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
+    }
+    worst = np.atleast_1d(report.worst_case)
+    leaky = worst > ZERO_TOL
+    failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
+    if failing.size == 0:
         return None
-    if isinstance(raised, TooManyDegenerateDraws):
-        raise raised
-    return Violation("construction succeeds", f"trial {first + n}: {type(raised).__name__}: {raised}", "constructive")
+    t = failing[0]
+    if leaky[t]:
+        return Violation("residual interference <= ZERO_TOL", f"trial {t}: worst_case = {worst[t]:.3e}", "constructive")
+    return Violation(
+        "effective channels have full column rank",
+        f"trial {t}: rank-deficient at {', '.join(name for name, bad in deficient.items() if bad[t])}",
+        "constructive",
+    )
 
 
 def grid_tuples(dims: NetworkDims) -> Iterator[StreamAlloc]:

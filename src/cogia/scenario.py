@@ -180,11 +180,11 @@ class ChannelSet:
                 raise ScenarioError(f"{name} contains non-finite entries")
 
 
-def _normalize_seed(seed: int) -> int:
+def _normalize_seed(seed: int, what: str = "seed") -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"seed must be an integer, got {seed!r}")
+        raise ScenarioError(f"{what} must be an integer, got {seed!r}")
     if seed < 0 or seed > _MASK64:
-        raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise ScenarioError(f"{what} must fit in 64 unsigned bits, got {seed}")
     return seed
 
 
@@ -195,16 +195,27 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# splitmix64 of i + 1 for index i of a path; trial, attempt, split and
+# antenna indices are small, so larger ones are hashed on each call
+_HASHED_INDICES = 1024
+_INDEX_HASHES = tuple(_splitmix64(i + 1) for i in range(_HASHED_INDICES))
+
+
 def derive_seed(seed: int, *indices: int) -> int:
     """Derive an independent 64-bit sub-seed from an index path.
 
     Splitmix64 chain: each index is hashed and folded into the running
     seed, so (seed, i, j) and (seed, i', j) collide only with hash
     probability.  Used for per-trial and per-split sub-experiments.
+    Every index must be an integer in 0..2^64-1, like the seed: ``True``,
+    ``1.9`` or ``"3"`` would otherwise hash as some other index path.
     """
     x = _normalize_seed(seed)
     for i in indices:
-        x = _splitmix64((x ^ _splitmix64((int(i) + 1) & _MASK64)) & _MASK64)
+        # checked before the table lookup, where True would act as 1
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= _MASK64:
+            _normalize_seed(i, "index")
+        x = _splitmix64((x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1))) & _MASK64)
     return x
 
 
@@ -221,33 +232,39 @@ def _checked_seeds(seed: int | list[int]) -> int | list[int]:
     return seed
 
 
+# Philox counter and buffer of a fresh instance; the buffer is never read
+# while buffer_pos 4 marks it empty
+_ZEROS4 = (0, 0, 0, 0)
+
+
 class _SubstreamFactory:
     """Reuses one Philox instance across seeds and streams.
 
-    State reset is bit-identical to constructing a fresh
-    ``Philox(key=(seed, stream))`` but several times cheaper, which
-    matters in the million-draw feasibility sweeps.  Not thread-safe:
-    every draw of the package goes through the one instance of its thread
-    (:func:`_thread_streams`).  Seeds are not checked here; callers check
-    them once per draw call.
+    ``stream`` resets the instance by assigning it a fresh state dict of
+    Python ints: key ``(seed, stream)``, counter zero and an empty buffer
+    (``buffer_pos`` 4, no kept ``uint32``), which is the state of a fresh
+    ``Philox(key=(seed, stream))``.  That is several times cheaper than
+    constructing one, which matters in the million-draw feasibility
+    sweeps; ``TestChannelGeneration::test_stream_reset_matches_a_fresh_philox``
+    checks the draws bit for bit, also after a stream left mid-buffer.
+    Not thread-safe: every draw of the package goes through the one
+    instance of its thread (:func:`_thread_streams`).  Seeds are not
+    checked here; callers check them once per draw call.
     """
 
     def __init__(self):
         self._bg = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
 
     def stream(self, seed: int, stream: int) -> np.random.Generator:
-        # the kept state dict is reused; its stale buffer is never read
-        # because buffer_pos 4 marks the buffer empty
-        st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = seed
-        st["state"]["key"][1] = stream & _MASK64
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
+        self._bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4, "key": (seed, stream & _MASK64)},
+            "buffer": _ZEROS4,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return self._gen
 
     def normal(self, seed: int | list[int], stream: int, shape: tuple[int, ...]) -> np.ndarray:

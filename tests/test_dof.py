@@ -1,6 +1,8 @@
 """Feasibility predicate, constructive oracle and region enumeration."""
 
 import dataclasses
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +12,7 @@ import cogia.alignment
 import cogia.dof
 from cogia.dof import (
     FeasibilityVerdict,
+    Violation,
     closed_form_feasible,
     constructive_check,
     enumerate_region,
@@ -157,21 +160,62 @@ class TestConstructiveCheck:
                 raise DegenerateChannel("forced", lanes=lanes)
             return real_build(ch, d, seeds, *secondary)
 
-        def leaky_trial_3(ch, prs):
-            report = real_report(ch, prs)
-            if np.shape(report.worst_case) == (5,):
-                worst = report.worst_case.copy()
-                worst[2] = 1.0
-                report = dataclasses.replace(report, worst_case=worst)
+        def leaky(trial):
+            # trials 0..5 are verified together, trial 0 in front
+            def report(ch, prs):
+                out = real_report(ch, prs)
+                if np.shape(out.worst_case) == (6,):
+                    worst = out.worst_case.copy()
+                    worst[trial] = 1.0
+                    out = dataclasses.replace(out, worst_case=worst)
+                return out
+
             return report
 
         monkeypatch.setattr(cogia.alignment, "_build_primary", build)
         with pytest.raises(TooManyDegenerateDraws):
             constructive_check(dims, alloc, trials=20, seed=3)
-        monkeypatch.setattr(cogia.dof, "interference_report", leaky_trial_3)
-        verdict = constructive_check(dims, alloc, trials=20, seed=3)
-        assert not verdict.feasible
-        assert verdict.violated[0].detail == "trial 3: worst_case = 1.000e+00"
+        for trial in (3, 0):
+            monkeypatch.setattr(cogia.dof, "interference_report", leaky(trial))
+            verdict = constructive_check(dims, alloc, trials=20, seed=3)
+            assert not verdict.feasible
+            assert verdict.violated[0].detail == f"trial {trial}: worst_case = 1.000e+00"
+
+    def test_leaky_first_trial_is_named(self, monkeypatch):
+        # every trial is verified in one pass, trial 0 in lane 0
+        real_report = cogia.dof.interference_report
+        reports = []
+
+        def leaky_trial_0(ch, prs):
+            report = real_report(ch, prs)
+            reports.append(np.shape(report.worst_case))
+            worst = report.worst_case.copy()
+            worst[0] = 0.5
+            return dataclasses.replace(report, worst_case=worst)
+
+        monkeypatch.setattr(cogia.dof, "interference_report", leaky_trial_0)
+        verdict = constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=20, seed=5)
+        assert reports == [(20,)]
+        assert verdict == FeasibilityVerdict(
+            False, (Violation("residual interference <= ZERO_TOL", "trial 0: worst_case = 5.000e-01", "constructive"),)
+        )
+
+    def test_oracle_verdicts_match_golden(self):
+        # every feasible tuple of 10 seeded quartets <= 5 and five times as
+        # many of their infeasible tuples: any change of a verdict or of a
+        # violation's text changes the digest
+        rng = random.Random(5)
+        lines = []
+        for q in rng.sample(list(itertools.product(range(1, 6), repeat=4)), 10):
+            dims = NetworkDims(*q)
+            tuples = list(grid_tuples(dims))
+            feasible = [t for t in tuples if closed_form_feasible(dims, t).feasible]
+            infeasible = [t for t in tuples if not closed_form_feasible(dims, t).feasible]
+            for t in feasible + rng.sample(infeasible, min(len(infeasible), 5 * len(feasible))):
+                lines.append(repr(constructive_check(dims, t, trials=20, seed=derive_seed(5, *q, *t.as_tuple()))))
+        assert len(lines) == 852
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "c04e2a5b0184af5d521ef5b5acd5c57cb6b37a5505d752ae19c697785c5c85ca"
 
     def test_bound_sharpness_hundred_seeds(self):
         dims = NetworkDims(5, 5, 5, 3)  # M_S - N_S = 2

@@ -131,6 +131,23 @@ class TestChannelGeneration:
             for name in ("H_P1", "H_P2", "Hp_P1", "Hp_P2", "H_S1", "H_S2"):
                 assert np.array_equal(getattr(ch, name), getattr(expected[seed], name)), (seed, name)
 
+    def test_stream_reset_matches_a_fresh_philox(self):
+        # a reset draws the bits of a fresh Philox(key=(seed, stream id)),
+        # also right after a stream was left mid-buffer
+        streams = cogia.scenario._SubstreamFactory()
+
+        def fresh(seed, sid):
+            return np.random.Generator(np.random.Philox(key=np.array([seed, sid], dtype=np.uint64)))
+
+        for seed in (0, 1, (1 << 64) - 1):
+            for sid in range(10):
+                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
+                # an odd number of 32-bit draws keeps half a 64-bit word
+                words = streams.stream(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32)
+                assert np.array_equal(words, fresh(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32))
+                assert streams._bg.state["has_uint32"] == 1
+                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
+
     def test_read_only(self):
         ch = generate_channels(NetworkDims(2, 2, 2, 2), 0)
         with pytest.raises(ValueError):
@@ -160,6 +177,27 @@ class TestDeriveSeed:
             derive_seed(-1)
         with pytest.raises(ScenarioError):
             derive_seed(1 << 64)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1, "64 unsigned bits"), (1 << 64, "64 unsigned bits"), (True, "integer"), (1.9, "integer"), ("3", "integer"),
+         (np.int64(3), "integer")],
+    )
+    def test_rejects_bad_index(self, bad, message):
+        # each would otherwise hash as another index path: -1 as 2^64 - 1,
+        # True and 1.9 as 1
+        with pytest.raises(ScenarioError, match=f"index must .*{message}"):
+            derive_seed(5, 2, bad)
+
+    def test_valid_paths_keep_their_values(self):
+        # values of the unchecked, unmemoised chain, inside and beyond the
+        # table of hashed indices
+        assert derive_seed(0) == 0
+        assert derive_seed(5, 0) == 12773366489153039575
+        assert derive_seed(5, (1 << 64) - 1) == 4517933670823692284
+        assert derive_seed(7, 1023, 1024) == 17488861735910623203
+        assert derive_seed((1 << 64) - 1, 3, 10**6, 1 << 63) == 16383821754679225621
+        assert derive_seed(202, 5, 5, 5, 3, 1, 0, 2, 2) == 5263179902432970534
 
 
 class TestScenarioFiles:
