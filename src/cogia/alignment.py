@@ -76,8 +76,9 @@ mask*, a boolean array over the lane axes, in its ``lanes`` attribute:
 DegenerateChannel, and RankDeficient from a rank shortfall of one draw.
 A failure the shapes alone decide applies to every lane (``lanes`` is
 None).  The stages raise at the first check any lane fails, so a build
-either returns every lane or none; :func:`draw_system` redraws just the
-degenerate lanes and builds the stack again.
+either returns every lane or none.  :func:`draw_system` moves just the
+degenerate lanes to their next seed and draws and builds the whole stack
+again; the other lanes draw the same bits as before.
 """
 
 from __future__ import annotations
@@ -392,57 +393,43 @@ def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> Precoder
     return _build_primary(ch, d, seed, U_S1, U_S2, V_S1, V_S2)
 
 
-# the channels the secondary alignment reads, drawn before the others
+# the channels the secondary alignment reads, and those only the primary
+# stages read; each attempt draws the first pair before the other four
 _SECONDARY_CHANNELS = ("H_S1", "H_S2")
-
-
-def _redrawn(dims: NetworkDims, mats: dict, idx: np.ndarray, seeds: list[int], single: bool) -> dict:
-    """Every channel matrix at the lanes' current ``seeds``.
-
-    Lanes ``idx`` of the matrices in ``mats`` are drawn again; a matrix
-    not drawn yet is drawn for every lane.
-    """
-    if single:
-        return _draw_channels(dims, seeds[0], CHANNEL_STREAMS)
-    out = _draw_channels(dims, seeds, [name for name in CHANNEL_STREAMS if name not in mats])
-    fresh = _draw_channels(dims, [seeds[i] for i in idx], mats)
-    for name, m in mats.items():
-        m = m.copy()
-        m[idx] = fresh[name]
-        m.flags.writeable = False
-        out[name] = m
-    return out
+_PRIMARY_CHANNELS = ("H_P1", "H_P2", "Hp_P1", "Hp_P2")
 
 
 def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -> tuple[ChannelSet, PrecoderReceiverSet]:
     """Draw channels stage by stage and build, redrawing degenerate draws.
 
-    ``seeds`` is one trial seed, which gives 2-D arrays, or a list of
-    trial seeds, which gives one lane per seed along a leading axis; lane
-    ``i`` is bit for bit the result for ``seeds[i]`` alone.  Attempt ``a``
-    of a lane draws from ``derive_seed(seed, a)``.  The stages are those
-    of :func:`build_all`, and each channel matrix is drawn just before
-    the first stage that reads it, so a structural failure of the
-    selectors draws nothing and one of the secondary alignment draws only
-    H_S1 and H_S2.  Structural failures propagate from the first attempt.
-    When a stage reports degenerate lanes, those lanes are redrawn, every
-    matrix of them, and the stack is built again; a lane whose
-    MAX_DEGENERATE_RETRIES attempts were all degenerate raises
+    ``seeds`` is one trial seed, which gives 2-D arrays, or a non-empty
+    list of trial seeds, which gives one lane per seed along a leading
+    axis; lane ``i`` is bit for bit the result for ``seeds[i]`` alone.
+    Attempt ``a`` of a lane draws from ``derive_seed(seed, a)``.  The
+    stages are those of :func:`build_all`, and each channel matrix is
+    drawn just before the first stage that reads it, so a structural
+    failure of the selectors draws nothing and one of the secondary
+    alignment draws only H_S1 and H_S2.  Structural failures propagate
+    from the first attempt.  When a stage reports degenerate lanes, those
+    lanes move to their next attempt's seed and the whole stack is drawn
+    and built again; the other lanes keep their seeds, and since every
+    matrix is keyed by its (seed, stream id), they draw the same bits.  A
+    lane whose MAX_DEGENERATE_RETRIES attempts were all degenerate raises
     TooManyDegenerateDraws, with that lane in its mask.  Every draw comes
     from the calling thread's one Philox instance.
     """
-    single = not isinstance(seeds, (list, tuple))
-    trial_seeds = [seeds] if single else list(seeds)
+    single = not isinstance(seeds, list)
+    _checked_seeds(seeds)
+    trial_seeds = [seeds] if single else seeds
     attempts = np.zeros(len(trial_seeds), dtype=int)
     draw_seeds = [derive_seed(s, 0) for s in trial_seeds]
     U_S1, U_S2 = build_secondary_receivers(dims.N_S, alloc)
-    mats = _draw_channels(dims, draw_seeds[0] if single else draw_seeds, _SECONDARY_CHANNELS)
     while True:
         lane_seeds = draw_seeds[0] if single else draw_seeds
         try:
-            V_S1, V_S2 = _align_secondary(mats["H_S1"], mats["H_S2"], U_S1, U_S2)
-            mats.update(_draw_channels(dims, lane_seeds, [name for name in CHANNEL_STREAMS if name not in mats]))
-            ch = ChannelSet(dims=dims, **mats)
+            secondary = _draw_channels(dims, lane_seeds, _SECONDARY_CHANNELS)
+            V_S1, V_S2 = _align_secondary(secondary["H_S1"], secondary["H_S2"], U_S1, U_S2)
+            ch = ChannelSet(dims=dims, **secondary, **_draw_channels(dims, lane_seeds, _PRIMARY_CHANNELS))
             return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:
             redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
@@ -455,7 +442,6 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
                 ) from exc
             for i in redraw:
                 draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))
-            mats = _redrawn(dims, mats, redraw, draw_seeds, single)
 
 
 def lane_chunks(count: int) -> list[slice]:

@@ -45,20 +45,6 @@ from .numerics import ZERO_TOL
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
 
-_REPORT_COLUMNS = [
-    "pcell_intra_at_P2",
-    "pcell_intra_at_P1",
-    "scell_intra_at_S2",
-    "scell_intra_at_S1",
-    "intercell_post_at_P1",
-    "intercell_post_at_P2",
-    "cross_stream_at_P1",
-    "cross_stream_at_P2",
-    "cross_stream_at_S1",
-    "cross_stream_at_S2",
-]
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         # float() first: numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
@@ -126,7 +112,6 @@ def cmd_verify(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = ["trial", "worst_case"] + _REPORT_COLUMNS + ["kkt_gap", "R_P", "R_S", "uncharged_correction_power"]
     seeds = [derive_seed(seed, t) for t in range(trials)]
     rows = []
     try:
@@ -135,13 +120,15 @@ def cmd_verify(args) -> int:
             report = interference_report(ch, prs)
             rp = pcell_sum_rate(prs, report.eff, noise)
             rs = scell_sum_rate(prs, report.eff, noise)
-            columns = [report.worst_case, *(report.entries[c] for c in _REPORT_COLUMNS)]
+            columns = [report.worst_case, *report.entries.values()]
             columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
             rows.extend([t, *row] for t, row in zip(range(part.start, part.stop), zip(*columns)))
     except CogiaError as exc:
         print(f"construction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
+    # trials >= 1, so the loop ran and ``report`` names the leakage paths
+    header = ["trial", "worst_case", *report.entries, "kkt_gap", "R_P", "R_S", "uncharged_correction_power"]
     worst_overall = max(row[header.index("worst_case")] for row in rows)
     kkt_overall = max(row[header.index("kkt_gap")] for row in rows)
     report_path = out_dir / "verify_report.csv"

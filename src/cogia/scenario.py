@@ -220,13 +220,19 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent Philox generator for (seed, stream)."""
-    key = np.array([_normalize_seed(seed), stream & _MASK64], dtype=np.uint64)
+    """Independent Philox generator for (seed, stream).
+
+    The stream id must be an integer in 0..2^64-1, like the seed: -1 or
+    2^64 + 3 would otherwise draw the bits of another stream.
+    """
+    key = np.array([_normalize_seed(seed), _normalize_seed(stream, "stream id")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _checked_seeds(seed: int | list[int]) -> int | list[int]:
-    """``seed`` unchanged, once it (or each seed of a list) fits in 64 unsigned bits."""
+    """``seed`` unchanged, once it (or each seed of a non-empty list) fits in 64 unsigned bits."""
+    if isinstance(seed, list) and not seed:
+        raise ScenarioError("need at least one seed, got an empty list")
     for s in seed if isinstance(seed, list) else [seed]:
         _normalize_seed(s)
     return seed
@@ -249,7 +255,8 @@ class _SubstreamFactory:
     checks the draws bit for bit, also after a stream left mid-buffer.
     Not thread-safe: every draw of the package goes through the one
     instance of its thread (:func:`_thread_streams`).  Seeds are not
-    checked here; callers check them once per draw call.
+    checked here; callers check them once per draw call, and stream ids
+    are the package's constants.
     """
 
     def __init__(self):
@@ -259,7 +266,7 @@ class _SubstreamFactory:
     def stream(self, seed: int, stream: int) -> np.random.Generator:
         self._bg.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": (seed, stream & _MASK64)},
+            "state": {"counter": _ZEROS4, "key": (seed, stream)},
             "buffer": _ZEROS4,
             "buffer_pos": 4,
             "has_uint32": 0,

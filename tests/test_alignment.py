@@ -22,7 +22,7 @@ from cogia.alignment import (
     interference_report,
 )
 from cogia.dof import closed_form_feasible, grid_tuples
-from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
+from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, ScenarioError, TooManyDegenerateDraws
 from cogia.scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
@@ -376,6 +376,18 @@ class TestDrawSystem:
         assert np.array_equal(ch.H_P1, generate_channels(dims, draw_seed).H_P1)
         assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
 
+    def test_empty_seed_list_raises_before_any_draw(self, monkeypatch):
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        drawn = spy_on_draws(monkeypatch)
+        with pytest.raises(ScenarioError, match="at least one seed"):
+            draw_system(dims, alloc, [])
+        with pytest.raises(ScenarioError, match="at least one seed"):
+            build_all(generate_channels(dims, []), alloc, [])
+        # seeds are an integer or a list, as for generate_channels
+        with pytest.raises(ScenarioError, match="integer"):
+            draw_system(dims, alloc, (1, 2))
+        assert drawn == []
+
     def test_degenerate_draws_exhaust_budget(self, monkeypatch):
         def degenerate(ch, d, seed, *secondary):
             raise DegenerateChannel("forced")
@@ -434,9 +446,10 @@ class TestStackedDraws:
         monkeypatch.setattr(cogia.alignment, "_build_primary", flaky)
         drawn = spy_on_draws(monkeypatch)
         _, prs = draw_system(dims, alloc, seeds)
-        assert channel_draws(drawn) == sorted(
-            (s, k) for s in [derive_seed(s, 0) for s in seeds] + [redraw_seed] for k in CHANNEL_IDS
-        )
+        # attempt 2 draws the whole stack again, lane 5 at its next seed
+        first = [derive_seed(s, 0) for s in seeds]
+        second = first[:5] + [redraw_seed] + first[6:]
+        assert channel_draws(drawn) == sorted((s, k) for s in first + second for k in CHANNEL_IDS)
         assert builds == [20, 20]
         for name in PRS_ARRAYS:
             for t in range(20):
@@ -444,9 +457,8 @@ class TestStackedDraws:
                 assert same_bits(getattr(prs, name)[t], expected), (t, name)
 
     def test_lane_degenerate_at_the_secondary_alignment_is_redrawn(self, monkeypatch):
-        # the first attempt stops before the primary channels are drawn: the
-        # other lanes draw them at their first seeds, the redrawn lane draws
-        # all six at its next seed
+        # the first attempt stops before the primary channels are drawn; the
+        # second draws all six for every lane, lane 5 at its next seed
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
         seeds = [derive_seed(8, t) for t in range(20)]
         _, clean = draw_system(dims, alloc, seeds)
@@ -467,9 +479,9 @@ class TestStackedDraws:
         drawn = spy_on_draws(monkeypatch)
         _, prs = draw_system(dims, alloc, seeds)
         first = [derive_seed(s, 0) for s in seeds]
+        second = first[:5] + [redraw_seed] + first[6:]
         assert channel_draws(drawn) == sorted(
-            [(first[t], k) for t in range(20) for k in (SECONDARY_IDS if t == 5 else CHANNEL_IDS)]
-            + [(redraw_seed, k) for k in CHANNEL_IDS]
+            [(s, k) for s in first for k in SECONDARY_IDS] + [(s, k) for s in second for k in CHANNEL_IDS]
         )
         assert aligned == [20, 20]
         for name in PRS_ARRAYS:

@@ -165,6 +165,19 @@ class TestChannelGeneration:
                 rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
                 assert rank == min(M.shape), f"{name} rank-deficient at seed {seed}"
 
+    def test_substream_rejects_bad_stream_id(self):
+        # folded mod 2^64, -1 would draw the bits of stream 2^64 - 1 and
+        # 2^64 + 3 those of stream 3; each of those keeps its own key
+        for bad, alias in ((-1, (1 << 64) - 1), ((1 << 64) + 3, 3)):
+            with pytest.raises(ScenarioError, match="stream id must fit in 64 unsigned bits"):
+                substream(1, bad)
+            fresh = np.random.Generator(np.random.Philox(key=np.array([1, alias], dtype=np.uint64)))
+            assert np.array_equal(substream(1, alias).standard_normal(4), fresh.standard_normal(4))
+        # True would key stream 1
+        for bad in (1.5, True):
+            with pytest.raises(ScenarioError, match="stream id must be an integer"):
+                substream(1, bad)
+
 
 class TestDeriveSeed:
     def test_deterministic_and_distinct(self):
