@@ -13,35 +13,25 @@ Transmit side
   the minimum-norm solution of ``Hp_P2 @ vbar = -H_P2 @ v_l``, which is
   exactly the right-pseudo-inverse form of the effective-channel
   expression the receive equation produces.
-* Secondary precoders: stream g of S_j is forced into the null space of
-  the other secondary user's full channel stacked with the first d_Sj
-  rows of its own channel, excluding row g.  Within that null space the
-  column is the normalized projection of the user's own g-th channel
-  row, which maximizes the surviving gain while meeting every
-  zero-forcing constraint.
+* Secondary precoders: stream g of S_j zero-forces the other secondary
+  user's full channel and the first d_Sj rows of its own channel but
+  row g, and keeps the most gain on row g.
 
 Receive side
 ------------
 * Primary combiners: per stream, a unit vector orthogonal to every other
   desired effective column and to all secondary-stream interference
-  columns; within the remaining space the combiner is the normalized
-  projection of the stream's own effective column (degenerating to a
-  matched filter when there is nothing to avoid).  Combiner columns of a
-  multi-stream user are individually unit-norm but generally not
-  mutually orthogonal: the zero-forcing constraints pin their
-  directions, and the gain-maximizing choice lies inside the span of the
-  desired columns.
+  columns, keeping the most gain on the stream's own effective column
+  (a matched filter when there is nothing to avoid).  Combiner columns
+  of a multi-stream user are unit-norm but generally not mutually
+  orthogonal: the zero-forcing constraints pin their directions.
 * Secondary combiners: the alignment above lands stream g of S_j on
   receive coordinate g, so the combiner is simply the selector of the
   first d_Sj receive coordinates and the effective secondary channel is
   diagonal.
 
-The secondary precoders and the primary combiners are the same
-zero-forcing problem, solved by one routine: given target rows and fixed
-avoid rows, column g is the normalized projection of target row g onto
-the orthogonal complement of the other target rows and the avoid rows.
-An empty complement raises NoComplement and a lost gain raises
-DegenerateChannel.
+The secondary precoders and the primary combiners both come from
+:func:`numerics.zero_forcing_columns`, one thin SVD per user.
 
 The secondary data streams are dirty-paper encoded against the known
 primary-induced interference; the model here is ideal presubtraction, so
@@ -57,13 +47,10 @@ itself refuses what the network cannot carry, on every generic draw:
 NoComplement for an empty null space, RankDeficient for a rank shortfall
 forced by a formed matrix having more columns than rows.
 DegenerateChannel is kept for measure-zero accidents of one draw, which
-:func:`draw_system` redraws.
-
-:func:`draw_system` runs the same stages and draws each channel matrix
-just before the first stage that reads it: the selectors need no draw,
-the secondary alignment draws H_S1 and H_S2, and the primary stages draw
-the other four.  A refusal at the selectors therefore draws nothing, and
-one at the secondary alignment draws only H_S1 and H_S2.
+:func:`draw_system` redraws, drawing each channel matrix just before the
+first stage that reads it.  An error a stage raises carries its
+``stage``: ``selectors``, ``secondary``, ``primary_precoders``,
+``corrections`` or ``primary_receivers``.
 
 Stacked draws
 -------------
@@ -76,9 +63,7 @@ mask*, a boolean array over the lane axes, in its ``lanes`` attribute:
 DegenerateChannel, and RankDeficient from a rank shortfall of one draw.
 A failure the shapes alone decide applies to every lane (``lanes`` is
 None).  The stages raise at the first check any lane fails, so a build
-either returns every lane or none.  :func:`draw_system` moves just the
-degenerate lanes to their next seed and draws and builds the whole stack
-again; the other lanes draw the same bits as before.
+either returns every lane or none.
 """
 
 from __future__ import annotations
@@ -87,14 +72,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannel, NoComplement, RankDeficient, TooManyDegenerateDraws
+from .errors import CogiaError, DegenerateChannel, RankDeficient, TooManyDegenerateDraws
 from .numerics import (
-    RANK_TOL,
     full_column_rank,
     lane_norm,
     matrix_transpose,
     min_norm_right_solve,
     null_space_basis,
+    zero_forcing_columns,
 )
 from .scenario import (
     CHANNEL_STREAMS,
@@ -269,45 +254,19 @@ def build_corrections(
     return Vbar_P1, Vbar_P2
 
 
-def _zero_force(targets: np.ndarray, avoid: np.ndarray, user: str) -> np.ndarray:
-    """Unit zero-forcing columns, one per row of ``targets``.
-
-    Column g is the normalized projection of target row g onto the
-    orthogonal complement of the other target rows and the ``avoid``
-    rows, which maximizes the surviving gain among all directions that
-    meet every zero-forcing constraint.  No target rows give no columns.
-    """
-    lanes, (d, n) = targets.shape[:-2], targets.shape[-2:]
-    cols = np.empty(lanes + (n, d))
-    for g in range(d):
-        others = np.concatenate([targets[..., :g, :], targets[..., g + 1 :, :], avoid], axis=-2)
-        basis = null_space_basis(others)
-        if basis.shape[-1] == 0:
-            raise NoComplement(f"avoid space for stream {g + 1} of {user} fills all {n} dimensions")
-        t = targets[..., g, :]
-        v = (basis @ (matrix_transpose(basis) @ t[..., None]))[..., 0]
-        gain = lane_norm(v, 1)
-        lost = gain <= RANK_TOL * lane_norm(t, 1)
-        if lost.any():
-            raise DegenerateChannel(f"stream {g + 1} of {user} has no component in its zero-forcing space", lanes=lost)
-        cols[..., g] = v / gain[..., None]
-    return cols
-
-
 def _align_secondary(
     H_S1: np.ndarray, H_S2: np.ndarray, U_S1: np.ndarray, U_S2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    V_S1 = _zero_force(matrix_transpose(U_S1) @ H_S1, H_S2, "S1")
-    V_S2 = _zero_force(matrix_transpose(U_S2) @ H_S2, H_S1, "S2")
+    V_S1 = zero_forcing_columns(matrix_transpose(U_S1) @ H_S1, H_S2, "S1")
+    V_S2 = zero_forcing_columns(matrix_transpose(U_S2) @ H_S2, H_S1, "S2")
     return V_S1, V_S2
 
 
 def build_secondary_precoders(ch: ChannelSet, d: StreamAlloc) -> tuple[np.ndarray, np.ndarray]:
     """Secondary precoders V_S1, V_S2 implementing the stacked-space alignment.
 
-    Stream g of S_j is orthogonal to the other secondary user's whole
-    channel and to the channel rows the selector U_Sj assigns to S_j's
-    other streams, while keeping a nonzero gain on its own row g.
+    Stream g of S_j zero-forces the other secondary user's whole channel
+    and the rows U_Sj selects for S_j's other streams.
     """
     return _align_secondary(ch.H_S1, ch.H_S2, *build_secondary_receivers(ch.dims.N_S, d))
 
@@ -335,17 +294,15 @@ def build_primary_receivers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-forcing combiners U_P1, U_P2.
 
-    Per stream the avoid set holds the user's other desired effective
-    columns plus every secondary interference column; the combiner is the
-    normalized projection of the stream's own effective column onto the
-    orthogonal complement of that set, which maximizes the surviving
-    stream gain among all valid zero-forcing directions.
+    Stream l's combiner zero-forces the user's other desired effective
+    columns and every secondary interference column, keeping the most
+    gain on its own effective column.
     """
     G_P1, G_P2 = _primary_effective(ch, V_P1, V_P2, Vbar_P1, Vbar_P2)
     V_S = np.concatenate([V_S1, V_S2], axis=-1)
     # rows to avoid: the secondary streams as seen at the primary user
-    U_P1 = _zero_force(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1")
-    U_P2 = _zero_force(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2")
+    U_P1 = zero_forcing_columns(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1")
+    U_P2 = zero_forcing_columns(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2")
     return U_P1, U_P2
 
 
@@ -356,6 +313,15 @@ def build_secondary_receivers(n_rx: int, d: StreamAlloc) -> tuple[np.ndarray, np
         if U.shape[1] > U.shape[0]:
             raise RankDeficient(f"selector U_{user} is {U.shape[0]}x{U.shape[1]}: too few receive coordinates")
     return U_S1, U_S2
+
+
+def _stage(name: str, build, *args):
+    """Run one construction stage; a CogiaError it raises carries ``stage = name``."""
+    try:
+        return build(*args)
+    except CogiaError as exc:
+        exc.stage = name
+        raise
 
 
 def _build_primary(
@@ -369,9 +335,9 @@ def _build_primary(
 ) -> PrecoderReceiverSet:
     """The primary stages on top of the finished secondary ones, and the frozen set."""
     lanes = ch.H_P1.shape[:-2]
-    V_P1, V_P2 = build_primary_precoders(ch, d, seed)
-    Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
-    U_P1, U_P2 = build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
+    V_P1, V_P2 = _stage("primary_precoders", build_primary_precoders, ch, d, seed)
+    Vbar_P1, Vbar_P2 = _stage("corrections", build_corrections, ch, V_P1, V_P2)
+    U_P1, U_P2 = _stage("primary_receivers", build_primary_receivers, ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
     arrays = dict(
         V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
         U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
@@ -388,8 +354,8 @@ def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> Precoder
     per lane (a list, or an integer for one draw).  The selectors U_Sj
     are the same for every lane.
     """
-    U_S1, U_S2 = build_secondary_receivers(ch.dims.N_S, d)
-    V_S1, V_S2 = _align_secondary(ch.H_S1, ch.H_S2, U_S1, U_S2)
+    U_S1, U_S2 = _stage("selectors", build_secondary_receivers, ch.dims.N_S, d)
+    V_S1, V_S2 = _stage("secondary", _align_secondary, ch.H_S1, ch.H_S2, U_S1, U_S2)
     return _build_primary(ch, d, seed, U_S1, U_S2, V_S1, V_S2)
 
 
@@ -423,12 +389,12 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
     trial_seeds = [seeds] if single else seeds
     attempts = np.zeros(len(trial_seeds), dtype=int)
     draw_seeds = [derive_seed(s, 0) for s in trial_seeds]
-    U_S1, U_S2 = build_secondary_receivers(dims.N_S, alloc)
+    U_S1, U_S2 = _stage("selectors", build_secondary_receivers, dims.N_S, alloc)
     while True:
         lane_seeds = draw_seeds[0] if single else draw_seeds
         try:
             secondary = _draw_channels(dims, lane_seeds, _SECONDARY_CHANNELS)
-            V_S1, V_S2 = _align_secondary(secondary["H_S1"], secondary["H_S2"], U_S1, U_S2)
+            V_S1, V_S2 = _stage("secondary", _align_secondary, secondary["H_S1"], secondary["H_S2"], U_S1, U_S2)
             ch = ChannelSet(dims=dims, **secondary, **_draw_channels(dims, lane_seeds, _PRIMARY_CHANNELS))
             return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:

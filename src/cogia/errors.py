@@ -7,11 +7,13 @@ class CogiaError(Exception):
     ``lanes`` tells which lanes of a stacked construction the error
     applies to: a boolean mask over the leading (lane) axes, or None when
     it applies to every lane (a failure fixed by the shapes alone).
+    ``stage`` names the construction stage that raised it, else None.
     """
 
     def __init__(self, message: str = "", lanes=None):
         super().__init__(message)
         self.lanes = lanes
+        self.stage = None
 
 
 class ScenarioError(CogiaError, ValueError):

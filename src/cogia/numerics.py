@@ -1,10 +1,10 @@
 """Deterministic dense linear-algebra kernel.
 
-Null-space bases, orthogonal complements, SVD factorizations,
-minimum-norm right solves and the full-column-rank predicate.  The
-package makes every rank decision at one threshold, :data:`RANK_TOL`,
-and judges every residual that should vanish against another,
-:data:`ZERO_TOL`.  Rank decisions on singular values go through
+Null-space bases, orthogonal complements, zero-forcing columns, SVD
+factorizations, minimum-norm right solves and the full-column-rank
+predicate.  The package makes every rank decision at one threshold,
+:data:`RANK_TOL`, and judges every residual that should vanish against
+another, :data:`ZERO_TOL`.  Rank decisions on singular values go through
 :func:`rank_under_policy`, and this is the only module that calls
 ``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
 values; all functions are pure and return freshly allocated arrays.
@@ -47,6 +47,7 @@ __all__ = [
     "null_space_basis",
     "orth_complement_vector",
     "min_norm_right_solve",
+    "zero_forcing_columns",
     "svd_factor",
     "rank_under_policy",
     "full_column_rank",
@@ -188,6 +189,42 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
     x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
     return x[..., 0] if vector else x
+
+
+def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
+    """Unit zero-forcing columns, one per row of ``targets`` (d x n).
+
+    Column g is target row g projected onto the orthogonal complement of
+    the other rows of ``B = [targets; avoid]`` (m x n), normalized.  It is
+    column g of B's pseudo-inverse ``P`` (one thin SVD), refined once
+    against its eps * cond(B) leak: ``X -= P @ R``, ``R = B @ X`` with
+    each ``R[g, g]`` zeroed.  Per lane, a rank below the best lane's or a
+    lost stream (``RANK_TOL * |t_g| * |x_g| >= 1``, or row g in the span
+    of the other rows) raises DegenerateChannel; rank n < m raises
+    NoComplement.  ``name`` names the user in messages.
+    """
+    B = _as_matrix(np.concatenate([targets, avoid], axis=-2))
+    d, (m, n) = np.shape(targets)[-2], B.shape[-2:]
+    if d == 0:
+        return np.zeros(B.shape[:-2] + (n, 0))
+    u, s, vt = np.linalg.svd(B, full_matrices=False)
+    r = _common_rank(rank_under_policy(s))
+    if r == n < m:
+        raise NoComplement(f"avoid space for stream 1 of {name} fills all {n} dimensions")
+    P = matrix_transpose(vt[..., :r, :]) @ matrix_transpose(u[..., :r] / s[..., None, :r])
+    R = B @ P[..., :d]
+    # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
+    R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
+    X = P[..., :d] - P @ R
+    norms = lane_norm(matrix_transpose(X), 1)
+    lost = RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0
+    if r < m:
+        # e_g partly outside the range of B: row g is in the span of the others
+        lost |= 1.0 - np.square(u[..., :d, :r]).sum(axis=-1) > RANK_TOL
+    if lost.any():
+        g = np.argmax(lost.reshape(-1, d).any(axis=0))
+        raise DegenerateChannel(f"stream {g + 1} of {name} has no gain in its zero-forcing space", lanes=lost.any(-1))
+    return X / norms[..., None, :]
 
 
 def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

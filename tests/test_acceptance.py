@@ -188,8 +188,8 @@ CRITERION_6_CONFIG = {
 # and must be made on purpose; another BLAS/LAPACK build may move the last
 # bits of a float, which shows here first.
 CRITERION_6_SHA256 = {
-    "verify_report.csv": "28fd0c1ac790f2658c69f63aec5faa0ac11ee3ab347c875e191b0fce6aaf8ea7",
-    "rates.csv": "57f458fd3f6ea828bba7329ede9c1c4feeba04280db1dcc092badef89fec97a3",
+    "verify_report.csv": "6c14bcd36f23745868fa10680c457ab20d5be97e1039080801998ebafcc855cf",
+    "rates.csv": "ac35c0655ab608228867806e392df8f01465919d29062ac8c3de11bcb416249f",
     "region.csv": "37261951e8fb54e5940b240871f67be4efb8b17bdea29680b5b1c564e6d73dcb",
     "region_projected.csv": "ff748e54057ce73fa037d3be4c7364b4c4c71d77452fb39158430690fdff75dc",
 }

@@ -314,6 +314,19 @@ def channel_draws(drawn: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted((s, k) for s, k in drawn if k in CHANNEL_IDS)
 
 
+# the construction stage that refuses a tuple violating just this condition
+STAGE_OF_CONDITION = {
+    "d_S1 <= N_S": "selectors", "d_S2 <= N_S": "selectors",
+    "d_S1 <= M_S - N_S": "secondary", "d_S2 <= M_S - N_S": "secondary",
+    "d_P1 <= M_P": "primary_precoders", "d_P2 <= M_P": "primary_precoders",
+    "M_S >= N_P when d_Pi > Z": "corrections",
+    "N_P >= d_P1 + d_S1 + d_S2": "primary_receivers", "N_P >= d_P2 + d_S1 + d_S2": "primary_receivers",
+}
+# the selectors refuse before any draw, the secondary alignment after
+# drawing H_S1 and H_S2, the primary stages after all six
+STAGE_DRAWS = {"selectors": (), "secondary": SECONDARY_IDS}
+
+
 class TestDrawSystem:
     # one tuple per closed-form condition, each violating only that one
     # except (3,3,3,3)/(4,0,0,0), which also breaks the receiver count
@@ -332,26 +345,19 @@ class TestDrawSystem:
         dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
         assert condition in [v.condition for v in closed_form_feasible(dims, alloc).violated]
         drawn = spy_on_draws(monkeypatch)
-        with pytest.raises(error):
+        with pytest.raises(error) as refusal:
             draw_system(dims, alloc, 31)
-        # the selectors refuse before any draw, the secondary alignment
-        # after drawing H_S1 and H_S2, the primary stages after all six
-        drawn_ids = {"d_S1 <= N_S": (), "d_S1 <= M_S - N_S": SECONDARY_IDS}.get(condition, CHANNEL_IDS)
+        stage = refusal.value.stage
+        assert stage == STAGE_OF_CONDITION[condition]
+        drawn_ids = STAGE_DRAWS.get(stage, CHANNEL_IDS)
         assert channel_draws(drawn) == sorted((derive_seed(31, 0), k) for k in drawn_ids)
 
     def test_refusal_stage_matches_a_violated_condition(self, monkeypatch):
         # every closed-form-infeasible tuple of every quartet with entries
-        # <= 3: the stage that refuses it, read from what it drew, must
-        # have a closed-form condition of its own among the violated ones
-        stage_conditions = {
-            (): {"d_S1 <= N_S", "d_S2 <= N_S"},
-            SECONDARY_IDS: {"d_S1 <= M_S - N_S", "d_S2 <= M_S - N_S"},
-            CHANNEL_IDS: {
-                "d_P1 <= M_P", "d_P2 <= M_P", "N_P >= d_P1 + d_S1 + d_S2", "N_P >= d_P2 + d_S1 + d_S2",
-                "M_S >= N_P when d_Pi > Z",
-            },
-        }
-        refused = dict.fromkeys(stage_conditions, 0)
+        # <= 3: the stage the refusal names must have drawn just what it
+        # reads, and have a closed-form condition of its own among the
+        # violated ones
+        refused = dict.fromkeys(STAGE_OF_CONDITION.values(), 0)
         drawn = spy_on_draws(monkeypatch)
         for q in itertools.product(range(1, 4), repeat=4):
             dims = NetworkDims(*q)
@@ -360,14 +366,17 @@ class TestDrawSystem:
                 if not violated:
                     continue
                 drawn.clear()
-                with pytest.raises((NoComplement, RankDeficient)):
+                with pytest.raises((NoComplement, RankDeficient)) as refusal:
                     draw_system(dims, alloc, derive_seed(4, *q, *alloc.as_tuple()))
-                stage = tuple(sorted({k for _, k in channel_draws(drawn)}))
-                assert stage in stage_conditions, (q, alloc, stage)
-                assert violated & stage_conditions[stage], (q, alloc, stage, violated)
+                stage = refusal.value.stage
+                assert stage in {STAGE_OF_CONDITION[c] for c in violated}, (q, alloc, stage, violated)
+                assert tuple(sorted({k for _, k in channel_draws(drawn)})) == STAGE_DRAWS.get(stage, CHANNEL_IDS)
                 refused[stage] += 1
-        assert sum(refused.values()) == 6977
-        assert min(refused.values()) > 0
+        # the grid asks at most M_P primary streams, so the primary precoders
+        # refuse only outside it (see test_structural_failure_on_first_draw)
+        assert refused == {
+            "selectors": 2088, "secondary": 3915, "primary_precoders": 0, "corrections": 303, "primary_receivers": 671,
+        }
 
     def test_feasible_first_draw_matches_build_all(self):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)

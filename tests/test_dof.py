@@ -21,6 +21,7 @@ from cogia.dof import (
     projected_frontier,
 )
 from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
+from cogia.numerics import ZERO_TOL
 from cogia.scenario import MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
 
 
@@ -119,6 +120,16 @@ class TestConstructiveCheck:
                 assert constructive_check(dims, at_bound, trials=10, seed=1).feasible
             beyond = StreamAlloc(0, 0, k + 1, 0)
             assert not constructive_check(dims, beyond, trials=10, seed=1).feasible
+
+    def test_ill_conditioned_receive_stack_stays_below_zero_tol(self):
+        # a criterion-3 tuple whose trial 11 stacks P2's receive rows into
+        # a matrix of condition 2.3e7: the zero-forcing columns leak by
+        # eps * cond, above ZERO_TOL, unless they are refined
+        dims, alloc = NetworkDims(5, 4, 4, 2), StreamAlloc(2, 2, 0, 2)
+        seed = derive_seed(42, *dims.as_tuple(), *alloc.as_tuple())
+        assert constructive_check(dims, alloc, trials=20, seed=seed).feasible
+        ch, prs = cogia.alignment.draw_system(dims, alloc, derive_seed(seed, 11))
+        assert cogia.alignment.interference_report(ch, prs).worst_case <= ZERO_TOL
 
     def test_agrees_with_closed_form_up_to_max_antennas(self):
         # the exhaustive criterion-3 sweep stops at 5 antennas; here 300

@@ -1,8 +1,12 @@
 """Linear-algebra kernel tests: frozen examples plus seeded property sweeps."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cogia
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient
 from cogia.numerics import (
     RANK_TOL,
@@ -12,6 +16,7 @@ from cogia.numerics import (
     null_space_basis,
     orth_complement_vector,
     svd_factor,
+    zero_forcing_columns,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -73,6 +78,53 @@ class TestOrthComplement:
         u = orth_complement_vector(S)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
         assert np.linalg.norm(S @ u) < 1e-10
+
+
+def reference_zero_forcing(targets, avoid):
+    """One SVD per stream: target row g projected onto the null space of the other rows."""
+    rows = np.concatenate([targets, avoid])
+    cols = []
+    for g in range(len(targets)):
+        _, s, vt = np.linalg.svd(np.delete(rows, g, axis=0))
+        basis = vt[np.count_nonzero(s > RANK_TOL * s[0]) :].T
+        v = basis @ (basis.T @ targets[g])
+        cols.append(v / np.linalg.norm(v))
+    return np.stack(cols, axis=1)
+
+
+class TestZeroForcingColumns:
+    # the secondary and the primary receive stacks of the verify-large scenario
+    @pytest.mark.parametrize("d, k, n", [(3, 5, 16), (4, 6, 10)])
+    def test_matches_one_projection_per_stream(self, d, k, n):
+        rng = np.random.default_rng(100 * d + k)
+        targets, avoid = rng.standard_normal((8, d, n)), rng.standard_normal((8, k, n))
+        cols = zero_forcing_columns(targets, avoid, "S1")
+        for t in range(8):
+            np.testing.assert_allclose(cols[t], reference_zero_forcing(targets[t], avoid[t]), rtol=0, atol=1e-12)
+
+    def test_duplicated_avoid_row_keeps_the_complement(self):
+        rng = np.random.default_rng(3)
+        targets, avoid = rng.standard_normal((2, 6)), rng.standard_normal((4, 6))
+        avoid[3] = avoid[2]  # the stack has rank 5 of 6, each stream's complement 2 dimensions
+        cols = zero_forcing_columns(targets, avoid, "P1")
+        np.testing.assert_allclose(cols, reference_zero_forcing(targets, avoid), rtol=0, atol=1e-12)
+
+    def test_target_in_the_span_of_the_other_rows_is_degenerate(self):
+        rng = np.random.default_rng(4)
+        targets, avoid = rng.standard_normal((3, 2, 6)), rng.standard_normal((3, 2, 6))
+        targets[1, 1] = targets[1, 0] - 2.0 * avoid[1, 1]
+        with pytest.raises(DegenerateChannel) as info:
+            zero_forcing_columns(targets, avoid, "P1")
+        assert info.value.lanes.tolist() == [False, True, False]
+        # alone, the lane's rank is the common rank, and its lost streams still refuse
+        with pytest.raises(DegenerateChannel, match="stream 1 of P1"):
+            zero_forcing_columns(targets[1], avoid[1], "P1")
+
+    def test_avoid_rows_filling_the_space_leave_no_complement(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(NoComplement, match="avoid space for stream 1 of S2 fills all 4 dimensions"):
+            zero_forcing_columns(rng.standard_normal((2, 4)), rng.standard_normal((3, 4)), "S2")
+        assert zero_forcing_columns(np.zeros((0, 4)), rng.standard_normal((5, 4)), "S2").shape == (4, 0)
 
 
 class TestMinNormRightSolve:
@@ -209,3 +261,13 @@ class TestStacks:
             min_norm_right_solve(A, np.ones((3, 2)))
         assert info.value.lanes.tolist() == [False, True, False]
         assert full_column_rank(np.swapaxes(A, -1, -2)).tolist() == [True, False, True]
+
+
+def test_only_numerics_calls_the_svd():
+    # the numerics module is the one place rank decisions are made
+    callers = sorted(
+        path.name
+        for path in Path(cogia.__file__).parent.glob("*.py")
+        if re.search(r"linalg(\.svd|\s+import)", path.read_text())
+    )
+    assert callers == ["numerics.py"]
