@@ -52,13 +52,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
+    """Write one CSV file; returns the sha256 of the bytes written."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, scenario: Scenario, seed: int, outputs: list[Path]) -> Path:
+def _write_manifest(out_dir: Path, command: str, scenario: Scenario, seed: int, outputs: dict[Path, str]) -> Path:
+    """Write the run's manifest; ``outputs`` maps each written file to its sha256."""
     canonical = json.dumps(scenario.raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     manifest = {
@@ -69,9 +73,7 @@ def _write_manifest(out_dir: Path, command: str, scenario: Scenario, seed: int, 
         "scenario": scenario.raw,
         "seed": seed,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": [
-            {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()} for p in outputs
-        ],
+        "outputs": [{"path": p.name, "sha256": digest} for p, digest in outputs.items()],
     }
     path = out_dir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -132,8 +134,8 @@ def cmd_verify(args) -> int:
     worst_overall = max(row[header.index("worst_case")] for row in rows)
     kkt_overall = max(row[header.index("kkt_gap")] for row in rows)
     report_path = out_dir / "verify_report.csv"
-    _write_csv(report_path, header, rows)
-    manifest = _write_manifest(out_dir, "verify", scenario, seed, [report_path])
+    outputs = {report_path: _write_csv(report_path, header, rows)}
+    manifest = _write_manifest(out_dir, "verify", scenario, seed, outputs)
     _say(args, f"trials: {trials}")
     _say(args, f"worst residual interference (relative): {worst_overall:.3e}")
     _say(args, f"worst water-filling KKT gap: {kkt_overall:.3e}")
@@ -169,12 +171,12 @@ def cmd_dof_region(args) -> int:
 
     header = ["d_P1", "d_P2", "d_S1", "d_S2", "feasible", "frontier"]
     region_path = out_dir / "region.csv"
-    _write_csv(region_path, header, grid_rows(region))
+    outputs = {region_path: _write_csv(region_path, header, grid_rows(region))}
 
     projected_path = out_dir / "region_projected.csv"
-    _write_csv(projected_path, ["dS_sum", "dP_sum_max"], [list(p) for p in projected_frontier(region)])
+    frontier_rows = [list(p) for p in projected_frontier(region)]
+    outputs[projected_path] = _write_csv(projected_path, ["dS_sum", "dP_sum_max"], frontier_rows)
 
-    outputs = [region_path, projected_path]
     if args.constructive:
         try:
             region_c = enumerate_region(
@@ -184,7 +186,7 @@ def cmd_dof_region(args) -> int:
             print(f"constructive enumeration failed: {exc}", file=sys.stderr)
             return 2
         constructive_path = out_dir / "region_constructive.csv"
-        _write_csv(constructive_path, header, grid_rows(region_c))
+        outputs[constructive_path] = _write_csv(constructive_path, header, grid_rows(region_c))
         feasible, feasible_c = set(region.points), set(region_c.points)
         diff_rows = [
             list(t.as_tuple()) + [int(t in feasible), int(t in feasible_c)]
@@ -192,13 +194,13 @@ def cmd_dof_region(args) -> int:
             if (t in feasible) != (t in feasible_c)
         ]
         diff_path = out_dir / "region_diff.csv"
-        _write_csv(diff_path, ["d_P1", "d_P2", "d_S1", "d_S2", "closed_form", "constructive"], diff_rows)
-        outputs += [constructive_path, diff_path]
+        diff_header = ["d_P1", "d_P2", "d_S1", "d_S2", "closed_form", "constructive"]
+        outputs[diff_path] = _write_csv(diff_path, diff_header, diff_rows)
         _say(args, f"closed-form vs constructive differences: {len(diff_rows)}")
 
     manifest = _write_manifest(out_dir, "dof-region", scenario, seed, outputs)
     _say(args, f"feasible tuples: {len(region.points)} of {grid_size(dims)}; frontier size: {len(region.frontier)}")
-    _say(args, "wrote " + ", ".join(str(p) for p in outputs + [manifest]))
+    _say(args, "wrote " + ", ".join(str(p) for p in [*outputs, manifest]))
     return 0
 
 
@@ -233,8 +235,8 @@ def cmd_rates(args) -> int:
         [pt.Qav, *pt.alloc.as_tuple(), pt.R_P, pt.R_S, pt.R_P_stderr, pt.R_S_stderr, pt.trials, seed]
         for pt in points
     ]
-    _write_csv(rates_path, header, rows)
-    manifest = _write_manifest(out_dir, "rates", scenario, seed, [rates_path])
+    outputs = {rates_path: _write_csv(rates_path, header, rows)}
+    manifest = _write_manifest(out_dir, "rates", scenario, seed, outputs)
     _say(args, f"rate points: {len(points)} ({len(scenario.splits)} splits x {len(scenario.budgets)} budgets)")
     _say(args, f"wrote {rates_path} and {manifest}")
     return 0

@@ -99,7 +99,7 @@ def _fix_column_signs(B: np.ndarray) -> np.ndarray:
 def rank_under_policy(s: np.ndarray) -> np.ndarray:
     """Numerical rank from nonincreasing singular values (last axis), per lane."""
     s = np.asarray(s)
-    return np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
+    return (s > RANK_TOL * s[..., :1]).sum(axis=-1)
 
 
 def _common_rank(rank: np.ndarray) -> int:
@@ -200,8 +200,8 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     against its eps * cond(B) leak: ``X -= P @ R``, ``R = B @ X`` with
     each ``R[g, g]`` zeroed.  Per lane, a rank below the best lane's or a
     lost stream (``RANK_TOL * |t_g| * |x_g| >= 1``, or row g in the span
-    of the other rows) raises DegenerateChannel; rank n < m raises
-    NoComplement.  ``name`` names the user in messages.
+    of the other rows) raises DegenerateChannel, or NoComplement when
+    those rows fill all n dimensions.  ``name`` names the user in messages.
     """
     B = _as_matrix(np.concatenate([targets, avoid], axis=-2))
     d, (m, n) = np.shape(targets)[-2], B.shape[-2:]
@@ -209,18 +209,20 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
         return np.zeros(B.shape[:-2] + (n, 0))
     u, s, vt = np.linalg.svd(B, full_matrices=False)
     r = _common_rank(rank_under_policy(s))
-    if r == n < m:
-        raise NoComplement(f"avoid space for stream 1 of {name} fills all {n} dimensions")
+    spanned = False
+    if r < m:
+        # e_g partly outside the range of B: row g is in the span of the others
+        spanned = 1.0 - np.square(u[..., :d, :r]).sum(axis=-1) > RANK_TOL
+        first = spanned.argmax()  # flat index of the first spanned stream, if any
+        if r == n and spanned.flat[first]:
+            raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
     P = matrix_transpose(vt[..., :r, :]) @ matrix_transpose(u[..., :r] / s[..., None, :r])
     R = B @ P[..., :d]
     # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
     X = P[..., :d] - P @ R
     norms = lane_norm(matrix_transpose(X), 1)
-    lost = RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0
-    if r < m:
-        # e_g partly outside the range of B: row g is in the span of the others
-        lost |= 1.0 - np.square(u[..., :d, :r]).sum(axis=-1) > RANK_TOL
+    lost = (RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0) | spanned
     if lost.any():
         g = np.argmax(lost.reshape(-1, d).any(axis=0))
         raise DegenerateChannel(f"stream {g + 1} of {name} has no gain in its zero-forcing space", lanes=lost.any(-1))

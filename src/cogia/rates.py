@@ -27,7 +27,9 @@ stacked result is bit for bit the result for lane ``t`` alone.  Each
 lane's costs are sorted on their own, dead streams last with infinite
 cost and zero weight, masked out of the prefix sums so that no
 ``0 * inf`` forms.  The ulp snap steps only the lanes not yet at their
-smallest double; a lane with water level 0 never steps.
+smallest double; a lane with water level 0 never steps.  A 1-D array of
+budgets is one more leading axis, in front of the lanes: the costs of a
+stack are sorted once, and the stack is water-filled once for all budgets.
 
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.
 """
@@ -133,21 +135,24 @@ class RatePoint:
 
 def waterfill_cell(
     groups: list[StreamGroup] | tuple[StreamGroup, ...],
-    budget: float,
+    budget: float | np.ndarray,
     *,
     trace_prefactor: float = 0.5,
 ) -> CellAllocation:
-    """Joint water-filling across all groups under one budget, per lane.
+    """Joint water-filling across all groups, per budget and per lane.
 
     The common water level ``lam`` is the smallest double whose traced
     power ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T)`` reaches
     ``budget``.  Streams whose singular value is at or below
     ``numerics.RANK_TOL`` times the group's largest get zero power.
     ``lam`` is 0 when the budget is 0, no stream is alive, or every alive
-    stream has zero traced weight.
+    stream has zero traced weight.  A 1-D ``budget`` puts a budget axis
+    in front of the lane axes of every field of the result; entry ``b``
+    is bit for bit the solve under ``budget[b]`` alone.
     """
-    if not (math.isfinite(budget) and budget >= 0):
-        raise ValueError(f"budget must be finite and nonnegative, got {budget}")
+    budget = np.asarray(budget, dtype=float)
+    if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
+        raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
     costs = [_stream_costs(grp.gammas, grp.sigma2) for grp in groups]
     weights = []
     for grp, cost in zip(groups, costs):
@@ -156,9 +161,11 @@ def waterfill_cell(
     lanes = np.broadcast_shapes(*(cost.shape[:-1] for cost in costs))
     c = np.concatenate([np.zeros(lanes + (0,)), *costs], axis=-1)
     w = np.concatenate([np.zeros(lanes + (0,)), *weights], axis=-1)
-    no_gain = ~np.isfinite(c).any(axis=-1)
+    # the budget axis (if any) in front of the lanes, broadcast over them
+    shaped = budget.reshape(budget.shape + (1,) * len(lanes)) if budget.ndim else budget
     # a dead stream has zero weight, so a positive weight is a live one
-    solve = (w > 0.0).any(axis=-1) & (budget > 0.0)
+    solve = (w > 0.0).any(axis=-1) & (shaped > 0.0)
+    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(c).any(axis=-1)  # one per budget
 
     def traced_power(lam: np.ndarray) -> np.ndarray:
         # a dead stream's infinite cost gives it max(0, lam - inf) = 0
@@ -168,7 +175,7 @@ def waterfill_cell(
             total = total + (wg[..., None, :] @ x[..., :, None])[..., 0, 0]
         return trace_prefactor * total
 
-    lam = np.zeros(lanes)
+    lam = np.zeros(solve.shape)
     if solve.any():
         # per lane: the live costs in stable ascending order, then the dead
         # ones, whose cost is masked to 0 in the prefix sums
@@ -177,24 +184,24 @@ def waterfill_cell(
         live = np.isfinite(c)
         c = np.where(live, c, 0.0)
         W, S = np.cumsum(w, axis=-1), np.cumsum(w * c, axis=-1)
-        # last live prefix whose top cost lies below the water level; the
-        # first positive weight always qualifies, so W[k] > 0 where we solve
-        level = budget / trace_prefactor
-        below_level = live & (W * c - S < level)
-        k = (c.shape[-1] - 1 - np.argmax(below_level[..., ::-1], axis=-1))[..., None]
-        W_k, S_k = np.take_along_axis(W, k, -1)[..., 0], np.take_along_axis(S, k, -1)[..., 0]
+        # last live prefix whose top cost lies below the water level (W and
+        # S never decrease, so their largest qualifying entries are theirs);
+        # the first positive weight always qualifies, so W_k > 0 where we solve
+        level = shaped / trace_prefactor
+        below_level = live & (W * c - S < level[..., None])
+        W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
-        up = solve & (traced_power(lam) < budget)
+        up = solve & (traced_power(lam) < shaped)
         while up.any():
             lam = np.where(up, np.nextafter(lam, math.inf), lam)
-            up = up & (traced_power(lam) < budget)
-        down = solve & (traced_power(np.nextafter(lam, 0.0)) >= budget)
+            up = up & (traced_power(lam) < shaped)
+        down = solve & (traced_power(np.nextafter(lam, 0.0)) >= shaped)
         while down.any():
             lam = np.where(down, np.nextafter(lam, 0.0), lam)
-            down = down & (traced_power(np.nextafter(lam, 0.0)) >= budget)
+            down = down & (traced_power(np.nextafter(lam, 0.0)) >= shaped)
 
     allocations = []
-    achieved = np.zeros(lanes)
+    achieved = np.zeros(solve.shape)
     for grp, cost in zip(groups, costs):
         q = np.maximum(0.0, lam[..., None] - cost)
         Q = (grp.Psi * q[..., None, :]) @ matrix_transpose(grp.Psi)
@@ -207,12 +214,12 @@ def waterfill_cell(
             per_stream_power=q,
             Q=Q,
             achieved_constraint=achieved,
-            budget=budget,
+            budget=budget[()],
             no_positive_gain=no_gain,
         )
         for q, Q in allocations
     )
-    gaps = [_kkt_gap(res, cost) for res, cost in zip(users, costs)]
+    gaps = [_kkt_gap(res, cost, shaped) for res, cost in zip(users, costs)]
     kkt_gap = np.max(gaps, axis=0, initial=0.0)[()]
     return CellAllocation(
         water_level=lam, users=users, achieved_constraint=achieved, no_positive_gain=no_gain, kkt_gap=kkt_gap
@@ -254,16 +261,16 @@ def _stream_costs(gammas, sigma2: float) -> np.ndarray:
     return np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
 
 
-def _kkt_gap(result: WaterfillResult, cost: np.ndarray) -> np.ndarray:
+def _kkt_gap(result: WaterfillResult, cost: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """KKT gap of ``result``, whose budget ``budget`` is shaped to broadcast over its lanes."""
     q = result.per_stream_power
     lam = np.asarray(result.water_level)
     # a dead stream (infinite cost) gets no power and contributes 0
     gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
     worst = gaps.max(axis=-1, initial=0.0)
-    if result.budget > 0.0:
-        unspent = np.abs(result.achieved_constraint - result.budget) / result.budget
-        worst = np.where(lam > 0.0, np.maximum(worst, unspent), worst)
-    return worst[()]
+    spent = lam > 0.0
+    unspent = np.abs(result.achieved_constraint - budget) / np.where(spent, budget, 1.0)
+    return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
 
 def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
@@ -276,7 +283,9 @@ def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     or below ``numerics.RANK_TOL`` times the largest gamma) are skipped,
     as the solve skips them.
     """
-    return _kkt_gap(result, _stream_costs(gammas, sigma2))
+    budget = np.asarray(result.budget)
+    shaped = budget.reshape(budget.shape + (1,) * (np.ndim(result.water_level) - budget.ndim))
+    return _kkt_gap(result, _stream_costs(gammas, sigma2), shaped)
 
 
 def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
@@ -304,13 +313,13 @@ def _factor_cell(
 
 def _fill_cell(
     served: list[tuple[np.ndarray, StreamGroup]],
-    budget: float,
+    budget: float | np.ndarray,
     lanes: tuple[int, ...],
 ) -> tuple[np.ndarray, CellAllocation]:
-    """Per-budget half of a cell solve: water-fill and sum the user rates."""
+    """Per-budget half of a cell solve: water-fill and sum the user rates (per budget, per lane)."""
     if not served:
-        zero = np.zeros(lanes)[()]
-        return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones(lanes, dtype=bool)[()], kkt_gap=zero)
+        zero = np.zeros(np.shape(budget) + lanes)[()]
+        return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones_like(zero, dtype=bool)[()], kkt_gap=zero)
     alloc = waterfill_cell([grp for _, grp in served], budget, trace_prefactor=0.5)
     rate = 0.0
     for (E, grp), res in zip(served, alloc.users):
@@ -348,12 +357,12 @@ def rate_region_sweep(
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
     One RatePoint per (split, budget) pair, ordered by split then budget.
-    The draws of a split are built and water-filled as stacks of at most
-    ``alignment.LANE_CHUNK`` lanes.  Channel draws are shared across
-    budgets within a split, so rates are monotone in the budget draw by
-    draw, and each stack is factored once for all budgets.  ``budgets``
-    entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav`` reports the
-    primary budget.
+    The draws of a split are built in stacks of at most
+    ``alignment.LANE_CHUNK`` lanes, shared across budgets, so rates are
+    monotone in the budget draw by draw.  Each stack is factored once and
+    each of its cells water-filled once, with the budgets as a leading
+    axis.  ``budgets`` entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav``
+    reports the primary budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -369,6 +378,7 @@ def rate_region_sweep(
             reasons = "; ".join(str(v) for v in verdict.violated)
             raise InfeasibleAlloc(f"split {split.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
 
+    cell_budgets = np.array(budgets, dtype=float).T  # the Qav_P row, then the Qav_S row
     points: list[RatePoint] = []
     for s_idx, split in enumerate(splits):
         samples = np.zeros((len(budgets), trials, 2))
@@ -380,15 +390,11 @@ def rate_region_sweep(
                 _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
                 _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
             )
-            for b_idx, cell_budgets in enumerate(budgets):
-                for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
-                    samples[b_idx, part, c_idx] = _fill_cell(served, qav, eff.D_P1.shape[:-2])[0]
-        for b_idx, (qav_p, _qav_s) in enumerate(budgets):
-            mean = samples[b_idx].mean(axis=0)
-            if trials > 1:
-                stderr = samples[b_idx].std(axis=0, ddof=1) / math.sqrt(trials)
-            else:
-                stderr = np.zeros(2)
+            for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
+                samples[:, part, c_idx] = _fill_cell(served, qav, eff.D_P1.shape[:-2])[0]
+        means = samples.mean(axis=1)
+        stderrs = samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
+        for (qav_p, _qav_s), mean, stderr in zip(budgets, means, stderrs):
             points.append(
                 RatePoint(
                     R_P=float(mean[0]),

@@ -116,6 +116,23 @@ class TestVerify:
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
 
+class TestManifest:
+    SMALL = {"dims": {"M_P": 3, "M_S": 3, "N_P": 2, "N_S": 1}, "alloc": {"d_P1": 1, "d_P2": 0, "d_S1": 1, "d_S2": 0}}
+
+    @pytest.mark.parametrize("args", [["verify"], ["rates"], ["dof-region", "--constructive"]])
+    def test_output_hashes_match_the_files(self, tmp_path, args):
+        import hashlib
+
+        cfg = write_config(tmp_path, dict(self.SMALL, trials=3, seed=4))
+        out = tmp_path / "out"
+        assert main([*args, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / f"manifest_{args[0]}.json").read_text())
+        written = sorted(path.name for path in out.glob("*.csv"))
+        assert sorted(entry["path"] for entry in manifest["outputs"]) == written
+        for entry in manifest["outputs"]:
+            assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+
+
 class TestNonFiniteScenario:
     @pytest.mark.parametrize("command", ["verify", "rates"])
     @pytest.mark.parametrize(

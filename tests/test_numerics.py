@@ -15,6 +15,7 @@ from cogia.numerics import (
     min_norm_right_solve,
     null_space_basis,
     orth_complement_vector,
+    rank_under_policy,
     svd_factor,
     zero_forcing_columns,
 )
@@ -119,6 +120,15 @@ class TestZeroForcingColumns:
         # alone, the lane's rank is the common rank, and its lost streams still refuse
         with pytest.raises(DegenerateChannel, match="stream 1 of P1"):
             zero_forcing_columns(targets[1], avoid[1], "P1")
+
+    def test_repeated_avoid_rows_at_full_rank_keep_the_complement(self):
+        # B = [t; a1; a2; a2] has rank 3 = n below its 4 rows, yet row t is
+        # outside the span of the avoid rows
+        rng = np.random.default_rng(8)
+        targets, (a1, a2) = rng.standard_normal((1, 3)), rng.standard_normal((2, 3))
+        avoid = np.stack([a1, a2, a2])
+        cols = zero_forcing_columns(targets, avoid, "P1")
+        np.testing.assert_allclose(cols, reference_zero_forcing(targets, avoid), rtol=0, atol=1e-12)
 
     def test_avoid_rows_filling_the_space_leave_no_complement(self):
         rng = np.random.default_rng(5)
@@ -229,6 +239,19 @@ class TestKernelProperties:
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestRankUnderPolicy:
+    def test_counts_strictly_above_the_tolerance(self):
+        s = np.sort(np.random.default_rng(9).uniform(0.0, 2.0, (4, 3, 5)), axis=-1)[..., ::-1].copy()
+        s[0, 0, 2:] = RANK_TOL * s[0, 0, 0]  # ties sit at the tolerance and count as zero
+        s[1, 2, 1:] = 0.0
+        s[2, 1] = 0.0
+        s[3, 0, -1] = np.nextafter(RANK_TOL * s[3, 0, 0], np.inf)
+        rank = rank_under_policy(s)
+        assert rank.shape == (4, 3) and np.issubdtype(rank.dtype, np.integer)
+        assert rank.tolist() == np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1).tolist()
+        assert (rank[0, 0], rank[1, 2], rank[2, 1], rank[3, 0]) == (2, 1, 0, 5)
 
 
 class TestStacks:

@@ -203,7 +203,18 @@ class TestCellWaterfill:
         assert cell.water_level > 0.0
         assert cell.users[0].per_stream_power.all()  # free streams still fill to the level
 
-    @pytest.mark.parametrize("budget", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            math.inf,
+            math.nan,
+            -1.0,
+            pytest.param(np.array([1.0, math.inf]), id="vector-inf"),
+            pytest.param(np.array([math.nan, 1.0]), id="vector-nan"),
+            pytest.param(np.array([2.0, -1.0]), id="vector-negative"),
+            pytest.param(np.ones((2, 2)), id="2-D"),
+        ],
+    )
     def test_bad_budget_raises(self, budget):
         grp = StreamGroup(np.array([1.0]), 1.0, np.eye(1), np.eye(1))
         with pytest.raises(ValueError):
@@ -349,7 +360,8 @@ def assert_cell_lane(stacked: CellAllocation, single: CellAllocation, t: int) ->
     for u, (res, res_t) in enumerate(zip(stacked.users, single.users)):
         for name in ("water_level", "achieved_constraint", "no_positive_gain", "per_stream_power", "Q"):
             assert same_bits(getattr(res, name)[t], getattr(res_t, name)), (t, u, name)
-        assert res.budget == res_t.budget
+        # a budget stack carries its budgets; a lane stack shares one
+        assert (res.budget[t] if np.ndim(res.budget) else res.budget) == res_t.budget
 
 
 class TestStackedRates:
@@ -402,6 +414,14 @@ class TestStackedRates:
                 if budget:
                     assert (stacked.water_level[[3, 4]] == 0.0).all()
                     assert (np.delete(stacked.water_level, [3, 4]) > 0.0).all()
+        # the same stack under all four budgets at once: a leading budget axis
+        budgets = np.array([0.0, 0.3, 4.0, 1e3])
+        for prefactor in (1.0, 0.5):
+            stacked = waterfill_cell(groups, budgets, trace_prefactor=prefactor)
+            assert stacked.water_level.shape == stacked.kkt_gap.shape == (4, T)
+            for b, budget in enumerate(budgets):
+                single = waterfill_cell(groups, float(budget), trace_prefactor=prefactor)
+                assert_cell_lane(stacked, single, b)
 
 
 class TestRateRegionSweep:
@@ -462,6 +482,16 @@ class TestRateRegionSweep:
         rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], budgets, trials=4, seed=2)
         # served users P1, S1, S2, each factored once over the stack of 4 trials
         assert [E.shape[:-2] for E in calls] == [(4,)] * 3
+
+    def test_fills_each_cell_once_per_stack(self, monkeypatch):
+        calls = []
+        real = cogia.rates.waterfill_cell
+        monkeypatch.setattr(cogia.rates, "waterfill_cell", lambda g, b, **kw: calls.append(b) or real(g, b, **kw))
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        budgets = [(1.0, 2.0), (10.0, 20.0), (100.0, 200.0)]
+        rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 0, 0)], budgets, trials=4, seed=2)
+        # chunks of 3 and 1 trials; the first split serves both cells, the second only the primary
+        assert [b.tolist() for b in calls] == [[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]] * 2 + [[1.0, 10.0, 100.0]] * 2
 
     @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
