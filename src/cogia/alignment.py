@@ -68,6 +68,7 @@ either returns every lane or none.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ from .numerics import (
 )
 from .scenario import (
     CHANNEL_STREAMS,
+    MAX_ANTENNAS,
     PRECODER_STREAM_P1,
     PRECODER_STREAM_P2,
     ChannelSet,
@@ -257,8 +259,9 @@ def build_corrections(
 def _align_secondary(
     H_S1: np.ndarray, H_S2: np.ndarray, U_S1: np.ndarray, U_S2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    V_S1 = zero_forcing_columns(matrix_transpose(U_S1) @ H_S1, H_S2, "S1")
-    V_S2 = zero_forcing_columns(matrix_transpose(U_S2) @ H_S2, H_S1, "S2")
+    # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj: read them directly
+    V_S1 = zero_forcing_columns(H_S1[..., : U_S1.shape[1], :], H_S2, "S1")
+    V_S2 = zero_forcing_columns(H_S2[..., : U_S2.shape[1], :], H_S1, "S2")
     return V_S1, V_S2
 
 
@@ -306,9 +309,20 @@ def build_primary_receivers(
     return U_P1, U_P2
 
 
+@functools.lru_cache(maxsize=(MAX_ANTENNAS + 1) ** 2)
+def _selector(n_rx: int, d_j: int) -> np.ndarray:
+    """Read-only ``np.eye(n_rx, d_j)``; the cache holds every shape up to MAX_ANTENNAS."""
+    U = np.eye(n_rx, d_j)
+    U.flags.writeable = False
+    return U
+
+
 def build_secondary_receivers(n_rx: int, d: StreamAlloc) -> tuple[np.ndarray, np.ndarray]:
-    """Selector combiners U_S1, U_S2: the first d_Sj of n_rx receive coordinates."""
-    U_S1, U_S2 = np.eye(n_rx, d.d_S1), np.eye(n_rx, d.d_S2)
+    """Selector combiners U_S1, U_S2: the first d_Sj of n_rx receive coordinates.
+
+    The arrays are read-only and shared by every call with the same shapes.
+    """
+    U_S1, U_S2 = _selector(n_rx, d.d_S1), _selector(n_rx, d.d_S2)
     for U, user in ((U_S1, "S1"), (U_S2, "S2")):
         if U.shape[1] > U.shape[0]:
             raise RankDeficient(f"selector U_{user} is {U.shape[0]}x{U.shape[1]}: too few receive coordinates")
@@ -372,24 +386,25 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
     list of trial seeds, which gives one lane per seed along a leading
     axis; lane ``i`` is bit for bit the result for ``seeds[i]`` alone.
     Attempt ``a`` of a lane draws from ``derive_seed(seed, a)``.  The
-    stages are those of :func:`build_all`, and each channel matrix is
-    drawn just before the first stage that reads it, so a structural
-    failure of the selectors draws nothing and one of the secondary
-    alignment draws only H_S1 and H_S2.  Structural failures propagate
-    from the first attempt.  When a stage reports degenerate lanes, those
-    lanes move to their next attempt's seed and the whole stack is drawn
-    and built again; the other lanes keep their seeds, and since every
-    matrix is keyed by its (seed, stream id), they draw the same bits.  A
-    lane whose MAX_DEGENERATE_RETRIES attempts were all degenerate raises
-    TooManyDegenerateDraws, with that lane in its mask.  Every draw comes
-    from the calling thread's one Philox instance.
+    stages are those of :func:`build_all`.  The selectors run once the
+    seeds are checked and before any seed is derived, so a structural
+    failure of the selectors derives no seed and draws nothing; each
+    channel matrix is drawn just before the first stage that reads it, so
+    one of the secondary alignment draws only H_S1 and H_S2.  Structural
+    failures propagate from the first attempt.  When a stage reports
+    degenerate lanes, those lanes move to their next attempt's seed and
+    the whole stack is drawn and built again; the other lanes keep their
+    seeds, and since every matrix is keyed by its (seed, stream id), they
+    draw the same bits.  A lane whose MAX_DEGENERATE_RETRIES attempts were
+    all degenerate raises TooManyDegenerateDraws, with that lane in its
+    mask.  Every draw comes from the calling thread's one Philox instance.
     """
-    single = not isinstance(seeds, list)
     _checked_seeds(seeds)
+    U_S1, U_S2 = _stage("selectors", build_secondary_receivers, dims.N_S, alloc)
+    single = not isinstance(seeds, list)
     trial_seeds = [seeds] if single else seeds
     attempts = np.zeros(len(trial_seeds), dtype=int)
     draw_seeds = [derive_seed(s, 0) for s in trial_seeds]
-    U_S1, U_S2 = _stage("selectors", build_secondary_receivers, dims.N_S, alloc)
     while True:
         lane_seeds = draw_seeds[0] if single else draw_seeds
         try:

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One violated feasibility condition."""
 
@@ -61,7 +61,7 @@ class Violation:
         return f"{self.condition} [{self.origin}]: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityVerdict:
     feasible: bool
     violated: tuple[Violation, ...] = ()
@@ -90,43 +90,25 @@ def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdic
     corrections are needed is the right-inverse requirement.  (iv) and
     (v) are labeled as derived from the construction.
     """
+    M_P, M_S, N_P, N_S = dims.M_P, dims.M_S, dims.N_P, dims.N_S
+    d_S1, d_S2 = d.d_S1, d.d_S2
     v: list[Violation] = []
-    headroom = max(dims.M_S - dims.N_S, 0)
-    for name, d_j in (("d_S1", d.d_S1), ("d_S2", d.d_S2)):
+    headroom = max(M_S - N_S, 0)
+    for name, d_j in (("d_S1", d_S1), ("d_S2", d_S2)):
         if d_j > headroom:
-            v.append(
-                Violation(
-                    f"{name} <= M_S - N_S",
-                    f"{d_j} > {dims.M_S} - {dims.N_S} = {dims.M_S - dims.N_S}",
-                    "structural",
-                )
-            )
-        if d_j > dims.N_S:
-            v.append(Violation(f"{name} <= N_S", f"{d_j} > {dims.N_S}", "structural"))
-    Z = dims.Z
-    needs_corrections = False
+            v.append(Violation(f"{name} <= M_S - N_S", f"{d_j} > {M_S} - {N_S} = {M_S - N_S}", "structural"))
+        if d_j > N_S:
+            v.append(Violation(f"{name} <= N_S", f"{d_j} > {N_S}", "structural"))
     for name, d_i in (("d_P1", d.d_P1), ("d_P2", d.d_P2)):
-        if d_i > dims.M_P:
-            v.append(Violation(f"{name} <= M_P", f"{d_i} > {dims.M_P}", "structural"))
-        if d_i >= 1 and dims.N_P < d_i + d.d_S1 + d.d_S2:
-            v.append(
-                Violation(
-                    f"N_P >= {name} + d_S1 + d_S2",
-                    f"{dims.N_P} < {d_i} + {d.d_S1} + {d.d_S2}",
-                    "derived",
-                )
-            )
-        if d_i > Z:
-            needs_corrections = True
-    if needs_corrections and dims.M_S < dims.N_P:
-        v.append(
-            Violation(
-                "M_S >= N_P when d_Pi > Z",
-                f"{dims.M_S} < {dims.N_P} with Z = {Z}",
-                "derived",
-            )
-        )
-    return FeasibilityVerdict(feasible=not v, violated=tuple(v))
+        if d_i > M_P:
+            v.append(Violation(f"{name} <= M_P", f"{d_i} > {M_P}", "structural"))
+        if d_i >= 1 and N_P < d_i + d_S1 + d_S2:
+            v.append(Violation(f"N_P >= {name} + d_S1 + d_S2", f"{N_P} < {d_i} + {d_S1} + {d_S2}", "derived"))
+    Z = dims.Z
+    # corrections are needed when a primary user has streams beyond Z
+    if max(d.d_P1, d.d_P2) > Z and M_S < N_P:
+        v.append(Violation("M_S >= N_P when d_Pi > Z", f"{M_S} < {N_P} with Z = {Z}", "derived"))
+    return FeasibilityVerdict(not v, tuple(v))
 
 
 def constructive_check(

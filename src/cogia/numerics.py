@@ -99,11 +99,14 @@ def _fix_column_signs(B: np.ndarray) -> np.ndarray:
 def rank_under_policy(s: np.ndarray) -> np.ndarray:
     """Numerical rank from nonincreasing singular values (last axis), per lane."""
     s = np.asarray(s)
-    return (s > RANK_TOL * s[..., :1]).sum(axis=-1)
+    # ndarray.sum without its Python-level wrapper
+    return np.add.reduce(s > RANK_TOL * s[..., :1], axis=-1)
 
 
 def _common_rank(rank: np.ndarray) -> int:
     """The rank every lane shares; lanes below the best lane's are degenerate."""
+    if rank.ndim == 0:
+        return int(rank)
     top = int(rank.max())
     low = rank < top
     if low.any():
@@ -209,10 +212,9 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
         return np.zeros(B.shape[:-2] + (n, 0))
     u, s, vt = np.linalg.svd(B, full_matrices=False)
     r = _common_rank(rank_under_policy(s))
-    spanned = False
     if r < m:
         # e_g partly outside the range of B: row g is in the span of the others
-        spanned = 1.0 - np.square(u[..., :d, :r]).sum(axis=-1) > RANK_TOL
+        spanned = 1.0 - np.add.reduce(np.square(u[..., :d, :r]), axis=-1) > RANK_TOL
         first = spanned.argmax()  # flat index of the first spanned stream, if any
         if r == n and spanned.flat[first]:
             raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
@@ -222,7 +224,9 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
     X = P[..., :d] - P @ R
     norms = lane_norm(matrix_transpose(X), 1)
-    lost = (RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0) | spanned
+    lost = RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0
+    if r < m:
+        lost |= spanned
     if lost.any():
         g = np.argmax(lost.reshape(-1, d).any(axis=0))
         raise DegenerateChannel(f"stream {g + 1} of {name} has no gain in its zero-forcing space", lanes=lost.any(-1))

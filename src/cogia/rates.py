@@ -177,10 +177,12 @@ def waterfill_cell(
 
     lam = np.zeros(solve.shape)
     if solve.any():
-        # per lane: the live costs in stable ascending order, then the dead
-        # ones, whose cost is masked to 0 in the prefix sums
-        order = np.argsort(c, axis=-1, kind="stable")
-        c, w = np.take_along_axis(c, order, -1), np.take_along_axis(w, order, -1)
+        # per lane: the live costs in ascending order, then the dead ones,
+        # whose cost is masked to 0 in the prefix sums; the weights follow
+        # the costs' stable order (a stable sort of the costs: the default
+        # kind pages in numpy's SIMD quicksort, 0.25 MB of resident memory)
+        w = np.take_along_axis(w, np.argsort(c, axis=-1, kind="stable"), -1)
+        c = np.sort(c, axis=-1, kind="stable")
         live = np.isfinite(c)
         c = np.where(live, c, 0.0)
         W, S = np.cumsum(w, axis=-1), np.cumsum(w * c, axis=-1)

@@ -181,6 +181,8 @@ class ChannelSet:
 
 
 def _normalize_seed(seed: int, what: str = "seed") -> int:
+    if type(seed) is int and 0 <= seed <= _MASK64:
+        return seed
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ScenarioError(f"{what} must be an integer, got {seed!r}")
     if seed < 0 or seed > _MASK64:
@@ -213,9 +215,13 @@ def derive_seed(seed: int, *indices: int) -> int:
     x = _normalize_seed(seed)
     for i in indices:
         # checked before the table lookup, where True would act as 1
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= _MASK64:
+        if type(i) is not int or not 0 <= i <= _MASK64:
             _normalize_seed(i, "index")
-        x = _splitmix64((x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1))) & _MASK64)
+        # _splitmix64 of the running seed folded with the index's hash, inlined
+        x = ((x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1))) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        x ^= x >> 31
     return x
 
 
@@ -231,9 +237,11 @@ def substream(seed: int, stream: int) -> np.random.Generator:
 
 def _checked_seeds(seed: int | list[int]) -> int | list[int]:
     """``seed`` unchanged, once it (or each seed of a non-empty list) fits in 64 unsigned bits."""
-    if isinstance(seed, list) and not seed:
+    if not isinstance(seed, list):
+        return _normalize_seed(seed)
+    if not seed:
         raise ScenarioError("need at least one seed, got an empty list")
-    for s in seed if isinstance(seed, list) else [seed]:
+    for s in seed:
         _normalize_seed(s)
     return seed
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cogia.alignment
+import cogia.dof
 import cogia.scenario
 from cogia.alignment import (
     MAX_DEGENERATE_RETRIES,
@@ -21,7 +22,7 @@ from cogia.alignment import (
     effective_channels,
     interference_report,
 )
-from cogia.dof import closed_form_feasible, grid_tuples
+from cogia.dof import closed_form_feasible, constructive_check, grid_tuples
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, ScenarioError, TooManyDegenerateDraws
 from cogia.scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
@@ -184,6 +185,21 @@ class TestSecondaryReceivers:
     def test_empty(self):
         U_S1, U_S2 = build_secondary_receivers(3, StreamAlloc(0, 0, 0, 0))
         assert U_S1.shape == (3, 0) and U_S2.shape == (3, 0)
+
+    def test_cached_selectors_are_read_only_and_refuse_on_every_call(self):
+        for _ in range(2):
+            for n in range(1, 5):
+                for d_j in range(n + 1):
+                    U_S1, U_S2 = build_secondary_receivers(n, StreamAlloc(0, 0, d_j, n - d_j))
+                    for U, cols in ((U_S1, d_j), (U_S2, n - d_j)):
+                        assert U.shape == (n, cols) and np.array_equal(U, np.eye(n, cols))
+                        assert not U.flags.writeable
+        # a cached selector never stands in for a refusal
+        for _ in range(3):
+            with pytest.raises(RankDeficient, match="selector U_S2 is 2x3"):
+                build_secondary_receivers(2, StreamAlloc(0, 0, 1, 3))
+            with pytest.raises(RankDeficient, match="selector U_S1 is 1x2"):
+                build_secondary_receivers(1, StreamAlloc(0, 0, 2, 0))
 
     def test_effective_channel_diagonal(self):
         _, ch = system((5, 5, 5, 3), 17)
@@ -384,6 +400,25 @@ class TestDrawSystem:
         draw_seed = derive_seed(4, 0)
         assert np.array_equal(ch.H_P1, generate_channels(dims, draw_seed).H_P1)
         assert np.array_equal(prs.V_P1, build_all(ch, alloc, draw_seed).V_P1)
+
+    def test_selector_refusal_derives_only_trial_0s_seed(self, monkeypatch):
+        # the selectors run before draw_system derives an attempt seed, so
+        # the oracle's one derivation is trial 0's own, and nothing is drawn
+        derived = []
+
+        def spy(*path):
+            derived.append(path)
+            return derive_seed(*path)
+
+        for module in (cogia.alignment, cogia.dof):
+            monkeypatch.setattr(module, "derive_seed", spy)
+        drawn = spy_on_draws(monkeypatch)
+        verdict = constructive_check(NetworkDims(3, 5, 3, 2), StreamAlloc(0, 0, 3, 0), trials=20, seed=44)
+        assert [v.detail for v in verdict.violated] == [
+            "trial 0: RankDeficient: selector U_S1 is 2x3: too few receive coordinates"
+        ]
+        assert derived == [(44, 0)]
+        assert drawn == []
 
     def test_empty_seed_list_raises_before_any_draw(self, monkeypatch):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)

@@ -67,6 +67,22 @@ def test_traced_check_builds_its_trials_as_one_stack(tracer):
     assert tracer.leftover_wrappers() == []
 
 
+def test_traced_refusal_at_the_secondary_alignment_costs_one_svd(tracer):
+    # d_S1 = 2 > M_S - N_S = 1 with d_S1 <= N_S: the selectors pass and S1's
+    # zero-forcing refuses trial 0, so the refusal path is one SVD on one
+    # draw from the thread's Philox instance; new work there shows up here
+    dims, alloc = scenario.NetworkDims(5, 4, 5, 3), scenario.StreamAlloc(0, 0, 2, 0)
+    scenario.generate_channels(dims, 0)
+    with tracer.Tracer() as tr:
+        verdict = dof.constructive_check(dims, alloc, trials=20, seed=5)
+    assert [v.detail for v in verdict.violated] == [
+        "trial 0: NoComplement: avoid space for stream 1 of S1 fills all 4 dimensions"
+    ]
+    assert tr.counts["numpy.svd.calls"] == 1
+    assert tr.counts["scenario.philox_inits"] == 0
+    assert tracer.leftover_wrappers() == []
+
+
 def test_traced_rates_fill_each_cell_once_per_stack(tracer, tmp_path):
     config = BENCH / "scenarios" / "readme.json"
     with tracer.Tracer() as tr:

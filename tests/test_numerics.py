@@ -285,6 +285,15 @@ class TestStacks:
         assert info.value.lanes.tolist() == [False, True, False]
         assert full_column_rank(np.swapaxes(A, -1, -2)).tolist() == [True, False, True]
 
+    def test_common_rank_of_one_matrix_is_its_rank(self):
+        # one matrix's rank is a 0-d integer: there are no lanes to compare
+        assert cogia.numerics._common_rank(np.int64(3)) == 3
+        assert cogia.numerics._common_rank(rank_under_policy(np.array([2.0, 1.0, 0.0]))) == 2
+        assert cogia.numerics._common_rank(np.array([2, 2])) == 2
+        with pytest.raises(DegenerateChannel) as info:
+            cogia.numerics._common_rank(np.array([2, 1, 2]))
+        assert info.value.lanes.tolist() == [False, True, False]
+
 
 def test_only_numerics_calls_the_svd():
     # the numerics module is the one place rank decisions are made

@@ -1,6 +1,7 @@
 """Scenario validation, channel generation and config file parsing."""
 
 import json
+import random
 import sys
 import threading
 
@@ -211,6 +212,28 @@ class TestDeriveSeed:
         assert derive_seed(7, 1023, 1024) == 17488861735910623203
         assert derive_seed((1 << 64) - 1, 3, 10**6, 1 << 63) == 16383821754679225621
         assert derive_seed(202, 5, 5, 5, 3, 1, 0, 2, 2) == 5263179902432970534
+
+    def test_matches_the_splitmix64_chain(self):
+        # the chain written out with _splitmix64: hash each index, fold it
+        # into the running seed, hash again
+        def reference(seed, *indices):
+            x = seed
+            for i in indices:
+                x = cogia.scenario._splitmix64(x ^ cogia.scenario._splitmix64(i + 1))
+            return x
+
+        top = (1 << 64) - 1
+        rng = random.Random(20261018)
+        edges = [0, 1, 1023, 1024, top]
+        for _ in range(1200):
+            seed = rng.choice([0, top, rng.randrange(1 << 64), rng.randrange(1 << 10)])
+            path = [
+                rng.choice([rng.choice(edges), rng.randrange(2048), rng.randrange(1 << 64)])
+                for _ in range(rng.randrange(10))
+            ]
+            assert derive_seed(seed, *path) == reference(seed, *path), (seed, path)
+        for seed in (0, top):
+            assert derive_seed(seed, *edges) == reference(seed, *edges)
 
 
 class TestScenarioFiles:
