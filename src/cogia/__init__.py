@@ -48,7 +48,6 @@ from .rates import (
     pcell_sum_rate,
     rate_region_sweep,
     scell_sum_rate,
-    waterfill,
     waterfill_cell,
 )
 from .scenario import (
@@ -74,7 +73,7 @@ __all__ = [
     "svd_factor",
     "CellAllocation", "CellRateResult", "RatePoint", "StreamGroup",
     "WaterfillResult", "pcell_sum_rate", "rate_region_sweep",
-    "scell_sum_rate", "waterfill", "waterfill_cell",
+    "scell_sum_rate", "waterfill_cell",
     "ChannelSet", "NetworkDims", "NoiseAndPower", "Scenario", "StreamAlloc",
     "derive_seed", "generate_channels", "load_scenario",
 ]

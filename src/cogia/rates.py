@@ -12,9 +12,8 @@ each E_i by SVD and fills power over the stream costs
 (the positive-part clamp is required for a valid power allocation).  The
 traced transmit power ``sum_l w_l (lam - c_l)^+`` is piecewise linear in
 the water level, so ``lam`` comes in closed form from the sorted stream
-costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005) and is then moved by
-single ulps to the smallest double whose traced power reaches the
-budget.  The weights ``w_l`` are the exact traced powers of the
+costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005), in one step and
+with no search.  The weights ``w_l`` are the exact traced powers of the
 precoder directions, so the solve stays correct when precoder columns
 are not orthonormal.  Each cell solve carries its own KKT gap.  The
 transmit power spent on correction vectors is not charged to either
@@ -26,10 +25,9 @@ Every array, and every number of a result, may carry leading lane axes
 stacked result is bit for bit the result for lane ``t`` alone.  Each
 lane's costs are sorted on their own, dead streams last with infinite
 cost and zero weight, masked out of the prefix sums so that no
-``0 * inf`` forms.  The ulp snap steps only the lanes not yet at their
-smallest double; a lane with water level 0 never steps.  A 1-D array of
-budgets is one more leading axis, in front of the lanes: the costs of a
-stack are sorted once, and the stack is water-filled once for all budgets.
+``0 * inf`` forms.  A 1-D array of budgets is one more leading axis, in
+front of the lanes: the costs of a stack are sorted once, and the stack
+is water-filled once for all budgets.
 
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.
 """
@@ -53,7 +51,6 @@ __all__ = [
     "CellAllocation",
     "CellRateResult",
     "RatePoint",
-    "waterfill",
     "waterfill_cell",
     "kkt_violation",
     "pcell_sum_rate",
@@ -136,19 +133,19 @@ class RatePoint:
 def waterfill_cell(
     groups: list[StreamGroup] | tuple[StreamGroup, ...],
     budget: float | np.ndarray,
-    *,
-    trace_prefactor: float = 0.5,
 ) -> CellAllocation:
     """Joint water-filling across all groups, per budget and per lane.
 
-    The common water level ``lam`` is the smallest double whose traced
-    power ``trace_prefactor * sum_i tr(V_i Q^i(lam) V_i^T)`` reaches
-    ``budget``.  Streams whose singular value is at or below
-    ``numerics.RANK_TOL`` times the group's largest get zero power.
-    ``lam`` is 0 when the budget is 0, no stream is alive, or every alive
-    stream has zero traced weight.  A 1-D ``budget`` puts a budget axis
-    in front of the lane axes of every field of the result; entry ``b``
-    is bit for bit the solve under ``budget[b]`` alone.
+    ``budget`` is the cell budget under the 1/2 trace convention: the
+    common water level ``lam`` solves ``(1/2) sum_i tr(V_i Q^i(lam)
+    V_i^T) = budget``, in closed form from the sorted stream costs, so
+    the traced power meets the budget to rounding.  Streams whose
+    singular value is at or below ``numerics.RANK_TOL`` times the group's
+    largest get zero power.  ``lam`` is 0 when the budget is 0, no stream
+    is alive, or every alive stream has zero traced weight.  A 1-D
+    ``budget`` puts a budget axis in front of the lane axes of every
+    field of the result; entry ``b`` is bit for bit the solve under
+    ``budget[b]`` alone.
     """
     budget = np.asarray(budget, dtype=float)
     if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
@@ -166,15 +163,6 @@ def waterfill_cell(
     # a dead stream has zero weight, so a positive weight is a live one
     solve = (w > 0.0).any(axis=-1) & (shaped > 0.0)
     no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(c).any(axis=-1)  # one per budget
-
-    def traced_power(lam: np.ndarray) -> np.ndarray:
-        # a dead stream's infinite cost gives it max(0, lam - inf) = 0
-        total = 0.0
-        for cost, wg in zip(costs, weights):
-            x = np.maximum(0.0, lam[..., None] - cost)
-            total = total + (wg[..., None, :] @ x[..., :, None])[..., 0, 0]
-        return trace_prefactor * total
-
     lam = np.zeros(solve.shape)
     if solve.any():
         # per lane: the live costs in ascending order, then the dead ones,
@@ -189,18 +177,10 @@ def waterfill_cell(
         # last live prefix whose top cost lies below the water level (W and
         # S never decrease, so their largest qualifying entries are theirs);
         # the first positive weight always qualifies, so W_k > 0 where we solve
-        level = shaped / trace_prefactor
+        level = 2.0 * shaped  # the plain-trace power the 1/2 convention allows
         below_level = live & (W * c - S < level[..., None])
         W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
-        up = solve & (traced_power(lam) < shaped)
-        while up.any():
-            lam = np.where(up, np.nextafter(lam, math.inf), lam)
-            up = up & (traced_power(lam) < shaped)
-        down = solve & (traced_power(np.nextafter(lam, 0.0)) >= shaped)
-        while down.any():
-            lam = np.where(down, np.nextafter(lam, 0.0), lam)
-            down = down & (traced_power(np.nextafter(lam, 0.0)) >= shaped)
 
     allocations = []
     achieved = np.zeros(solve.shape)
@@ -209,7 +189,7 @@ def waterfill_cell(
         Q = (grp.Psi * q[..., None, :]) @ matrix_transpose(grp.Psi)
         achieved = achieved + np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
         allocations.append((q, Q))
-    achieved, lam, no_gain = (achieved * trace_prefactor)[()], lam[()], no_gain[()]
+    achieved, lam, no_gain = (0.5 * achieved)[()], lam[()], no_gain[()]
     users = tuple(
         WaterfillResult(
             water_level=lam,
@@ -226,30 +206,6 @@ def waterfill_cell(
     return CellAllocation(
         water_level=lam, users=users, achieved_constraint=achieved, no_positive_gain=no_gain, kkt_gap=kkt_gap
     )
-
-
-def waterfill(
-    gammas,
-    sigma2: float,
-    V,
-    Psi,
-    budget: float,
-    *,
-    trace_prefactor: float = 1.0,
-) -> WaterfillResult:
-    """Single-user water-filling; constraint ``tr(V Q V^T) <= budget``.
-
-    The stand-alone form charges the plain trace (no cell prefactor);
-    cell-level solves go through :func:`waterfill_cell`.
-    """
-    group = StreamGroup(
-        gammas=np.asarray(gammas, dtype=float),
-        sigma2=float(sigma2),
-        V=np.asarray(V, dtype=float),
-        Psi=np.asarray(Psi, dtype=float),
-    )
-    cell = waterfill_cell([group], budget, trace_prefactor=trace_prefactor)
-    return cell.users[0]
 
 
 def _stream_costs(gammas, sigma2: float) -> np.ndarray:
@@ -269,8 +225,9 @@ def _kkt_gap(result: WaterfillResult, cost: np.ndarray, budget: np.ndarray) -> n
     lam = np.asarray(result.water_level)
     # a dead stream (infinite cost) gets no power and contributes 0
     gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
-    worst = gaps.max(axis=-1, initial=0.0)
     spent = lam > 0.0
+    # stationarity relative to a positive water level, so the gap does not scale with the budget
+    worst = gaps.max(axis=-1, initial=0.0) / np.where(spent, lam, 1.0)
     unspent = np.abs(result.achieved_constraint - budget) / np.where(spent, budget, 1.0)
     return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
@@ -279,8 +236,9 @@ def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
     """Largest violation of the water-filling optimality conditions.
 
     Active streams must sit exactly at ``lam - sigma2/gamma^2``; inactive
-    streams must have cost at or above the water level; and a positive
-    water level must spend the whole budget, measured as
+    streams must have cost at or above the water level; both residuals
+    are measured relative to ``lam`` when it is positive.  A positive
+    water level must also spend the whole budget, measured as
     ``|achieved_constraint - budget| / budget``.  Dead streams (gamma at
     or below ``numerics.RANK_TOL`` times the largest gamma) are skipped,
     as the solve skips them.
@@ -322,7 +280,7 @@ def _fill_cell(
     if not served:
         zero = np.zeros(np.shape(budget) + lanes)[()]
         return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones_like(zero, dtype=bool)[()], kkt_gap=zero)
-    alloc = waterfill_cell([grp for _, grp in served], budget, trace_prefactor=0.5)
+    alloc = waterfill_cell([grp for _, grp in served], budget)
     rate = 0.0
     for (E, grp), res in zip(served, alloc.users):
         rate = rate + _user_rate(E, res.Q, grp.sigma2)

@@ -16,7 +16,6 @@ from cogia.rates import (
     pcell_sum_rate,
     rate_region_sweep,
     scell_sum_rate,
-    waterfill,
     waterfill_cell,
 )
 from cogia.scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
@@ -51,39 +50,39 @@ def synthetic_prs_eff(E1, V1, n_rx=None):
 
 class TestWaterfill:
     def test_symmetric_two_streams(self):
-        res = waterfill(np.array([1.0, 1.0]), 1.0, np.eye(2), np.eye(2), budget=2.0)
+        res = waterfill_cell([StreamGroup(np.array([1.0, 1.0]), 1.0, np.eye(2), np.eye(2))], 1.0).users[0]
         np.testing.assert_allclose(res.per_stream_power, [1.0, 1.0], atol=1e-10)
         assert abs(res.water_level - 2.0) < 1e-10
-        assert abs(res.achieved_constraint - 2.0) < 1e-10
+        assert abs(res.achieved_constraint - 1.0) < 1e-10
 
     def test_hand_computed_active_set(self):
-        # costs sigma2/gamma^2 = (0.5, 2.0), budget 1: only stream 1 active
+        # costs sigma2/gamma^2 = (0.5, 2.0), power 1 (cell budget 0.5): only stream 1 active
         gammas = np.array([math.sqrt(2.0), math.sqrt(0.5)])
-        res = waterfill(gammas, 1.0, np.eye(2), np.eye(2), budget=1.0)
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 0.5).users[0]
         assert abs(res.water_level - 1.5) < 1e-10
         np.testing.assert_allclose(res.per_stream_power, [1.0, 0.0], atol=1e-10)
 
     def test_large_budget_asymptotics(self):
         # with every stream active, power differences equal cost differences
         gammas = np.array([2.0, 0.5])
-        res = waterfill(gammas, 1.0, np.eye(2), np.eye(2), budget=1e6)
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 1e6 / 2).users[0]
         expected_gap = 1.0 / 0.25 - 1.0 / 4.0
         assert abs((res.per_stream_power[0] - res.per_stream_power[1]) - expected_gap) < 1e-6
 
     def test_zero_budget_is_exactly_zero(self):
-        res = waterfill(np.array([1.0, 2.0]), 1.0, np.eye(2), np.eye(2), budget=0.0)
+        res = waterfill_cell([StreamGroup(np.array([1.0, 2.0]), 1.0, np.eye(2), np.eye(2))], 0.0).users[0]
         assert res.water_level == 0.0
         assert not res.per_stream_power.any()
         assert not res.Q.any()
 
     def test_dead_streams_get_nothing(self):
         gammas = np.array([1.0, 0.0])
-        res = waterfill(gammas, 1.0, np.eye(2), np.eye(2), budget=3.0)
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 3.0 / 2).users[0]
         assert res.per_stream_power[1] == 0.0
-        assert abs(res.achieved_constraint - 3.0) < 1e-8 * 3.0
+        assert abs(res.achieved_constraint - 1.5) < 1e-8 * 1.5
 
     def test_all_dead_flagged(self):
-        res = waterfill(np.zeros(2), 1.0, np.eye(2), np.eye(2), budget=1.0)
+        res = waterfill_cell([StreamGroup(np.zeros(2), 1.0, np.eye(2), np.eye(2))], 1.0 / 2).users[0]
         assert res.no_positive_gain
         assert not res.per_stream_power.any()
 
@@ -96,10 +95,10 @@ class TestWaterfill:
             budget = float(rng.uniform(0.2, 20.0))
             Psi = haar_columns(rng, n, n)
             V = haar_columns(rng, n + 2, n)
-            res = waterfill(gammas, sigma2, V, Psi, budget)
+            res = waterfill_cell([StreamGroup(gammas, sigma2, V, Psi)], budget / 2).users[0]
             assert kkt_violation(res, gammas, sigma2) <= 1e-8
             if res.per_stream_power.any():
-                assert abs(res.achieved_constraint - budget) <= 1e-8 * budget
+                assert abs(2 * res.achieved_constraint - budget) <= 1e-8 * budget
             evals = np.linalg.eigvalsh((res.Q + res.Q.T) / 2)
             assert evals.min() > -1e-9
 
@@ -107,16 +106,29 @@ class TestWaterfill:
         # gamma 1.0 is below rank_tol * 1e12, so the solve gives it no power
         # although its cost (1.0) lies under the water level (about 10)
         gammas = np.array([1e12, 1.0])
-        res = waterfill(gammas, 1.0, np.eye(2), np.eye(2), budget=10.0)
+        cell = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 10.0 / 2)
+        res = cell.users[0]
         assert res.per_stream_power[1] == 0.0 and res.water_level > 1.0
         assert kkt_violation(res, gammas, 1.0) <= 1e-8
-        cell = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 10.0, trace_prefactor=1.0)
         assert cell.kkt_gap <= 1e-8
 
     def test_kkt_gap_catches_unspent_budget(self):
         gammas = np.array([2.0, 1.0, 0.5])
-        res = waterfill(gammas, 1.0, np.eye(3), np.eye(3), budget=10.0)
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(3), np.eye(3))], 10.0 / 2).users[0]
         assert kkt_violation(res, gammas, 1.0) <= 1e-8
+        halved = dataclasses.replace(res, achieved_constraint=res.achieved_constraint / 2)
+        assert kkt_violation(halved, gammas, 1.0) > 1e-8
+
+    @pytest.mark.parametrize("budget", [10.0, 1e300])
+    def test_kkt_stationarity_is_relative_to_the_water_level(self, budget):
+        # one ulp on an active stream's power reads as one ulp at any budget
+        gammas = np.array([2.0, 1.0])
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], budget / 2).users[0]
+        assert res.per_stream_power.all()
+        q = res.per_stream_power.copy()
+        q[0] = np.nextafter(q[0], math.inf)
+        nudged = dataclasses.replace(res, per_stream_power=q)
+        assert 0.0 < kkt_violation(nudged, gammas, 1.0) <= 1e-15
         halved = dataclasses.replace(res, achieved_constraint=res.achieved_constraint / 2)
         assert kkt_violation(halved, gammas, 1.0) > 1e-8
 
@@ -131,7 +143,7 @@ class TestWaterfill:
             budget = float(rng.uniform(0.5, 10.0))
             Psi = haar_columns(rng, n, n)
             V = haar_columns(rng, n + 1, n)  # orthonormal: traced power is sum(q)
-            res = waterfill(gammas, sigma2, V, Psi, budget)
+            res = waterfill_cell([StreamGroup(gammas, sigma2, V, Psi)], budget / 2).users[0]
 
             def rate(q):
                 return 0.5 * np.sum(np.log2(1.0 + gammas**2 * q / sigma2))
@@ -147,8 +159,8 @@ class TestWaterfill:
             assert rate(np.full(n, budget / n)) <= best + 1e-6
 
 
-def traced_power(groups, lam, trace_prefactor, rank_tol=1e-9):
-    """The solve's traced power at water level ``lam``, in the same float order."""
+def traced_power(groups, lam, rank_tol=1e-9):
+    """A cell's traced power at water level ``lam``, under the 1/2 trace convention."""
     total = 0.0
     for grp in groups:
         g = np.asarray(grp.gammas, dtype=float)
@@ -161,11 +173,11 @@ def traced_power(groups, lam, trace_prefactor, rank_tol=1e-9):
         q = np.maximum(0.0, lam - cost)
         q[~alive] = 0.0
         total += float(w @ q)
-    return trace_prefactor * total
+    return 0.5 * total
 
 
 class TestCellWaterfill:
-    def test_smallest_double_reaching_budget_seeded(self):
+    def test_closed_form_level_within_3_ulps_seeded(self):
         for i in range(200):
             rng = np.random.default_rng(7000 + i)
             groups = []
@@ -181,13 +193,19 @@ class TestCellWaterfill:
                     gammas[-1] = 0.0  # dead stream
                 groups.append(StreamGroup(gammas, float(rng.uniform(0.5, 2.0)), V, haar_columns(rng, n, n)))
             budget = float(rng.uniform(0.0, 1.0) * 10.0 ** rng.integers(-3, 4)) if i % 10 else 0.0
-            prefactor = (1.0, 0.5)[i % 2]
-            lam = waterfill_cell(groups, budget, trace_prefactor=prefactor).water_level
+            cell = waterfill_cell(groups, budget)
+            lam = cell.water_level
             if budget == 0.0:
                 assert lam == 0.0
                 continue
-            assert traced_power(groups, lam, prefactor) >= budget
-            assert traced_power(groups, np.nextafter(lam, 0.0), prefactor) < budget
+            assert cell.kkt_gap <= 1e-8
+            # step from lam to the smallest double whose traced power reaches the budget
+            ref, steps = lam, 0
+            while traced_power(groups, ref) < budget and steps <= 3:
+                ref, steps = np.nextafter(ref, math.inf), steps + 1
+            while traced_power(groups, np.nextafter(ref, 0.0)) >= budget and steps <= 3:
+                ref, steps = np.nextafter(ref, 0.0), steps + 1
+            assert steps <= 3, (i, lam, ref)
 
     def test_zero_level_edge_cases(self):
         rng = np.random.default_rng(8)
@@ -195,10 +213,9 @@ class TestCellWaterfill:
         live = StreamGroup(np.array([1.0, 2.0]), 1.0, V, Psi)
         weightless = StreamGroup(np.array([1.0, 2.0]), 1.0, np.zeros((4, 2)), Psi)
         dead = StreamGroup(np.zeros(2), 1.0, V, Psi)
-        for prefactor in (1.0, 0.5):
-            assert waterfill_cell([live], 0.0, trace_prefactor=prefactor).water_level == 0.0
-            assert waterfill_cell([weightless], 3.0, trace_prefactor=prefactor).water_level == 0.0
-            assert waterfill_cell([dead], 3.0, trace_prefactor=prefactor).water_level == 0.0
+        assert waterfill_cell([live], 0.0).water_level == 0.0
+        assert waterfill_cell([weightless], 3.0).water_level == 0.0
+        assert waterfill_cell([dead], 3.0).water_level == 0.0
         cell = waterfill_cell([weightless, live], 3.0)
         assert cell.water_level > 0.0
         assert cell.users[0].per_stream_power.all()  # free streams still fill to the level
@@ -404,24 +421,21 @@ class TestStackedRates:
         gammas[1][7] = 0.0
         groups = [StreamGroup(g, s2, V, Psi) for g, s2, V, Psi in zip(gammas, (1.5, 0.7), Vs, Psis)]
         for budget in (0.0, 0.3, 4.0, 1e3):
-            for prefactor in (1.0, 0.5):
-                stacked = waterfill_cell(groups, budget, trace_prefactor=prefactor)
-                assert stacked.water_level.shape == (T,)
-                for t in range(T):
-                    lane_groups = [StreamGroup(g.gammas[t], g.sigma2, g.V[t], g.Psi[t]) for g in groups]
-                    assert_cell_lane(stacked, waterfill_cell(lane_groups, budget, trace_prefactor=prefactor), t)
-                assert stacked.no_positive_gain.tolist() == [t == 3 for t in range(T)]
-                if budget:
-                    assert (stacked.water_level[[3, 4]] == 0.0).all()
-                    assert (np.delete(stacked.water_level, [3, 4]) > 0.0).all()
+            stacked = waterfill_cell(groups, budget)
+            assert stacked.water_level.shape == (T,)
+            for t in range(T):
+                lane_groups = [StreamGroup(g.gammas[t], g.sigma2, g.V[t], g.Psi[t]) for g in groups]
+                assert_cell_lane(stacked, waterfill_cell(lane_groups, budget), t)
+            assert stacked.no_positive_gain.tolist() == [t == 3 for t in range(T)]
+            if budget:
+                assert (stacked.water_level[[3, 4]] == 0.0).all()
+                assert (np.delete(stacked.water_level, [3, 4]) > 0.0).all()
         # the same stack under all four budgets at once: a leading budget axis
         budgets = np.array([0.0, 0.3, 4.0, 1e3])
-        for prefactor in (1.0, 0.5):
-            stacked = waterfill_cell(groups, budgets, trace_prefactor=prefactor)
-            assert stacked.water_level.shape == stacked.kkt_gap.shape == (4, T)
-            for b, budget in enumerate(budgets):
-                single = waterfill_cell(groups, float(budget), trace_prefactor=prefactor)
-                assert_cell_lane(stacked, single, b)
+        stacked = waterfill_cell(groups, budgets)
+        assert stacked.water_level.shape == stacked.kkt_gap.shape == (4, T)
+        for b, budget in enumerate(budgets):
+            assert_cell_lane(stacked, waterfill_cell(groups, float(budget)), b)
 
 
 class TestRateRegionSweep:
