@@ -44,7 +44,6 @@ from .rates import (
     CellRateResult,
     RatePoint,
     StreamGroup,
-    WaterfillResult,
     pcell_sum_rate,
     rate_region_sweep,
     scell_sum_rate,
@@ -72,8 +71,7 @@ __all__ = [
     "min_norm_right_solve", "null_space_basis", "orth_complement_vector",
     "svd_factor",
     "CellAllocation", "CellRateResult", "RatePoint", "StreamGroup",
-    "WaterfillResult", "pcell_sum_rate", "rate_region_sweep",
-    "scell_sum_rate", "waterfill_cell",
+    "pcell_sum_rate", "rate_region_sweep", "scell_sum_rate", "waterfill_cell",
     "ChannelSet", "NetworkDims", "NoiseAndPower", "Scenario", "StreamAlloc",
     "derive_seed", "generate_channels", "load_scenario",
 ]

@@ -16,9 +16,10 @@ construction failing.  A failure every generic draw repeats (NoComplement,
 RankDeficient) is structural and settles the tuple on the first draw;
 DegenerateChannel is a measure-zero accident that
 :func:`cogia.alignment.draw_system`, the package's one redraw loop, redraws.
-Every trial that builds is verified in one pass: the first trial's
-draw is joined in front of the stack of the others, and the whole stack
-gets one interference report and one rank test per effective channel.
+The first trial is built alone, as a probe that settles every
+structural failure; then all trials, the first included, are built as
+one stack, which gets one interference report and one rank test per
+effective channel.
 
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
@@ -27,7 +28,7 @@ are deliberately not asserted here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Literal
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .alignment import PrecoderReceiverSet, draw_system, interference_report
 from .errors import GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import ZERO_TOL, full_column_rank
-from .scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed
+from .scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
     "Violation",
@@ -126,35 +127,35 @@ def constructive_check(
     ``numerics.ZERO_TOL`` and full-column-rank effective channels.  The
     verdict names the first failing trial in index order.
 
-    Trial 0 is built alone: on a generic draw it settles every structural
-    failure at the cost of one build, before any other trial seed is
-    derived.  Trials 1..T-1 are then built as one stack, trial 0's lane
-    is joined in front, and all trials are verified in one pass: one
-    interference report and one rank test per effective channel.
+    Trial 0 is first built alone as a probe: on a generic draw it settles
+    every structural failure at the cost of one build, before any other
+    trial seed is derived.  All T trials, trial 0 included, are then
+    built as one stack (lane ``t`` is trial ``t``) and verified in one
+    pass: one interference report and one rank test per effective
+    channel.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     try:
-        first = draw_system(dims, d, derive_seed(seed, 0))
+        draw_system(dims, d, derive_seed(seed, 0))
     except (NoComplement, RankDeficient) as exc:
         return _verdict(_refusal(0, exc))
-    seeds = [derive_seed(seed, t) for t in range(1, trials)]
+    seeds = [derive_seed(seed, t) for t in range(trials)]
     # a build failure names its lanes; the trials before the first of them
     # are built again without it, since one of them can still fail first
-    n, raised = len(seeds), None
+    n, raised = trials, None
     while n:
         try:
-            rest = draw_system(dims, d, seeds[:n])
+            ch, prs = draw_system(dims, d, seeds[:n])
             break
         except (NoComplement, RankDeficient, TooManyDegenerateDraws) as exc:
             n = 0 if exc.lanes is None else int(np.flatnonzero(exc.lanes)[0])
             raised = exc
-    ch, prs = _prepend(first, rest) if n else first
-    violation = _first_failure(ch, prs)
+    violation = _first_failure(ch, prs) if n else None
     if violation is None and raised is not None:
         if isinstance(raised, TooManyDegenerateDraws):
             raise raised
-        violation = _refusal(1 + n, raised)
+        violation = _refusal(n, raised)
     return _verdict(violation)
 
 
@@ -164,22 +165,6 @@ def _verdict(violation: Violation | None) -> FeasibilityVerdict:
 
 def _refusal(trial: int, exc: Exception) -> Violation:
     return Violation("construction succeeds", f"trial {trial}: {type(exc).__name__}: {exc}", "constructive")
-
-
-def _prepend(
-    first: tuple[ChannelSet, PrecoderReceiverSet], rest: tuple[ChannelSet, PrecoderReceiverSet]
-) -> tuple[ChannelSet, PrecoderReceiverSet]:
-    """One draw's channels and construction joined in front of a stack's, as lane 0."""
-    (ch0, prs0), (ch, prs) = first, rest
-    ch_all = ChannelSet(
-        dims=ch.dims, **{name: np.concatenate([getattr(ch0, name)[None], getattr(ch, name)]) for name in CHANNEL_STREAMS}
-    )
-    arrays = {
-        f.name: np.concatenate([getattr(prs0, f.name)[None], getattr(prs, f.name)])
-        for f in fields(prs)
-        if f.name != "Z"
-    }
-    return ch_all, PrecoderReceiverSet(Z=prs.Z, **arrays)
 
 
 def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None:

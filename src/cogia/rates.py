@@ -15,10 +15,14 @@ the water level, so ``lam`` comes in closed form from the sorted stream
 costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005), in one step and
 with no search.  The weights ``w_l`` are the exact traced powers of the
 precoder directions, so the solve stays correct when precoder columns
-are not orthonormal.  Each cell solve carries its own KKT gap.  The
-transmit power spent on correction vectors is not charged to either
-cell's constraint, mirroring the rate problem's trace term exactly; it
-is reported separately so the modeling gap stays visible.
+are not orthonormal.  One :class:`CellAllocation` records each cell
+solve: the cell-level numbers (water level, budget, traced power, KKT
+gap) once, and each user's powers and covariance in group order.  A
+cell's channels are factored, water-filled and turned into a sum rate
+in one call per stack of draws.  The transmit power spent on correction
+vectors is not charged to either cell's constraint, mirroring the rate
+problem's trace term exactly; it is reported separately so the
+modeling gap stays visible.
 
 Every array, and every number of a result, may carry leading lane axes
 (one lane per channel draw, as in :mod:`cogia.numerics`); lane ``t`` of a
@@ -47,7 +51,6 @@ from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
 __all__ = [
     "StreamGroup",
-    "WaterfillResult",
     "CellAllocation",
     "CellRateResult",
     "RatePoint",
@@ -78,34 +81,24 @@ class StreamGroup:
 
 
 @dataclass(frozen=True)
-class WaterfillResult:
-    """Power allocation for one user.
-
-    ``achieved_constraint`` is the traced power of the whole solve this
-    user took part in (shared across users of a cell), so it is directly
-    comparable to ``budget``, the budget of that solve.
-    """
-
-    water_level: float
-    per_stream_power: np.ndarray
-    Q: np.ndarray
-    achieved_constraint: float
-    budget: float
-    no_positive_gain: bool = False
-
-
-@dataclass(frozen=True)
 class CellAllocation:
-    """Joint allocation for one cell: shared water level, per-user results.
+    """One cell's joint water-filling solve: one water level shared by its users.
 
-    ``kkt_gap`` is the worst :func:`kkt_violation` over the cell's users.
+    Every number is per budget and per lane (see the module docstring),
+    ``budget`` included.  ``achieved_constraint`` is the traced power of
+    the solve under the 1/2 trace convention, directly comparable to
+    ``budget``.  ``per_stream_power`` and ``Q`` hold one entry per group
+    (served user), in group order.  ``kkt_gap`` is :func:`kkt_violation`
+    of the solve.
     """
 
     water_level: float
-    users: tuple[WaterfillResult, ...]
+    budget: float
     achieved_constraint: float
-    no_positive_gain: bool = False
-    kkt_gap: float = 0.0
+    no_positive_gain: bool
+    kkt_gap: float
+    per_stream_power: tuple[np.ndarray, ...]
+    Q: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -158,8 +151,7 @@ def waterfill_cell(
     lanes = np.broadcast_shapes(*(cost.shape[:-1] for cost in costs))
     c = np.concatenate([np.zeros(lanes + (0,)), *costs], axis=-1)
     w = np.concatenate([np.zeros(lanes + (0,)), *weights], axis=-1)
-    # the budget axis (if any) in front of the lanes, broadcast over them
-    shaped = budget.reshape(budget.shape + (1,) * len(lanes)) if budget.ndim else budget
+    shaped = np.add.outer(budget, np.zeros(lanes))  # the budget axis (if any) in front of the lanes
     # a dead stream has zero weight, so a positive weight is a live one
     solve = (w > 0.0).any(axis=-1) & (shaped > 0.0)
     no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(c).any(axis=-1)  # one per budget
@@ -182,29 +174,23 @@ def waterfill_cell(
         W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
 
-    allocations = []
+    powers, Qs = [], []
     achieved = np.zeros(solve.shape)
     for grp, cost in zip(groups, costs):
         q = np.maximum(0.0, lam[..., None] - cost)
         Q = (grp.Psi * q[..., None, :]) @ matrix_transpose(grp.Psi)
         achieved = achieved + np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
-        allocations.append((q, Q))
-    achieved, lam, no_gain = (0.5 * achieved)[()], lam[()], no_gain[()]
-    users = tuple(
-        WaterfillResult(
-            water_level=lam,
-            per_stream_power=q,
-            Q=Q,
-            achieved_constraint=achieved,
-            budget=budget[()],
-            no_positive_gain=no_gain,
-        )
-        for q, Q in allocations
-    )
-    gaps = [_kkt_gap(res, cost, shaped) for res, cost in zip(users, costs)]
-    kkt_gap = np.max(gaps, axis=0, initial=0.0)[()]
+        powers.append(q)
+        Qs.append(Q)
+    achieved = 0.5 * achieved
     return CellAllocation(
-        water_level=lam, users=users, achieved_constraint=achieved, no_positive_gain=no_gain, kkt_gap=kkt_gap
+        water_level=lam[()],
+        budget=shaped[()],
+        achieved_constraint=achieved[()],
+        no_positive_gain=no_gain[()],
+        kkt_gap=_kkt_gap(lam, powers, costs, achieved, shaped),
+        per_stream_power=tuple(powers),
+        Q=tuple(Qs),
     )
 
 
@@ -219,33 +205,36 @@ def _stream_costs(gammas, sigma2: float) -> np.ndarray:
     return np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
 
 
-def _kkt_gap(result: WaterfillResult, cost: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """KKT gap of ``result``, whose budget ``budget`` is shaped to broadcast over its lanes."""
-    q = result.per_stream_power
-    lam = np.asarray(result.water_level)
-    # a dead stream (infinite cost) gets no power and contributes 0
-    gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
+def _kkt_gap(lam, powers, costs, achieved, budget) -> np.ndarray:
+    """KKT gap of a cell solve at water level ``lam``, from every user's powers and costs."""
+    lam = np.asarray(lam)
+    worst = np.zeros(lam.shape)
+    for q, cost in zip(powers, costs):
+        # a dead stream (infinite cost) gets no power and contributes 0
+        gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
+        worst = np.maximum(worst, gaps.max(axis=-1, initial=0.0))
     spent = lam > 0.0
     # stationarity relative to a positive water level, so the gap does not scale with the budget
-    worst = gaps.max(axis=-1, initial=0.0) / np.where(spent, lam, 1.0)
-    unspent = np.abs(result.achieved_constraint - budget) / np.where(spent, budget, 1.0)
+    worst = worst / np.where(spent, lam, 1.0)
+    unspent = np.abs(achieved - budget) / np.where(spent, budget, 1.0)
     return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
 
-def kkt_violation(result: WaterfillResult, gammas, sigma2: float) -> float:
-    """Largest violation of the water-filling optimality conditions.
+def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[StreamGroup, ...]) -> np.ndarray:
+    """Largest violation of the water-filling optimality conditions, per budget and per lane.
 
+    ``groups`` are the groups ``cell`` was solved for, in the same order.
     Active streams must sit exactly at ``lam - sigma2/gamma^2``; inactive
     streams must have cost at or above the water level; both residuals
     are measured relative to ``lam`` when it is positive.  A positive
     water level must also spend the whole budget, measured as
     ``|achieved_constraint - budget| / budget``.  Dead streams (gamma at
-    or below ``numerics.RANK_TOL`` times the largest gamma) are skipped,
-    as the solve skips them.
+    or below ``numerics.RANK_TOL`` times the group's largest gamma) are
+    skipped, as the solve skips them.  The result has the shape of
+    ``cell.water_level``: a float for one draw under one budget.
     """
-    budget = np.asarray(result.budget)
-    shaped = budget.reshape(budget.shape + (1,) * (np.ndim(result.water_level) - budget.ndim))
-    return _kkt_gap(result, _stream_costs(gammas, sigma2), shaped)
+    costs = [_stream_costs(grp.gammas, grp.sigma2) for grp in groups]
+    return _kkt_gap(cell.water_level, cell.per_stream_power, costs, cell.achieved_constraint, cell.budget)
 
 
 def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
@@ -256,53 +245,46 @@ def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
     return 0.5 * logdet / _LOG2
 
 
-def _factor_cell(
+def _cell_rate(
     effectives: list[np.ndarray],
     precoders: list[np.ndarray],
     sigma2s: list[float],
-) -> list[tuple[np.ndarray, StreamGroup]]:
-    """Per-draw half of a cell solve: factor each served user's channel stack."""
-    served = []
-    for E, V, s2 in zip(effectives, precoders, sigma2s):
-        if E.shape[-1] == 0:
-            continue
-        _, gammas, Psi = svd_factor(E)
-        served.append((E, StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi)))
-    return served
-
-
-def _fill_cell(
-    served: list[tuple[np.ndarray, StreamGroup]],
     budget: float | np.ndarray,
-    lanes: tuple[int, ...],
 ) -> tuple[np.ndarray, CellAllocation]:
-    """Per-budget half of a cell solve: water-fill and sum the user rates (per budget, per lane)."""
+    """One cell solve: factor each served user's channel stack, water-fill, and sum the user rates."""
+    served = [(E, V, s2) for E, V, s2 in zip(effectives, precoders, sigma2s) if E.shape[-1]]
     if not served:
-        zero = np.zeros(np.shape(budget) + lanes)[()]
-        return zero, CellAllocation(zero, (), zero, no_positive_gain=np.ones_like(zero, dtype=bool)[()], kkt_gap=zero)
-    alloc = waterfill_cell([grp for _, grp in served], budget)
+        budgets = np.add.outer(budget, np.zeros(effectives[0].shape[:-2]))
+        zero = np.zeros_like(budgets)[()]
+        return zero, CellAllocation(zero, budgets[()], zero, np.ones_like(budgets, dtype=bool)[()], zero, (), ())
+    groups = []
+    for E, V, s2 in served:
+        _, gammas, Psi = svd_factor(E)
+        groups.append(StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi))
+    alloc = waterfill_cell(groups, budget)
     rate = 0.0
-    for (E, grp), res in zip(served, alloc.users):
-        rate = rate + _user_rate(E, res.Q, grp.sigma2)
+    for (E, _, s2), Q in zip(served, alloc.Q):
+        rate = rate + _user_rate(E, Q, s2)
     return rate, alloc
 
 
 def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
-    lanes = eff.D_P1.shape[:-2]
-    served = _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
-    rate, alloc = _fill_cell(served, noise.Qav_P, lanes)
-    correction = np.zeros(lanes)
+    rate, alloc = _cell_rate(
+        [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2], noise.Qav_P
+    )
+    correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
-    for Vbar, res in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.users):
-        correction = correction + 0.5 * np.einsum("...ij,...ij->...", Vbar @ res.Q, Vbar)
+    for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.Q):
+        correction = correction + 0.5 * np.einsum("...ij,...ij->...", Vbar @ Q, Vbar)
     return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction[()])
 
 
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
-    served = _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
-    rate, alloc = _fill_cell(served, noise.Qav_S, eff.D_S1.shape[:-2])
+    rate, alloc = _cell_rate(
+        [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2], noise.Qav_S
+    )
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -347,11 +329,11 @@ def rate_region_sweep(
             ch, prs = draw_system(dims, split, seeds[part])
             eff = effective_channels(ch, prs)
             cells = (
-                _factor_cell([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
-                _factor_cell([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+                ([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
+                ([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
             )
-            for c_idx, (served, qav) in enumerate(zip(cells, cell_budgets)):
-                samples[:, part, c_idx] = _fill_cell(served, qav, eff.D_P1.shape[:-2])[0]
+            for c_idx, (cell, qav) in enumerate(zip(cells, cell_budgets)):
+                samples[:, part, c_idx] = _cell_rate(*cell, qav)[0]
         means = samples.mean(axis=1)
         stderrs = samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
         for (qav_p, _qav_s), mean, stderr in zip(budgets, means, stderrs):

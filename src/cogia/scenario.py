@@ -110,8 +110,10 @@ class StreamAlloc:
     def __post_init__(self) -> None:
         for name in ("d_P1", "d_P2", "d_S1", "d_S2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ScenarioError(f"{name} must be a nonnegative integer, got {v!r}")
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ScenarioError(f"{name} must be an integer, got {v!r}")
+            if not 0 <= v <= MAX_ANTENNAS:
+                raise ScenarioError(f"{name} must be in 0..{MAX_ANTENNAS}, got {v}")
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d_P1, self.d_P2, self.d_S1, self.d_S2)
@@ -455,6 +457,6 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data)

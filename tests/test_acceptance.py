@@ -93,10 +93,10 @@ def test_criterion_4_waterfilling_optimality():
 
     # hand-computable case: costs (0.5, 2.0), cell budget 0.5 (power 1) -> powers (1, 0), lam 1.5
     gammas = np.array([math.sqrt(2.0), math.sqrt(0.5)])
-    res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 0.5).users[0]
+    res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 0.5)
     assert abs(res.water_level - 1.5) <= 1e-10
-    assert abs(res.per_stream_power[0] - 1.0) <= 1e-10
-    assert abs(res.per_stream_power[1]) <= 1e-10
+    assert abs(res.per_stream_power[0][0] - 1.0) <= 1e-10
+    assert abs(res.per_stream_power[0][1]) <= 1e-10
 
     worst_gap = -math.inf  # how far any searched point got above the waterfill rate
     worst_kkt = 0.0
@@ -116,8 +116,7 @@ def test_criterion_4_waterfilling_optimality():
             )
         budget = float(rng.uniform(0.5, 10.0))
         cell = waterfill_cell(groups, budget)
-        for grp, user in zip(groups, cell.users):
-            worst_kkt = max(worst_kkt, kkt_violation(user, grp.gammas, grp.sigma2))
+        worst_kkt = max(worst_kkt, kkt_violation(cell, groups))
         assert abs(cell.achieved_constraint - budget) <= 1e-8 * budget
 
         def cell_rate(qs):
@@ -126,7 +125,7 @@ def test_criterion_4_waterfilling_optimality():
                 total += 0.5 * np.sum(np.log2(1.0 + grp.gammas**2 * q / grp.sigma2))
             return total
 
-        achieved = cell_rate([u.per_stream_power for u in cell.users])
+        achieved = cell_rate(cell.per_stream_power)
         sizes = [len(g.gammas) for g in groups]
         total_power = 2 * budget  # orthonormal V: traced power is sum of q, the cell charges half
         for _ in range(1000):

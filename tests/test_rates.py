@@ -50,41 +50,41 @@ def synthetic_prs_eff(E1, V1, n_rx=None):
 
 class TestWaterfill:
     def test_symmetric_two_streams(self):
-        res = waterfill_cell([StreamGroup(np.array([1.0, 1.0]), 1.0, np.eye(2), np.eye(2))], 1.0).users[0]
-        np.testing.assert_allclose(res.per_stream_power, [1.0, 1.0], atol=1e-10)
+        res = waterfill_cell([StreamGroup(np.array([1.0, 1.0]), 1.0, np.eye(2), np.eye(2))], 1.0)
+        np.testing.assert_allclose(res.per_stream_power[0], [1.0, 1.0], atol=1e-10)
         assert abs(res.water_level - 2.0) < 1e-10
         assert abs(res.achieved_constraint - 1.0) < 1e-10
 
     def test_hand_computed_active_set(self):
         # costs sigma2/gamma^2 = (0.5, 2.0), power 1 (cell budget 0.5): only stream 1 active
         gammas = np.array([math.sqrt(2.0), math.sqrt(0.5)])
-        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 0.5).users[0]
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 0.5)
         assert abs(res.water_level - 1.5) < 1e-10
-        np.testing.assert_allclose(res.per_stream_power, [1.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(res.per_stream_power[0], [1.0, 0.0], atol=1e-10)
 
     def test_large_budget_asymptotics(self):
         # with every stream active, power differences equal cost differences
         gammas = np.array([2.0, 0.5])
-        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 1e6 / 2).users[0]
+        q = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 1e6 / 2).per_stream_power[0]
         expected_gap = 1.0 / 0.25 - 1.0 / 4.0
-        assert abs((res.per_stream_power[0] - res.per_stream_power[1]) - expected_gap) < 1e-6
+        assert abs((q[0] - q[1]) - expected_gap) < 1e-6
 
     def test_zero_budget_is_exactly_zero(self):
-        res = waterfill_cell([StreamGroup(np.array([1.0, 2.0]), 1.0, np.eye(2), np.eye(2))], 0.0).users[0]
+        res = waterfill_cell([StreamGroup(np.array([1.0, 2.0]), 1.0, np.eye(2), np.eye(2))], 0.0)
         assert res.water_level == 0.0
-        assert not res.per_stream_power.any()
-        assert not res.Q.any()
+        assert not res.per_stream_power[0].any()
+        assert not res.Q[0].any()
 
     def test_dead_streams_get_nothing(self):
         gammas = np.array([1.0, 0.0])
-        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 3.0 / 2).users[0]
-        assert res.per_stream_power[1] == 0.0
+        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 3.0 / 2)
+        assert res.per_stream_power[0][1] == 0.0
         assert abs(res.achieved_constraint - 1.5) < 1e-8 * 1.5
 
     def test_all_dead_flagged(self):
-        res = waterfill_cell([StreamGroup(np.zeros(2), 1.0, np.eye(2), np.eye(2))], 1.0 / 2).users[0]
+        res = waterfill_cell([StreamGroup(np.zeros(2), 1.0, np.eye(2), np.eye(2))], 1.0 / 2)
         assert res.no_positive_gain
-        assert not res.per_stream_power.any()
+        assert not res.per_stream_power[0].any()
 
     def test_kkt_certificate_seeded(self):
         for i in range(50):
@@ -95,42 +95,45 @@ class TestWaterfill:
             budget = float(rng.uniform(0.2, 20.0))
             Psi = haar_columns(rng, n, n)
             V = haar_columns(rng, n + 2, n)
-            res = waterfill_cell([StreamGroup(gammas, sigma2, V, Psi)], budget / 2).users[0]
-            assert kkt_violation(res, gammas, sigma2) <= 1e-8
-            if res.per_stream_power.any():
+            groups = [StreamGroup(gammas, sigma2, V, Psi)]
+            res = waterfill_cell(groups, budget / 2)
+            assert kkt_violation(res, groups) <= 1e-8
+            if res.per_stream_power[0].any():
                 assert abs(2 * res.achieved_constraint - budget) <= 1e-8 * budget
-            evals = np.linalg.eigvalsh((res.Q + res.Q.T) / 2)
+            evals = np.linalg.eigvalsh((res.Q[0] + res.Q[0].T) / 2)
             assert evals.min() > -1e-9
 
     def test_kkt_gap_skips_streams_the_solve_treats_as_dead(self):
         # gamma 1.0 is below rank_tol * 1e12, so the solve gives it no power
         # although its cost (1.0) lies under the water level (about 10)
         gammas = np.array([1e12, 1.0])
-        cell = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], 10.0 / 2)
-        res = cell.users[0]
-        assert res.per_stream_power[1] == 0.0 and res.water_level > 1.0
-        assert kkt_violation(res, gammas, 1.0) <= 1e-8
+        groups = [StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))]
+        cell = waterfill_cell(groups, 10.0 / 2)
+        assert cell.per_stream_power[0][1] == 0.0 and cell.water_level > 1.0
+        assert kkt_violation(cell, groups) <= 1e-8
         assert cell.kkt_gap <= 1e-8
 
     def test_kkt_gap_catches_unspent_budget(self):
         gammas = np.array([2.0, 1.0, 0.5])
-        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(3), np.eye(3))], 10.0 / 2).users[0]
-        assert kkt_violation(res, gammas, 1.0) <= 1e-8
+        groups = [StreamGroup(gammas, 1.0, np.eye(3), np.eye(3))]
+        res = waterfill_cell(groups, 10.0 / 2)
+        assert kkt_violation(res, groups) <= 1e-8
         halved = dataclasses.replace(res, achieved_constraint=res.achieved_constraint / 2)
-        assert kkt_violation(halved, gammas, 1.0) > 1e-8
+        assert kkt_violation(halved, groups) > 1e-8
 
     @pytest.mark.parametrize("budget", [10.0, 1e300])
     def test_kkt_stationarity_is_relative_to_the_water_level(self, budget):
         # one ulp on an active stream's power reads as one ulp at any budget
         gammas = np.array([2.0, 1.0])
-        res = waterfill_cell([StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))], budget / 2).users[0]
-        assert res.per_stream_power.all()
-        q = res.per_stream_power.copy()
+        groups = [StreamGroup(gammas, 1.0, np.eye(2), np.eye(2))]
+        res = waterfill_cell(groups, budget / 2)
+        assert res.per_stream_power[0].all()
+        q = res.per_stream_power[0].copy()
         q[0] = np.nextafter(q[0], math.inf)
-        nudged = dataclasses.replace(res, per_stream_power=q)
-        assert 0.0 < kkt_violation(nudged, gammas, 1.0) <= 1e-15
+        nudged = dataclasses.replace(res, per_stream_power=(q,))
+        assert 0.0 < kkt_violation(nudged, groups) <= 1e-15
         halved = dataclasses.replace(res, achieved_constraint=res.achieved_constraint / 2)
-        assert kkt_violation(halved, gammas, 1.0) > 1e-8
+        assert kkt_violation(halved, groups) > 1e-8
 
     def test_beats_random_diagonal_allocations(self):
         # independent oracle: dense random search over feasible diagonal
@@ -143,12 +146,12 @@ class TestWaterfill:
             budget = float(rng.uniform(0.5, 10.0))
             Psi = haar_columns(rng, n, n)
             V = haar_columns(rng, n + 1, n)  # orthonormal: traced power is sum(q)
-            res = waterfill_cell([StreamGroup(gammas, sigma2, V, Psi)], budget / 2).users[0]
+            res = waterfill_cell([StreamGroup(gammas, sigma2, V, Psi)], budget / 2)
 
             def rate(q):
                 return 0.5 * np.sum(np.log2(1.0 + gammas**2 * q / sigma2))
 
-            best = rate(res.per_stream_power)
+            best = rate(res.per_stream_power[0])
             for _ in range(1000):
                 q = rng.dirichlet(np.ones(n)) * budget
                 assert rate(q) <= best + 1e-6
@@ -218,7 +221,7 @@ class TestCellWaterfill:
         assert waterfill_cell([dead], 3.0).water_level == 0.0
         cell = waterfill_cell([weightless, live], 3.0)
         assert cell.water_level > 0.0
-        assert cell.users[0].per_stream_power.all()  # free streams still fill to the level
+        assert cell.per_stream_power[0].all()  # free streams still fill to the level
 
     @pytest.mark.parametrize(
         "budget",
@@ -241,7 +244,7 @@ class TestCellWaterfill:
         rng = np.random.default_rng(12)
         groups = [StreamGroup(rng.uniform(0.5, 2.0, 3), 1.5, rng.standard_normal((5, 3)), haar_columns(rng, 3, 3))]
         cell = waterfill_cell(groups, budget=4.0)
-        assert cell.kkt_gap == kkt_violation(cell.users[0], groups[0].gammas, 1.5)
+        assert cell.kkt_gap == kkt_violation(cell, groups)
         assert cell.kkt_gap <= 1e-8
 
     def test_shared_water_level_two_users(self):
@@ -252,12 +255,14 @@ class TestCellWaterfill:
             StreamGroup(g2, 2.0, haar_columns(rng, 4, 3), haar_columns(rng, 3, 3)),
         ]
         cell = waterfill_cell(groups, budget=5.0)
-        assert cell.users[0].water_level == cell.users[1].water_level
+        assert len(cell.per_stream_power) == len(cell.Q) == 2
+        # both users fill to the one water level
+        assert kkt_violation(cell, groups) <= 1e-8
         assert abs(cell.achieved_constraint - 5.0) <= 1e-8 * 5.0
         # the cell budget uses the 1/2 trace convention
         total = sum(
-            float(np.einsum("ij,ij->", grp.V @ res.Q, grp.V))
-            for grp, res in zip(groups, cell.users)
+            float(np.einsum("ij,ij->", grp.V @ Q, grp.V))
+            for grp, Q in zip(groups, cell.Q)
         )
         assert abs(0.5 * total - 5.0) <= 1e-8 * 5.0
 
@@ -269,7 +274,7 @@ class TestCellRates:
         noise = NoiseAndPower(Qav_P=0.5)
         res = pcell_sum_rate(prs, eff, noise)
         assert abs(res.sum_rate - 0.5) < 1e-9
-        np.testing.assert_allclose(res.allocation.users[0].per_stream_power, [1.0], atol=1e-9)
+        np.testing.assert_allclose(res.allocation.per_stream_power[0], [1.0], atol=1e-9)
 
     def test_vanishing_budget(self):
         prs, eff = synthetic_prs_eff(np.eye(1), np.eye(1))
@@ -295,6 +300,8 @@ class TestCellRates:
         eff = effective_channels(ch, prs)
         res = scell_sum_rate(prs, eff, NoiseAndPower())
         assert res.sum_rate == 0.0
+        assert res.allocation.per_stream_power == res.allocation.Q == ()
+        assert kkt_violation(res.allocation, []) == res.allocation.kkt_gap == 0.0
 
     def test_scell_scalar_closed_form(self):
         dims = NetworkDims(5, 5, 5, 3)
@@ -304,7 +311,7 @@ class TestCellRates:
         noise = NoiseAndPower(Qav_S=2.0)
         res = scell_sum_rate(prs, eff, noise)
         g = eff.D_S1[0, 0]
-        q = res.allocation.users[0].per_stream_power[0]
+        q = res.allocation.per_stream_power[0][0]
         assert abs(res.sum_rate - 0.5 * math.log2(1.0 + g * g * q / 1.0)) < 1e-9
 
     def test_pipeline_beats_diagonal_search(self):
@@ -371,14 +378,12 @@ def lane(obj, t):
 
 
 def assert_cell_lane(stacked: CellAllocation, single: CellAllocation, t: int) -> None:
-    for name in ("water_level", "achieved_constraint", "kkt_gap", "no_positive_gain"):
+    for name in ("water_level", "budget", "achieved_constraint", "no_positive_gain", "kkt_gap"):
         assert same_bits(getattr(stacked, name)[t], getattr(single, name)), (t, name)
-    assert len(stacked.users) == len(single.users)
-    for u, (res, res_t) in enumerate(zip(stacked.users, single.users)):
-        for name in ("water_level", "achieved_constraint", "no_positive_gain", "per_stream_power", "Q"):
-            assert same_bits(getattr(res, name)[t], getattr(res_t, name)), (t, u, name)
-        # a budget stack carries its budgets; a lane stack shares one
-        assert (res.budget[t] if np.ndim(res.budget) else res.budget) == res_t.budget
+    for name in ("per_stream_power", "Q"):
+        assert len(getattr(stacked, name)) == len(getattr(single, name)), name
+        for u, (user, user_t) in enumerate(zip(getattr(stacked, name), getattr(single, name))):
+            assert same_bits(user[t], user_t), (t, u, name)
 
 
 class TestStackedRates:
@@ -423,6 +428,7 @@ class TestStackedRates:
         for budget in (0.0, 0.3, 4.0, 1e3):
             stacked = waterfill_cell(groups, budget)
             assert stacked.water_level.shape == (T,)
+            assert same_bits(kkt_violation(stacked, groups), stacked.kkt_gap)
             for t in range(T):
                 lane_groups = [StreamGroup(g.gammas[t], g.sigma2, g.V[t], g.Psi[t]) for g in groups]
                 assert_cell_lane(stacked, waterfill_cell(lane_groups, budget), t)
@@ -434,6 +440,7 @@ class TestStackedRates:
         budgets = np.array([0.0, 0.3, 4.0, 1e3])
         stacked = waterfill_cell(groups, budgets)
         assert stacked.water_level.shape == stacked.kkt_gap.shape == (4, T)
+        assert same_bits(kkt_violation(stacked, groups), stacked.kkt_gap)
         for b, budget in enumerate(budgets):
             assert_cell_lane(stacked, waterfill_cell(groups, float(budget)), b)
 

@@ -35,8 +35,10 @@ class TestTypes:
 
     def test_alloc_validation(self):
         StreamAlloc(0, 0, 0, 0)
-        with pytest.raises(ScenarioError):
-            StreamAlloc(-1, 0, 0, 0)
+        StreamAlloc(0, 0, MAX_ANTENNAS, 0)
+        for counts in ((-1, 0, 0, 0), (0, 0, MAX_ANTENNAS + 1, 0)):
+            with pytest.raises(ScenarioError):
+                StreamAlloc(*counts)
 
     def test_noise_positive(self):
         with pytest.raises(ScenarioError):
@@ -292,6 +294,7 @@ class TestScenarioFiles:
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ScenarioError):
-            load_scenario(path)
+        for content in (b"{not json", b"\xff\xfe{}"):  # not JSON; not UTF-8
+            path.write_bytes(content)
+            with pytest.raises(ScenarioError):
+                load_scenario(path)
