@@ -47,10 +47,10 @@ itself refuses what the network cannot carry, on every generic draw:
 NoComplement for an empty null space, RankDeficient for a rank shortfall
 forced by a formed matrix having more columns than rows.
 DegenerateChannel is kept for measure-zero accidents of one draw, which
-:func:`draw_system` redraws, drawing each channel matrix just before the
-first stage that reads it.  An error a stage raises carries its
-``stage``: ``selectors``, ``secondary``, ``primary_precoders``,
-``corrections`` or ``primary_receivers``.
+:func:`draw_system` redraws, one channel draw per lane and attempt.  An
+error a stage raises carries its ``stage``: ``selectors``,
+``secondary``, ``primary_precoders``, ``corrections`` or
+``primary_receivers``.
 
 Stacked draws
 -------------
@@ -83,13 +83,14 @@ from .numerics import (
     zero_forcing_columns,
 )
 from .scenario import (
-    CHANNEL_STREAMS,
+    CHANNEL_ORDER,
     MAX_ANTENNAS,
     PRECODER_STREAM_P1,
     PRECODER_STREAM_P2,
     ChannelSet,
     NetworkDims,
     StreamAlloc,
+    _channel_set,
     _checked_seeds,
     _draw_channels,
     _thread_streams,
@@ -373,14 +374,8 @@ def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> Precoder
     return _build_primary(ch, d, seed, U_S1, U_S2, V_S1, V_S2)
 
 
-# the channels the secondary alignment reads, and those only the primary
-# stages read; each attempt draws the first pair before the other four
-_SECONDARY_CHANNELS = ("H_S1", "H_S2")
-_PRIMARY_CHANNELS = ("H_P1", "H_P2", "Hp_P1", "Hp_P2")
-
-
 def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -> tuple[ChannelSet, PrecoderReceiverSet]:
-    """Draw channels stage by stage and build, redrawing degenerate draws.
+    """Draw channels and build, redrawing degenerate draws.
 
     ``seeds`` is one trial seed, which gives 2-D arrays, or a non-empty
     list of trial seeds, which gives one lane per seed along a leading
@@ -388,16 +383,18 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
     Attempt ``a`` of a lane draws from ``derive_seed(seed, a)``.  The
     stages are those of :func:`build_all`.  The selectors run once the
     seeds are checked and before any seed is derived, so a structural
-    failure of the selectors derives no seed and draws nothing; each
-    channel matrix is drawn just before the first stage that reads it, so
-    one of the secondary alignment draws only H_S1 and H_S2.  Structural
-    failures propagate from the first attempt.  When a stage reports
-    degenerate lanes, those lanes move to their next attempt's seed and
-    the whole stack is drawn and built again; the other lanes keep their
-    seeds, and since every matrix is keyed by its (seed, stream id), they
-    draw the same bits.  A lane whose MAX_DEGENERATE_RETRIES attempts were
-    all degenerate raises TooManyDegenerateDraws, with that lane in its
-    mask.  Every draw comes from the calling thread's one Philox instance.
+    failure of the selectors derives no seed and draws nothing.  Each
+    attempt then makes exactly one channel draw per lane, all six
+    matrices from one call (see :mod:`cogia.scenario`); H_S1 and H_S2
+    come first in it, and the other four matrices and the ChannelSet are
+    cut only once the secondary alignment passes.  Structural failures
+    propagate from the first attempt.  When a stage reports degenerate
+    lanes, those lanes move to their next attempt's seed and the whole
+    stack is drawn and built again; the other lanes keep their seeds, and
+    since a lane's draw is keyed by its seed alone, they draw the same
+    bits.  A lane whose MAX_DEGENERATE_RETRIES attempts were all
+    degenerate raises TooManyDegenerateDraws, with that lane in its mask.
+    Every draw comes from the calling thread's one Philox instance.
     """
     _checked_seeds(seeds)
     U_S1, U_S2 = _stage("selectors", build_secondary_receivers, dims.N_S, alloc)
@@ -408,9 +405,9 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
     while True:
         lane_seeds = draw_seeds[0] if single else draw_seeds
         try:
-            secondary = _draw_channels(dims, lane_seeds, _SECONDARY_CHANNELS)
-            V_S1, V_S2 = _stage("secondary", _align_secondary, secondary["H_S1"], secondary["H_S2"], U_S1, U_S2)
-            ch = ChannelSet(dims=dims, **secondary, **_draw_channels(dims, lane_seeds, _PRIMARY_CHANNELS))
+            H_S1, H_S2, buf = _draw_channels(dims, lane_seeds)
+            V_S1, V_S2 = _stage("secondary", _align_secondary, H_S1, H_S2, U_S1, U_S2)
+            ch = _channel_set(dims, H_S1, H_S2, buf)
             return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:
             redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
@@ -476,7 +473,7 @@ def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> Interferenc
         "cross_stream_at_S1": (_offdiag(eff.D_S1), "H_S1"),
         "cross_stream_at_S2": (_offdiag(eff.D_S2), "H_S2"),
     }
-    norms = {name: lane_norm(getattr(ch, name)) for name in CHANNEL_STREAMS}
+    norms = {name: lane_norm(getattr(ch, name)) for name in CHANNEL_ORDER}
     r = np.stack([lane_norm(residual) for residual, _ in paths.values()])
     h = np.stack([norms[name] for _, name in paths.values()])
     rel = np.where(h > 0.0, r / np.where(h > 0.0, h, 1.0), r)

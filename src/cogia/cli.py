@@ -7,10 +7,10 @@ verify      run the construction over many channel draws and report the
 dof-region  enumerate the achievable DoF region and export it as CSV
 rates       Monte Carlo rate sweep over (budget, split) pairs
 
-Exit codes: 0 success, 1 usage or I/O error, 2 infeasible allocation or
-oversized grid.  All data files are CSV with '.' decimals, comma
-separators, LF line endings and a mandatory header row; every run also
-writes a JSON manifest sufficient to reproduce it.
+Exit codes: 0 success, 1 usage or I/O error, 2 infeasible allocation,
+construction failure or oversized grid.  All data files are CSV with
+'.' decimals, comma separators, LF line endings and a mandatory header
+row; every run also writes a JSON manifest sufficient to reproduce it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .dof import (
 from .errors import (
     CogiaError,
     GridTooLarge,
-    InfeasibleAlloc,
     ScenarioError,
     TooManyDegenerateDraws,
 )
@@ -217,11 +216,10 @@ def cmd_rates(args) -> int:
         points = rate_region_sweep(
             dims, scenario.splits, scenario.budgets, trials=trials, seed=seed, sigma2s=sigma2s
         )
-    except InfeasibleAlloc as exc:
-        print(f"infeasible rate sweep: {exc}", file=sys.stderr)
-        return 2
-    except TooManyDegenerateDraws as exc:
-        print(f"rate sweep failed: {exc}", file=sys.stderr)
+    except ScenarioError:
+        raise
+    except CogiaError as exc:
+        print(f"rate sweep failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out)

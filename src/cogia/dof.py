@@ -34,7 +34,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .alignment import PrecoderReceiverSet, draw_system, interference_report
-from .errors import GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
+from .errors import CogiaError, GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
 from .numerics import ZERO_TOL, full_column_rank
 from .scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
@@ -57,6 +57,7 @@ class Violation:
     condition: str
     detail: str
     origin: str  # "structural" | "derived" | "constructive"
+    stage: str | None = None  # the construction stage a refusal came from, else None
 
     def __str__(self) -> str:
         return f"{self.condition} [{self.origin}]: {self.detail}"
@@ -163,8 +164,8 @@ def _verdict(violation: Violation | None) -> FeasibilityVerdict:
     return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
 
 
-def _refusal(trial: int, exc: Exception) -> Violation:
-    return Violation("construction succeeds", f"trial {trial}: {type(exc).__name__}: {exc}", "constructive")
+def _refusal(trial: int, exc: CogiaError) -> Violation:
+    return Violation("construction succeeds", f"trial {trial}: {type(exc).__name__}: {exc}", "constructive", exc.stage)
 
 
 def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None:

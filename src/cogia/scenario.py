@@ -10,14 +10,14 @@ Hp_S2, are not: under ideal dirty-paper coding nothing depends on them).
 
 Randomness contract
 -------------------
-All draws come from counter-based Philox streams so results are
-reproducible across platforms and insensitive to draw order:
+All draws come from counter-based Philox streams keyed
+``(seed, stream_id)``, so results are reproducible across platforms and
+insensitive to draw order:
 
-* stream key = ``(seed, stream_id)``; channel matrices use stream ids
-  0..7 in the fixed order H_P1, H_P2, Hp_P1, Hp_P2, H_S1, H_S2, Hp_S1,
-  Hp_S2, so adding a consumer of a new stream never perturbs existing
-  matrices; ids 6 and 7 stay reserved for Hp_S1 and Hp_S2, which are
-  not drawn;
+* stream id 0 carries the channel matrices of a draw seed: one
+  ``standard_normal`` call fills all six, flattened row-major, one after
+  another in the fixed order H_S1, H_S2, H_P1, H_P2, Hp_P1, Hp_P2
+  (:data:`CHANNEL_ORDER`);
 * stream ids 8 and 9 are reserved for the random primary precoder
   columns of P1 and P2 (see :mod:`cogia.alignment`);
 * multi-trial experiments derive one sub-seed per trial with
@@ -58,16 +58,10 @@ MAX_ANTENNAS = 16
 
 _MASK64 = (1 << 64) - 1
 
-# stream ids for the drawn channel matrices, in field order; ids 6 and 7
-# stay reserved for Hp_S1 and Hp_S2 (primary BS to secondary user j)
-CHANNEL_STREAMS = {
-    "H_P1": 0,
-    "H_P2": 1,
-    "Hp_P1": 2,
-    "Hp_P2": 3,
-    "H_S1": 4,
-    "H_S2": 5,
-}
+# the channel matrices in the order one stream fills them, the pair the
+# secondary alignment reads first
+CHANNEL_ORDER = ("H_S1", "H_S2", "H_P1", "H_P2", "Hp_P1", "Hp_P2")
+CHANNEL_STREAM = 0
 PRECODER_STREAM_P1 = 8
 PRECODER_STREAM_P2 = 9
 
@@ -142,15 +136,9 @@ class NoiseAndPower:
 
 
 def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
-    """Shape of each channel matrix, in stream-id order (see CHANNEL_STREAMS)."""
-    return {
-        "H_P1": (dims.N_P, dims.M_P),
-        "H_P2": (dims.N_P, dims.M_P),
-        "Hp_P1": (dims.N_P, dims.M_S),
-        "Hp_P2": (dims.N_P, dims.M_S),
-        "H_S1": (dims.N_S, dims.M_S),
-        "H_S2": (dims.N_S, dims.M_S),
-    }
+    """Shape of each channel matrix, in the order one stream fills them (CHANNEL_ORDER)."""
+    secondary, primary, cross = (dims.N_S, dims.M_S), (dims.N_P, dims.M_P), (dims.N_P, dims.M_S)
+    return dict(zip(CHANNEL_ORDER, (secondary, secondary, primary, primary, cross, cross)))
 
 
 @dataclass(frozen=True)
@@ -309,29 +297,43 @@ def _thread_streams() -> _SubstreamFactory:
     return streams
 
 
-def _draw_channels(dims: NetworkDims, seed: int | list[int], names) -> dict[str, np.ndarray]:
-    """Read-only channel matrices ``names`` for checked seeds, each from its own substream."""
-    streams, shapes = _thread_streams(), _channel_shapes(dims)
-    mats = {}
-    for name in names:
-        m = streams.normal(seed, CHANNEL_STREAMS[name], shapes[name])
-        m.flags.writeable = False
-        mats[name] = m
-    return mats
+def _draw_channels(dims: NetworkDims, seed: int | list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One channel draw per checked seed: H_S1, H_S2 and the read-only buffer they view.
+
+    A lane's buffer row is one ``standard_normal`` call on its stream
+    ``(seed, CHANNEL_STREAM)``: the six matrices, each flattened row-major,
+    one after another in CHANNEL_ORDER; :func:`_channel_set` cuts the rest.
+    """
+    n = dims.N_S * dims.M_S
+    buf = _thread_streams().normal(seed, CHANNEL_STREAM, (2 * n + 2 * dims.N_P * (dims.M_P + dims.M_S),))
+    buf.flags.writeable = False
+    shape = buf.shape[:-1] + (dims.N_S, dims.M_S)
+    return buf[..., :n].reshape(shape), buf[..., n : 2 * n].reshape(shape), buf
+
+
+def _channel_set(dims: NetworkDims, H_S1: np.ndarray, H_S2: np.ndarray, buf: np.ndarray) -> ChannelSet:
+    """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``."""
+    shapes, lanes = _channel_shapes(dims), buf.shape[:-1]
+    start, primary = 2 * dims.N_S * dims.M_S, {}
+    for name in CHANNEL_ORDER[2:]:
+        r, c = shapes[name]
+        primary[name] = buf[..., start : start + r * c].reshape(lanes + (r, c))
+        start += r * c
+    return ChannelSet(dims=dims, H_S1=H_S1, H_S2=H_S2, **primary)
 
 
 def generate_channels(dims: NetworkDims, seed: int | list[int]) -> ChannelSet:
     """Draw the channel matrices of one network realization per seed.
 
-    Each matrix gets i.i.d. standard normal entries from its own Philox
-    substream (see module docstring), so the same (dims, seed) always
-    yields the same bits and matrices never perturb each other.  One seed
-    gives 2-D matrices; a list of seeds gives one lane per seed along a
-    leading axis, lane ``i`` equal to the draw for ``seed[i]`` alone.
-    Every seed is checked before the first matrix is drawn.  Arrays are
-    returned read-only.
+    A seed's six matrices get i.i.d. standard normal entries from one
+    call on its Philox stream ``(seed, 0)``, in the documented order (see
+    module docstring), so the same (dims, seed) always yields the same
+    bits.  One seed gives 2-D matrices; a list of seeds gives one lane per
+    seed along a leading axis, lane ``i`` equal to the draw for
+    ``seed[i]`` alone.  Every seed is checked before the first matrix is
+    drawn.  Arrays are returned read-only, as views of one buffer.
     """
-    return ChannelSet(dims=dims, **_draw_channels(dims, _checked_seeds(seed), CHANNEL_STREAMS))
+    return _channel_set(dims, *_draw_channels(dims, _checked_seeds(seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from cogia.alignment import (
 )
 from cogia.dof import closed_form_feasible, constructive_check, grid_tuples
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, ScenarioError, TooManyDegenerateDraws
-from cogia.scenario import CHANNEL_STREAMS, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
+from cogia.scenario import CHANNEL_STREAM, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
 
 
 def system(dims_tuple, seed):
@@ -321,13 +321,9 @@ def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:
     return drawn
 
 
-CHANNEL_IDS = tuple(CHANNEL_STREAMS.values())
-SECONDARY_IDS = (CHANNEL_STREAMS["H_S1"], CHANNEL_STREAMS["H_S2"])
-
-
-def channel_draws(drawn: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The channel-matrix draws among ``drawn``, sorted."""
-    return sorted((s, k) for s, k in drawn if k in CHANNEL_IDS)
+def channel_draws(drawn: list[tuple[int, int]]) -> list[int]:
+    """The seeds of the channel draws among ``drawn``, one per lane, in draw order."""
+    return [s for s, k in drawn if k == CHANNEL_STREAM]
 
 
 # the construction stage that refuses a tuple violating just this condition
@@ -338,9 +334,21 @@ STAGE_OF_CONDITION = {
     "M_S >= N_P when d_Pi > Z": "corrections",
     "N_P >= d_P1 + d_S1 + d_S2": "primary_receivers", "N_P >= d_P2 + d_S1 + d_S2": "primary_receivers",
 }
-# the selectors refuse before any draw, the secondary alignment after
-# drawing H_S1 and H_S2, the primary stages after all six
-STAGE_DRAWS = {"selectors": (), "secondary": SECONDARY_IDS}
+
+
+def assert_refusal_draws(drawn: list[tuple[int, int]], stage: str, draw_seed: int) -> None:
+    """What a one-lane attempt refused at ``stage`` drew from ``draw_seed``.
+
+    The selectors refuse before anything is drawn.  Every later stage
+    refuses after exactly one channel draw; the secondary alignment also
+    refuses before any precoder column is drawn.
+    """
+    if stage == "selectors":
+        assert drawn == []
+    elif stage == "secondary":
+        assert drawn == [(draw_seed, CHANNEL_STREAM)]
+    else:
+        assert channel_draws(drawn) == [draw_seed]
 
 
 class TestDrawSystem:
@@ -365,14 +373,14 @@ class TestDrawSystem:
             draw_system(dims, alloc, 31)
         stage = refusal.value.stage
         assert stage == STAGE_OF_CONDITION[condition]
-        drawn_ids = STAGE_DRAWS.get(stage, CHANNEL_IDS)
-        assert channel_draws(drawn) == sorted((derive_seed(31, 0), k) for k in drawn_ids)
+        assert_refusal_draws(drawn, stage, derive_seed(31, 0))
 
     def test_refusal_stage_matches_a_violated_condition(self, monkeypatch):
         # every closed-form-infeasible tuple of every quartet with entries
-        # <= 3: the stage the refusal names must have drawn just what it
-        # reads, and have a closed-form condition of its own among the
-        # violated ones
+        # <= 3: the stage the refusal names must have a closed-form
+        # condition of its own among the violated ones, and the attempt
+        # must have drawn nothing before the selectors and one channel
+        # draw after them
         refused = dict.fromkeys(STAGE_OF_CONDITION.values(), 0)
         drawn = spy_on_draws(monkeypatch)
         for q in itertools.product(range(1, 4), repeat=4):
@@ -382,11 +390,12 @@ class TestDrawSystem:
                 if not violated:
                     continue
                 drawn.clear()
+                seed = derive_seed(4, *q, *alloc.as_tuple())
                 with pytest.raises((NoComplement, RankDeficient)) as refusal:
-                    draw_system(dims, alloc, derive_seed(4, *q, *alloc.as_tuple()))
+                    draw_system(dims, alloc, seed)
                 stage = refusal.value.stage
                 assert stage in {STAGE_OF_CONDITION[c] for c in violated}, (q, alloc, stage, violated)
-                assert tuple(sorted({k for _, k in channel_draws(drawn)})) == STAGE_DRAWS.get(stage, CHANNEL_IDS)
+                assert_refusal_draws(drawn, stage, derive_seed(seed, 0))
                 refused[stage] += 1
         # the grid asks at most M_P primary streams, so the primary precoders
         # refuse only outside it (see test_structural_failure_on_first_draw)
@@ -440,9 +449,8 @@ class TestDrawSystem:
         drawn = spy_on_draws(monkeypatch)
         with pytest.raises(TooManyDegenerateDraws):
             draw_system(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), 9)
-        assert channel_draws(drawn) == sorted(
-            (derive_seed(9, a), k) for a in range(MAX_DEGENERATE_RETRIES) for k in CHANNEL_IDS
-        )
+        # one channel draw per attempt, and no precoder column
+        assert drawn == [(derive_seed(9, a), CHANNEL_STREAM) for a in range(MAX_DEGENERATE_RETRIES)]
 
 
 PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet) if f.name != "Z"]
@@ -493,7 +501,7 @@ class TestStackedDraws:
         # attempt 2 draws the whole stack again, lane 5 at its next seed
         first = [derive_seed(s, 0) for s in seeds]
         second = first[:5] + [redraw_seed] + first[6:]
-        assert channel_draws(drawn) == sorted((s, k) for s in first + second for k in CHANNEL_IDS)
+        assert channel_draws(drawn) == first + second
         assert builds == [20, 20]
         for name in PRS_ARRAYS:
             for t in range(20):
@@ -501,8 +509,8 @@ class TestStackedDraws:
                 assert same_bits(getattr(prs, name)[t], expected), (t, name)
 
     def test_lane_degenerate_at_the_secondary_alignment_is_redrawn(self, monkeypatch):
-        # the first attempt stops before the primary channels are drawn; the
-        # second draws all six for every lane, lane 5 at its next seed
+        # each attempt makes one channel draw per lane: the first stops at
+        # the secondary alignment, the second redraws lane 5 at its next seed
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
         seeds = [derive_seed(8, t) for t in range(20)]
         _, clean = draw_system(dims, alloc, seeds)
@@ -524,9 +532,9 @@ class TestStackedDraws:
         _, prs = draw_system(dims, alloc, seeds)
         first = [derive_seed(s, 0) for s in seeds]
         second = first[:5] + [redraw_seed] + first[6:]
-        assert channel_draws(drawn) == sorted(
-            [(s, k) for s in first for k in SECONDARY_IDS] + [(s, k) for s in second for k in CHANNEL_IDS]
-        )
+        assert channel_draws(drawn) == first + second
+        # the first attempt drew no precoder column
+        assert drawn[:40] == [(s, CHANNEL_STREAM) for s in first + second]
         assert aligned == [20, 20]
         for name in PRS_ARRAYS:
             for t in range(20):

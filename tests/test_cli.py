@@ -11,7 +11,7 @@ import cogia.alignment
 import cogia.cli
 import cogia.rates
 from cogia.cli import main
-from cogia.errors import DegenerateChannel
+from cogia.errors import DegenerateChannel, NoComplement, RankDeficient
 from cogia.scenario import derive_seed
 
 REFERENCE_NETWORK = {
@@ -257,6 +257,17 @@ class TestRates:
         cfg = write_config(tmp_path, bad)
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "(2, 0, 2, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NoComplement, RankDeficient])
+    def test_construction_refusal_exits_two(self, tmp_path, capsys, monkeypatch, error):
+        def refuse(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(cogia.rates, "draw_system", refuse)
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"rate sweep failed: {error.__name__}: forced" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_symmetric_operating_point(self, tmp_path):
         # at the budget where the two cells' mean rates cross, the rates

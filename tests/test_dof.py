@@ -10,6 +10,7 @@ import pytest
 
 import cogia.alignment
 import cogia.dof
+import cogia.scenario
 from cogia.dof import (
     FeasibilityVerdict,
     Violation,
@@ -22,7 +23,7 @@ from cogia.dof import (
 )
 from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
 from cogia.numerics import ZERO_TOL
-from cogia.scenario import MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
+from cogia.scenario import CHANNEL_STREAM, MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
 
 
 class TestClosedForm:
@@ -100,6 +101,34 @@ class TestConstructiveCheck:
         verdict = constructive_check(NetworkDims(3, 3, 3, 3), StreamAlloc(0, 0, 1, 1), trials=5)
         assert not verdict.feasible
         assert verdict.violated[0].origin == "constructive"
+
+    @pytest.mark.parametrize(
+        "dims_tuple, alloc_tuple, stage",
+        [
+            ((3, 5, 3, 2), (0, 0, 3, 0), "selectors"),
+            ((3, 3, 3, 3), (0, 0, 1, 1), "secondary"),
+            ((3, 2, 3, 1), (1, 0, 0, 0), "corrections"),
+            ((5, 5, 5, 3), (2, 0, 2, 2), "primary_receivers"),
+        ],
+    )
+    def test_refusal_carries_its_stage(self, dims_tuple, alloc_tuple, stage):
+        verdict = constructive_check(NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple), trials=20, seed=6)
+        assert [(v.condition, v.stage) for v in verdict.violated] == [("construction succeeds", stage)]
+
+    def test_feasible_check_resets_the_channel_stream_once_per_lane(self, monkeypatch):
+        resets = []
+        real = cogia.scenario._SubstreamFactory.stream
+
+        def spy(self, seed, stream):
+            resets.append(stream)
+            return real(self, seed, stream)
+
+        monkeypatch.setattr(cogia.scenario._SubstreamFactory, "stream", spy)
+        assert constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=20, seed=5).feasible
+        # the probe's lane, then the 20 lanes of the stack: one channel
+        # stream each, and one stream for P1's random precoder column
+        assert resets.count(CHANNEL_STREAM) == 21
+        assert len(resets) == 42
 
     def test_agrees_with_closed_form_sampled_dims(self):
         # full agreement on every tuple for a handful of quartets
@@ -226,7 +255,7 @@ class TestConstructiveCheck:
                 lines.append(repr(constructive_check(dims, t, trials=20, seed=derive_seed(5, *q, *t.as_tuple()))))
         assert len(lines) == 852
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "c04e2a5b0184af5d521ef5b5acd5c57cb6b37a5505d752ae19c697785c5c85ca"
+        assert digest == "013c3f08e2550c7c1c9725ac7c0df10d67fac68db33681503f726546f76cd246"
 
     def test_bound_sharpness_hundred_seeds(self):
         dims = NetworkDims(5, 5, 5, 3)  # M_S - N_S = 2

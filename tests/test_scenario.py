@@ -71,14 +71,21 @@ class TestChannelGeneration:
         assert ch.H_S1.shape == (3, 5)
         assert ch.Hp_P1.shape == (5, 5)
 
-    def test_matches_documented_substreams(self):
-        # matrix k comes from the Philox stream keyed (seed, k), in field order
-        dims = NetworkDims(3, 2, 2, 1)
-        ch = generate_channels(dims, 99)
-        expected_H_P2 = substream(99, 1).standard_normal((2, 3))
-        assert np.array_equal(ch.H_P2, expected_H_P2)
-        expected_H_S1 = substream(99, 4).standard_normal((1, 2))
-        assert np.array_equal(ch.H_S1, expected_H_S1)
+    @pytest.mark.parametrize("dims_tuple", [(3, 2, 2, 1), (12, 16, 10, 5)])
+    def test_matches_documented_layout(self, dims_tuple):
+        # the six matrices are consecutive row-major slices of one draw on
+        # the Philox stream keyed (seed, 0), in the documented order
+        M_P, M_S, N_P, N_S = dims_tuple
+        layout = [
+            ("H_S1", (N_S, M_S)), ("H_S2", (N_S, M_S)), ("H_P1", (N_P, M_P)),
+            ("H_P2", (N_P, M_P)), ("Hp_P1", (N_P, M_S)), ("Hp_P2", (N_P, M_S)),
+        ]
+        ch = generate_channels(NetworkDims(*dims_tuple), 99)
+        flat = substream(99, 0).standard_normal(sum(r * c for _, (r, c) in layout))
+        start = 0
+        for name, (r, c) in layout:
+            assert np.array_equal(getattr(ch, name), flat[start : start + r * c].reshape(r, c)), name
+            start += r * c
 
     def test_moments_standard_normal(self):
         dims = NetworkDims(4, 4, 2, 2)
