@@ -58,11 +58,11 @@ Every stage takes a :class:`ChannelSet` of one draw (2-D matrices) or of
 a stack of draws (a leading lane axis, one lane per draw) and returns
 arrays with the same leading axes: one draw is the plain 2-D case of the
 same code, and lane ``i`` of a stacked build is bit for bit the build of
-draw ``i`` alone.  A failure that only some lanes have carries a *lane
-mask*, a boolean array over the lane axes, in its ``lanes`` attribute:
-DegenerateChannel, and RankDeficient from a rank shortfall of one draw.
-A failure the shapes alone decide applies to every lane (``lanes`` is
-None).  The stages raise at the first check any lane fails, so a build
+draw ``i`` alone.  A failure that only some lanes have is always
+DegenerateChannel, with a *lane mask* (a boolean array over the lane
+axes) in its ``lanes`` attribute, and :func:`draw_system` redraws those
+lanes.  NoComplement and RankDeficient apply to every lane and carry no
+mask.  The stages raise at the first check any lane fails, so a build
 either returns every lane or none.
 """
 
@@ -393,7 +393,7 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
     stack is drawn and built again; the other lanes keep their seeds, and
     since a lane's draw is keyed by its seed alone, they draw the same
     bits.  A lane whose MAX_DEGENERATE_RETRIES attempts were all
-    degenerate raises TooManyDegenerateDraws, with that lane in its mask.
+    degenerate raises TooManyDegenerateDraws.
     Every draw comes from the calling thread's one Philox instance.
     """
     _checked_seeds(seeds)
@@ -412,11 +412,9 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
         except DegenerateChannel as exc:
             redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
             attempts[redraw] += 1
-            spent = attempts >= MAX_DEGENERATE_RETRIES
-            if spent.any():
+            if attempts.max() >= MAX_DEGENERATE_RETRIES:
                 raise TooManyDegenerateDraws(
-                    f"{MAX_DEGENERATE_RETRIES} degenerate draws in a row for dims {dims.as_tuple()}",
-                    lanes=None if single else spent,
+                    f"{MAX_DEGENERATE_RETRIES} degenerate draws in a row for dims {dims.as_tuple()}"
                 ) from exc
             for i in redraw:
                 draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))

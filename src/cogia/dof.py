@@ -14,8 +14,9 @@ Feasibility is decided two independent ways:
 The oracle never restates the predicate: it finds infeasibility by the
 construction failing.  A failure every generic draw repeats (NoComplement,
 RankDeficient) is structural and settles the tuple on the first draw;
-DegenerateChannel is a measure-zero accident that
-:func:`cogia.alignment.draw_system`, the package's one redraw loop, redraws.
+a rank loss that only some draws have is a measure-zero accident
+(DegenerateChannel) that :func:`cogia.alignment.draw_system`, the
+package's one redraw loop, redraws.
 The first trial is built alone, as a probe that settles every
 structural failure; then all trials, the first included, are built as
 one stack, which gets one interference report and one rank test per
@@ -34,7 +35,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .alignment import PrecoderReceiverSet, draw_system, interference_report
-from .errors import CogiaError, GridTooLarge, NoComplement, RankDeficient, TooManyDegenerateDraws
+from .errors import CogiaError, GridTooLarge, NoComplement, RankDeficient
 from .numerics import ZERO_TOL, full_column_rank
 from .scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
@@ -123,10 +124,12 @@ def constructive_check(
 
     Trial ``t`` builds through ``draw_system`` with the trial seed
     ``derive_seed(seed, t)``.  A structural failure (NoComplement,
-    RankDeficient) marks the tuple infeasible; every trial that builds
-    must finish with worst-case residual interference at or below
-    ``numerics.ZERO_TOL`` and full-column-rank effective channels.  The
-    verdict names the first failing trial in index order.
+    RankDeficient) marks the tuple infeasible; it applies to every trial,
+    so the verdict names trial 0.  Otherwise every trial must finish with
+    worst-case residual interference at or below ``numerics.ZERO_TOL``
+    and full-column-rank effective channels, and the verdict names the
+    first trial in index order that does not.  A trial whose draws stay
+    degenerate through the retry budget raises TooManyDegenerateDraws.
 
     Trial 0 is first built alone as a probe: on a generic draw it settles
     every structural failure at the cost of one build, before any other
@@ -139,33 +142,18 @@ def constructive_check(
         raise ValueError("trials must be >= 1")
     try:
         draw_system(dims, d, derive_seed(seed, 0))
+        ch, prs = draw_system(dims, d, [derive_seed(seed, t) for t in range(trials)])
     except (NoComplement, RankDeficient) as exc:
-        return _verdict(_refusal(0, exc))
-    seeds = [derive_seed(seed, t) for t in range(trials)]
-    # a build failure names its lanes; the trials before the first of them
-    # are built again without it, since one of them can still fail first
-    n, raised = trials, None
-    while n:
-        try:
-            ch, prs = draw_system(dims, d, seeds[:n])
-            break
-        except (NoComplement, RankDeficient, TooManyDegenerateDraws) as exc:
-            n = 0 if exc.lanes is None else int(np.flatnonzero(exc.lanes)[0])
-            raised = exc
-    violation = _first_failure(ch, prs) if n else None
-    if violation is None and raised is not None:
-        if isinstance(raised, TooManyDegenerateDraws):
-            raise raised
-        violation = _refusal(n, raised)
-    return _verdict(violation)
+        return _verdict(_refusal(exc))
+    return _verdict(_first_failure(ch, prs))
 
 
 def _verdict(violation: Violation | None) -> FeasibilityVerdict:
     return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
 
 
-def _refusal(trial: int, exc: CogiaError) -> Violation:
-    return Violation("construction succeeds", f"trial {trial}: {type(exc).__name__}: {exc}", "constructive", exc.stage)
+def _refusal(exc: CogiaError) -> Violation:
+    return Violation("construction succeeds", f"trial 0: {type(exc).__name__}: {exc}", "constructive", exc.stage)
 
 
 def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None:

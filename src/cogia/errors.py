@@ -4,16 +4,12 @@
 class CogiaError(Exception):
     """Base class for all cogia-specific errors.
 
-    ``lanes`` tells which lanes of a stacked construction the error
-    applies to: a boolean mask over the leading (lane) axes, or None when
-    it applies to every lane (a failure fixed by the shapes alone).
     ``stage`` names the construction stage that raised it, else None.
+    Every error but DegenerateChannel applies to every lane of a stacked
+    construction: a structural refusal repeats on every generic draw.
     """
 
-    def __init__(self, message: str = "", lanes=None):
-        super().__init__(message)
-        self.lanes = lanes
-        self.stage = None
+    stage = None
 
 
 class ScenarioError(CogiaError, ValueError):
@@ -37,7 +33,15 @@ class InfeasibleAlloc(CogiaError):
 
 
 class DegenerateChannel(CogiaError):
-    """A measure-zero channel draw broke a genericity assumption; redraw (never structural)."""
+    """A measure-zero channel draw broke a genericity assumption; redraw (never structural).
+
+    ``lanes`` is a boolean mask over the lane axes of the failed draws,
+    or None for every lane.
+    """
+
+    def __init__(self, message: str = "", lanes=None):
+        super().__init__(message)
+        self.lanes = lanes
 
 
 class TooManyDegenerateDraws(CogiaError):

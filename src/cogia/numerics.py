@@ -26,13 +26,12 @@ bit for bit, the result for lane ``i`` alone: numpy's stacked
 forms each lane's norm as the same dot product ``numpy.linalg.norm``
 uses.
 
-Rank decisions are made per lane and reported by a *lane mask*, a
-boolean array over the leading axes, in the ``lanes`` attribute of the
-error raised.  A right solve whose matrix lacks full row rank raises
-RankDeficient for the lanes concerned.  A null-space basis needs one
-column count for all lanes, so lanes whose rank falls below the best
-lane's raise DegenerateChannel: a rank loss that other draws of the
-same matrix do not share is a measure-zero accident of the draw.
+Rank decisions follow one rule.  A rank loss that only some lanes have
+is a measure-zero accident of their draws: lanes whose rank falls below
+the best lane's raise DegenerateChannel, with a *lane mask* (a boolean
+array over the leading axes) in its ``lanes`` attribute.  A shortfall
+every lane shares, one matrix included, is structural: RankDeficient
+or NoComplement, which apply to every lane and carry no mask.
 """
 
 from __future__ import annotations
@@ -173,8 +172,9 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     Equals ``A.T @ inv(A @ A.T) @ b``; computed through the SVD for
     stability.  ``b`` may be a vector or a matrix of stacked right-hand
     sides (with the lane axes of ``A`` in front).  Raises RankDeficient
-    when the row rank of ``A`` at RANK_TOL is below its row count, for
-    the lanes where it is.
+    when the row rank of ``A`` at RANK_TOL is below its row count in
+    every lane, and DegenerateChannel when some lanes fall below the
+    best lane's rank.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -186,9 +186,8 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    short = rank_under_policy(s) < m
-    if short.any():
-        raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}", lanes=short)
+    if _common_rank(rank_under_policy(s)) < m:
+        raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
     x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
     return x[..., 0] if vector else x

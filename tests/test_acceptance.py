@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete.  The full-grid agreement sweep (criterion 3) dominates
-the runtime at a few minutes; everything else finishes in seconds.
+the runtime at about a minute; everything else finishes in seconds.
 """
 
 import hashlib

@@ -24,6 +24,7 @@ from cogia.dof import (
 from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
 from cogia.numerics import ZERO_TOL
 from cogia.scenario import CHANNEL_STREAM, MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
+from test_alignment import STAGE_OF_CONDITION, channel_draws, spy_on_draws
 
 
 class TestClosedForm:
@@ -164,7 +165,8 @@ class TestConstructiveCheck:
         # the exhaustive criterion-3 sweep stops at 5 antennas; here 300
         # seeded pairs reach MAX_ANTENNAS: 100 feasible, 100 one stream
         # beyond a feasible tuple and 100 drawn uniformly among the
-        # infeasible ones
+        # infeasible ones; each refusal must come from a stage that one of
+        # the pair's violated conditions maps to
         rng = random.Random(16)
         feasible, beyond, infeasible = [], [], []
         while min(len(feasible), len(beyond), len(infeasible)) < 100:
@@ -179,15 +181,23 @@ class TestConstructiveCheck:
             if not closed_form_feasible(dims, StreamAlloc(*a)).feasible:
                 beyond.append((dims, StreamAlloc(*a)))
         pairs = feasible[:100] + beyond[:100] + infeasible[:100]
-        mismatches = []
+        mismatches, miscaused = [], []
+        refused = dict.fromkeys(STAGE_OF_CONDITION.values(), 0)
         for dims, alloc in pairs:
-            cf = closed_form_feasible(dims, alloc).feasible
+            cf = closed_form_feasible(dims, alloc)
             seed = derive_seed(16, *dims.as_tuple(), *alloc.as_tuple())
-            if constructive_check(dims, alloc, trials=20, seed=seed).feasible != cf:
-                mismatches.append((dims.as_tuple(), alloc.as_tuple(), cf))
-        assert mismatches == []
+            cc = constructive_check(dims, alloc, trials=20, seed=seed)
+            if cc.feasible != cf.feasible:
+                mismatches.append((dims.as_tuple(), alloc.as_tuple(), cf.feasible))
+            elif not cc.feasible:
+                stage = cc.violated[0].stage
+                refused[stage] += 1
+                if stage not in {STAGE_OF_CONDITION[v.condition] for v in cf.violated}:
+                    miscaused.append((dims.as_tuple(), alloc.as_tuple(), stage))
+        assert mismatches == [] and miscaused == []
+        assert sum(refused.values()) == 200 and all(refused.values()), refused
 
-    def test_earlier_failure_outranks_a_later_lane_out_of_redraws(self, monkeypatch):
+    def test_lane_out_of_redraws_raises_even_when_an_earlier_trial_leaks(self, monkeypatch):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
         real_build, real_report = cogia.alignment._build_primary, cogia.dof.interference_report
 
@@ -201,25 +211,51 @@ class TestConstructiveCheck:
             return real_build(ch, d, seeds, *secondary)
 
         def leaky(trial):
-            # trials 0..4, the ones before the forced lane, are verified together
             def report(ch, prs):
                 out = real_report(ch, prs)
-                if np.shape(out.worst_case) == (5,):
-                    worst = out.worst_case.copy()
-                    worst[trial] = 1.0
-                    out = dataclasses.replace(out, worst_case=worst)
-                return out
+                worst = out.worst_case.copy()
+                worst[trial] = 1.0
+                return dataclasses.replace(out, worst_case=worst)
 
             return report
 
-        monkeypatch.setattr(cogia.alignment, "_build_primary", build)
-        with pytest.raises(TooManyDegenerateDraws):
-            constructive_check(dims, alloc, trials=20, seed=3)
         for trial in (3, 0):
             monkeypatch.setattr(cogia.dof, "interference_report", leaky(trial))
+            monkeypatch.setattr(cogia.alignment, "_build_primary", real_build)
             verdict = constructive_check(dims, alloc, trials=20, seed=3)
-            assert not verdict.feasible
             assert verdict.violated[0].detail == f"trial {trial}: worst_case = 1.000e+00"
+            # the same leak does not outrank a lane that runs out of redraws
+            monkeypatch.setattr(cogia.alignment, "_build_primary", build)
+            with pytest.raises(TooManyDegenerateDraws):
+                constructive_check(dims, alloc, trials=20, seed=3)
+
+    def test_rank_accident_in_one_lane_is_redrawn_not_refused(self, monkeypatch):
+        # on the first stack attempt, lane 5's Hp_P2 loses rank, so the
+        # right solve of P1's correction fails in that lane alone: lane 5
+        # moves to its next seed, the other lanes draw the same bits again
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        seeds = [derive_seed(3, t) for t in range(20)]
+        real = cogia.alignment._channel_set
+        stacks = []
+
+        def rank_deficient_lane_5(dims, H_S1, H_S2, buf):
+            ch = real(dims, H_S1, H_S2, buf)
+            if H_S1.ndim == 3:
+                stacks.append(len(H_S1))
+                if len(stacks) == 1:
+                    Hp_P2 = ch.Hp_P2.copy()
+                    Hp_P2[5, 1] = 2.0 * Hp_P2[5, 0]
+                    ch = dataclasses.replace(ch, Hp_P2=Hp_P2)
+            return ch
+
+        monkeypatch.setattr(cogia.alignment, "_channel_set", rank_deficient_lane_5)
+        drawn = spy_on_draws(monkeypatch)
+        assert constructive_check(dims, alloc, trials=20, seed=3).feasible
+        first = [derive_seed(s, 0) for s in seeds]
+        second = first[:5] + [derive_seed(seeds[5], 1)] + first[6:]
+        # the probe's lane, then the two attempts of the stack
+        assert channel_draws(drawn) == first[:1] + first + second
+        assert stacks == [20, 20]
 
     def test_leaky_first_trial_is_named(self, monkeypatch):
         # every trial is verified in one pass, trial 0 in lane 0

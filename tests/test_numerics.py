@@ -280,10 +280,15 @@ class TestStacks:
         with pytest.raises(DegenerateChannel) as info:
             null_space_basis(A)
         assert info.value.lanes.tolist() == [False, True, False]
-        with pytest.raises(RankDeficient) as info:
+        with pytest.raises(DegenerateChannel) as info:
             min_norm_right_solve(A, np.ones((3, 2)))
         assert info.value.lanes.tolist() == [False, True, False]
         assert full_column_rank(np.swapaxes(A, -1, -2)).tolist() == [True, False, True]
+        # a shortfall every lane shares is structural and names no lane
+        A[:, 1] = 2.0 * A[:, 0]
+        with pytest.raises(RankDeficient) as info:
+            min_norm_right_solve(A, np.ones((3, 2)))
+        assert not hasattr(info.value, "lanes")
 
     def test_common_rank_of_one_matrix_is_its_rank(self):
         # one matrix's rank is a 0-d integer: there are no lanes to compare
