@@ -43,10 +43,11 @@ Stage order and failures
 the secondary precoders aligned to them (they read only H_S1 and H_S2),
 then primary precoders, corrections and primary combiners.  No stage
 checks the allocation against the antenna counts; the construction
-itself refuses what the network cannot carry, on every generic draw:
-NoComplement for an empty null space, RankDeficient for a rank shortfall
-forced by a formed matrix having more columns than rows.
-DegenerateChannel is kept for measure-zero accidents of one draw, which
+itself refuses what the network cannot carry, by a formed matrix's
+shape alone: RankDeficient for more columns than rows (selectors,
+primary precoders) or rows than columns (corrections), NoComplement for
+zero-forcing rows that fill every dimension.  Every other rank loss is
+a measure-zero accident of the draw, DegenerateChannel, which
 :func:`draw_system` redraws, one channel draw per lane and attempt.  An
 error a stage raises carries its ``stage``: ``selectors``,
 ``secondary``, ``primary_precoders``, ``corrections`` or
@@ -58,12 +59,12 @@ Every stage takes a :class:`ChannelSet` of one draw (2-D matrices) or of
 a stack of draws (a leading lane axis, one lane per draw) and returns
 arrays with the same leading axes: one draw is the plain 2-D case of the
 same code, and lane ``i`` of a stacked build is bit for bit the build of
-draw ``i`` alone.  A failure that only some lanes have is always
-DegenerateChannel, with a *lane mask* (a boolean array over the lane
+draw ``i`` alone.  A rank loss in one lane or all (one draw included)
+is DegenerateChannel, with a *lane mask* (a boolean array over the lane
 axes) in its ``lanes`` attribute, and :func:`draw_system` redraws those
-lanes.  NoComplement and RankDeficient apply to every lane and carry no
-mask.  The stages raise at the first check any lane fails, so a build
-either returns every lane or none.
+lanes.  NoComplement and RankDeficient come from shapes, which every
+lane shares, and carry no mask.  The stages raise at the first check
+any lane fails, so a build either returns every lane or none.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ import numpy as np
 
 from .errors import CogiaError, DegenerateChannel, RankDeficient, TooManyDegenerateDraws
 from .numerics import (
-    full_column_rank,
     lane_norm,
     matrix_transpose,
     min_norm_right_solve,
@@ -214,16 +214,12 @@ def build_primary_precoders(
             # the null space of an N_P x M_P channel has at least Z dimensions
             parts.append(null_space_basis(avoid_channel)[..., :n_null])
         if d_i > n_null:
+            # columns a draw makes dependent lose a stream at the primary receivers, which redraw that lane
             parts.append(_unit_columns(streams.normal(seed, stream_id, (dims.M_P, d_i - n_null))))
         V = np.concatenate(parts, axis=-1)
         # more columns than rows is a shortfall every draw repeats
         if V.shape[-1] > V.shape[-2]:
             raise RankDeficient(f"V_{user} is {V.shape[-2]}x{V.shape[-1]}: its columns cannot be independent")
-        # a single unit column is always independent
-        if d_i > 1:
-            dependent = ~full_column_rank(V)
-            if dependent.any():
-                raise DegenerateChannel(f"columns of V_{user} are not linearly independent", lanes=dependent)
         return V
 
     V_P1 = one_user(d.d_P1, ch.H_P2, PRECODER_STREAM_P1, "P1")
@@ -241,7 +237,7 @@ def build_corrections(
     Column l is zero for l <= Z = ``ch.dims.Z``; beyond that it solves
     ``Hp_other @ vbar_l = -H_other @ v_l`` (minimum-norm), so the stream
     vanishes at the non-intended primary user.  Raises RankDeficient when
-    the needed right pseudo-inverse does not exist.
+    ``Hp_other`` has more rows than columns, so no right inverse exists.
     """
     M_S, Z = ch.dims.M_S, ch.dims.Z
 

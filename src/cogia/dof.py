@@ -12,11 +12,11 @@ Feasibility is decided two independent ways:
   has full column rank.
 
 The oracle never restates the predicate: it finds infeasibility by the
-construction failing.  A failure every generic draw repeats (NoComplement,
-RankDeficient) is structural and settles the tuple on the first draw;
-a rank loss that only some draws have is a measure-zero accident
-(DegenerateChannel) that :func:`cogia.alignment.draw_system`, the
-package's one redraw loop, redraws.
+construction failing.  A failure a shape forces (NoComplement,
+RankDeficient) repeats on every draw and settles the tuple on the first;
+any other rank loss is a measure-zero accident (DegenerateChannel) that
+:func:`cogia.alignment.draw_system`, the package's one redraw loop,
+redraws.
 The first trial is built alone, as a probe that settles every
 structural failure; then all trials, the first included, are built as
 one stack, which gets one interference report and one rank test per
@@ -161,10 +161,10 @@ def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None
     report = interference_report(ch, prs)
     eff = report.eff
     deficient = {
-        name: np.atleast_1d(~full_column_rank(M))
+        name: ~full_column_rank(M)
         for M, name in ((eff.D_P1, "P1"), (eff.D_P2, "P2"), (eff.D_S1, "S1"), (eff.D_S2, "S2"))
     }
-    worst = np.atleast_1d(report.worst_case)
+    worst = report.worst_case
     leaky = worst > ZERO_TOL
     failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
     if failing.size == 0:

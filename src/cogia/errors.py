@@ -21,9 +21,9 @@ class NoComplement(CogiaError):
 
 
 class RankDeficient(CogiaError):
-    """A formed matrix lacks the rank the construction needs, on every draw.
+    """A formed matrix's shape rules out the rank the construction needs.
 
-    A fat matrix without full row rank has no right inverse; a matrix with
+    A matrix with more rows than columns has no right inverse; one with
     more columns than rows cannot have independent columns.
     """
 
@@ -33,7 +33,7 @@ class InfeasibleAlloc(CogiaError):
 
 
 class DegenerateChannel(CogiaError):
-    """A measure-zero channel draw broke a genericity assumption; redraw (never structural).
+    """A draw lost a rank its shapes allow, in one lane or all: a measure-zero accident; redraw.
 
     ``lanes`` is a boolean mask over the lane axes of the failed draws,
     or None for every lane.

@@ -26,12 +26,11 @@ bit for bit, the result for lane ``i`` alone: numpy's stacked
 forms each lane's norm as the same dot product ``numpy.linalg.norm``
 uses.
 
-Rank decisions follow one rule.  A rank loss that only some lanes have
-is a measure-zero accident of their draws: lanes whose rank falls below
-the best lane's raise DegenerateChannel, with a *lane mask* (a boolean
-array over the leading axes) in its ``lanes`` attribute.  A shortfall
-every lane shares, one matrix included, is structural: RankDeficient
-or NoComplement, which apply to every lane and carry no mask.
+Rank decisions follow one rule: only a shape refuses, with
+RankDeficient or NoComplement, which carry no lane mask.  Any rank loss
+a shape allows is a measure-zero accident of the draw, in one lane or
+all (one matrix included): DegenerateChannel, with a *lane mask* (a
+boolean array over the leading axes) in its ``lanes`` attribute.
 """
 
 from __future__ import annotations
@@ -172,9 +171,8 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     Equals ``A.T @ inv(A @ A.T) @ b``; computed through the SVD for
     stability.  ``b`` may be a vector or a matrix of stacked right-hand
     sides (with the lane axes of ``A`` in front).  Raises RankDeficient
-    when the row rank of ``A`` at RANK_TOL is below its row count in
-    every lane, and DegenerateChannel when some lanes fall below the
-    best lane's rank.
+    when ``A`` has more rows than columns, and DegenerateChannel with the
+    mask of the lanes whose row rank at RANK_TOL is below the row count.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float)
@@ -186,8 +184,9 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if _common_rank(rank_under_policy(s)) < m:
-        raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
+    low = rank_under_policy(s) < m
+    if low.any():
+        raise DegenerateChannel(f"{m}x{n} matrix has row rank below {m} in {np.count_nonzero(low)} lane(s)", lanes=low)
     coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
     x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
     return x[..., 0] if vector else x

@@ -23,7 +23,15 @@ from cogia.dof import (
 )
 from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
 from cogia.numerics import ZERO_TOL
-from cogia.scenario import CHANNEL_STREAM, MAX_ANTENNAS, NetworkDims, StreamAlloc, derive_seed
+from cogia.scenario import (
+    CHANNEL_STREAM,
+    MAX_ANTENNAS,
+    PRECODER_STREAM_P1,
+    NetworkDims,
+    StreamAlloc,
+    derive_seed,
+    generate_channels,
+)
 from test_alignment import STAGE_OF_CONDITION, channel_draws, spy_on_draws
 
 
@@ -196,6 +204,39 @@ class TestConstructiveCheck:
                     miscaused.append((dims.as_tuple(), alloc.as_tuple(), stage))
         assert mismatches == [] and miscaused == []
         assert sum(refused.values()) == 200 and all(refused.values()), refused
+        # boundary strata, 40 steps per stage: a random walk of feasible
+        # one-stream steps up to a tuple that no such step leaves feasible,
+        # then one step from it whose violated conditions all map to a
+        # single stage; the oracle accepts the frontier tuple and refuses
+        # the step at that stage
+        rng = random.Random(17)
+        strata = {stage: [] for stage in STAGE_OF_CONDITION.values()}
+        while min(map(len, strata.values())) < 40:
+            dims = NetworkDims(*(rng.randint(1, MAX_ANTENNAS) for _ in range(4)))
+            a, open_axes = [0, 0, 0, 0], [0, 1, 2, 3]
+            while open_axes:
+                k = rng.choice(open_axes)
+                step = a[:k] + [a[k] + 1] + a[k + 1 :]
+                if closed_form_feasible(dims, StreamAlloc(*step)).feasible:
+                    a = step
+                else:
+                    open_axes.remove(k)
+            for k in rng.sample(range(4), 4):
+                step = StreamAlloc(*a[:k], a[k] + 1, *a[k + 1 :])
+                stages = {STAGE_OF_CONDITION[v.condition] for v in closed_form_feasible(dims, step).violated}
+                if len(stages) == 1 and len(strata[min(stages)]) < 40:
+                    strata[min(stages)].append((dims, StreamAlloc(*a), step))
+                    break
+        misread = []
+        for stage, steps in strata.items():
+            for dims, frontier, step in steps:
+                for alloc, expected in ((frontier, (True, None)), (step, (False, stage))):
+                    seed = derive_seed(17, *dims.as_tuple(), *alloc.as_tuple())
+                    cc = constructive_check(dims, alloc, trials=20, seed=seed)
+                    read = (cc.feasible, cc.violated[0].stage if cc.violated else None)
+                    if read != expected:
+                        misread.append((dims.as_tuple(), alloc.as_tuple(), expected, read))
+        assert misread == []
 
     def test_lane_out_of_redraws_raises_even_when_an_earlier_trial_leaks(self, monkeypatch):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
@@ -229,33 +270,74 @@ class TestConstructiveCheck:
             with pytest.raises(TooManyDegenerateDraws):
                 constructive_check(dims, alloc, trials=20, seed=3)
 
-    def test_rank_accident_in_one_lane_is_redrawn_not_refused(self, monkeypatch):
-        # on the first stack attempt, lane 5's Hp_P2 loses rank, so the
-        # right solve of P1's correction fails in that lane alone: lane 5
-        # moves to its next seed, the other lanes draw the same bits again
+    # (lanes of the build whose first attempt loses rank, the lane that
+    # loses it): lane 5 of the oracle's 20-lane stack, the oracle's trial-0
+    # probe (one 2-D draw, None) and a one-lane stack
+    @pytest.mark.parametrize(
+        "lanes, lane", [(20, 5), (None, 0), (1, 0)], ids=["stack_lane_5", "probe", "one_lane_stack"]
+    )
+    def test_rank_accident_in_one_lane_is_redrawn_not_refused(self, monkeypatch, lanes, lane):
+        # on that build's first attempt the lane's Hp_P2 loses rank, so the
+        # right solve of P1's correction fails there: a 5x5 shape allows
+        # full rank, so the lane moves to its next seed and every other
+        # lane draws the same bits again
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
         seeds = [derive_seed(3, t) for t in range(20)]
         real = cogia.alignment._channel_set
-        stacks = []
+        broken = []
 
-        def rank_deficient_lane_5(dims, H_S1, H_S2, buf):
+        def rank_deficient_lane(dims, H_S1, H_S2, buf):
             ch = real(dims, H_S1, H_S2, buf)
-            if H_S1.ndim == 3:
-                stacks.append(len(H_S1))
-                if len(stacks) == 1:
-                    Hp_P2 = ch.Hp_P2.copy()
-                    Hp_P2[5, 1] = 2.0 * Hp_P2[5, 0]
-                    ch = dataclasses.replace(ch, Hp_P2=Hp_P2)
+            if (len(H_S1) if H_S1.ndim == 3 else None) == lanes and not broken:
+                at = () if lanes is None else (lane,)
+                Hp_P2 = ch.Hp_P2.copy()
+                Hp_P2[at + (1,)] = 2.0 * Hp_P2[at + (0,)]
+                broken.append(at)
+                ch = dataclasses.replace(ch, Hp_P2=Hp_P2)
             return ch
 
-        monkeypatch.setattr(cogia.alignment, "_channel_set", rank_deficient_lane_5)
+        monkeypatch.setattr(cogia.alignment, "_channel_set", rank_deficient_lane)
+        drawn = spy_on_draws(monkeypatch)
+        first = [derive_seed(s, 0) for s in seeds]
+        moved = first[:lane] + [derive_seed(seeds[lane], 1)] + first[lane + 1 :]
+        if lanes == 1:
+            _, prs = cogia.alignment.draw_system(dims, alloc, seeds[:1])
+            assert channel_draws(drawn) == first[:1] + moved[:1]
+            redrawn = cogia.alignment.build_all(generate_channels(dims, moved[0]), alloc, moved[0])
+            assert np.array_equal(prs.U_P1[0], redrawn.U_P1)
+        else:
+            assert constructive_check(dims, alloc, trials=20, seed=3).feasible
+            # the probe's lane, then the stack's attempts
+            expected = first[:1] + first + moved if lanes else first[:1] + moved[:1] + first
+            assert channel_draws(drawn) == expected
+        assert len(broken) == 1
+
+    def test_dependent_random_precoder_columns_are_redrawn(self, monkeypatch):
+        # on the first stacked draw of P1's precoder columns, lane 3 draws
+        # column 1 equal to column 0: P1's effective columns are dependent,
+        # the primary receivers lose a stream in that lane, and only lane 3
+        # moves to its next seed
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(2, 0, 1, 1)
+        seeds = [derive_seed(3, t) for t in range(20)]
+        real = cogia.scenario._SubstreamFactory.normal
+        stacked = []
+
+        def dependent_lane_3(self, seed, stream, shape):
+            out = real(self, seed, stream, shape)
+            if isinstance(seed, list) and stream == PRECODER_STREAM_P1:
+                stacked.append(len(seed))
+                if len(stacked) == 1:
+                    out[3, :, 1] = out[3, :, 0]
+            return out
+
+        monkeypatch.setattr(cogia.scenario._SubstreamFactory, "normal", dependent_lane_3)
         drawn = spy_on_draws(monkeypatch)
         assert constructive_check(dims, alloc, trials=20, seed=3).feasible
         first = [derive_seed(s, 0) for s in seeds]
-        second = first[:5] + [derive_seed(seeds[5], 1)] + first[6:]
-        # the probe's lane, then the two attempts of the stack
-        assert channel_draws(drawn) == first[:1] + first + second
-        assert stacks == [20, 20]
+        moved = first[:3] + [derive_seed(seeds[3], 1)] + first[4:]
+        assert channel_draws(drawn) == first[:1] + first + moved
+        assert [s for s, k in drawn if k == PRECODER_STREAM_P1] == first[:1] + first + moved
+        assert stacked == [20, 20]
 
     def test_leaky_first_trial_is_named(self, monkeypatch):
         # every trial is verified in one pass, trial 0 in lane 0
