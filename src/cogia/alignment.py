@@ -406,7 +406,7 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
             ch = _channel_set(dims, H_S1, H_S2, buf)
             return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:
-            redraw = np.arange(len(trial_seeds)) if exc.lanes is None else np.flatnonzero(exc.lanes)
+            redraw = np.flatnonzero(exc.lanes)
             attempts[redraw] += 1
             if attempts.max() >= MAX_DEGENERATE_RETRIES:
                 raise TooManyDegenerateDraws(

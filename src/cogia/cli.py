@@ -111,8 +111,6 @@ def cmd_verify(args) -> int:
             print(f"  violated: {v}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [derive_seed(seed, t) for t in range(trials)]
     rows = []
     try:
@@ -124,6 +122,8 @@ def cmd_verify(args) -> int:
             columns = [report.worst_case, *report.entries.values()]
             columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
             rows.extend([t, *row] for t, row in zip(range(part.start, part.stop), zip(*columns)))
+    except ScenarioError:
+        raise
     except CogiaError as exc:
         print(f"construction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -132,6 +132,8 @@ def cmd_verify(args) -> int:
     header = ["trial", "worst_case", *report.entries, "kkt_gap", "R_P", "R_S", "uncharged_correction_power"]
     worst_overall = max(row[header.index("worst_case")] for row in rows)
     kkt_overall = max(row[header.index("kkt_gap")] for row in rows)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "verify_report.csv"
     outputs = {report_path: _write_csv(report_path, header, rows)}
     manifest = _write_manifest(out_dir, "verify", scenario, seed, outputs)

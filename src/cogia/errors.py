@@ -35,11 +35,10 @@ class InfeasibleAlloc(CogiaError):
 class DegenerateChannel(CogiaError):
     """A draw lost a rank its shapes allow, in one lane or all: a measure-zero accident; redraw.
 
-    ``lanes`` is a boolean mask over the lane axes of the failed draws,
-    or None for every lane.
+    ``lanes`` is a boolean mask over the lane axes of the failed draws (0-d for one draw).
     """
 
-    def __init__(self, message: str = "", lanes=None):
+    def __init__(self, message: str, lanes):
         super().__init__(message)
         self.lanes = lanes
 

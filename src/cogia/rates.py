@@ -19,10 +19,11 @@ are not orthonormal.  One :class:`CellAllocation` records each cell
 solve: the cell-level numbers (water level, budget, traced power, KKT
 gap) once, and each user's powers and covariance in group order.  A
 cell's channels are factored, water-filled and turned into a sum rate
-in one call per stack of draws.  The transmit power spent on correction
-vectors is not charged to either cell's constraint, mirroring the rate
-problem's trace term exactly; it is reported separately so the
-modeling gap stays visible.
+in one call per stack of draws; a user's log-det term is formed over the
+streams the solve powered, ``sum_l log2(1 + gamma_l^2 q_l / sigma^2)``.
+The transmit power spent on correction vectors is not charged to either
+cell's constraint, mirroring the rate problem's trace term exactly; it
+is reported separately so the modeling gap stays visible.
 
 Every array, and every number of a result, may carry leading lane axes
 (one lane per channel draw, as in :mod:`cogia.numerics`); lane ``t`` of a
@@ -33,7 +34,9 @@ cost and zero weight, masked out of the prefix sums so that no
 front of the lanes: the costs of a stack are sorted once, and the stack
 is water-filled once for all budgets.
 
-Rates are in bits per (real) channel use, keeping the 1/2 prefactor.
+Rates are in bits per (real) channel use, keeping the 1/2 prefactor.  A
+cell whose water level, KKT gap or rate overflows float64 is refused
+(ScenarioError naming the cell and budget), with no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -237,41 +240,36 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
     return _kkt_gap(cell.water_level, cell.per_stream_power, costs, cell.achieved_constraint, cell.budget)
 
 
-def _user_rate(E: np.ndarray, Q: np.ndarray, sigma2: float) -> np.ndarray:
-    M = np.eye(E.shape[-2]) + (E @ Q @ matrix_transpose(E)) / sigma2
-    sign, logdet = np.linalg.slogdet(M)
-    if (sign <= 0).any():
-        raise ArithmeticError("rate determinant is not positive definite")
-    return 0.5 * logdet / _LOG2
-
-
 def _cell_rate(
+    cell: str,
     effectives: list[np.ndarray],
     precoders: list[np.ndarray],
     sigma2s: list[float],
     budget: float | np.ndarray,
 ) -> tuple[np.ndarray, CellAllocation]:
-    """One cell solve: factor each served user's channel stack, water-fill, and sum the user rates."""
+    """One cell solve: factor each served user's channel stack, water-fill, and sum the stream rates."""
     served = [(E, V, s2) for E, V, s2 in zip(effectives, precoders, sigma2s) if E.shape[-1]]
     if not served:
         budgets = np.add.outer(budget, np.zeros(effectives[0].shape[:-2]))
         zero = np.zeros_like(budgets)[()]
         return zero, CellAllocation(zero, budgets[()], zero, np.ones_like(budgets, dtype=bool)[()], zero, (), ())
-    groups = []
-    for E, V, s2 in served:
-        _, gammas, Psi = svd_factor(E)
-        groups.append(StreamGroup(gammas=gammas, sigma2=s2, V=V, Psi=Psi))
-    alloc = waterfill_cell(groups, budget)
-    rate = 0.0
-    for (E, _, s2), Q in zip(served, alloc.Q):
-        rate = rate + _user_rate(E, Q, s2)
-    return rate, alloc
+    factors = [svd_factor(E) for E, _, _ in served]
+    groups = [StreamGroup(gammas, s2, V, Psi) for (_, V, s2), (_, gammas, Psi) in zip(served, factors)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
+        alloc = waterfill_cell(groups, budget)
+        streams = zip(groups, alloc.per_stream_power)
+        nats = sum(np.add.reduce(np.log1p(grp.gammas**2 * q / grp.sigma2), axis=-1) for grp, q in streams)
+    finite = np.isfinite(alloc.water_level) & np.isfinite(alloc.kkt_gap) & np.isfinite(nats)
+    if not finite.all():
+        budget = float(np.asarray(alloc.budget)[~finite].min())
+        raise ScenarioError(f"the {cell} cell's rate problem overflows float64 at budget {budget!r}")
+    return 0.5 * nats / _LOG2, alloc
 
 
 def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
     rate, alloc = _cell_rate(
-        [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2], noise.Qav_P
+        "primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2], noise.Qav_P
     )
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
@@ -283,7 +281,7 @@ def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: Nois
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
     rate, alloc = _cell_rate(
-        [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2], noise.Qav_S
+        "secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2], noise.Qav_S
     )
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
@@ -329,8 +327,8 @@ def rate_region_sweep(
             ch, prs = draw_system(dims, split, seeds[part])
             eff = effective_channels(ch, prs)
             cells = (
-                ([eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
-                ([eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+                ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
+                ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
             )
             for c_idx, (cell, qav) in enumerate(zip(cells, cell_budgets)):
                 samples[:, part, c_idx] = _cell_rate(*cell, qav)[0]

@@ -195,8 +195,8 @@ CRITERION_6_CONFIG = {
 # and must be made on purpose; another BLAS/LAPACK build may move the last
 # bits of a float, which shows here first.
 CRITERION_6_SHA256 = {
-    "verify_report.csv": "525f4ab1a20e7fc28cd914c6c3592cc5b2177d1e1e9ba0417bd9c38624447fca",
-    "rates.csv": "444559a1d12313cd64945776ef26774fc1c5d0d462de7143f5721e96447b4e6d",
+    "verify_report.csv": "010019ca31c4a33151a8cab7b91bee12af4720ed372e59d373edc85598f77b8d",
+    "rates.csv": "e0d0c077b4d13f50646c286f8529e552c59d2c558d607aa01cf4f309092b82e3",
     "region.csv": "37261951e8fb54e5940b240871f67be4efb8b17bdea29680b5b1c564e6d73dcb",
     "region_projected.csv": "ff748e54057ce73fa037d3be4c7364b4c4c71d77452fb39158430690fdff75dc",
 }

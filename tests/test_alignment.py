@@ -443,7 +443,7 @@ class TestDrawSystem:
 
     def test_degenerate_draws_exhaust_budget(self, monkeypatch):
         def degenerate(ch, d, seed, *secondary):
-            raise DegenerateChannel("forced")
+            raise DegenerateChannel("forced", lanes=np.array(True))
 
         monkeypatch.setattr(cogia.alignment, "_build_primary", degenerate)
         drawn = spy_on_draws(monkeypatch)

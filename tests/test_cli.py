@@ -150,6 +150,25 @@ class TestNonFiniteScenario:
         assert "scenario error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # finite numbers whose water level or rate overflows float64; the
+    # message names the primary cell's smallest budget at fault
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    @pytest.mark.parametrize(
+        "patch, budget",
+        [
+            ({"power": {"Qav_P": 1e308, "Qav_S": 1e308}, "budgets": [1.0, 1e308]}, "1e+308"),
+            ({"noise": {"sigma2_P1": 5e-324}}, "10.0"),
+        ],
+        ids=["budget", "noise"],
+    )
+    def test_overflow_is_a_scenario_error(self, tmp_path, capsys, command, patch, budget):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, **patch))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"scenario error: the primary cell's rate problem overflows float64 at budget {budget}" in err
+        assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrialCount:
     @pytest.mark.parametrize("argv", [["verify"], ["rates"], ["dof-region", "--constructive"]])

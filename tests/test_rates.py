@@ -357,6 +357,37 @@ class TestCellRates:
             )
             assert abs(res.sum_rate - best) < 1e-3
 
+    @pytest.mark.parametrize(
+        "system", [(5, 5, 5, 3, 1, 0, 2, 2), (12, 16, 10, 5, 4, 4, 3, 3), "synthetic"]
+    )
+    def test_rate_is_the_log_det_of_the_solved_covariances(self, system):
+        # the stream sum equals (1/2) sum_i log2 det(I + E_i Q^i E_i^T / sigma_i^2),
+        # formed here from the effective channels and the solved covariances
+        noise = NoiseAndPower(sigma2_P1=0.5, sigma2_S2=2.0, Qav_P=10.0, Qav_S=3.0)
+        if system == "synthetic":
+            # a dead stream (E has rank 2) and non-orthonormal precoder columns
+            rng = np.random.default_rng(61)
+            E = rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+            prs, eff = synthetic_prs_eff(E, rng.standard_normal((5, 3)))
+            assert pcell_sum_rate(prs, eff, noise).allocation.per_stream_power[0][-1] == 0.0
+        else:
+            dims, alloc = NetworkDims(*system[:4]), StreamAlloc(*system[4:])
+            ch, prs = draw_system(dims, alloc, [derive_seed(17, t) for t in range(8)])
+            eff = effective_channels(ch, prs)
+        cells = (
+            (pcell_sum_rate, (eff.D_P1, eff.D_P2), (noise.sigma2_P1, noise.sigma2_P2)),
+            (scell_sum_rate, (eff.D_S1, eff.D_S2), (noise.sigma2_S1, noise.sigma2_S2)),
+        )
+        for rate, effectives, sigma2s in cells:
+            res = rate(prs, eff, noise)
+            served = [(E, s2) for E, s2 in zip(effectives, sigma2s) if E.shape[-1]]
+            logdet = 0.0
+            for (E, s2), Q in zip(served, res.allocation.Q):
+                sign, user = np.linalg.slogdet(np.eye(E.shape[-2]) + E @ Q @ np.swapaxes(E, -1, -2) / s2)
+                assert (sign > 0).all()
+                logdet = logdet + user
+            np.testing.assert_allclose(res.sum_rate, 0.5 * logdet / math.log(2.0), rtol=1e-12, atol=0.0)
+
     def test_correction_power_reported(self):
         dims = NetworkDims(5, 5, 5, 3)
         ch = generate_channels(dims, 33)
@@ -513,6 +544,18 @@ class TestRateRegionSweep:
         rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 0, 0)], budgets, trials=4, seed=2)
         # chunks of 3 and 1 trials; the first split serves both cells, the second only the primary
         assert [b.tolist() for b in calls] == [[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]] * 2 + [[1.0, 10.0, 100.0]] * 2
+
+    @pytest.mark.parametrize("budget, cell", [((1e308, 1.0), "primary"), ((1.0, 1e308), "secondary")])
+    def test_overflowing_budget_is_refused(self, budget, cell):
+        # finite, but twice the budget (the plain-trace power) overflows
+        with pytest.raises(ScenarioError, match=rf"the {cell} cell's rate problem overflows float64 at budget 1e\+308"):
+            rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=4, seed=0)
+
+    def test_large_finite_budget_gives_finite_rates(self):
+        points = rate_region_sweep(self.DIMS, [StreamAlloc(1, 1, 1, 1)], [(1.0, 1.0), (1e300, 1e300)], trials=4, seed=0)
+        rates = [(pt.R_P, pt.R_S, pt.R_P_stderr, pt.R_S_stderr) for pt in points]
+        assert np.isfinite(rates).all()
+        assert points[1].R_P > points[0].R_P and points[1].R_S > points[0].R_S
 
     @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
