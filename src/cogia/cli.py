@@ -7,10 +7,15 @@ verify      run the construction over many channel draws and report the
 dof-region  enumerate the achievable DoF region and export it as CSV
 rates       Monte Carlo rate sweep over (budget, split) pairs
 
-Exit codes: 0 success, 1 usage or I/O error, 2 infeasible allocation,
-construction failure or oversized grid.  All data files are CSV with
-'.' decimals, comma separators, LF line endings and a mandatory header
-row; every run also writes a JSON manifest sufficient to reproduce it.
+Exit codes: 0 success; 1 usage, config or I/O error; 2 a run refused
+with a CogiaError (infeasible allocation, construction refusal,
+oversized grid) or verify's FAIL.  Each command computes first and
+writes last, through ``_write_run``: a refused run writes no directory,
+CSV or manifest, only one ``<command> failed: <Class>: <message>`` or
+``scenario error: <message>`` line on stderr.  Verify's FAIL still
+writes its report.  All data files are CSV with '.' decimals, comma
+separators, LF line endings and a mandatory header row; every run also
+writes a JSON manifest sufficient to reproduce it.
 """
 
 from __future__ import annotations
@@ -26,35 +31,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dof import (
-    closed_form_feasible,
-    enumerate_region,
-    grid_size,
-    grid_tuples,
-    projected_frontier,
-)
-from .errors import (
-    CogiaError,
-    GridTooLarge,
-    ScenarioError,
-    TooManyDegenerateDraws,
-)
+from .dof import closed_form_feasible, enumerate_region, grid_size, grid_tuples, projected_frontier
+from .errors import CogiaError, InfeasibleAlloc, ScenarioError
 from .alignment import draw_system, interference_report, lane_chunks
 from .numerics import ZERO_TOL
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # float() first: numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
-        return repr(float(value))
-    return str(value)
-
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
     """Write one CSV file; returns the sha256 of the bytes written."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     data = ("\n".join(lines) + "\n").encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
@@ -79,6 +67,22 @@ def _write_manifest(out_dir: Path, command: str, scenario: Scenario, seed: int, 
     return path
 
 
+def _write_run(args, command: str, scenario: Scenario, seed: int, tables: dict[str, tuple[list[str], list]]) -> None:
+    """Create ``--out`` and write each ``name: (header, rows)`` table, then the manifest.
+
+    The one writer of a run's files: a command calls it once, after every
+    number is computed, so a refused run leaves nothing behind.
+    """
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, (header, rows) in tables.items():
+        path = out_dir / name
+        outputs[path] = _write_csv(path, header, rows)
+    manifest = _write_manifest(out_dir, command, scenario, seed, outputs)
+    _say(args, "wrote " + ", ".join(str(p) for p in [*outputs, manifest]))
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -99,48 +103,34 @@ def _seed_and_trials(args, scenario: Scenario) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.config)
     if scenario.alloc is None:
-        print("verify requires an 'alloc' object in the scenario", file=sys.stderr)
-        return 1
+        raise ScenarioError("verify requires an 'alloc' object in the scenario")
     seed, trials = _seed_and_trials(args, scenario)
     dims, alloc, noise = scenario.dims, scenario.alloc, scenario.noise
 
     verdict = closed_form_feasible(dims, alloc)
     if not verdict.feasible:
-        print(f"allocation {alloc.as_tuple()} infeasible for dims {dims.as_tuple()}:", file=sys.stderr)
-        for v in verdict.violated:
-            print(f"  violated: {v}", file=sys.stderr)
-        return 2
+        reasons = "; ".join(str(v) for v in verdict.violated)
+        raise InfeasibleAlloc(f"allocation {alloc.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
 
     seeds = [derive_seed(seed, t) for t in range(trials)]
     rows = []
-    try:
-        for part in lane_chunks(trials):
-            ch, prs = draw_system(dims, alloc, seeds[part])
-            report = interference_report(ch, prs)
-            rp = pcell_sum_rate(prs, report.eff, noise)
-            rs = scell_sum_rate(prs, report.eff, noise)
-            columns = [report.worst_case, *report.entries.values()]
-            columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
-            rows.extend([t, *row] for t, row in zip(range(part.start, part.stop), zip(*columns)))
-    except ScenarioError:
-        raise
-    except CogiaError as exc:
-        print(f"construction failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    for part in lane_chunks(trials):
+        ch, prs = draw_system(dims, alloc, seeds[part])
+        report = interference_report(ch, prs)
+        rp = pcell_sum_rate(prs, report.eff, noise)
+        rs = scell_sum_rate(prs, report.eff, noise)
+        columns = [report.worst_case, *report.entries.values()]
+        columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
+        rows.extend([t, *row] for t, row in enumerate(np.stack(columns, axis=-1).tolist(), part.start))
 
     # trials >= 1, so the loop ran and ``report`` names the leakage paths
     header = ["trial", "worst_case", *report.entries, "kkt_gap", "R_P", "R_S", "uncharged_correction_power"]
     worst_overall = max(row[header.index("worst_case")] for row in rows)
     kkt_overall = max(row[header.index("kkt_gap")] for row in rows)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "verify_report.csv"
-    outputs = {report_path: _write_csv(report_path, header, rows)}
-    manifest = _write_manifest(out_dir, "verify", scenario, seed, outputs)
     _say(args, f"trials: {trials}")
     _say(args, f"worst residual interference (relative): {worst_overall:.3e}")
     _say(args, f"worst water-filling KKT gap: {kkt_overall:.3e}")
-    _say(args, f"wrote {report_path} and {manifest}")
+    _write_run(args, "verify", scenario, seed, {"verify_report.csv": (header, rows)})
     if worst_overall <= ZERO_TOL:
         _say(args, "PASS: intra- and inter-cell interference cancelled to tolerance")
         return 0
@@ -157,76 +147,44 @@ def cmd_dof_region(args) -> int:
     scenario = load_scenario(args.config)
     seed, trials = _seed_and_trials(args, scenario)
     dims = scenario.dims
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
-        region = enumerate_region(dims, mode="closed_form", seed=seed, cap=scenario.grid_cap)
-    except GridTooLarge as exc:
-        print(f"grid too large: {exc}", file=sys.stderr)
-        return 2
+    region = enumerate_region(dims, mode="closed_form", seed=seed, cap=scenario.grid_cap)
 
     def grid_rows(reg) -> list[list]:
         points, frontier = set(reg.points), set(reg.frontier)
         return [list(t.as_tuple()) + [int(t in points), int(t in frontier)] for t in grid_tuples(dims)]
 
     header = ["d_P1", "d_P2", "d_S1", "d_S2", "feasible", "frontier"]
-    region_path = out_dir / "region.csv"
-    outputs = {region_path: _write_csv(region_path, header, grid_rows(region))}
-
-    projected_path = out_dir / "region_projected.csv"
-    frontier_rows = [list(p) for p in projected_frontier(region)]
-    outputs[projected_path] = _write_csv(projected_path, ["dS_sum", "dP_sum_max"], frontier_rows)
-
+    tables = {
+        "region.csv": (header, grid_rows(region)),
+        "region_projected.csv": (["dS_sum", "dP_sum_max"], [list(p) for p in projected_frontier(region)]),
+    }
     if args.constructive:
-        try:
-            region_c = enumerate_region(
-                dims, mode="constructive", seed=seed, trials=trials, cap=scenario.grid_cap
-            )
-        except (GridTooLarge, TooManyDegenerateDraws) as exc:
-            print(f"constructive enumeration failed: {exc}", file=sys.stderr)
-            return 2
-        constructive_path = out_dir / "region_constructive.csv"
-        outputs[constructive_path] = _write_csv(constructive_path, header, grid_rows(region_c))
+        region_c = enumerate_region(dims, mode="constructive", seed=seed, trials=trials, cap=scenario.grid_cap)
+        tables["region_constructive.csv"] = (header, grid_rows(region_c))
         feasible, feasible_c = set(region.points), set(region_c.points)
         diff_rows = [
             list(t.as_tuple()) + [int(t in feasible), int(t in feasible_c)]
             for t in grid_tuples(dims)
             if (t in feasible) != (t in feasible_c)
         ]
-        diff_path = out_dir / "region_diff.csv"
         diff_header = ["d_P1", "d_P2", "d_S1", "d_S2", "closed_form", "constructive"]
-        outputs[diff_path] = _write_csv(diff_path, diff_header, diff_rows)
+        tables["region_diff.csv"] = (diff_header, diff_rows)
         _say(args, f"closed-form vs constructive differences: {len(diff_rows)}")
 
-    manifest = _write_manifest(out_dir, "dof-region", scenario, seed, outputs)
     _say(args, f"feasible tuples: {len(region.points)} of {grid_size(dims)}; frontier size: {len(region.frontier)}")
-    _say(args, "wrote " + ", ".join(str(p) for p in [*outputs, manifest]))
+    _write_run(args, "dof-region", scenario, seed, tables)
     return 0
 
 
 def cmd_rates(args) -> int:
     scenario = load_scenario(args.config)
     if not scenario.splits:
-        print("rates requires 'alloc' or 'splits' in the scenario", file=sys.stderr)
-        return 1
+        raise ScenarioError("rates requires 'alloc' or 'splits' in the scenario")
     seed, trials = _seed_and_trials(args, scenario)
     dims, noise = scenario.dims, scenario.noise
     sigma2s = (noise.sigma2_P1, noise.sigma2_P2, noise.sigma2_S1, noise.sigma2_S2)
+    points = rate_region_sweep(dims, scenario.splits, scenario.budgets, trials=trials, seed=seed, sigma2s=sigma2s)
 
-    try:
-        points = rate_region_sweep(
-            dims, scenario.splits, scenario.budgets, trials=trials, seed=seed, sigma2s=sigma2s
-        )
-    except ScenarioError:
-        raise
-    except CogiaError as exc:
-        print(f"rate sweep failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rates_path = out_dir / "rates.csv"
     header = [
         "qav", "d_P1", "d_P2", "d_S1", "d_S2",
         "R_P_mean", "R_S_mean", "R_P_stderr", "R_S_stderr", "trials", "seed",
@@ -235,10 +193,8 @@ def cmd_rates(args) -> int:
         [pt.Qav, *pt.alloc.as_tuple(), pt.R_P, pt.R_S, pt.R_P_stderr, pt.R_S_stderr, pt.trials, seed]
         for pt in points
     ]
-    outputs = {rates_path: _write_csv(rates_path, header, rows)}
-    manifest = _write_manifest(out_dir, "rates", scenario, seed, outputs)
     _say(args, f"rate points: {len(points)} ({len(scenario.splits)} splits x {len(scenario.budgets)} budgets)")
-    _say(args, f"wrote {rates_path} and {manifest}")
+    _write_run(args, "rates", scenario, seed, {"rates.csv": (header, rows)})
     return 0
 
 
@@ -276,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the one place that maps an error to an exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a code kept for refused runs
+        return 1 if exc.code else 0
     # looked up per call, so a handler replaced on the module is the one that runs
     handlers = {"verify": cmd_verify, "dof-region": cmd_dof_region, "rates": cmd_rates}
     try:
@@ -287,6 +248,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
+    except CogiaError as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ class RankDeficient(CogiaError):
 
 
 class InfeasibleAlloc(CogiaError):
-    """A rate-sweep split fails the closed-form predicate (raised by ``rate_region_sweep`` only)."""
+    """An allocation or rate-sweep split fails the closed-form predicate."""
 
 
 class DegenerateChannel(CogiaError):

@@ -455,10 +455,20 @@ def scenario_from_dict(data: Any) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+    """Load and validate a scenario JSON file; a key repeated within one object is refused."""
+
+    def unique_keys(pairs: list) -> dict:
+        # json keeps a repeated key's last value, which would silently drop the first
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ScenarioError(f"repeated key {key!r} in {path}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
     return scenario_from_dict(data)

@@ -9,9 +9,17 @@ import pytest
 
 import cogia.alignment
 import cogia.cli
+import cogia.dof
 import cogia.rates
 from cogia.cli import main
-from cogia.errors import DegenerateChannel, NoComplement, RankDeficient
+from cogia.errors import (
+    DegenerateChannel,
+    GridTooLarge,
+    InfeasibleAlloc,
+    NoComplement,
+    RankDeficient,
+    TooManyDegenerateDraws,
+)
 from cogia.scenario import derive_seed
 
 REFERENCE_NETWORK = {
@@ -133,6 +141,74 @@ class TestManifest:
             assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
 
 
+class TestRefusal:
+    """Every exit-2 refusal prints one classified line and writes nothing."""
+
+    RATES = {
+        "dims": REFERENCE_NETWORK["dims"],
+        "splits": [{"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2}],
+        "budgets": [1.0, 10.0],
+        "trials": 3,
+    }
+    BAD_ALLOC = {"d_P1": 0, "d_P2": 0, "d_S1": 3, "d_S2": 0}
+    BAD_SPLIT = {"d_P1": 2, "d_P2": 0, "d_S1": 2, "d_S2": 2}
+    BIG_GRID = {"dims": {"M_P": 16, "M_S": 16, "N_P": 1, "N_S": 1}, "grid_cap": 100}
+
+    # ``forced_in``: the module whose ``draw_system`` is replaced by one raising ``error``
+    @pytest.mark.parametrize(
+        "argv, config, forced_in, error",
+        [
+            pytest.param(["verify"], dict(REFERENCE_NETWORK, alloc=BAD_ALLOC), None, InfeasibleAlloc, id="verify-alloc"),
+            pytest.param(["verify"], REFERENCE_NETWORK, cogia.cli, NoComplement, id="verify-build"),
+            pytest.param(["rates"], dict(RATES, splits=[BAD_SPLIT]), None, InfeasibleAlloc, id="rates-split"),
+            pytest.param(["rates"], RATES, cogia.rates, RankDeficient, id="rates-build"),
+            pytest.param(["dof-region"], BIG_GRID, None, GridTooLarge, id="dof-grid"),
+            pytest.param(
+                ["dof-region", "--constructive"], REFERENCE_NETWORK, cogia.dof, TooManyDegenerateDraws, id="dof-build"
+            ),
+        ],
+    )
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, config, forced_in, error):
+        if forced_in is not None:
+            def refuse(*args):
+                raise error("forced")
+
+            monkeypatch.setattr(forced_in, "draw_system", refuse)
+        out = tmp_path / "o"
+        assert main(argv + ["--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert f"{argv[0]} failed: {error.__name__}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_verification_still_writes_its_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cogia.cli, "ZERO_TOL", 0.0)
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "FAIL: worst residual" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest_verify.json", "verify_report.csv"]
+
+
+class TestRepeatedKey:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3}, '
+             '"dims": {"M_P": 3, "M_S": 3, "N_P": 2, "N_S": 1}, '
+             '"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": 1, "d_S2": 0}}', "dims"),
+            ('{"dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3}, '
+             '"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2, "d_S1": 1}}', "d_S1"),
+        ],
+        ids=["top-level", "in-alloc"],
+    )
+    def test_repeated_key_is_a_scenario_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--trials", "2", "--quiet"]) == 1
+        assert f"scenario error: repeated key {key!r} in {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNonFiniteScenario:
     @pytest.mark.parametrize("command", ["verify", "rates"])
     @pytest.mark.parametrize(
@@ -208,6 +284,20 @@ class TestParser:
         assert main(argv) == 0
         assert seen == ["dof-region"]
         assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["verify", "--config", "scenario.json", "--trials", "abc"], ["bogus"]],
+        ids=["no-config", "bad-trials", "unknown-command"],
+    )
+    def test_usage_error_returns_one(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: cogia" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_return_zero(self, capsys, flag):
+        assert main([flag]) == 0
+        assert capsys.readouterr().out
 
 
 class TestDofRegion:
@@ -285,7 +375,7 @@ class TestRates:
         monkeypatch.setattr(cogia.rates, "draw_system", refuse)
         cfg = write_config(tmp_path, self.CONFIG)
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"rate sweep failed: {error.__name__}: forced" in capsys.readouterr().err
+        assert f"rates failed: {error.__name__}: forced" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_symmetric_operating_point(self, tmp_path):
