@@ -178,7 +178,8 @@ class InterferenceReport:
 
 
 def _unit_columns(M: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=-2)
+    # np.linalg.norm's own formula for a real axis norm, without its wrapper
+    norms = np.sqrt(np.add.reduce(M * M, axis=-2))
     zero = (norms == 0.0).any(axis=-1)
     if zero.any():
         raise DegenerateChannel("drawn precoder column has zero norm", lanes=zero)
@@ -242,10 +243,14 @@ def build_corrections(
     M_S, Z = ch.dims.M_S, ch.dims.Z
 
     def corrections(V: np.ndarray, H_other: np.ndarray, Hp_other: np.ndarray) -> np.ndarray:
-        Vbar = np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
         corrected = V[..., Z:]
-        if corrected.shape[-1]:
-            Vbar[..., Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected))
+        if not corrected.shape[-1]:
+            return np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
+        solved = min_norm_right_solve(Hp_other, -(H_other @ corrected))
+        if Z == 0:
+            return solved
+        Vbar = np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
+        Vbar[..., Z:] = solved
         return Vbar
 
     Vbar_P1 = corrections(V_P1, ch.H_P2, ch.Hp_P2)
@@ -349,9 +354,12 @@ def _build_primary(
     V_P1, V_P2 = _stage("primary_precoders", build_primary_precoders, ch, d, seed)
     Vbar_P1, Vbar_P2 = _stage("corrections", build_corrections, ch, V_P1, V_P2)
     U_P1, U_P2 = _stage("primary_receivers", build_primary_receivers, ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
+    if lanes:
+        # the selectors are read-only already; a stack views them once per lane
+        U_S1, U_S2 = np.broadcast_to(U_S1, lanes + U_S1.shape), np.broadcast_to(U_S2, lanes + U_S2.shape)
     arrays = dict(
         V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
-        U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
+        U_S1=U_S1, U_S2=U_S2,
     )
     for a in arrays.values():
         a.flags.writeable = False
@@ -468,7 +476,7 @@ def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> Interferenc
         "cross_stream_at_S2": (_offdiag(eff.D_S2), "H_S2"),
     }
     norms = {name: lane_norm(getattr(ch, name)) for name in CHANNEL_ORDER}
-    r = np.stack([lane_norm(residual) for residual, _ in paths.values()])
-    h = np.stack([norms[name] for _, name in paths.values()])
+    r = np.array([lane_norm(residual) for residual, _ in paths.values()])
+    h = np.array([norms[name] for _, name in paths.values()])
     rel = np.where(h > 0.0, r / np.where(h > 0.0, h, 1.0), r)
     return InterferenceReport(entries=dict(zip(paths, rel)), worst_case=rel.max(axis=0), eff=eff)

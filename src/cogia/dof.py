@@ -17,10 +17,13 @@ RankDeficient) repeats on every draw and settles the tuple on the first;
 any other rank loss is a measure-zero accident (DegenerateChannel) that
 :func:`cogia.alignment.draw_system`, the package's one redraw loop,
 redraws.
-The first trial is built alone, as a probe that settles every
-structural failure; then all trials, the first included, are built as
-one stack, which gets one interference report and one rank test per
-effective channel.
+All trials are built as one stack, which gets one interference report
+and one rank test per effective channel.  When the closed form expects
+a refusal, the first trial is built alone before the stack, as a probe
+that settles a structural failure at the cost of one build.  The closed
+form only orders this work: every verdict comes from the construction,
+and a tuple it wrongly accepts is refused by the stack with the same
+trial-0 text and stage.
 
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
@@ -83,6 +86,34 @@ class DofRegion:
     frontier: tuple[StreamAlloc, ...]
 
 
+def _violations(dims: NetworkDims, d: StreamAlloc) -> list[tuple[str, str, int]]:
+    """The violated closed-form conditions of (dims, d), in report order.
+
+    Each entry is a condition family, ``"i"`` to ``"v"`` as in
+    :func:`closed_form_feasible`, the stream count it bounds and that
+    count's value (``""`` and 0 for (v)).  No text is built, so asking
+    whether the list is empty stays cheap.
+    """
+    M_S, N_S, N_P = dims.M_S, dims.N_S, dims.N_P
+    d_P1, d_P2, d_S1, d_S2 = d.d_P1, d.d_P2, d.d_S1, d.d_S2
+    headroom = max(M_S - N_S, 0)
+    v: list[tuple[str, str, int]] = []
+    for name, d_j in (("d_S1", d_S1), ("d_S2", d_S2)):
+        if d_j > headroom:
+            v.append(("i", name, d_j))
+        if d_j > N_S:
+            v.append(("ii", name, d_j))
+    for name, d_i in (("d_P1", d_P1), ("d_P2", d_P2)):
+        if d_i > dims.M_P:
+            v.append(("iii", name, d_i))
+        if d_i and N_P < d_i + d_S1 + d_S2:
+            v.append(("iv", name, d_i))
+    # corrections are needed when a primary user has streams beyond Z
+    if M_S < N_P and max(d_P1, d_P2) > dims.Z:
+        v.append(("v", "", 0))
+    return v
+
+
 def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdict:
     """Analytic feasibility predicate for (dims, d).
 
@@ -94,23 +125,18 @@ def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdic
     (v) are labeled as derived from the construction.
     """
     M_P, M_S, N_P, N_S = dims.M_P, dims.M_S, dims.N_P, dims.N_S
-    d_S1, d_S2 = d.d_S1, d.d_S2
     v: list[Violation] = []
-    headroom = max(M_S - N_S, 0)
-    for name, d_j in (("d_S1", d_S1), ("d_S2", d_S2)):
-        if d_j > headroom:
-            v.append(Violation(f"{name} <= M_S - N_S", f"{d_j} > {M_S} - {N_S} = {M_S - N_S}", "structural"))
-        if d_j > N_S:
-            v.append(Violation(f"{name} <= N_S", f"{d_j} > {N_S}", "structural"))
-    for name, d_i in (("d_P1", d.d_P1), ("d_P2", d.d_P2)):
-        if d_i > M_P:
-            v.append(Violation(f"{name} <= M_P", f"{d_i} > {M_P}", "structural"))
-        if d_i >= 1 and N_P < d_i + d_S1 + d_S2:
-            v.append(Violation(f"N_P >= {name} + d_S1 + d_S2", f"{N_P} < {d_i} + {d_S1} + {d_S2}", "derived"))
-    Z = dims.Z
-    # corrections are needed when a primary user has streams beyond Z
-    if max(d.d_P1, d.d_P2) > Z and M_S < N_P:
-        v.append(Violation("M_S >= N_P when d_Pi > Z", f"{M_S} < {N_P} with Z = {Z}", "derived"))
+    for family, name, n in _violations(dims, d):
+        if family == "i":
+            v.append(Violation(f"{name} <= M_S - N_S", f"{n} > {M_S} - {N_S} = {M_S - N_S}", "structural"))
+        elif family == "ii":
+            v.append(Violation(f"{name} <= N_S", f"{n} > {N_S}", "structural"))
+        elif family == "iii":
+            v.append(Violation(f"{name} <= M_P", f"{n} > {M_P}", "structural"))
+        elif family == "iv":
+            v.append(Violation(f"N_P >= {name} + d_S1 + d_S2", f"{N_P} < {n} + {d.d_S1} + {d.d_S2}", "derived"))
+        else:
+            v.append(Violation("M_S >= N_P when d_Pi > Z", f"{M_S} < {N_P} with Z = {dims.Z}", "derived"))
     return FeasibilityVerdict(not v, tuple(v))
 
 
@@ -131,17 +157,21 @@ def constructive_check(
     first trial in index order that does not.  A trial whose draws stay
     degenerate through the retry budget raises TooManyDegenerateDraws.
 
-    Trial 0 is first built alone as a probe: on a generic draw it settles
+    All T trials are built as one stack (lane ``t`` is trial ``t``) and
+    verified in one pass: one interference report and one rank test per
+    effective channel.  A tuple that violates a closed-form condition
+    first builds trial 0 alone as a probe, which on a generic draw settles
     every structural failure at the cost of one build, before any other
-    trial seed is derived.  All T trials, trial 0 included, are then
-    built as one stack (lane ``t`` is trial ``t``) and verified in one
-    pass: one interference report and one rank test per effective
-    channel.
+    trial seed is derived.  The condition only decides whether the probe
+    runs: a structural failure repeats in every lane, so the stack
+    refuses with the same trial-0 text and stage as the probe.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     try:
-        draw_system(dims, d, derive_seed(seed, 0))
+        if _violations(dims, d):
+            # a refusal expected: one draw settles it before any other trial seed is derived
+            draw_system(dims, d, derive_seed(seed, 0))
         ch, prs = draw_system(dims, d, [derive_seed(seed, t) for t in range(trials)])
     except (NoComplement, RankDeficient) as exc:
         return _verdict(_refusal(exc))
@@ -180,7 +210,12 @@ def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None
 
 
 def grid_tuples(dims: NetworkDims) -> Iterator[StreamAlloc]:
-    """All allocation tuples with d_Pi <= M_P and d_Sj <= M_S, lexicographic."""
+    """All allocation tuples with d_Pi <= M_P and d_Sj <= M_S, lexicographic.
+
+    No tuple of the grid violates condition (iii), d_Pi <= M_P, so the
+    predicate/oracle agreement over it (acceptance criterion 3) never
+    reaches that condition or the primary-precoder refusal it maps to.
+    """
     for d_P1 in range(dims.M_P + 1):
         for d_P2 in range(dims.M_P + 1):
             for d_S1 in range(dims.M_S + 1):

@@ -131,8 +131,18 @@ class NoiseAndPower:
     def __post_init__(self) -> None:
         for name in ("sigma2_P1", "sigma2_P2", "sigma2_S1", "sigma2_S2", "Qav_P", "Qav_S"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 and math.isfinite(v)):
+            if not _finite_positive(v):
                 raise ScenarioError(f"{name} must be a finite positive number, got {v!r}")
+
+
+def _finite_positive(v: Any) -> bool:
+    """True for an int or float, not a bool, that is positive and finite as a float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return v > 0 and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
@@ -312,13 +322,16 @@ def _draw_channels(dims: NetworkDims, seed: int | list[int]) -> tuple[np.ndarray
 
 
 def _channel_set(dims: NetworkDims, H_S1: np.ndarray, H_S2: np.ndarray, buf: np.ndarray) -> ChannelSet:
-    """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``."""
-    shapes, lanes = _channel_shapes(dims), buf.shape[:-1]
+    """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``.
+
+    They follow H_S1 and H_S2 in CHANNEL_ORDER, each with N_P rows; the
+    ChannelSet checks every shape against :func:`_channel_shapes`.
+    """
+    lanes, N_P = buf.shape[:-1], dims.N_P
     start, primary = 2 * dims.N_S * dims.M_S, {}
-    for name in CHANNEL_ORDER[2:]:
-        r, c = shapes[name]
-        primary[name] = buf[..., start : start + r * c].reshape(lanes + (r, c))
-        start += r * c
+    for name, c in zip(CHANNEL_ORDER[2:], (dims.M_P, dims.M_P, dims.M_S, dims.M_S)):
+        primary[name] = buf[..., start : start + N_P * c].reshape(lanes + (N_P, c))
+        start += N_P * c
     return ChannelSet(dims=dims, H_S1=H_S1, H_S2=H_S2, **primary)
 
 
@@ -431,7 +444,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         if not isinstance(raw_budgets, list) or not raw_budgets:
             raise ScenarioError("'budgets' must be a non-empty list of finite positive numbers")
         for i, b in enumerate(raw_budgets):
-            if not (isinstance(b, (int, float)) and not isinstance(b, bool) and b > 0 and math.isfinite(b)):
+            if not _finite_positive(b):
                 raise ScenarioError(f"budgets[{i}] must be a finite positive number, got {b!r}")
             budgets.append((float(b), float(b)))
     else:

@@ -57,10 +57,11 @@ def test_traced_check_builds_its_trials_as_one_stack(tracer):
     scenario.generate_channels(dims, 0)
     with tracer.Tracer() as tr:
         assert dof.constructive_check(dims, alloc, trials=20, seed=5).feasible
-    # trial 0 alone, then trials 1..19 in one call (draw_system runs the
-    # stages of build_all itself), every draw from the thread's Philox
-    # instance; all 20 trials then share one set of effective channels
-    assert tr.call_count("alignment.build_primary_receivers") == 2
+    # the closed form accepts the tuple, so no probe: all 20 trials in one
+    # call (draw_system runs the stages of build_all itself), every draw
+    # from the thread's Philox instance; all 20 trials then share one set
+    # of effective channels
+    assert tr.call_count("alignment.build_primary_receivers") == 1
     assert tr.counts["scenario.philox_inits"] == 0
     assert tr.call_count("alignment.effective_channels") == 1
     assert tr.counts["numpy.svd.matrices"] > tr.counts["numpy.svd.calls"]

@@ -226,6 +226,25 @@ class TestNonFiniteScenario:
         assert "scenario error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # integers too large for a float: refused as the scenario's numbers,
+    # with the one line the CLI promises, not an OverflowError traceback
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    @pytest.mark.parametrize(
+        "patch, name",
+        [
+            ({"budgets": [1.0, 10**400]}, "budgets[1]"),
+            ({"power": {"Qav_P": 10**400, "Qav_S": 10.0}}, "Qav_P"),
+            ({"noise": {"sigma2_S1": 10**400}}, "sigma2_S1"),
+        ],
+        ids=["budget", "power", "noise"],
+    )
+    def test_integer_too_large_for_a_float_is_a_scenario_error(self, tmp_path, capsys, command, patch, name):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, **patch))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"scenario error: {name} must be a finite positive number, got 1000")
+        assert not (tmp_path / "o").exists()
+
     # finite numbers whose water level or rate overflows float64; the
     # message names the primary cell's smallest budget at fault
     @pytest.mark.parametrize("command", ["verify", "rates"])

@@ -92,6 +92,47 @@ class TestClosedForm:
         assert min(seen.values()) >= 1000
 
 
+def mutated_predicate(dims: NetworkDims, d: StreamAlloc, family: str = "", shift: int = 0) -> bool:
+    """closed_form_feasible's answer, restated with the bound of condition ``family`` moved by ``shift``."""
+    move = {family: shift}
+    M_P, M_S, N_P, N_S = dims.as_tuple()
+    feasible = all(
+        d_j <= max(M_S - N_S + move.get("i", 0), 0) and d_j <= N_S + move.get("ii", 0) for d_j in (d.d_S1, d.d_S2)
+    )
+    for d_i in (d.d_P1, d.d_P2):
+        feasible &= d_i <= M_P + move.get("iii", 0)
+        feasible &= d_i == 0 or N_P + move.get("iv", 0) >= d_i + d.d_S1 + d.d_S2
+    return feasible and (max(d.d_P1, d.d_P2) <= dims.Z or M_S + move.get("v", 0) >= N_P)
+
+
+class TestMutants:
+    def test_oracle_catches_every_moved_bound(self):
+        # the oracle must refute each closed-form condition moved one
+        # stream either way, not only agree with the true one; quartets
+        # <= 3 with d_Pi up to M_P + 1 reach all five families, condition
+        # (iii) included, which criterion 3's grid never crosses
+        population = [
+            (NetworkDims(*q), StreamAlloc(*a))
+            for q in itertools.product(range(1, 4), repeat=4)
+            for a in itertools.product(range(q[0] + 2), range(q[0] + 2), range(q[1] + 1), range(q[1] + 1))
+        ]
+        assert len(population) == 13_050
+        oracle = [
+            constructive_check(dims, d, trials=20, seed=derive_seed(9, *dims.as_tuple(), *d.as_tuple())).feasible
+            for dims, d in population
+        ]
+        assert [mutated_predicate(dims, d) for dims, d in population] == [
+            closed_form_feasible(dims, d).feasible for dims, d in population
+        ]
+        disagreements = {
+            (family, shift): sum(mutated_predicate(dims, d, family, shift) != ok for (dims, d), ok in zip(population, oracle))
+            for family in ("", "i", "ii", "iii", "iv", "v")
+            for shift in ((0,) if family == "" else (-1, 1))
+        }
+        assert disagreements.pop(("", 0)) == 0
+        assert [mutant for mutant, count in disagreements.items() if count == 0] == []
+
+
 class TestVerdict:
     def test_infeasible_needs_a_violation(self):
         with pytest.raises(ValueError):
@@ -134,10 +175,23 @@ class TestConstructiveCheck:
 
         monkeypatch.setattr(cogia.scenario._SubstreamFactory, "stream", spy)
         assert constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=20, seed=5).feasible
-        # the probe's lane, then the 20 lanes of the stack: one channel
-        # stream each, and one stream for P1's random precoder column
-        assert resets.count(CHANNEL_STREAM) == 21
-        assert len(resets) == 42
+        # no probe for a tuple the closed form accepts: the 20 lanes of the
+        # stack, one channel stream each, and one stream for P1's random
+        # precoder column
+        assert resets.count(CHANNEL_STREAM) == 20
+        assert len(resets) == 40
+
+    def test_only_a_tuple_the_closed_form_refuses_is_probed(self, monkeypatch):
+        # an accepted tuple draws its 20 lanes once, in one stack; a refused
+        # one draws once, the trial-0 probe that refuses it
+        dims = NetworkDims(5, 5, 5, 3)
+        drawn = spy_on_draws(monkeypatch)
+        assert constructive_check(dims, StreamAlloc(1, 0, 2, 2), trials=20, seed=5).feasible
+        assert channel_draws(drawn) == [derive_seed(derive_seed(5, t), 0) for t in range(20)]
+        drawn.clear()
+        verdict = constructive_check(dims, StreamAlloc(2, 0, 2, 2), trials=20, seed=5)
+        assert [v.stage for v in verdict.violated] == ["primary_receivers"]
+        assert channel_draws(drawn) == [derive_seed(derive_seed(5, 0), 0)]
 
     def test_agrees_with_closed_form_sampled_dims(self):
         # full agreement on every tuple for a handful of quartets
@@ -272,7 +326,8 @@ class TestConstructiveCheck:
 
     # (lanes of the build whose first attempt loses rank, the lane that
     # loses it): lane 5 of the oracle's 20-lane stack, the oracle's trial-0
-    # probe (one 2-D draw, None) and a one-lane stack
+    # probe (one 2-D draw, None; the closed form accepts the tuple, so the
+    # probe is forced) and a one-lane stack
     @pytest.mark.parametrize(
         "lanes, lane", [(20, 5), (None, 0), (1, 0)], ids=["stack_lane_5", "probe", "one_lane_stack"]
     )
@@ -297,6 +352,8 @@ class TestConstructiveCheck:
             return ch
 
         monkeypatch.setattr(cogia.alignment, "_channel_set", rank_deficient_lane)
+        if lanes is None:
+            monkeypatch.setattr(cogia.dof, "_violations", lambda dims, d: [("forced", "", 0)])
         drawn = spy_on_draws(monkeypatch)
         first = [derive_seed(s, 0) for s in seeds]
         moved = first[:lane] + [derive_seed(seeds[lane], 1)] + first[lane + 1 :]
@@ -307,8 +364,8 @@ class TestConstructiveCheck:
             assert np.array_equal(prs.U_P1[0], redrawn.U_P1)
         else:
             assert constructive_check(dims, alloc, trials=20, seed=3).feasible
-            # the probe's lane, then the stack's attempts
-            expected = first[:1] + first + moved if lanes else first[:1] + moved[:1] + first
+            # the stack's attempts, after the forced probe's when the probe loses rank
+            expected = first + moved if lanes else first[:1] + moved[:1] + first
             assert channel_draws(drawn) == expected
         assert len(broken) == 1
 
@@ -335,8 +392,8 @@ class TestConstructiveCheck:
         assert constructive_check(dims, alloc, trials=20, seed=3).feasible
         first = [derive_seed(s, 0) for s in seeds]
         moved = first[:3] + [derive_seed(seeds[3], 1)] + first[4:]
-        assert channel_draws(drawn) == first[:1] + first + moved
-        assert [s for s, k in drawn if k == PRECODER_STREAM_P1] == first[:1] + first + moved
+        assert channel_draws(drawn) == first + moved
+        assert [s for s, k in drawn if k == PRECODER_STREAM_P1] == first + moved
         assert stacked == [20, 20]
 
     def test_leaky_first_trial_is_named(self, monkeypatch):
@@ -358,22 +415,35 @@ class TestConstructiveCheck:
             False, (Violation("residual interference <= ZERO_TOL", "trial 0: worst_case = 5.000e-01", "constructive"),)
         )
 
-    def test_oracle_verdicts_match_golden(self):
+    def test_oracle_verdicts_match_golden(self, monkeypatch):
         # every feasible tuple of 10 seeded quartets <= 5 and five times as
         # many of their infeasible tuples: any change of a verdict or of a
-        # violation's text changes the digest
+        # violation's text changes the digest.  The closed form only decides
+        # whether the oracle probes trial 0 before its stack, so the digest
+        # is the same when the oracle probes every tuple and when it probes
+        # none
         rng = random.Random(5)
-        lines = []
+        cases = []
         for q in rng.sample(list(itertools.product(range(1, 6), repeat=4)), 10):
             dims = NetworkDims(*q)
             tuples = list(grid_tuples(dims))
             feasible = [t for t in tuples if closed_form_feasible(dims, t).feasible]
             infeasible = [t for t in tuples if not closed_form_feasible(dims, t).feasible]
             for t in feasible + rng.sample(infeasible, min(len(infeasible), 5 * len(feasible))):
-                lines.append(repr(constructive_check(dims, t, trials=20, seed=derive_seed(5, *q, *t.as_tuple()))))
-        assert len(lines) == 852
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "013c3f08e2550c7c1c9725ac7c0df10d67fac68db33681503f726546f76cd246"
+                cases.append((dims, t, derive_seed(5, *q, *t.as_tuple())))
+        assert len(cases) == 852
+        schedules = {
+            "natural": cogia.dof._violations,
+            "probe forced": lambda dims, d: [("forced", "", 0)],
+            "probe never": lambda dims, d: [],
+        }
+        digests = {}
+        for schedule, question in schedules.items():
+            monkeypatch.setattr(cogia.dof, "_violations", question)
+            lines = [repr(constructive_check(dims, t, trials=20, seed=seed)) for dims, t, seed in cases]
+            digests[schedule] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        golden = "013c3f08e2550c7c1c9725ac7c0df10d67fac68db33681503f726546f76cd246"
+        assert digests == dict.fromkeys(schedules, golden)
 
     def test_bound_sharpness_hundred_seeds(self):
         dims = NetworkDims(5, 5, 5, 3)  # M_S - N_S = 2

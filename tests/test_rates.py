@@ -557,7 +557,7 @@ class TestRateRegionSweep:
         assert np.isfinite(rates).all()
         assert points[1].R_P > points[0].R_P and points[1].R_S > points[0].R_S
 
-    @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
+    @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (10**400, 1.0)])
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
         monkeypatch.setattr(cogia.rates, "draw_system", lambda *a: pytest.fail("drew a channel"))
         with pytest.raises(ScenarioError):
