@@ -243,14 +243,10 @@ def build_corrections(
     M_S, Z = ch.dims.M_S, ch.dims.Z
 
     def corrections(V: np.ndarray, H_other: np.ndarray, Hp_other: np.ndarray) -> np.ndarray:
-        corrected = V[..., Z:]
-        if not corrected.shape[-1]:
-            return np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
-        solved = min_norm_right_solve(Hp_other, -(H_other @ corrected))
-        if Z == 0:
-            return solved
         Vbar = np.zeros(V.shape[:-2] + (M_S, V.shape[-1]))
-        Vbar[..., Z:] = solved
+        corrected = V[..., Z:]
+        if corrected.shape[-1]:
+            Vbar[..., Z:] = min_norm_right_solve(Hp_other, -(H_other @ corrected))
         return Vbar
 
     Vbar_P1 = corrections(V_P1, ch.H_P2, ch.Hp_P2)
@@ -354,12 +350,9 @@ def _build_primary(
     V_P1, V_P2 = _stage("primary_precoders", build_primary_precoders, ch, d, seed)
     Vbar_P1, Vbar_P2 = _stage("corrections", build_corrections, ch, V_P1, V_P2)
     U_P1, U_P2 = _stage("primary_receivers", build_primary_receivers, ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
-    if lanes:
-        # the selectors are read-only already; a stack views them once per lane
-        U_S1, U_S2 = np.broadcast_to(U_S1, lanes + U_S1.shape), np.broadcast_to(U_S2, lanes + U_S2.shape)
     arrays = dict(
         V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
-        U_S1=U_S1, U_S2=U_S2,
+        U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
     )
     for a in arrays.values():
         a.flags.writeable = False

@@ -216,9 +216,7 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
         first = spanned.argmax()  # flat index of the first spanned stream, if any
         if r == n and spanned.flat[first]:
             raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
-    if r < s.shape[-1]:
-        u, s, vt = u[..., :r], s[..., :r], vt[..., :r, :]
-    P = vt.mT @ (u / s[..., None, :]).mT
+    P = matrix_transpose(vt[..., :r, :]) @ matrix_transpose(u[..., :r] / s[..., None, :r])
     R = B @ P[..., :d]
     # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0

@@ -58,9 +58,17 @@ MAX_ANTENNAS = 16
 
 _MASK64 = (1 << 64) - 1
 
-# the channel matrices in the order one stream fills them, the pair the
-# secondary alignment reads first
-CHANNEL_ORDER = ("H_S1", "H_S2", "H_P1", "H_P2", "Hp_P1", "Hp_P2")
+# each channel matrix's (rows, columns) as NetworkDims fields, in the order
+# one stream fills them, the pair the secondary alignment reads first
+_CHANNEL_LAYOUT = {
+    "H_S1": ("N_S", "M_S"),
+    "H_S2": ("N_S", "M_S"),
+    "H_P1": ("N_P", "M_P"),
+    "H_P2": ("N_P", "M_P"),
+    "Hp_P1": ("N_P", "M_S"),
+    "Hp_P2": ("N_P", "M_S"),
+}
+CHANNEL_ORDER = tuple(_CHANNEL_LAYOUT)
 CHANNEL_STREAM = 0
 PRECODER_STREAM_P1 = 8
 PRECODER_STREAM_P2 = 9
@@ -147,8 +155,7 @@ def _finite_positive(v: Any) -> bool:
 
 def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
     """Shape of each channel matrix, in the order one stream fills them (CHANNEL_ORDER)."""
-    secondary, primary, cross = (dims.N_S, dims.M_S), (dims.N_P, dims.M_P), (dims.N_P, dims.M_S)
-    return dict(zip(CHANNEL_ORDER, (secondary, secondary, primary, primary, cross, cross)))
+    return {name: (getattr(dims, r), getattr(dims, c)) for name, (r, c) in _CHANNEL_LAYOUT.items()}
 
 
 @dataclass(frozen=True)
@@ -322,16 +329,14 @@ def _draw_channels(dims: NetworkDims, seed: int | list[int]) -> tuple[np.ndarray
 
 
 def _channel_set(dims: NetworkDims, H_S1: np.ndarray, H_S2: np.ndarray, buf: np.ndarray) -> ChannelSet:
-    """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``.
-
-    They follow H_S1 and H_S2 in CHANNEL_ORDER, each with N_P rows; the
-    ChannelSet checks every shape against :func:`_channel_shapes`.
-    """
-    lanes, N_P = buf.shape[:-1], dims.N_P
+    """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``."""
+    lanes = buf.shape[:-1]
     start, primary = 2 * dims.N_S * dims.M_S, {}
-    for name, c in zip(CHANNEL_ORDER[2:], (dims.M_P, dims.M_P, dims.M_S, dims.M_S)):
-        primary[name] = buf[..., start : start + N_P * c].reshape(lanes + (N_P, c))
-        start += N_P * c
+    for name in CHANNEL_ORDER[2:]:
+        rows, cols = _CHANNEL_LAYOUT[name]
+        r, c = getattr(dims, rows), getattr(dims, cols)
+        primary[name] = buf[..., start : start + r * c].reshape(lanes + (r, c))
+        start += r * c
     return ChannelSet(dims=dims, H_S1=H_S1, H_S2=H_S2, **primary)
 
 
