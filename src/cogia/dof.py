@@ -86,23 +86,13 @@ class DofRegion:
     frontier: tuple[StreamAlloc, ...]
 
 
-# each condition family's (condition, detail, kind) texts, filled from the
-# bounded stream count's ``name`` and value ``n`` and the network's sizes
-_CONDITIONS = {
-    "i": ("{name} <= M_S - N_S", "{n} > {M_S} - {N_S} = {gap}", "structural"),
-    "ii": ("{name} <= N_S", "{n} > {N_S}", "structural"),
-    "iii": ("{name} <= M_P", "{n} > {M_P}", "structural"),
-    "iv": ("N_P >= {name} + d_S1 + d_S2", "{N_P} < {n} + {d_S1} + {d_S2}", "derived"),
-    "v": ("M_S >= N_P when d_Pi > Z", "{M_S} < {N_P} with Z = {Z}", "derived"),
-}
-
-
 def _violations(dims: NetworkDims, d: StreamAlloc) -> list[tuple[str, str, int]]:
     """The violated closed-form conditions of (dims, d), in report order.
 
-    Each entry is a condition family, a key of ``_CONDITIONS``, the stream
-    count it bounds and that count's value (``""`` and 0 for (v)).  No
-    text is built, so asking whether the list is empty stays cheap.
+    Each entry is a condition family, ``"i"`` to ``"v"`` as in
+    :func:`closed_form_feasible`, the stream count it bounds and that
+    count's value (``""`` and 0 for (v)).  No text is built, so asking
+    whether the list is empty stays cheap.
     """
     M_S, N_S, N_P = dims.M_S, dims.N_S, dims.N_P
     d_P1, d_P2, d_S1, d_S2 = d.d_P1, d.d_P2, d.d_S1, d.d_S2
@@ -134,16 +124,22 @@ def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdic
     corrections are needed is the right-inverse requirement.  (iv) and
     (v) are labeled as derived from the construction.
     """
-    found = _violations(dims, d)
-    if not found:
-        return FeasibilityVerdict(True, ())
-    M_S, N_S = dims.M_S, dims.N_S
-    fields = dict(M_P=dims.M_P, M_S=M_S, N_P=dims.N_P, N_S=N_S, Z=dims.Z, gap=M_S - N_S, d_S1=d.d_S1, d_S2=d.d_S2)
-    v = []
-    for family, name, n in found:
-        condition, detail, kind = _CONDITIONS[family]
-        v.append(Violation(condition.format(name=name), detail.format(n=n, **fields), kind))
-    return FeasibilityVerdict(False, tuple(v))
+    M_P, M_S, N_P, N_S = dims.M_P, dims.M_S, dims.N_P, dims.N_S
+    v: list[Violation] = []
+    for family, name, n in _violations(dims, d):
+        if family == "i":
+            v.append(Violation(f"{name} <= M_S - N_S", f"{n} > {M_S} - {N_S} = {M_S - N_S}", "structural"))
+        elif family == "ii":
+            v.append(Violation(f"{name} <= N_S", f"{n} > {N_S}", "structural"))
+        elif family == "iii":
+            v.append(Violation(f"{name} <= M_P", f"{n} > {M_P}", "structural"))
+        elif family == "iv":
+            v.append(Violation(f"N_P >= {name} + d_S1 + d_S2", f"{N_P} < {n} + {d.d_S1} + {d.d_S2}", "derived"))
+        elif family == "v":
+            v.append(Violation("M_S >= N_P when d_Pi > Z", f"{M_S} < {N_P} with Z = {dims.Z}", "derived"))
+        else:
+            raise ValueError(f"unknown condition family {family!r}")
+    return FeasibilityVerdict(not v, tuple(v))
 
 
 def constructive_check(
