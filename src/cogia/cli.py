@@ -15,7 +15,11 @@ CSV or manifest, only one ``<command> failed: <Class>: <message>`` or
 ``scenario error: <message>`` line on stderr.  Verify's FAIL still
 writes its report.  All data files are CSV with '.' decimals, comma
 separators, LF line endings and a mandatory header row; every run also
-writes a JSON manifest sufficient to reproduce it.
+writes a JSON manifest, one line, sufficient to reproduce it.  A rerun
+into the same ``--out`` replaces each output file rather than rewriting
+it in place: a symlink there becomes a regular file and its target is
+left alone, a hard link to an earlier output keeps that run's bytes, and
+the new file takes the umask mode.
 """
 
 from __future__ import annotations
@@ -39,12 +43,23 @@ from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
 
 
+def _replace(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file at ``path``, first removing what is there.
+
+    A file, hard link or symlink at ``path`` is unlinked, never written
+    through or truncated: on ext4, truncating a file that holds data
+    flushes it, which costs a rerun more than a fresh create.
+    """
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:
     """Write one CSV file; returns the sha256 of the bytes written."""
     lines = [",".join(header)]
     lines.extend(",".join(map(str, row)) for row in rows)
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.write_bytes(data)
+    _replace(path, data)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -63,7 +78,8 @@ def _write_manifest(out_dir: Path, command: str, scenario: Scenario, seed: int, 
         "outputs": [{"path": p.name, "sha256": digest} for p, digest in outputs.items()],
     }
     path = out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # one line: indent= would force json's pure-Python encoder
+    _replace(path, (json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
     return path
 
 

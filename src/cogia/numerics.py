@@ -101,15 +101,16 @@ def rank_under_policy(s: np.ndarray) -> np.ndarray:
     return np.add.reduce(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def _common_rank(rank: np.ndarray) -> int:
-    """The rank every lane shares; lanes below the best lane's are degenerate."""
-    if rank.ndim == 0:
-        return int(rank)
-    top = int(rank.max())
-    low = rank < top
-    if low.any():
-        raise DegenerateChannel(f"numerical rank falls below {top} in {np.count_nonzero(low)} lane(s)", lanes=low)
-    return top
+def _require_rank(s: np.ndarray, full: int, what: str) -> None:
+    """Raise DegenerateChannel for the lanes whose rank at RANK_TOL is below ``full``.
+
+    ``full`` is the rank the matrix's shape allows, so a lane is judged
+    alone, never against the other lanes.  ``what`` begins the message.
+    """
+    low = rank_under_policy(s) < full
+    # one matrix's mask is a numpy bool, tested without a reduction
+    if low if low.ndim == 0 else low.any():
+        raise DegenerateChannel(f"{what} below {full} in {np.count_nonzero(low)} lane(s)", lanes=low)
 
 
 def full_column_rank(M: np.ndarray) -> np.ndarray:
@@ -128,28 +129,22 @@ def null_space_basis(A) -> np.ndarray:
 
     Returns an n x k matrix (k = nullity, possibly 0) with orthonormal
     columns annihilated by ``A``, per lane for a stack.  Columns are
-    ordered by ascending associated singular value (directions with no
-    singular value count as zero) and sign-fixed.  ``A`` may have zero
-    rows, in which case the basis spans all of R^n.  Lanes of a stack
-    must share the nullity: lanes of lower rank than the others raise
-    DegenerateChannel.
+    the right singular vectors beyond the first ``min(m, n)``, in order,
+    sign-fixed: k = n - min(m, n).  ``A`` may have zero rows, in which
+    case the basis spans all of R^n.  A lane whose rank at RANK_TOL falls
+    below ``min(m, n)``, the rank its shape allows, raises
+    DegenerateChannel with the mask of those lanes.
     """
     A = _as_matrix(A)
     lead, (m, n) = A.shape[:-2], A.shape[-2:]
     if m == 0:
         return np.broadcast_to(np.eye(n), lead + (n, n)).copy()
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = _common_rank(rank_under_policy(s))
+    rank = min(m, n)
+    _require_rank(s, rank, f"{m}x{n} matrix has rank")
     if rank == n:
         return np.zeros(lead + (n, 0))
-    rows = vt[..., rank:, :]
-    if s[..., rank:].any():
-        # nonzero singular values below the tolerance come after the zeros
-        sv = np.zeros(lead + (n,))
-        sv[..., : s.shape[-1]] = s
-        order = rank + np.argsort(sv[..., rank:], axis=-1, kind="stable")
-        rows = np.take_along_axis(vt, order[..., :, None], axis=-2)
-    return _fix_column_signs(matrix_transpose(rows).copy())
+    return _fix_column_signs(matrix_transpose(vt[..., rank:, :]).copy())
 
 
 def orth_complement_vector(S) -> np.ndarray:
@@ -184,9 +179,7 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    low = rank_under_policy(s) < m
-    if low.any():
-        raise DegenerateChannel(f"{m}x{n} matrix has row rank below {m} in {np.count_nonzero(low)} lane(s)", lanes=low)
+    _require_rank(s, m, f"{m}x{n} matrix has row rank")
     coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
     x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
     return x[..., 0] if vector else x
@@ -199,32 +192,33 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     the other rows of ``B = [targets; avoid]`` (m x n), normalized.  It is
     column g of B's pseudo-inverse ``P`` (one thin SVD), refined once
     against its eps * cond(B) leak: ``X -= P @ R``, ``R = B @ X`` with
-    each ``R[g, g]`` zeroed.  Per lane, a rank below the best lane's or a
-    lost stream (``RANK_TOL * |t_g| * |x_g| >= 1``, or row g in the span
-    of the other rows) raises DegenerateChannel, or NoComplement when
-    those rows fill all n dimensions.  ``name`` names the user in messages.
+    each ``R[g, g]`` zeroed.  A lane whose rank falls below ``min(m, n)``,
+    the rank its shape allows, or that loses a stream (``RANK_TOL * |t_g|
+    * |x_g| >= 1``) raises DegenerateChannel with the mask of those lanes.
+    When ``m > n`` and a target row lies in the span of the other rows,
+    which then fill all n dimensions, it raises NoComplement.  ``name``
+    names the user in messages.
     """
     B = _as_matrix(np.concatenate([targets, avoid], axis=-2))
     d, (m, n) = np.shape(targets)[-2], B.shape[-2:]
     if d == 0:
         return np.zeros(B.shape[:-2] + (n, 0))
     u, s, vt = np.linalg.svd(B, full_matrices=False)
-    r = _common_rank(rank_under_policy(s))
+    r = min(m, n)
+    _require_rank(s, r, f"zero-forcing rows of {name} have rank")
     if r < m:
         # e_g partly outside the range of B: row g is in the span of the others
-        spanned = 1.0 - np.add.reduce(np.square(u[..., :d, :r]), axis=-1) > RANK_TOL
+        spanned = 1.0 - np.add.reduce(np.square(u[..., :d, :]), axis=-1) > RANK_TOL
         first = spanned.argmax()  # flat index of the first spanned stream, if any
-        if r == n and spanned.flat[first]:
+        if spanned.flat[first]:
             raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
-    P = matrix_transpose(vt[..., :r, :]) @ matrix_transpose(u[..., :r] / s[..., None, :r])
+    P = matrix_transpose(vt) @ matrix_transpose(u / s[..., None, :])
     R = B @ P[..., :d]
     # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
     X = P[..., :d] - P @ R
     norms = lane_norm(matrix_transpose(X), 1)
     lost = RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0
-    if r < m:
-        lost |= spanned
     if lost.any():
         g = np.argmax(lost.reshape(-1, d).any(axis=0))
         raise DegenerateChannel(f"stream {g + 1} of {name} has no gain in its zero-forcing space", lanes=lost.any(-1))

@@ -141,6 +141,45 @@ class TestManifest:
             assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
 
 
+class TestRerun:
+    """A rerun into the same ``--out`` replaces each output file, never rewriting it in place."""
+
+    FILES = {"verify": "verify_report.csv", "rates": "rates.csv"}
+
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    def test_hard_links_keep_the_earlier_run(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, trials=3, budgets=[1.0, 10.0]))
+        out, links = tmp_path / "out", tmp_path / "links"
+        links.mkdir()
+
+        def run(out, seed):
+            assert main([command, "--config", cfg, "--out", str(out), "--seed", seed, "--quiet"]) == 0
+
+        run(out, "7")
+        names = [self.FILES[command], f"manifest_{command}.json"]
+        first = {}
+        for name in names:
+            (links / name).hardlink_to(out / name)
+            first[name] = (out / name).read_bytes()
+        run(out, "8")
+        run(tmp_path / "fresh", "8")
+        assert {name: (links / name).read_bytes() for name in names} == first
+        csv = self.FILES[command]
+        assert (out / csv).read_bytes() == (tmp_path / "fresh" / csv).read_bytes() != first[csv]
+
+    def test_symlink_is_replaced_and_its_target_kept(self, tmp_path):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, trials=3))
+        out, target = tmp_path / "out", tmp_path / "target.csv"
+        out.mkdir()
+        target.write_bytes(b"kept\n")
+        (out / "verify_report.csv").symlink_to(target)
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        report = out / "verify_report.csv"
+        assert report.is_file() and not report.is_symlink()
+        assert report.read_text().startswith("trial,worst_case,")
+        assert target.read_bytes() == b"kept\n"
+
+
 class TestRefusal:
     """Every exit-2 refusal prints one classified line and writes nothing."""
 

@@ -139,6 +139,74 @@ class TestVerdict:
             FeasibilityVerdict(False, ())
 
 
+def assert_rank_accident_redrawn(monkeypatch, dims_tuple, alloc_tuple, seed, channel, lanes, moved_lanes):
+    """The last row of ``channel`` becomes twice row 0 in ``moved_lanes`` of the first build of ``lanes`` lanes.
+
+    ``lanes`` is 20 for the oracle's stack, None for its trial-0 probe (one
+    2-D draw, forced by a stand-in closed-form violation) or 1 for a
+    one-lane ``draw_system`` stack.  The build must end feasible, with only
+    ``moved_lanes`` drawn again at their next seed.  H_S2 is broken as
+    drawn, before the secondary alignment; a primary channel as cut.
+    """
+    dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+    seeds = [derive_seed(seed, t) for t in range(20)]
+    broken = []
+
+    def first_build(H_S1):
+        return (len(H_S1) if H_S1.ndim == 3 else None) == lanes and not broken
+
+    def break_rank(H):
+        at = () if lanes is None else (moved_lanes,)
+        H = H.copy()
+        H[at + (-1,)] = 2.0 * H[at + (0,)]
+        broken.append(channel)
+        return H
+
+    if channel == "H_S2":
+        real_draw = cogia.alignment._draw_channels
+
+        def draw(dims, seeds):
+            H_S1, H_S2, buf = real_draw(dims, seeds)
+            return H_S1, break_rank(H_S2) if first_build(H_S1) else H_S2, buf
+
+        monkeypatch.setattr(cogia.alignment, "_draw_channels", draw)
+    else:
+        real_cut = cogia.alignment._channel_set
+
+        def cut(dims, H_S1, H_S2, buf):
+            ch = real_cut(dims, H_S1, H_S2, buf)
+            if first_build(H_S1):
+                ch = dataclasses.replace(ch, **{channel: break_rank(getattr(ch, channel))})
+            return ch
+
+        monkeypatch.setattr(cogia.alignment, "_channel_set", cut)
+    if lanes is None:
+        monkeypatch.setattr(cogia.dof, "_violations", lambda dims, d: [("forced", "", 0)])
+    drawn = spy_on_draws(monkeypatch)
+    first = [derive_seed(s, 0) for s in seeds]
+    moved = [derive_seed(s, 1) if t in moved_lanes else f for t, (s, f) in enumerate(zip(seeds, first))]
+    if lanes == 1:
+        _, prs = cogia.alignment.draw_system(dims, alloc, seeds[:1])
+        assert channel_draws(drawn) == first[:1] + moved[:1]
+        redrawn = cogia.alignment.build_all(generate_channels(dims, moved[0]), alloc, moved[0])
+        assert np.array_equal(prs.V_P1[0], redrawn.V_P1) and np.array_equal(prs.U_P1[0], redrawn.U_P1)
+    else:
+        assert constructive_check(dims, alloc, trials=20, seed=seed).feasible
+        # the stack's attempts, after the forced probe's when the probe loses rank
+        expected = first + moved if lanes else first[:1] + moved[:1] + first
+        assert channel_draws(drawn) == expected
+    assert broken == [channel]
+
+
+# (lanes of the build whose first attempt loses rank, the lane that loses
+# it): lane 5 of the oracle's 20-lane stack, the oracle's trial-0 probe (one
+# 2-D draw, None; the closed form accepts the tuple, so the probe is forced)
+# and a one-lane stack
+ONE_LANE_ACCIDENTS = pytest.mark.parametrize(
+    "lanes, lane", [(20, 5), (None, 0), (1, 0)], ids=["stack_lane_5", "probe", "one_lane_stack"]
+)
+
+
 class TestConstructiveCheck:
     def test_zero_alloc_vacuous(self):
         assert constructive_check(NetworkDims(2, 2, 2, 2), StreamAlloc(0, 0, 0, 0), trials=2).feasible
@@ -324,50 +392,29 @@ class TestConstructiveCheck:
             with pytest.raises(TooManyDegenerateDraws):
                 constructive_check(dims, alloc, trials=20, seed=3)
 
-    # (lanes of the build whose first attempt loses rank, the lane that
-    # loses it): lane 5 of the oracle's 20-lane stack, the oracle's trial-0
-    # probe (one 2-D draw, None; the closed form accepts the tuple, so the
-    # probe is forced) and a one-lane stack
-    @pytest.mark.parametrize(
-        "lanes, lane", [(20, 5), (None, 0), (1, 0)], ids=["stack_lane_5", "probe", "one_lane_stack"]
-    )
+    @ONE_LANE_ACCIDENTS
     def test_rank_accident_in_one_lane_is_redrawn_not_refused(self, monkeypatch, lanes, lane):
         # on that build's first attempt the lane's Hp_P2 loses rank, so the
         # right solve of P1's correction fails there: a 5x5 shape allows
         # full rank, so the lane moves to its next seed and every other
         # lane draws the same bits again
-        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
-        seeds = [derive_seed(3, t) for t in range(20)]
-        real = cogia.alignment._channel_set
-        broken = []
+        assert_rank_accident_redrawn(monkeypatch, (5, 5, 5, 3), (1, 0, 2, 2), 3, "Hp_P2", lanes, [lane])
 
-        def rank_deficient_lane(dims, H_S1, H_S2, buf):
-            ch = real(dims, H_S1, H_S2, buf)
-            if (len(H_S1) if H_S1.ndim == 3 else None) == lanes and not broken:
-                at = () if lanes is None else (lane,)
-                Hp_P2 = ch.Hp_P2.copy()
-                Hp_P2[at + (1,)] = 2.0 * Hp_P2[at + (0,)]
-                broken.append(at)
-                ch = dataclasses.replace(ch, Hp_P2=Hp_P2)
-            return ch
+    @ONE_LANE_ACCIDENTS
+    def test_null_space_rank_accident_is_redrawn_not_accepted(self, monkeypatch, lanes, lane):
+        # P1's two null-space precoder columns come from the 3x5 H_P2; with
+        # rank 2 it would offer a third null direction, but a 3x5 shape
+        # allows rank 3, so the lane is redrawn even when it is the only one
+        assert_rank_accident_redrawn(monkeypatch, (5, 5, 3, 3), (3, 3, 0, 0), 13, "H_P2", lanes, [lane])
 
-        monkeypatch.setattr(cogia.alignment, "_channel_set", rank_deficient_lane)
-        if lanes is None:
-            monkeypatch.setattr(cogia.dof, "_violations", lambda dims, d: [("forced", "", 0)])
-        drawn = spy_on_draws(monkeypatch)
-        first = [derive_seed(s, 0) for s in seeds]
-        moved = first[:lane] + [derive_seed(seeds[lane], 1)] + first[lane + 1 :]
-        if lanes == 1:
-            _, prs = cogia.alignment.draw_system(dims, alloc, seeds[:1])
-            assert channel_draws(drawn) == first[:1] + moved[:1]
-            redrawn = cogia.alignment.build_all(generate_channels(dims, moved[0]), alloc, moved[0])
-            assert np.array_equal(prs.U_P1[0], redrawn.U_P1)
-        else:
-            assert constructive_check(dims, alloc, trials=20, seed=3).feasible
-            # the stack's attempts, after the forced probe's when the probe loses rank
-            expected = first + moved if lanes else first[:1] + moved[:1] + first
-            assert channel_draws(drawn) == expected
-        assert len(broken) == 1
+    @pytest.mark.parametrize("lanes", [20, None], ids=["every_lane_of_20", "probe"])
+    def test_zero_forcing_rank_accident_every_lane_shares_is_redrawn(self, monkeypatch, lanes):
+        # H_S2 loses rank in every lane of the first attempt: S1's 5x5
+        # zero-forcing rows [H_S1[:2]; H_S2] have rank 4 everywhere, though
+        # no stream of S1 is in the span of the others (row 2 of H_S2 is
+        # not one of S2's targets either); every lane moves
+        every = list(range(20)) if lanes else [0]
+        assert_rank_accident_redrawn(monkeypatch, (5, 5, 5, 3), (1, 0, 2, 2), 3, "H_S2", lanes, every)
 
     def test_dependent_random_precoder_columns_are_redrawn(self, monkeypatch):
         # on the first stacked draw of P1's precoder columns, lane 3 draws

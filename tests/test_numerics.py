@@ -103,12 +103,15 @@ class TestZeroForcingColumns:
         for t in range(8):
             np.testing.assert_allclose(cols[t], reference_zero_forcing(targets[t], avoid[t]), rtol=0, atol=1e-12)
 
-    def test_duplicated_avoid_row_keeps_the_complement(self):
+    def test_duplicated_avoid_row_is_degenerate(self):
+        # the 6x6 stack has rank 5 of the 6 its shape allows: an accident of
+        # the draw, redrawn, even though each stream keeps a complement
         rng = np.random.default_rng(3)
         targets, avoid = rng.standard_normal((2, 6)), rng.standard_normal((4, 6))
-        avoid[3] = avoid[2]  # the stack has rank 5 of 6, each stream's complement 2 dimensions
-        cols = zero_forcing_columns(targets, avoid, "P1")
-        np.testing.assert_allclose(cols, reference_zero_forcing(targets, avoid), rtol=0, atol=1e-12)
+        avoid[3] = avoid[2]
+        with pytest.raises(DegenerateChannel, match="zero-forcing rows of P1 have rank below 6") as info:
+            zero_forcing_columns(targets, avoid, "P1")
+        assert info.value.lanes.ndim == 0 and info.value.lanes
 
     def test_target_in_the_span_of_the_other_rows_is_degenerate(self):
         rng = np.random.default_rng(4)
@@ -117,9 +120,10 @@ class TestZeroForcingColumns:
         with pytest.raises(DegenerateChannel) as info:
             zero_forcing_columns(targets, avoid, "P1")
         assert info.value.lanes.tolist() == [False, True, False]
-        # alone, the lane's rank is the common rank, and its lost streams still refuse
-        with pytest.raises(DegenerateChannel, match="stream 1 of P1"):
+        # alone, the lane's rank is still below the 4 its shape allows
+        with pytest.raises(DegenerateChannel, match="zero-forcing rows of P1 have rank below 4") as info:
             zero_forcing_columns(targets[1], avoid[1], "P1")
+        assert info.value.lanes.ndim == 0 and info.value.lanes
 
     def test_repeated_avoid_rows_at_full_rank_keep_the_complement(self):
         # B = [t; a1; a2; a2] has rank 3 = n below its 4 rows, yet row t is
@@ -290,18 +294,26 @@ class TestStacks:
         # a shortfall every lane shares is still an accident the 2x4 shape
         # allows: every lane is named, and only a shape refuses
         A[:, 1] = 2.0 * A[:, 0]
-        with pytest.raises(DegenerateChannel) as info:
-            min_norm_right_solve(A, np.ones((3, 2)))
-        assert info.value.lanes.tolist() == [True, True, True]
+        for kernel in (lambda A: min_norm_right_solve(A, np.ones((3, 2))), null_space_basis):
+            with pytest.raises(DegenerateChannel) as info:
+                kernel(A)
+            assert info.value.lanes.tolist() == [True, True, True]
 
-    def test_common_rank_of_one_matrix_is_its_rank(self):
-        # one matrix's rank is a 0-d integer: there are no lanes to compare
-        assert cogia.numerics._common_rank(np.int64(3)) == 3
-        assert cogia.numerics._common_rank(rank_under_policy(np.array([2.0, 1.0, 0.0]))) == 2
-        assert cogia.numerics._common_rank(np.array([2, 2])) == 2
+    def test_rank_loss_in_one_matrix_is_degenerate(self):
+        # one matrix is judged against its shape, as each lane is: a 2x4
+        # matrix of rank 1 has no extra null direction, it is redrawn
+        A = np.random.default_rng(22).standard_normal((2, 4))
+        A[1] = 2.0 * A[0]
+        with pytest.raises(DegenerateChannel, match="2x4 matrix has rank below 2") as info:
+            null_space_basis(A)
+        assert info.value.lanes.ndim == 0 and info.value.lanes
         with pytest.raises(DegenerateChannel) as info:
-            cogia.numerics._common_rank(np.array([2, 1, 2]))
-        assert info.value.lanes.tolist() == [False, True, False]
+            null_space_basis(A[None])
+        assert info.value.lanes.tolist() == [True]
+        # a tall matrix: full column rank leaves no null direction, less is degenerate
+        assert null_space_basis(np.eye(4, 2)).shape == (2, 0)
+        with pytest.raises(DegenerateChannel, match="4x2 matrix has rank below 2"):
+            null_space_basis(A.T)
 
 
 def test_only_numerics_calls_the_svd():

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 import cogia.rates
 from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, draw_system, effective_channels
+from cogia.dof import closed_form_feasible
 from cogia.errors import InfeasibleAlloc, ScenarioError
 from cogia.rates import (
     CellAllocation,
@@ -18,7 +20,7 @@ from cogia.rates import (
     scell_sum_rate,
     waterfill_cell,
 )
-from cogia.scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
+from cogia.scenario import MAX_ANTENNAS, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
 
 
 def haar_columns(rng, m, k):
@@ -562,3 +564,67 @@ class TestRateRegionSweep:
         monkeypatch.setattr(cogia.rates, "draw_system", lambda *a: pytest.fail("drew a channel"))
         with pytest.raises(ScenarioError):
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=2, seed=0)
+
+
+class TestDofSlope:
+    """Each cell's rate rises by d/2 bits per doubling of its budget, lane by lane.
+
+    Rates are in bits per real channel use, so at high SNR a cell serving
+    d streams gains d/2 per log2 of the budget.  A lane is judged alone:
+    its slope between budgets 1e6 and 1e12, in a lane whose water-filling
+    powers every served stream at both.  The bound, 1/8 (a quarter of one
+    stream), is set from a census of these populations: the worst gap
+    was 0.0825, in a primary cell of the verify-large scenario, where a
+    weak stream is still below its high-SNR asymptote at 1e6.  A stream
+    with no gain would never be powered, so every stream must be at 1e12.
+    """
+
+    LOW, HIGH, BOUND = 1e6, 1e12, 0.125
+
+    @staticmethod
+    def population():
+        # the README scenario's two splits, the verify-large scenario, and
+        # 200 seeded feasible tuples up to MAX_ANTENNAS, 8 lanes each
+        readme = NetworkDims(5, 5, 5, 3)
+        for i, split in enumerate([StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 1, 1)]):
+            yield readme, split, [derive_seed(5, i, t) for t in range(200)]
+        yield NetworkDims(12, 16, 10, 5), StreamAlloc(4, 4, 3, 3), [derive_seed(5, t) for t in range(200)]
+        rng, sampled = random.Random(5), 0
+        while sampled < 200:
+            q = [rng.randint(1, MAX_ANTENNAS) for _ in range(4)]
+            a = [rng.randint(0, q[0]), rng.randint(0, q[0]), rng.randint(0, q[1]), rng.randint(0, q[1])]
+            dims, alloc = NetworkDims(*q), StreamAlloc(*a)
+            if alloc.total and closed_form_feasible(dims, alloc).feasible:
+                sampled += 1
+                yield dims, alloc, [derive_seed(5, *q, *a, t) for t in range(8)]
+
+    def test_rates_realize_the_dof_lane_by_lane(self):
+        worst, closest, judged, skipped = 0.0, None, 0, 0
+        for dims, alloc, seeds in self.population():
+            ch, prs = draw_system(dims, alloc, seeds)
+            eff = effective_channels(ch, prs)
+            cells = (
+                ("primary", pcell_sum_rate, alloc.d_P1 + alloc.d_P2),
+                ("secondary", scell_sum_rate, alloc.d_S1 + alloc.d_S2),
+            )
+            for cell, rate, d in cells:
+                results = [rate(prs, eff, NoiseAndPower(Qav_P=b, Qav_S=b)) for b in (self.LOW, self.HIGH)]
+                powered = np.ones((2, len(seeds)), dtype=bool)
+                for row, result in zip(powered, results):
+                    for q in result.allocation.per_stream_power:
+                        row &= (q > 0).all(axis=-1)
+                assert powered[1].all(), (dims.as_tuple(), alloc.as_tuple(), cell, "a stream unpowered at 1e12")
+                slope = (results[1].sum_rate - results[0].sum_rate) / math.log2(self.HIGH / self.LOW)
+                gap = np.where(powered[0], np.abs(slope - d / 2), 0.0)
+                judged += int(powered[0].sum())
+                skipped += int((~powered[0]).sum())
+                lane = int(gap.argmax())
+                if gap[lane] > worst:
+                    worst = float(gap[lane])
+                    closest = f"{dims.as_tuple()}/{alloc.as_tuple()} {cell} lane {lane} (slope {slope[lane]:.4f}, d/2 {d / 2})"
+        ok = worst <= self.BOUND and skipped <= judged // 100
+        print(
+            f"DOF SLOPE: {'PASS' if ok else 'FAIL'} - worst |slope - d/2| {worst:.4f} (bound {self.BOUND}) at "
+            f"{closest}; {judged} cell-lanes judged, {skipped} with a stream unpowered at 1e6"
+        )
+        assert ok
