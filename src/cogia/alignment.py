@@ -437,8 +437,9 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
 
 def _offdiag(M: np.ndarray) -> np.ndarray:
     out = M.copy()
-    k = np.arange(min(M.shape[-2:]))
-    out[..., k, k] = 0.0
+    rows, cols = M.shape[-2:]
+    # each diagonal entry: every (cols+1)-th entry of the flattened copy
+    out.reshape(M.shape[:-2] + (rows * cols,))[..., : min(rows, cols) * (cols + 1) : cols + 1] = 0.0
     return out
 
 

@@ -198,7 +198,7 @@ def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None
     }
     worst = report.worst_case
     leaky = worst > ZERO_TOL
-    failing = np.flatnonzero(leaky | np.any(list(deficient.values()), axis=0))
+    failing = np.flatnonzero(leaky | deficient["P1"] | deficient["P2"] | deficient["S1"] | deficient["S2"])
     if failing.size == 0:
         return None
     t = failing[0]

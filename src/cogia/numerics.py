@@ -193,8 +193,10 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     column g of B's pseudo-inverse ``P`` (one thin SVD), refined once
     against its eps * cond(B) leak: ``X -= P @ R``, ``R = B @ X`` with
     each ``R[g, g]`` zeroed.  A lane whose rank falls below ``min(m, n)``,
-    the rank its shape allows, or that loses a stream (``RANK_TOL * |t_g|
-    * |x_g| >= 1``) raises DegenerateChannel with the mask of those lanes.
+    the rank its shape allows, raises DegenerateChannel with the mask of
+    those lanes.  No stream of a lane that passes loses its gain: ``|t_g|
+    <= s_max`` and ``|x_g|`` is at most about ``1 / s_min``, so the rank
+    rule ``s_min > RANK_TOL * s_max`` keeps ``RANK_TOL * |t_g| * |x_g|`` below 1.
     When ``m > n`` and a target row lies in the span of the other rows,
     which then fill all n dimensions, it raises NoComplement.  ``name``
     names the user in messages.
@@ -217,12 +219,7 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
     X = P[..., :d] - P @ R
-    norms = lane_norm(matrix_transpose(X), 1)
-    lost = RANK_TOL * lane_norm(B[..., :d, :], 1) * norms >= 1.0
-    if lost.any():
-        g = np.argmax(lost.reshape(-1, d).any(axis=0))
-        raise DegenerateChannel(f"stream {g + 1} of {name} has no gain in its zero-forcing space", lanes=lost.any(-1))
-    return X / norms[..., None, :]
+    return X / lane_norm(matrix_transpose(X), 1)[..., None, :]
 
 
 def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

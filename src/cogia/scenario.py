@@ -153,11 +153,6 @@ def _finite_positive(v: Any) -> bool:
         return False
 
 
-def _channel_shapes(dims: NetworkDims) -> dict[str, tuple[int, int]]:
-    """Shape of each channel matrix, in the order one stream fills them (CHANNEL_ORDER)."""
-    return {name: (getattr(dims, r), getattr(dims, c)) for name, (r, c) in _CHANNEL_LAYOUT.items()}
-
-
 @dataclass(frozen=True)
 class ChannelSet:
     """The channel matrices of one network realization, or a stack.
@@ -178,13 +173,16 @@ class ChannelSet:
     H_S2: np.ndarray
 
     def __post_init__(self) -> None:
-        lanes = self.H_P1.shape[:-2]
-        for name, shape in _channel_shapes(self.dims).items():
-            m = getattr(self, name)
-            if m.shape != lanes + shape:
-                raise ScenarioError(f"{name} must have shape {lanes + shape}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ScenarioError(f"{name} contains non-finite entries")
+        lanes, mats = self.H_P1.shape[:-2], []
+        for name, (rows, cols) in _CHANNEL_LAYOUT.items():
+            m, shape = getattr(self, name), lanes + (getattr(self.dims, rows), getattr(self.dims, cols))
+            if m.shape != shape:
+                raise ScenarioError(f"{name} must have shape {shape}, got {m.shape}")
+            mats.append(m)
+        # one scan of all six; which matrix failed is looked up only after it fails
+        if not np.isfinite(np.concatenate(mats, axis=None)).all():
+            name = next(name for name, m in zip(CHANNEL_ORDER, mats) if not np.isfinite(m).all())
+            raise ScenarioError(f"{name} contains non-finite entries")
 
 
 def _normalize_seed(seed: int, what: str = "seed") -> int:
@@ -261,12 +259,14 @@ _ZEROS4 = (0, 0, 0, 0)
 class _SubstreamFactory:
     """Reuses one Philox instance across seeds and streams.
 
-    ``stream`` resets the instance by assigning it a fresh state dict of
-    Python ints: key ``(seed, stream)``, counter zero and an empty buffer
-    (``buffer_pos`` 4, no kept ``uint32``), which is the state of a fresh
-    ``Philox(key=(seed, stream))``.  That is several times cheaper than
-    constructing one, which matters in the million-draw feasibility
-    sweeps; ``TestChannelGeneration::test_stream_reset_matches_a_fresh_philox``
+    The factory owns one state dict of Python ints: counter zero and an
+    empty buffer (``buffer_pos`` 4, no kept ``uint32``), the state of a
+    fresh Philox.  ``stream`` writes the key ``(seed, stream)`` into it and
+    assigns it to the instance, which copies the values in, so the instance
+    then draws the bits of a fresh ``Philox(key=(seed, stream))``.  That is
+    several times cheaper than constructing one, which matters in the
+    million-draw feasibility sweeps;
+    ``TestChannelGeneration::test_stream_reset_matches_a_fresh_philox``
     checks the draws bit for bit, also after a stream left mid-buffer.
     Not thread-safe: every draw of the package goes through the one
     instance of its thread (:func:`_thread_streams`).  Seeds are not
@@ -277,16 +277,14 @@ class _SubstreamFactory:
     def __init__(self):
         self._bg = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
+        self._key = {"counter": _ZEROS4, "key": (0, 0)}
+        self._state = dict(
+            bit_generator="Philox", state=self._key, buffer=_ZEROS4, buffer_pos=4, has_uint32=0, uinteger=0
+        )
 
     def stream(self, seed: int, stream: int) -> np.random.Generator:
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": (seed, stream)},
-            "buffer": _ZEROS4,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._key["key"] = (seed, stream)
+        self._bg.state = self._state
         return self._gen
 
     def normal(self, seed: int | list[int], stream: int, shape: tuple[int, ...]) -> np.ndarray:

@@ -134,6 +134,30 @@ class TestZeroForcingColumns:
         cols = zero_forcing_columns(targets, avoid, "P1")
         np.testing.assert_allclose(cols, reference_zero_forcing(targets, avoid), rtol=0, atol=1e-12)
 
+    def test_streams_keep_their_gain_at_the_edge_of_the_rank_rule(self):
+        # |t_g| <= s_max and |x_g| <= 1 / s_min, so a B that passes the rank
+        # rule (s_min > RANK_TOL * s_max) keeps RANK_TOL * |t_g| * |x_g|
+        # below 1: no stream loses its gain.  Each B here has s_min / s_max
+        # at RANK_TOL * (1 + delta), and its two target rows each mix the
+        # strongest and the weakest singular direction, which makes
+        # |t_g| * |x_g| about s_max / (2 s_min), the most a row can reach.
+        deltas = (1e-3, 1e-2, 1e-1, 1.0)
+        h = np.sqrt(0.5)
+        U = np.array([[h, 0.0, 0.0, h], [h, 0.0, 0.0, -h], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        V = np.linalg.qr(np.random.default_rng(9).standard_normal((6, 4)))[0]
+        B = np.stack([U @ np.diag(np.geomspace(1.0, RANK_TOL * (1.0 + delta), 4)) @ V.T for delta in deltas])
+        stacked = zero_forcing_columns(B[:, :2], B[:, 2:], "S1")
+        for lane, delta in enumerate(deltas):
+            s = np.linalg.svd(B[lane], compute_uv=False)
+            assert RANK_TOL < s[-1] / s[0] < RANK_TOL * (1.0 + 2.0 * delta)
+            x = np.linalg.pinv(B[lane])[:, :2]
+            gain = RANK_TOL * np.linalg.norm(B[lane, :2], axis=1) * np.linalg.norm(x, axis=0)
+            assert np.all((0.25 < gain) & (gain < 1.0)), (delta, gain)
+            cols = zero_forcing_columns(B[lane, :2], B[lane, 2:], "S1")
+            assert same_bits(cols, stacked[lane])
+            assert np.isfinite(cols).all()
+            np.testing.assert_allclose(np.linalg.norm(cols, axis=0), 1.0, rtol=0, atol=1e-12)
+
     def test_avoid_rows_filling_the_space_leave_no_complement(self):
         rng = np.random.default_rng(5)
         with pytest.raises(NoComplement, match="avoid space for stream 1 of S2 fills all 4 dimensions"):

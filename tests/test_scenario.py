@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import threading
 
@@ -12,7 +13,9 @@ import cogia.scenario
 from cogia.errors import ScenarioError
 from cogia.numerics import RANK_TOL
 from cogia.scenario import (
+    CHANNEL_ORDER,
     MAX_ANTENNAS,
+    ChannelSet,
     NetworkDims,
     NoiseAndPower,
     StreamAlloc,
@@ -143,20 +146,57 @@ class TestChannelGeneration:
 
     def test_stream_reset_matches_a_fresh_philox(self):
         # a reset draws the bits of a fresh Philox(key=(seed, stream id)),
-        # also right after a stream was left mid-buffer
-        streams = cogia.scenario._SubstreamFactory()
+        # also right after a stream of another seed or id was left
+        # mid-buffer, and in two threads at once
+        seeds = (0, 1, (1 << 64) - 1)
+        in_order = [(seed, sid) for seed in seeds for sid in range(10)]
+        interleaved = [(seed, sid) for _ in range(2) for sid in (0, 8, 9) for seed in seeds]
 
         def fresh(seed, sid):
             return np.random.Generator(np.random.Philox(key=np.array([seed, sid], dtype=np.uint64)))
 
-        for seed in (0, 1, (1 << 64) - 1):
-            for sid in range(10):
+        def check(streams, schedule):
+            for seed, sid in schedule:
                 assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
                 # an odd number of 32-bit draws keeps half a 64-bit word
                 words = streams.stream(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32)
                 assert np.array_equal(words, fresh(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32))
                 assert streams._bg.state["has_uint32"] == 1
                 assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
+                # left mid-buffer for the next reset
+                streams.stream(seed, sid).integers(0, 1 << 32, 3, dtype=np.uint32)
+
+        streams = cogia.scenario._SubstreamFactory()
+        check(streams, in_order + interleaved)
+        # the instance copies the factory's state dict in and never writes
+        # back to it, and a state read hands out a dict of its own
+        state = streams._bg.state
+        assert state is not streams._state and state["state"] is not streams._key
+        state["state"]["key"][:] = 7
+        state["buffer_pos"] = 0
+        assert streams._key == {"counter": (0, 0, 0, 0), "key": seeds[-1:] + (9,)}
+        assert streams._state["buffer_pos"] == 4 and streams._state["has_uint32"] == 0
+        check(streams, interleaved)
+
+        errors = []
+
+        def worker(schedule):
+            try:
+                check(cogia.scenario._thread_streams(), schedule * 20)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(sched,)) for sched in (interleaved, interleaved[::-1])]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
 
     def test_read_only(self):
         ch = generate_channels(NetworkDims(2, 2, 2, 2), 0)
@@ -187,6 +227,31 @@ class TestChannelGeneration:
         for bad in (1.5, True):
             with pytest.raises(ScenarioError, match="stream id must be an integer"):
                 substream(1, bad)
+
+
+class TestChannelSet:
+    DIMS = NetworkDims(4, 3, 2, 2)  # six matrices, four shapes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]], ids=["one_lane", "stack"])
+    def test_non_finite_entry_names_its_matrix(self, bad, seeds):
+        ch = generate_channels(self.DIMS, seeds)
+        for name in CHANNEL_ORDER:
+            mats = {n: getattr(ch, n).copy() for n in CHANNEL_ORDER}
+            mats[name][..., -1, 0] = bad
+            with pytest.raises(ScenarioError, match=f"^{name} contains non-finite entries$"):
+                ChannelSet(dims=self.DIMS, **mats)
+
+    @pytest.mark.parametrize("seeds", [5, [5, 6, 7]], ids=["one_lane", "stack"])
+    def test_wrong_shape_is_reported_before_any_finiteness_check(self, seeds):
+        ch = generate_channels(self.DIMS, seeds)
+        mats = {n: getattr(ch, n).copy() for n in CHANNEL_ORDER}
+        mats["H_S1"][..., 0, 0] = np.nan  # first in CHANNEL_ORDER
+        mats["Hp_P2"] = mats["Hp_P2"][..., :, :2]  # last in CHANNEL_ORDER
+        lanes = np.shape(ch.H_P1)[:-2]
+        expected = f"Hp_P2 must have shape {lanes + (2, 3)}, got {lanes + (2, 2)}"
+        with pytest.raises(ScenarioError, match=re.escape(expected)):
+            ChannelSet(dims=self.DIMS, **mats)
 
 
 class TestDeriveSeed:
