@@ -77,7 +77,6 @@ import numpy as np
 from .errors import CogiaError, DegenerateChannel, RankDeficient, TooManyDegenerateDraws
 from .numerics import (
     lane_norm,
-    matrix_transpose,
     min_norm_right_solve,
     null_space_basis,
     zero_forcing_columns,
@@ -178,11 +177,10 @@ class InterferenceReport:
 
 
 def _unit_columns(M: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's own formula for a real axis norm, without its wrapper
+    # np.linalg.norm's own formula for a real axis norm, without its wrapper; the mask is formed only to raise
     norms = np.sqrt(np.add.reduce(M * M, axis=-2))
-    zero = (norms == 0.0).any(axis=-1)
-    if zero.any():
-        raise DegenerateChannel("drawn precoder column has zero norm", lanes=zero)
+    if not np.logical_and.reduce(norms, axis=None):
+        raise DegenerateChannel("drawn precoder column has zero norm", lanes=(norms == 0.0).any(axis=-1))
     return M / norms[..., None, :]
 
 
@@ -302,8 +300,8 @@ def build_primary_receivers(
     G_P1, G_P2 = _primary_effective(ch, V_P1, V_P2, Vbar_P1, Vbar_P2)
     V_S = np.concatenate([V_S1, V_S2], axis=-1)
     # rows to avoid: the secondary streams as seen at the primary user
-    U_P1 = zero_forcing_columns(matrix_transpose(G_P1), matrix_transpose(ch.Hp_P1 @ V_S), "P1")
-    U_P2 = zero_forcing_columns(matrix_transpose(G_P2), matrix_transpose(ch.Hp_P2 @ V_S), "P2")
+    U_P1 = zero_forcing_columns(G_P1.mT, (ch.Hp_P1 @ V_S).mT, "P1")
+    U_P2 = zero_forcing_columns(G_P2.mT, (ch.Hp_P2 @ V_S).mT, "P2")
     return U_P1, U_P2
 
 
@@ -428,10 +426,10 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
     return EffectiveChannels(
         G_P1=G_P1,
         G_P2=G_P2,
-        D_P1=matrix_transpose(prs.U_P1) @ G_P1,
-        D_P2=matrix_transpose(prs.U_P2) @ G_P2,
-        D_S1=matrix_transpose(prs.U_S1) @ ch.H_S1 @ prs.V_S1,
-        D_S2=matrix_transpose(prs.U_S2) @ ch.H_S2 @ prs.V_S2,
+        D_P1=prs.U_P1.mT @ G_P1,
+        D_P2=prs.U_P2.mT @ G_P2,
+        D_S1=prs.U_S1.mT @ ch.H_S1 @ prs.V_S1,
+        D_S2=prs.U_S2.mT @ ch.H_S2 @ prs.V_S2,
     )
 
 
@@ -462,8 +460,8 @@ def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> Interferenc
         "pcell_intra_at_P1": (ch.H_P1 @ prs.V_P2 + ch.Hp_P1 @ prs.Vbar_P2, "H_P1"),
         "scell_intra_at_S2": (ch.H_S2 @ prs.V_S1, "H_S2"),
         "scell_intra_at_S1": (ch.H_S1 @ prs.V_S2, "H_S1"),
-        "intercell_post_at_P1": (matrix_transpose(prs.U_P1) @ (ch.Hp_P1 @ V_S), "Hp_P1"),
-        "intercell_post_at_P2": (matrix_transpose(prs.U_P2) @ (ch.Hp_P2 @ V_S), "Hp_P2"),
+        "intercell_post_at_P1": (prs.U_P1.mT @ (ch.Hp_P1 @ V_S), "Hp_P1"),
+        "intercell_post_at_P2": (prs.U_P2.mT @ (ch.Hp_P2 @ V_S), "Hp_P2"),
         "cross_stream_at_P1": (_offdiag(eff.D_P1), "H_P1"),
         "cross_stream_at_P2": (_offdiag(eff.D_P2), "H_P2"),
         "cross_stream_at_S1": (_offdiag(eff.D_S1), "H_S1"),

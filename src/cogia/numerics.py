@@ -4,15 +4,20 @@ Null-space bases, orthogonal complements, zero-forcing columns, SVD
 factorizations, minimum-norm right solves and the full-column-rank
 predicate.  The package makes every rank decision at one threshold,
 :data:`RANK_TOL`, and judges every residual that should vanish against
-another, :data:`ZERO_TOL`.  Rank decisions on singular values go through
-:func:`rank_under_policy`, and this is the only module that calls
+another, :data:`ZERO_TOL`.  :func:`rank_under_policy` counts the
+singular values above RANK_TOL times the largest; they are nonincreasing,
+so a matrix has every rank its count of them allows exactly when the
+last is above RANK_TOL times the first, the one comparison each kernel
+and ``full_column_rank`` make.  This is the only module that calls
 ``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
 values; all functions are pure and return freshly allocated arrays.
 
 Orthonormal factors follow one sign convention, applied by one routine:
 the first nonzero entry of each column is made positive (for
 ``svd_factor`` the convention is applied to the left factor and each
-right-factor column flips with its left-factor column).  This keeps
+right-factor column flips with its left-factor column): row k of the
+column's signs weighs 2^-k, more than all later rows together, so the
+weighted sum has the sign of the first nonzero entry.  This keeps
 regression output byte-stable across reruns.
 
 Stacked matrices
@@ -49,7 +54,6 @@ __all__ = [
     "svd_factor",
     "rank_under_policy",
     "full_column_rank",
-    "matrix_transpose",
     "lane_norm",
 ]
 
@@ -64,14 +68,10 @@ def _as_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim < 2:
         raise ValueError(f"matrix must be 2-D or a stack of 2-D matrices, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
+    # ndarray.all without its Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise ValueError("matrix contains non-finite entries")
     return A
-
-
-def matrix_transpose(A: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix of a stack (a view)."""
-    return A.swapaxes(-1, -2)
 
 
 def lane_norm(x: np.ndarray, core_ndim: int = 2) -> np.ndarray:
@@ -83,14 +83,21 @@ def lane_norm(x: np.ndarray, core_ndim: int = 2) -> np.ndarray:
     matrix (or vector) gives a scalar.
     """
     f = np.ascontiguousarray(x).reshape(x.shape[: x.ndim - core_ndim] + (-1,))
-    return np.sqrt(f[..., None, :] @ f[..., :, None])[..., 0, 0]
+    return np.sqrt(np.vecdot(f, f))
+
+
+# 2^-k for rows k < 53: any sum of +-2^-k over them is exact in float64
+_LEAD_WEIGHTS = np.ldexp(1.0, -np.arange(53))
 
 
 def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    """Flip columns in place so the first nonzero entry of each is positive."""
-    first = np.argmax(B != 0.0, axis=-2)
-    lead = np.take_along_axis(B, first[..., None, :], axis=-2)
-    np.negative(B, out=B, where=lead < 0.0)
+    """Flip columns in place so the first nonzero entry of each is positive (module docstring)."""
+    S, k = np.sign(B), len(_LEAD_WEIGHTS)
+    lead = _LEAD_WEIGHTS[: B.shape[-2]] @ S[..., :k, :]
+    for start in range(k, B.shape[-2], k):
+        block = S[..., start : start + k, :]
+        lead = np.where(lead == 0.0, _LEAD_WEIGHTS[: block.shape[-2]] @ block, lead)
+    np.negative(B, out=B, where=(lead < 0.0)[..., None, :])
     return B
 
 
@@ -101,27 +108,27 @@ def rank_under_policy(s: np.ndarray) -> np.ndarray:
     return np.add.reduce(s > RANK_TOL * s[..., :1], axis=-1)
 
 
-def _require_rank(s: np.ndarray, full: int, what: str) -> None:
-    """Raise DegenerateChannel for the lanes whose rank at RANK_TOL is below ``full``.
+def _rank_lost(s: np.ndarray) -> np.ndarray:
+    """Per lane: ``rank_under_policy(s) < s.shape[-1]``; transposed so one matrix gives numpy scalars."""
+    return (s.T[-1] <= RANK_TOL * s.T[0]).T
 
-    ``full`` is the rank the matrix's shape allows, so a lane is judged
-    alone, never against the other lanes.  ``what`` begins the message.
-    """
-    low = rank_under_policy(s) < full
-    # one matrix's mask is a numpy bool, tested without a reduction
-    if low if low.ndim == 0 else low.any():
-        raise DegenerateChannel(f"{what} below {full} in {np.count_nonzero(low)} lane(s)", lanes=low)
+
+def _require_rank(s: np.ndarray, what: str) -> None:
+    """Raise DegenerateChannel for the lanes, each judged alone, whose rank is below ``len(s) = min(m, n)``."""
+    if s.shape[-1]:
+        low = _rank_lost(s)
+        # one matrix's mask is a numpy bool, tested without a reduction
+        if low if low.ndim == 0 else low.any():
+            raise DegenerateChannel(f"{what} below {s.shape[-1]} in {np.count_nonzero(low)} lane(s)", lanes=low)
 
 
 def full_column_rank(M: np.ndarray) -> np.ndarray:
-    """Per lane: True when the columns of ``M`` are independent at RANK_TOL.
-
-    A matrix with no columns has full column rank.
-    """
+    """Per lane: True when the columns of ``M`` are independent at RANK_TOL (no columns are; more than rows are not)."""
     M = np.asarray(M)
-    if M.shape[-1] == 0:
-        return np.ones(M.shape[:-2], dtype=bool)
-    return rank_under_policy(np.linalg.svd(M, compute_uv=False)) == M.shape[-1]
+    m, n = M.shape[-2:]
+    if n == 0 or n > m:
+        return np.full(M.shape[:-2], n == 0)
+    return ~_rank_lost(np.linalg.svd(M, compute_uv=False))
 
 
 def null_space_basis(A) -> np.ndarray:
@@ -136,15 +143,11 @@ def null_space_basis(A) -> np.ndarray:
     DegenerateChannel with the mask of those lanes.
     """
     A = _as_matrix(A)
-    lead, (m, n) = A.shape[:-2], A.shape[-2:]
-    if m == 0:
-        return np.broadcast_to(np.eye(n), lead + (n, n)).copy()
+    m, n = A.shape[-2:]
+    # with no rows, vt is the identity: the basis spans all of R^n
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = min(m, n)
-    _require_rank(s, rank, f"{m}x{n} matrix has rank")
-    if rank == n:
-        return np.zeros(lead + (n, 0))
-    return _fix_column_signs(matrix_transpose(vt[..., rank:, :]).copy())
+    _require_rank(s, f"{m}x{n} matrix has rank")
+    return _fix_column_signs(vt[..., min(m, n) :, :].mT.copy())
 
 
 def orth_complement_vector(S) -> np.ndarray:
@@ -179,9 +182,9 @@ def min_norm_right_solve(A, b) -> np.ndarray:
     if m > n:
         raise RankDeficient(f"matrix of shape {m}x{n} has row rank below {m}")
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    _require_rank(s, m, f"{m}x{n} matrix has row rank")
-    coeffs = matrix_transpose(u) @ (b[..., None] if vector else b)
-    x = matrix_transpose(vt) @ (coeffs / s[..., :, None])
+    _require_rank(s, f"{m}x{n} matrix has row rank")
+    coeffs = u.mT @ (b[..., None] if vector else b)
+    x = vt.mT @ (coeffs / s[..., :, None])
     return x[..., 0] if vector else x
 
 
@@ -202,24 +205,23 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
     names the user in messages.
     """
     B = _as_matrix(np.concatenate([targets, avoid], axis=-2))
-    d, (m, n) = np.shape(targets)[-2], B.shape[-2:]
+    d, (m, n) = np.asarray(targets).shape[-2], B.shape[-2:]
     if d == 0:
         return np.zeros(B.shape[:-2] + (n, 0))
     u, s, vt = np.linalg.svd(B, full_matrices=False)
-    r = min(m, n)
-    _require_rank(s, r, f"zero-forcing rows of {name} have rank")
-    if r < m:
+    _require_rank(s, f"zero-forcing rows of {name} have rank")
+    if n < m:
         # e_g partly outside the range of B: row g is in the span of the others
         spanned = 1.0 - np.add.reduce(np.square(u[..., :d, :]), axis=-1) > RANK_TOL
         first = spanned.argmax()  # flat index of the first spanned stream, if any
         if spanned.flat[first]:
             raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
-    P = matrix_transpose(vt) @ matrix_transpose(u / s[..., None, :])
+    P = vt.mT @ (u / s[..., None, :]).mT
     R = B @ P[..., :d]
     # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
     R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
     X = P[..., :d] - P @ R
-    return X / lane_norm(matrix_transpose(X), 1)[..., None, :]
+    return X / lane_norm(X.mT, 1)[..., None, :]
 
 
 def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,5 +237,5 @@ def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Phi columns are unit vectors, so the first nonzero entry of each
     # stacked column lies in Phi and the Psi column flips with it
     m = u.shape[-2]
-    B = _fix_column_signs(np.concatenate([u, matrix_transpose(vt)], axis=-2))
+    B = _fix_column_signs(np.concatenate([u, vt.mT], axis=-2))
     return B[..., :m, :], s, B[..., m:, :]

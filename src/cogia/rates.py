@@ -49,7 +49,7 @@ import numpy as np
 from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels, lane_chunks
 from .dof import closed_form_feasible
 from .errors import InfeasibleAlloc, ScenarioError
-from .numerics import RANK_TOL, matrix_transpose, svd_factor
+from .numerics import RANK_TOL, svd_factor
 from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
 __all__ = [
@@ -181,7 +181,7 @@ def waterfill_cell(
     achieved = np.zeros(solve.shape)
     for grp, cost in zip(groups, costs):
         q = np.maximum(0.0, lam[..., None] - cost)
-        Q = (grp.Psi * q[..., None, :]) @ matrix_transpose(grp.Psi)
+        Q = (grp.Psi * q[..., None, :]) @ grp.Psi.mT
         achieved = achieved + np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
         powers.append(q)
         Qs.append(Q)

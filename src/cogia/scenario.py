@@ -173,14 +173,14 @@ class ChannelSet:
     H_S2: np.ndarray
 
     def __post_init__(self) -> None:
-        lanes, mats = self.H_P1.shape[:-2], []
+        lanes, dims, mats = self.H_P1.shape[:-2], vars(self.dims), []
         for name, (rows, cols) in _CHANNEL_LAYOUT.items():
-            m, shape = getattr(self, name), lanes + (getattr(self.dims, rows), getattr(self.dims, cols))
+            m, shape = getattr(self, name), lanes + (dims[rows], dims[cols])
             if m.shape != shape:
                 raise ScenarioError(f"{name} must have shape {shape}, got {m.shape}")
-            mats.append(m)
+            mats.append(m.ravel())
         # one scan of all six; which matrix failed is looked up only after it fails
-        if not np.isfinite(np.concatenate(mats, axis=None)).all():
+        if not np.logical_and.reduce(np.isfinite(np.concatenate(mats)), axis=None):
             name = next(name for name, m in zip(CHANNEL_ORDER, mats) if not np.isfinite(m).all())
             raise ScenarioError(f"{name} contains non-finite entries")
 
@@ -328,11 +328,11 @@ def _draw_channels(dims: NetworkDims, seed: int | list[int]) -> tuple[np.ndarray
 
 def _channel_set(dims: NetworkDims, H_S1: np.ndarray, H_S2: np.ndarray, buf: np.ndarray) -> ChannelSet:
     """The ChannelSet of a :func:`_draw_channels` draw, its other four matrices cut from ``buf``."""
-    lanes = buf.shape[:-1]
+    lanes, sizes = buf.shape[:-1], vars(dims)
     start, primary = 2 * dims.N_S * dims.M_S, {}
     for name in CHANNEL_ORDER[2:]:
         rows, cols = _CHANNEL_LAYOUT[name]
-        r, c = getattr(dims, rows), getattr(dims, cols)
+        r, c = sizes[rows], sizes[cols]
         primary[name] = buf[..., start : start + r * c].reshape(lanes + (r, c))
         start += r * c
     return ChannelSet(dims=dims, H_S1=H_S1, H_S2=H_S2, **primary)

@@ -24,7 +24,15 @@ from cogia.alignment import (
 )
 from cogia.dof import closed_form_feasible, constructive_check, grid_tuples
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, ScenarioError, TooManyDegenerateDraws
-from cogia.scenario import CHANNEL_STREAM, ChannelSet, NetworkDims, StreamAlloc, derive_seed, generate_channels
+from cogia.scenario import (
+    CHANNEL_STREAM,
+    PRECODER_STREAM_P1,
+    ChannelSet,
+    NetworkDims,
+    StreamAlloc,
+    derive_seed,
+    generate_channels,
+)
 
 
 def system(dims_tuple, seed):
@@ -540,6 +548,47 @@ class TestStackedDraws:
             for t in range(20):
                 expected = getattr(redrawn, name) if t == 5 else getattr(clean, name)[t]
                 assert same_bits(getattr(prs, name)[t], expected), (t, name)
+
+    @pytest.mark.parametrize("lanes", [20, None], ids=["stack_lane_5", "one_draw"])
+    def test_zero_norm_precoder_column_is_redrawn(self, monkeypatch, lanes):
+        # (5,5,5,3)/(1,0,2,2) has Z = 0, so V_P1's one column is a random draw;
+        # the first draw of that column comes back zero in lane 5 (the draw)
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2)
+        trials = [derive_seed(4, t) for t in range(20)] if lanes else [derive_seed(4, 0)]
+        seeds = trials if lanes else trials[0]
+        k = 5 if lanes else 0
+        _, clean = draw_system(dims, alloc, seeds)
+        redraw_seed = derive_seed(trials[k], 1)
+        redrawn = build_all(generate_channels(dims, redraw_seed), alloc, redraw_seed)
+        real = cogia.scenario._SubstreamFactory.normal
+        zeroed = []
+
+        def zero_lane(self, seed, stream, shape):
+            out = real(self, seed, stream, shape)
+            if stream == PRECODER_STREAM_P1 and not zeroed:
+                zeroed.append(seed)
+                out[k if lanes else ...] = 0.0
+            return out
+
+        monkeypatch.setattr(cogia.scenario._SubstreamFactory, "normal", zero_lane)
+        with pytest.raises(DegenerateChannel, match="drawn precoder column has zero norm") as info:
+            build_primary_precoders(generate_channels(dims, seeds), alloc, seeds)
+        if lanes:
+            assert info.value.lanes.tolist() == [t == k for t in range(20)]
+        else:
+            assert info.value.lanes.ndim == 0 and info.value.lanes
+        zeroed.clear()
+        drawn = spy_on_draws(monkeypatch)
+        _, prs = draw_system(dims, alloc, seeds)
+        # attempt 2 draws the whole stack again, only lane k at its next seed
+        first = [derive_seed(s, 0) for s in trials]
+        assert channel_draws(drawn) == first + first[:k] + [redraw_seed] + first[k + 1 :]
+        for name in PRS_ARRAYS:
+            got, want = getattr(prs, name), getattr(clean, name)
+            if not lanes:
+                got, want = got[None], want[None]
+            for t in range(len(trials)):
+                assert same_bits(got[t], getattr(redrawn, name) if t == k else want[t]), (t, name)
 
     def test_stacked_report_matches_single_reports(self):
         dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 1, 1, 1)

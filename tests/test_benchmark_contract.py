@@ -84,6 +84,23 @@ def test_traced_refusal_at_the_secondary_alignment_costs_one_svd(tracer):
     assert tracer.leftover_wrappers() == []
 
 
+def test_traced_refusal_at_the_primary_receivers_costs_four_svds(tracer):
+    # N_P = 3 < d_P1 + d_S1 + d_S2 = 4: a late refusal that runs almost a
+    # whole one-draw build: S1 and S2 zero-force (2 SVDs), V_P1's one column
+    # comes from the null space of H_P2 (Z = 2, 1 SVD), no stream needs a
+    # correction, and P1's zero-forcing refuses (1 SVD); new work there shows up here
+    dims, alloc = scenario.NetworkDims(5, 5, 3, 2), scenario.StreamAlloc(1, 0, 2, 1)
+    scenario.generate_channels(dims, 0)
+    with tracer.Tracer() as tr:
+        verdict = dof.constructive_check(dims, alloc, trials=20, seed=5)
+    assert [(v.stage, v.detail) for v in verdict.violated] == [
+        ("primary_receivers", "trial 0: NoComplement: avoid space for stream 1 of P1 fills all 3 dimensions")
+    ]
+    assert tr.counts["numpy.svd.calls"] == 4
+    assert tr.counts["scenario.philox_inits"] == 0
+    assert tracer.leftover_wrappers() == []
+
+
 def test_traced_rates_fill_each_cell_once_per_stack(tracer, tmp_path):
     config = BENCH / "scenarios" / "readme.json"
     with tracer.Tracer() as tr:

@@ -10,6 +10,7 @@ import cogia
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient
 from cogia.numerics import (
     RANK_TOL,
+    _fix_column_signs,
     ZERO_TOL,
     full_column_rank,
     min_norm_right_solve,
@@ -283,6 +284,123 @@ class TestRankUnderPolicy:
         assert rank.shape == (4, 3) and np.issubdtype(rank.dtype, np.integer)
         assert rank.tolist() == np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1).tolist()
         assert (rank[0, 0], rank[1, 2], rank[2, 1], rank[3, 0]) == (2, 1, 0, 5)
+
+
+def threshold_lanes(m: int, n: int) -> np.ndarray:
+    """Diagonal m x n matrices whose smallest singular value sits on, and one ulp either side of, the rank rule.
+
+    Lanes also hold a zero matrix, a zero smallest value, a well-conditioned
+    matrix and a tiny one.  LAPACK returns a diagonal matrix's singular
+    values exactly, which the rank tests check before relying on it.
+    """
+    pairs = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (2.0**-200, 2.0**-200)]
+    for s0 in (1.0, 3.0, 0.7):
+        t = RANK_TOL * s0
+        pairs += [(s0, np.nextafter(t, 0.0)), (s0, t), (s0, np.nextafter(t, np.inf))]
+    A = np.zeros((len(pairs), m, n))
+    A[:, 0, 0], A[:, 1, 1] = np.array(pairs).T
+    return A
+
+
+class TestRankRuleAtItsThreshold:
+    """Every kernel's rank decision is rank_under_policy's, to the last ulp."""
+
+    @staticmethod
+    def lost(A: np.ndarray) -> np.ndarray:
+        s = np.linalg.svd(A, compute_uv=False)
+        return rank_under_policy(s) < min(A.shape[-2:])
+
+    @staticmethod
+    def raised_mask(kernel, A):
+        """The lane mask of the DegenerateChannel ``kernel(A)`` raises, or None."""
+        try:
+            kernel(A)
+        except DegenerateChannel as exc:
+            return exc.lanes
+        return None
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2)])
+    def test_kernels_raise_exactly_when_the_rank_is_lost(self, m, n):
+        A = threshold_lanes(m, n)
+        s = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_array_equal(s[:, :2], np.sort(A[:, [0, 1], [0, 1]], axis=-1)[:, ::-1])
+        lost = self.lost(A)
+        # at the threshold and below, the rank is lost; one ulp above, it is kept
+        assert lost[4:7].tolist() == [True, True, False] and lost.any() and not lost.all()
+        kernels = [null_space_basis]
+        if m <= n:
+            kernels += [
+                lambda A: min_norm_right_solve(A, np.ones(A.shape[:-1])),
+                lambda A: zero_forcing_columns(A[..., :1, :], A[..., 1:, :], "X"),
+            ]
+        for kernel in kernels:
+            mask = self.raised_mask(kernel, A)
+            assert mask is not None and mask.tolist() == lost.tolist()
+            # two lane axes: the mask keeps their order
+            mask = self.raised_mask(kernel, A[:12].reshape(3, 4, m, n))
+            assert mask.tolist() == lost[:12].reshape(3, 4).tolist()
+            for t in range(len(A)):
+                mask = self.raised_mask(kernel, A[t])
+                assert (mask is not None) == lost[t], t
+                assert mask is None or (mask.ndim == 0 and mask)
+            kept = A[~lost]
+            assert self.raised_mask(kernel, kept) is None
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (1, 1), (0, 2), (2, 0)])
+    def test_full_column_rank_is_the_rank_count(self, m, n):
+        A = threshold_lanes(max(m, 2), max(n, 2))[:, :m, :n]
+        rank = rank_under_policy(np.linalg.svd(A, compute_uv=False)) if m and n else np.zeros(len(A), int)
+        expected = rank == n
+        assert full_column_rank(A).tolist() == expected.tolist()
+        assert full_column_rank(A[:12].reshape(3, 4, m, n)).tolist() == expected[:12].reshape(3, 4).tolist()
+        for t in range(len(A)):
+            assert full_column_rank(A[t]) == expected[t], t
+        if m == n == 1:
+            # the zero 1x1 matrix has rank 0; every other 1x1 matrix, tiny included, rank 1
+            assert expected.tolist() == [False] + [True] * (len(A) - 1)
+
+
+def lead_flip_reference(B: np.ndarray) -> np.ndarray:
+    """Plain-Python sign rule: negate each column whose first nonzero entry is negative."""
+    out = B.copy()
+    for lane in np.ndindex(B.shape[:-2]):
+        for j in range(B.shape[-1]):
+            column = [float(v) for v in B[lane][:, j]]
+            first = next((v for v in column if v != 0.0), 0.0)
+            if first < 0.0:
+                out[lane][:, j] = [-v for v in column]
+    return out
+
+
+def sign_rule_columns(rows: int, rng) -> np.ndarray:
+    """Columns that probe the sign rule: signed zeros before the first nonzero entry, zero
+    columns, first nonzero entries in every row, and later rows that weigh against the first."""
+    columns = [rng.standard_normal(rows), np.zeros(rows), np.full(rows, -0.0)]
+    for k in range(rows):
+        for lead_zero in (0.0, -0.0):
+            for sign in (1.0, -1.0):
+                col = rng.standard_normal(rows)
+                col[:k] = lead_zero
+                col[k] = sign * rng.uniform(0.1, 2.0)
+                columns.append(col)
+        # the first nonzero entry against every later row at the opposite sign
+        col = np.full(rows, 1.0)
+        col[:k], col[k] = -0.0, -1e-300
+        columns += [col, -col]
+    return np.array(columns).T
+
+
+class TestColumnSignRule:
+    """``_fix_column_signs`` flips exactly the columns the first-nonzero rule names."""
+
+    @pytest.mark.parametrize("rows", [1, 32, 70])
+    def test_matches_the_first_nonzero_reference(self, rows):
+        rng = np.random.default_rng(400 + rows)
+        B = sign_rule_columns(rows, rng)
+        assert same_bits(_fix_column_signs(B.copy()), lead_flip_reference(B))
+        # a 3-lane stack, each lane with its columns in another order
+        stack = np.stack([B[:, rng.permutation(B.shape[1])] for _ in range(3)])
+        assert same_bits(_fix_column_signs(stack.copy()), lead_flip_reference(stack))
 
 
 class TestStacks:
