@@ -348,10 +348,10 @@ def _build_primary(
     V_P1, V_P2 = _stage("primary_precoders", build_primary_precoders, ch, d, seed)
     Vbar_P1, Vbar_P2 = _stage("corrections", build_corrections, ch, V_P1, V_P2)
     U_P1, U_P2 = _stage("primary_receivers", build_primary_receivers, ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
-    arrays = dict(
-        V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2,
-        U_S1=np.broadcast_to(U_S1, lanes + U_S1.shape), U_S2=np.broadcast_to(U_S2, lanes + U_S2.shape),
-    )
+    arrays = dict(V_P1=V_P1, V_P2=V_P2, Vbar_P1=Vbar_P1, Vbar_P2=Vbar_P2, V_S1=V_S1, V_S2=V_S2, U_P1=U_P1, U_P2=U_P2)
+    # each lane reads the cached selector: np.broadcast_to's zero-stride view, without its nditer
+    for name, U in (("U_S1", U_S1), ("U_S2", U_S2)):
+        arrays[name] = np.ndarray(lanes + U.shape, U.dtype, U, 0, (0,) * len(lanes) + U.strides)
     for a in arrays.values():
         a.flags.writeable = False
     return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)

@@ -15,9 +15,12 @@ the water level, so ``lam`` comes in closed form from the sorted stream
 costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005), in one step and
 with no search.  The weights ``w_l`` are the exact traced powers of the
 precoder directions, so the solve stays correct when precoder columns
-are not orthonormal.  One :class:`CellAllocation` records each cell
-solve: the cell-level numbers (water level, budget, traced power, KKT
-gap) once, and each user's powers and covariance in group order.  A
+are not orthonormal.  A cell is solved on one stream vector, its users'
+streams end to end, and one :class:`CellAllocation` records the solve:
+the cell-level numbers once, and each user's powers (a view of that
+vector) and covariance in group order.  The powers are the clamp above
+itself, so stationarity holds by construction: the solve's KKT gap is
+its budget residual, and :func:`kkt_violation` forms both halves.  A
 cell's channels are factored, water-filled and turned into a sum rate
 in one call per stack of draws; a user's log-det term is formed over the
 streams the solve powered, ``sum_l log2(1 + gamma_l^2 q_l / sigma^2)``.
@@ -91,8 +94,10 @@ class CellAllocation:
     ``budget`` included.  ``achieved_constraint`` is the traced power of
     the solve under the 1/2 trace convention, directly comparable to
     ``budget``.  ``per_stream_power`` and ``Q`` hold one entry per group
-    (served user), in group order.  ``kkt_gap`` is :func:`kkt_violation`
-    of the solve.
+    (served user), in group order; the powers are views of one array.
+    ``kkt_gap`` is the budget-residual half of :func:`kkt_violation`, 0
+    where the water level is 0 and nan where it is not finite; on the
+    solve's own powers the stationarity half reads 0, so the two agree.
     """
 
     water_level: float
@@ -141,31 +146,28 @@ def waterfill_cell(
     is alive, or every alive stream has zero traced weight.  A 1-D
     ``budget`` puts a budget axis in front of the lane axes of every
     field of the result; entry ``b`` is bit for bit the solve under
-    ``budget[b]`` alone.
+    ``budget[b]`` alone.  The costs, sort and powers are formed once over
+    the groups' one stream vector (see the module docstring).
     """
     budget = np.asarray(budget, dtype=float)
     if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
         raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
-    costs = [_stream_costs(grp.gammas, grp.sigma2) for grp in groups]
-    weights = []
-    for grp, cost in zip(groups, costs):
-        VPsi = grp.V @ grp.Psi
-        weights.append(np.where(np.isinf(cost), 0.0, np.einsum("...ij,...ij->...j", VPsi, VPsi)))
-    lanes = np.broadcast_shapes(*(cost.shape[:-1] for cost in costs))
-    c = np.concatenate([np.zeros(lanes + (0,)), *costs], axis=-1)
-    w = np.concatenate([np.zeros(lanes + (0,)), *weights], axis=-1)
+    cost, w, spans = _stream_vector(groups)
+    lanes = cost.shape[:-1]
     shaped = np.add.outer(budget, np.zeros(lanes))  # the budget axis (if any) in front of the lanes
     # a dead stream has zero weight, so a positive weight is a live one
     solve = (w > 0.0).any(axis=-1) & (shaped > 0.0)
-    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(c).any(axis=-1)  # one per budget
+    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(cost).any(axis=-1)  # one per budget
     lam = np.zeros(solve.shape)
     if solve.any():
         # per lane: the live costs in ascending order, then the dead ones,
         # whose cost is masked to 0 in the prefix sums; the weights follow
         # the costs' stable order (a stable sort of the costs: the default
-        # kind pages in numpy's SIMD quicksort, 0.25 MB of resident memory)
-        w = np.take_along_axis(w, np.argsort(c, axis=-1, kind="stable"), -1)
-        c = np.sort(c, axis=-1, kind="stable")
+        # kind pages in numpy's SIMD quicksort, 0.25 MB of resident memory),
+        # both gathered through one flat index
+        order = np.argsort(cost, axis=-1, kind="stable")
+        order += np.arange(0, cost.size, cost.shape[-1]).reshape(lanes + (1,))
+        c, w = cost.reshape(-1)[order], w.reshape(-1)[order]
         live = np.isfinite(c)
         c = np.where(live, c, 0.0)
         W, S = np.cumsum(w, axis=-1), np.cumsum(w * c, axis=-1)
@@ -177,50 +179,44 @@ def waterfill_cell(
         W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
 
-    powers, Qs = [], []
-    achieved = np.zeros(solve.shape)
-    for grp, cost in zip(groups, costs):
-        q = np.maximum(0.0, lam[..., None] - cost)
-        Q = (grp.Psi * q[..., None, :]) @ grp.Psi.mT
-        achieved = achieved + np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
-        powers.append(q)
-        Qs.append(Q)
-    achieved = 0.5 * achieved
+    q = np.maximum(0.0, lam[..., None] - cost)
+    powers = tuple(q[..., span] for span in spans)
+    Qs = tuple((grp.Psi * p[..., None, :]) @ grp.Psi.mT for grp, p in zip(groups, powers))
+    traced = (np.einsum("...ij,...ij->...", grp.V @ Q, grp.V) for grp, Q in zip(groups, Qs))
+    achieved = 0.5 * sum(traced, np.zeros(solve.shape))
+    spent = lam > 0.0
+    unspent = np.abs(achieved - shaped) / np.where(spent, shaped, 1.0)
     return CellAllocation(
         water_level=lam[()],
         budget=shaped[()],
         achieved_constraint=achieved[()],
         no_positive_gain=no_gain[()],
-        kkt_gap=_kkt_gap(lam, powers, costs, achieved, shaped),
-        per_stream_power=tuple(powers),
-        Q=tuple(Qs),
+        # lam - lam is 0, or nan where the water level is not finite
+        kkt_gap=(np.where(spent, unspent, 0.0) + (lam - lam))[()],
+        per_stream_power=powers,
+        Q=Qs,
     )
 
 
-def _stream_costs(gammas, sigma2: float) -> np.ndarray:
-    """Stream costs ``sigma2 / gamma^2`` (last axis); infinite for dead streams.
+def _stream_vector(groups) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    """The groups' streams end to end (last axis): costs ``sigma2 / gamma^2``, traced weights, each group's slice.
 
-    A stream is dead when its gamma is at or below RANK_TOL times the
-    group's largest; every gamma of an all-zero group is dead.
+    A stream at or below RANK_TOL times its group's largest gamma is dead: infinite cost, zero weight.
     """
-    g = np.asarray(gammas, dtype=float)
-    alive = g > RANK_TOL * g.max(axis=-1, keepdims=True, initial=0.0)
-    return np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
-
-
-def _kkt_gap(lam, powers, costs, achieved, budget) -> np.ndarray:
-    """KKT gap of a cell solve at water level ``lam``, from every user's powers and costs."""
-    lam = np.asarray(lam)
-    worst = np.zeros(lam.shape)
-    for q, cost in zip(powers, costs):
-        # a dead stream (infinite cost) gets no power and contributes 0
-        gaps = np.where(q > 0.0, np.abs(q - (lam[..., None] - cost)), np.maximum(0.0, lam[..., None] - cost))
-        worst = np.maximum(worst, gaps.max(axis=-1, initial=0.0))
-    spent = lam > 0.0
-    # stationarity relative to a positive water level, so the gap does not scale with the budget
-    worst = worst / np.where(spent, lam, 1.0)
-    unspent = np.abs(achieved - budget) / np.where(spent, budget, 1.0)
-    return np.where(spent, np.maximum(worst, unspent), worst)[()]
+    gammas = [np.asarray(grp.gammas, dtype=float) for grp in groups]
+    shape = next((x.shape[:-1] for x in gammas), ()) + (sum(x.shape[-1] for x in gammas),)
+    g, floor, w, sigma2 = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape[-1])
+    spans, end = [], 0
+    for grp, x in zip(groups, gammas):
+        start, end = end, end + x.shape[-1]
+        g[..., start:end], sigma2[start:end] = x, grp.sigma2
+        floor[..., start:end] = RANK_TOL * x.max(axis=-1, keepdims=True, initial=0.0)
+        VPsi = grp.V @ grp.Psi
+        np.einsum("...ij,...ij->...j", VPsi, VPsi, out=w[..., start:end])
+        spans.append(slice(start, end))
+    alive = g > floor
+    cost = np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
+    return cost, np.where(np.isinf(cost), 0.0, w), spans
 
 
 def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[StreamGroup, ...]) -> np.ndarray:
@@ -234,10 +230,19 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
     ``|achieved_constraint - budget| / budget``.  Dead streams (gamma at
     or below ``numerics.RANK_TOL`` times the group's largest gamma) are
     skipped, as the solve skips them.  The result has the shape of
-    ``cell.water_level``: a float for one draw under one budget.
+    ``cell.water_level``: a float for one draw under one budget.  Both
+    halves are formed here, so this certifies the solve's own powers.
     """
-    costs = [_stream_costs(grp.gammas, grp.sigma2) for grp in groups]
-    return _kkt_gap(cell.water_level, cell.per_stream_power, costs, cell.achieved_constraint, cell.budget)
+    lam = np.asarray(cell.water_level)
+    q = np.concatenate([np.zeros(lam.shape + (0,)), *cell.per_stream_power], axis=-1)
+    x = lam[..., None] - _stream_vector(groups)[0]
+    # a dead stream (infinite cost) gets no power and contributes 0
+    worst = np.where(q > 0.0, np.abs(q - x), np.maximum(0.0, x)).max(axis=-1, initial=0.0)
+    spent = lam > 0.0
+    # stationarity relative to a positive water level, so the gap does not scale with the budget
+    worst = worst / np.where(spent, lam, 1.0)
+    unspent = np.abs(cell.achieved_constraint - cell.budget) / np.where(spent, cell.budget, 1.0)
+    return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
 
 def _cell_rate(
@@ -248,13 +253,15 @@ def _cell_rate(
     budget: float | np.ndarray,
 ) -> tuple[np.ndarray, CellAllocation]:
     """One cell solve: factor each served user's channel stack, water-fill, and sum the stream rates."""
-    served = [(E, V, s2) for E, V, s2 in zip(effectives, precoders, sigma2s) if E.shape[-1]]
-    if not served:
+    groups = []
+    for E, V, s2 in zip(effectives, precoders, sigma2s):
+        if E.shape[-1]:
+            _, gammas, Psi = svd_factor(E)
+            groups.append(StreamGroup(gammas, s2, V, Psi))
+    if not groups:
         budgets = np.add.outer(budget, np.zeros(effectives[0].shape[:-2]))
         zero = np.zeros_like(budgets)[()]
         return zero, CellAllocation(zero, budgets[()], zero, np.ones_like(budgets, dtype=bool)[()], zero, (), ())
-    factors = [svd_factor(E) for E, _, _ in served]
-    groups = [StreamGroup(gammas, s2, V, Psi) for (_, V, s2), (_, gammas, Psi) in zip(served, factors)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
         alloc = waterfill_cell(groups, budget)
         streams = zip(groups, alloc.per_stream_power)
@@ -334,16 +341,6 @@ def rate_region_sweep(
                 samples[:, part, c_idx] = _cell_rate(*cell, qav)[0]
         means = samples.mean(axis=1)
         stderrs = samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
-        for (qav_p, _qav_s), mean, stderr in zip(budgets, means, stderrs):
-            points.append(
-                RatePoint(
-                    R_P=float(mean[0]),
-                    R_S=float(mean[1]),
-                    Qav=qav_p,
-                    alloc=split,
-                    R_P_stderr=float(stderr[0]),
-                    R_S_stderr=float(stderr[1]),
-                    trials=trials,
-                )
-            )
+        for (qav_p, _qav_s), (R_P, R_S), (se_P, se_S) in zip(budgets, means.tolist(), stderrs.tolist()):
+            points.append(RatePoint(R_P, R_S, Qav=qav_p, alloc=split, R_P_stderr=se_P, R_S_stderr=se_S, trials=trials))
     return points

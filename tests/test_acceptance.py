@@ -218,6 +218,7 @@ def test_criterion_6_cli_determinism(tmp_path):
            f"{len(CRITERION_6_SHA256)} data files byte-identical across reruns")
 
 
+@pytest.mark.pin
 def test_criterion_6_golden_outputs(tmp_path):
     run_criterion_6_commands(tmp_path, tmp_path / "out")
     got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in CRITERION_6_SHA256}

@@ -209,6 +209,23 @@ class TestSecondaryReceivers:
             with pytest.raises(RankDeficient, match="selector U_S1 is 1x2"):
                 build_secondary_receivers(1, StreamAlloc(0, 0, 2, 0))
 
+    @pytest.mark.parametrize(
+        "seeds", [derive_seed(19, 0), [derive_seed(19, t) for t in range(4)]], ids=["one_draw", "stack"]
+    )
+    def test_built_selectors_are_read_only_views_of_the_cached_one(self, seeds):
+        dims, alloc = NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 1)
+        ch, prs = draw_system(dims, alloc, seeds)
+        lanes = ch.H_P1.shape[:-2]
+        for U, d_j in ((prs.U_S1, alloc.d_S1), (prs.U_S2, alloc.d_S2)):
+            cached = cogia.alignment._selector(dims.N_S, d_j)
+            assert not U.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                U[..., 0, 0] = 2.0
+            assert np.shares_memory(U, cached)
+            assert U.strides == (0,) * len(lanes) + cached.strides
+            expected = np.broadcast_to(cached, lanes + cached.shape)
+            assert U.shape == expected.shape and U.dtype == expected.dtype and np.array_equal(U, expected)
+
     def test_effective_channel_diagonal(self):
         _, ch = system((5, 5, 5, 3), 17)
         prs = build_all(ch, StreamAlloc(0, 0, 2, 2), 17)

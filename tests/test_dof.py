@@ -462,6 +462,7 @@ class TestConstructiveCheck:
             False, (Violation("residual interference <= ZERO_TOL", "trial 0: worst_case = 5.000e-01", "constructive"),)
         )
 
+    @pytest.mark.pin
     def test_oracle_verdicts_match_golden(self, monkeypatch):
         # every feasible tuple of 10 seeded quartets <= 5 and five times as
         # many of their infeasible tuples: any change of a verdict or of a

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from cogia.alignment import draw_system, effective_channels
 from cogia.errors import NoComplement
@@ -88,7 +89,7 @@ BUDGETS = [0.0, 2.5, np.array([0.0, 0.7, 40.0])]
 RATE_CASES = [((5, 5, 5, 3), (1, 0, 2, 2)), ((5, 5, 5, 3), (2, 1, 0, 0)), ((12, 16, 10, 5), (4, 4, 3, 3))]
 
 
-def seeded_groups(seed: int, spec: tuple[int, ...], lanes: tuple[int, ...]) -> list[StreamGroup]:
+def seeded_groups(seed: int, spec: tuple[tuple[int, int], ...], lanes: tuple[int, ...]) -> list[StreamGroup]:
     rng = np.random.default_rng(seed)
     groups = []
     for k, dead in spec:
@@ -142,6 +143,7 @@ def digest(outputs) -> str:
     return h.hexdigest()
 
 
+@pytest.mark.pin
 def test_kernel_outputs_are_bit_pinned():
     outputs = pinned_outputs()
     assert sum(map(len, outputs.values())) >= 50
@@ -149,6 +151,7 @@ def test_kernel_outputs_are_bit_pinned():
     assert {name: digest(x) for name, x in outputs.items()} == KERNEL_SHA256
 
 
+@pytest.mark.pin
 def test_rate_layer_outputs_are_bit_pinned():
     outputs = rate_outputs()
     assert {name: digest(x) for name, x in outputs.items()} == RATE_SHA256

@@ -11,6 +11,7 @@ import cogia.rates
 from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, draw_system, effective_channels
 from cogia.dof import closed_form_feasible
 from cogia.errors import InfeasibleAlloc, ScenarioError
+from cogia.numerics import RANK_TOL
 from cogia.rates import (
     CellAllocation,
     StreamGroup,
@@ -267,6 +268,65 @@ class TestCellWaterfill:
             for grp, Q in zip(groups, cell.Q)
         )
         assert abs(0.5 * total - 5.0) <= 1e-8 * 5.0
+
+
+def reference_costs(grp: StreamGroup) -> np.ndarray:
+    """``sigma2 / gamma^2`` per stream, infinite at or below RANK_TOL times the group's largest gamma."""
+    alive = grp.gammas > RANK_TOL * grp.gammas.max(axis=-1, keepdims=True, initial=0.0)
+    return np.where(alive, grp.sigma2 / np.where(alive, grp.gammas, 1.0) ** 2, np.inf)
+
+
+def same_bits_or_nan(a, b) -> bool:
+    """Bit for bit where neither is nan, and nan in the same places (a nan's sign bit is not compared)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()) and same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b))
+
+
+class TestSolveGapIsTheCertificate:
+    """The solve's own gap is the budget residual; the certificate's stationarity half reads 0 on its powers."""
+
+    # (streams, dead streams) per group, as in the rate-layer bit pin
+    SPECS = [
+        ((1, 0),), ((2, 0), (3, 0)), ((4, 0), (0, 0), (1, 0)), ((3, 1), (2, 0)), ((2, 0), (2, 2)), ((0, 0), (4, 1)),
+    ]
+
+    @staticmethod
+    def seeded_groups(rng, spec, lanes):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)  # the channel scale
+        groups = []
+        for k, dead in spec:
+            gammas = scale * np.abs(rng.standard_normal(lanes + (k,)))
+            gammas[..., k - dead :] = 0.0
+            Psi = np.linalg.qr(rng.standard_normal(lanes + (k, k)))[0]
+            sigma2 = float(10.0 ** rng.uniform(-6.0, math.log10(2.5)))
+            groups.append(StreamGroup(gammas, sigma2, rng.standard_normal(lanes + (k + 2, k)), Psi))
+        return groups
+
+    def assert_certified(self, cell, groups, same):
+        assert same(kkt_violation(cell, groups), cell.kkt_gap)
+        lam = np.asarray(cell.water_level)[..., None]
+        for grp, q in zip(groups, cell.per_stream_power, strict=True):
+            assert same(q, np.maximum(0.0, lam - reference_costs(grp)))
+
+    def test_gap_equals_the_certificate_seeded(self):
+        for i in range(1200):
+            rng = np.random.default_rng(41000 + i)
+            lanes = ((), (3,), (2, 3))[i % 3]
+            groups = self.seeded_groups(rng, self.SPECS[i // 3 % len(self.SPECS)], lanes)
+            budget = (0.0, float(10.0 ** rng.uniform(-4.0, 6.0)), 10.0 ** rng.uniform(-4.0, 6.0, 3))[i // 18 % 3]
+            cell = waterfill_cell(groups, budget)
+            self.assert_certified(cell, groups, same_bits)
+            assert len({id(q.base) for q in cell.per_stream_power}) == 1  # views of one array
+
+    def test_overflowing_budget_reads_nan_in_both(self):
+        for i in range(60):
+            rng = np.random.default_rng(42000 + i)
+            groups = self.seeded_groups(rng, self.SPECS[i % len(self.SPECS)], ((), (3,))[i % 2])
+            with np.errstate(over="ignore", invalid="ignore"):
+                cell = waterfill_cell(groups, np.array([1.0, 1e308]))
+                self.assert_certified(cell, groups, same_bits_or_nan)
+            assert np.isnan(cell.kkt_gap[1]).all() and not np.isnan(cell.kkt_gap[0]).any()
 
 
 class TestCellRates:
