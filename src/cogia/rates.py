@@ -37,6 +37,15 @@ cost and zero weight, masked out of the prefix sums so that no
 front of the lanes: the costs of a stack are sorted once, and the stack
 is water-filled once for all budgets.
 
+Several cells on the same lanes are solved as one: a cell axis in front
+of the lanes, one budget row per cell, each cell's stream vector padded
+to the longest with dead streams.  The padding moves no bit of any cell:
+the stable sort puts it last, it adds zero weight to the prefix sums,
+it is never live, and its power is ``max(0, lam - inf) = 0``.  A cell
+with no served user is all padding.  :func:`waterfill_cell` and the two
+cell rates are the one-cell case; :func:`rate_region_sweep` rates every
+cell of every split in one solve per stack of draws.
+
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.  A
 cell whose water level, KKT gap or rate overflows float64 is refused
 (ScenarioError naming the cell and budget), with no RuntimeWarning.
@@ -146,27 +155,39 @@ def waterfill_cell(
     is alive, or every alive stream has zero traced weight.  A 1-D
     ``budget`` puts a budget axis in front of the lane axes of every
     field of the result; entry ``b`` is bit for bit the solve under
-    ``budget[b]`` alone.  The costs, sort and powers are formed once over
-    the groups' one stream vector (see the module docstring).
+    ``budget[b]`` alone.  This is the one-cell case of the cell-stacked
+    solve that :func:`rate_region_sweep` runs (see the module docstring).
     """
     budget = np.asarray(budget, dtype=float)
     if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
         raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
-    cost, w, spans = _stream_vector(groups)
-    lanes = cost.shape[:-1]
-    shaped = np.add.outer(budget, np.zeros(lanes))  # the budget axis (if any) in front of the lanes
+    return _waterfill_cells([groups], budget[None], _lanes(groups))[0]
+
+
+def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> list[CellAllocation]:
+    """Water-fill every cell in one solve: ``cells[i]`` is cell i's groups, ``rows[i]`` its budget or 1-D budgets.
+
+    Every field of the solve has the cell axis first, then the budget axis (if any), then the lanes, so
+    cell i's result is entry i.
+    """
+    cost, w, spans = _stream_vectors(cells, lanes)
+    shaped = rows.reshape(rows.shape + (1,) * len(lanes)) + np.zeros(lanes)
+    # a stream array's shape with the rows' budget axis (if any) behind the cell axis
+    wide = cost.shape[:1] + (1,) * (rows.ndim - 1) + cost.shape[1:]
     # a dead stream has zero weight, so a positive weight is a live one
-    solve = (w > 0.0).any(axis=-1) & (shaped > 0.0)
-    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(cost).any(axis=-1)  # one per budget
+    solve = (w > 0.0).any(axis=-1).reshape(wide[:-1]) & (shaped > 0.0)
+    # one per budget
+    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(cost).any(axis=-1).reshape(wide[:-1])
     lam = np.zeros(solve.shape)
     if solve.any():
-        # per lane: the live costs in ascending order, then the dead ones,
-        # whose cost is masked to 0 in the prefix sums; the weights follow
-        # the costs' stable order (a stable sort of the costs: the default
-        # kind pages in numpy's SIMD quicksort, 0.25 MB of resident memory),
-        # both gathered through one flat index
-        order = np.argsort(cost, axis=-1, kind="stable")
-        order += np.arange(0, cost.size, cost.shape[-1]).reshape(lanes + (1,))
+        # per cell and lane, one row each: the live costs in ascending
+        # order, then the dead ones, whose cost is masked to 0 in the prefix
+        # sums; the weights follow the costs' stable order (a stable sort of
+        # the costs: the default kind pages in numpy's SIMD quicksort, 0.25
+        # MB of resident memory), both gathered through one flat index
+        n = cost.shape[-1]
+        order = np.argsort(cost.reshape(-1, n), axis=-1, kind="stable")
+        order += np.arange(0, cost.size, n)[:, None]
         c, w = cost.reshape(-1)[order], w.reshape(-1)[order]
         live = np.isfinite(c)
         c = np.where(live, c, 0.0)
@@ -175,45 +196,57 @@ def waterfill_cell(
         # S never decrease, so their largest qualifying entries are theirs);
         # the first positive weight always qualifies, so W_k > 0 where we solve
         level = 2.0 * shaped  # the plain-trace power the 1/2 convention allows
-        below_level = live & (W * c - S < level[..., None])
+        live, W, S, top = (X.reshape(wide) for X in (live, W, S, W * c - S))
+        below_level = live & (top < level[..., None])
         W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
 
-    q = np.maximum(0.0, lam[..., None] - cost)
-    powers = tuple(q[..., span] for span in spans)
-    Qs = tuple((grp.Psi * p[..., None, :]) @ grp.Psi.mT for grp, p in zip(groups, powers))
-    traced = (np.einsum("...ij,...ij->...", grp.V @ Q, grp.V) for grp, Q in zip(groups, Qs))
-    achieved = 0.5 * sum(traced, np.zeros(solve.shape))
+    q = np.maximum(0.0, lam[..., None] - cost.reshape(wide))
+    powers, Qs, achieved = [], [], np.zeros(solve.shape)
+    for i, (groups, cell_spans) in enumerate(zip(cells, spans)):
+        powers.append(tuple(q[i][..., span] for span in cell_spans))
+        Qs.append(tuple((grp.Psi * p[..., None, :]) @ grp.Psi.mT for grp, p in zip(groups, powers[i])))
+        for grp, Q in zip(groups, Qs[i]):
+            achieved[i] += np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
+    achieved *= 0.5
     spent = lam > 0.0
     unspent = np.abs(achieved - shaped) / np.where(spent, shaped, 1.0)
-    return CellAllocation(
-        water_level=lam[()],
-        budget=shaped[()],
-        achieved_constraint=achieved[()],
-        no_positive_gain=no_gain[()],
-        # lam - lam is 0, or nan where the water level is not finite
-        kkt_gap=(np.where(spent, unspent, 0.0) + (lam - lam))[()],
-        per_stream_power=powers,
-        Q=Qs,
-    )
+    # lam - lam is 0, or nan where the water level is not finite
+    kkt_gap = np.where(spent, unspent, 0.0) + (lam - lam)
+    # entry i of a 1-D field is a float, of a wider one a view
+    return [CellAllocation(*cell) for cell in zip(lam, shaped, achieved, no_gain, kkt_gap, powers, Qs)]
 
 
-def _stream_vector(groups) -> tuple[np.ndarray, np.ndarray, list[slice]]:
-    """The groups' streams end to end (last axis): costs ``sigma2 / gamma^2``, traced weights, each group's slice.
+def _lanes(groups) -> tuple[int, ...]:
+    """The lane axes of a cell's groups: those of its first group's gammas, none if it has no group."""
+    return next((np.shape(grp.gammas)[:-1] for grp in groups), ())
 
-    A stream at or below RANK_TOL times its group's largest gamma is dead: infinite cost, zero weight.
+
+def _stream_vectors(cells, lanes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
+    """Each cell's streams end to end (last axis), one cell per entry of a leading cell axis.
+
+    Returns the costs ``sigma2 / gamma^2``, the traced weights and each cell's group slices.  A stream at
+    or below RANK_TOL times its group's largest gamma is dead: infinite cost, zero weight.  A cell shorter
+    than the longest is padded with dead streams (gamma 0 at floor 0), which sort last and take no power.
     """
-    gammas = [np.asarray(grp.gammas, dtype=float) for grp in groups]
-    shape = next((x.shape[:-1] for x in gammas), ()) + (sum(x.shape[-1] for x in gammas),)
-    g, floor, w, sigma2 = np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape[-1])
-    spans, end = [], 0
-    for grp, x in zip(groups, gammas):
-        start, end = end, end + x.shape[-1]
-        g[..., start:end], sigma2[start:end] = x, grp.sigma2
-        floor[..., start:end] = RANK_TOL * x.max(axis=-1, keepdims=True, initial=0.0)
-        VPsi = grp.V @ grp.Psi
-        np.einsum("...ij,...ij->...j", VPsi, VPsi, out=w[..., start:end])
-        spans.append(slice(start, end))
+    spans = []
+    for groups in cells:
+        spans.append([])
+        end = 0
+        for grp in groups:
+            start, end = end, end + np.shape(grp.gammas)[-1]
+            spans[-1].append(slice(start, end))
+    n = max((cell_spans[-1].stop for cell_spans in spans if cell_spans), default=0)
+    shape = (len(cells),) + lanes + (n,)
+    g, floor, w = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    sigma2 = np.zeros(shape[:1] + (1,) * len(lanes) + (n,))  # 0 over the padding, which is never alive
+    for c, (groups, cell_spans) in enumerate(zip(cells, spans)):
+        for grp, span in zip(groups, cell_spans):
+            x = np.asarray(grp.gammas, dtype=float)
+            g[c, ..., span], sigma2[c, ..., span] = x, grp.sigma2
+            floor[c, ..., span] = RANK_TOL * x.max(axis=-1, keepdims=True, initial=0.0)
+            VPsi = grp.V @ grp.Psi
+            np.einsum("...ij,...ij->...j", VPsi, VPsi, out=w[c, ..., span])
     alive = g > floor
     cost = np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
     return cost, np.where(np.isinf(cost), 0.0, w), spans
@@ -235,7 +268,7 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
     """
     lam = np.asarray(cell.water_level)
     q = np.concatenate([np.zeros(lam.shape + (0,)), *cell.per_stream_power], axis=-1)
-    x = lam[..., None] - _stream_vector(groups)[0]
+    x = lam[..., None] - _stream_vectors([groups], _lanes(groups))[0][0]
     # a dead stream (infinite cost) gets no power and contributes 0
     worst = np.where(q > 0.0, np.abs(q - x), np.maximum(0.0, x)).max(axis=-1, initial=0.0)
     spent = lam > 0.0
@@ -245,39 +278,40 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
     return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
 
-def _cell_rate(
-    cell: str,
-    effectives: list[np.ndarray],
-    precoders: list[np.ndarray],
-    sigma2s: list[float],
-    budget: float | np.ndarray,
-) -> tuple[np.ndarray, CellAllocation]:
-    """One cell solve: factor each served user's channel stack, water-fill, and sum the stream rates."""
-    groups = []
-    for E, V, s2 in zip(effectives, precoders, sigma2s):
-        if E.shape[-1]:
-            _, gammas, Psi = svd_factor(E)
-            groups.append(StreamGroup(gammas, s2, V, Psi))
-    if not groups:
-        budgets = np.add.outer(budget, np.zeros(effectives[0].shape[:-2]))
-        zero = np.zeros_like(budgets)[()]
-        return zero, CellAllocation(zero, budgets[()], zero, np.ones_like(budgets, dtype=bool)[()], zero, (), ())
+def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocation]]:
+    """Rate every cell in one solve: factor each served user's channel stack, water-fill, sum the stream rates.
+
+    ``cells`` holds ``(name, effectives, precoders, sigma2s)`` per cell, all on the same lanes, and
+    ``rows[i]`` is cell i's budget or 1-D budgets.  The first cell whose water level, KKT gap or rate
+    overflows is refused, at its smallest such budget.
+    """
+    groups = [[] for _ in cells]
+    for cell_groups, (_, effectives, precoders, sigma2s) in zip(groups, cells):
+        for E, V, s2 in zip(effectives, precoders, sigma2s):
+            if E.shape[-1]:
+                _, gammas, Psi = svd_factor(E)
+                cell_groups.append(StreamGroup(gammas, s2, V, Psi))
+    results = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
-        alloc = waterfill_cell(groups, budget)
-        streams = zip(groups, alloc.per_stream_power)
-        nats = sum(np.add.reduce(np.log1p(grp.gammas**2 * q / grp.sigma2), axis=-1) for grp, q in streams)
-    finite = np.isfinite(alloc.water_level) & np.isfinite(alloc.kkt_gap) & np.isfinite(nats)
-    if not finite.all():
-        budget = float(np.asarray(alloc.budget)[~finite].min())
-        raise ScenarioError(f"the {cell} cell's rate problem overflows float64 at budget {budget!r}")
-    return 0.5 * nats / _LOG2, alloc
+        allocs = _waterfill_cells(groups, rows, cells[0][1][0].shape[:-2])
+        for (cell, *_), cell_groups, alloc in zip(cells, groups, allocs):
+            streams = zip(cell_groups, alloc.per_stream_power)
+            nats = sum(
+                (np.add.reduce(np.log1p(grp.gammas**2 * q / grp.sigma2), axis=-1) for grp, q in streams),
+                np.zeros(np.shape(alloc.budget)),
+            )
+            finite = np.isfinite(alloc.water_level) & np.isfinite(alloc.kkt_gap) & np.isfinite(nats)
+            if not finite.all():
+                budget = float(np.asarray(alloc.budget)[~finite].min())
+                raise ScenarioError(f"the {cell} cell's rate problem overflows float64 at budget {budget!r}")
+            results.append((0.5 * nats / _LOG2, alloc))
+    return results
 
 
 def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
-    rate, alloc = _cell_rate(
-        "primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2], noise.Qav_P
-    )
+    cell = ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
+    [(rate, alloc)] = _cell_rates([cell], np.array([noise.Qav_P], dtype=float))
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
     for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.Q):
@@ -287,9 +321,8 @@ def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: Nois
 
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
-    rate, alloc = _cell_rate(
-        "secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2], noise.Qav_S
-    )
+    cell = ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
+    [(rate, alloc)] = _cell_rates([cell], np.array([noise.Qav_S], dtype=float))
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -306,10 +339,14 @@ def rate_region_sweep(
     One RatePoint per (split, budget) pair, ordered by split then budget.
     The draws of a split are built in stacks of at most
     ``alignment.LANE_CHUNK`` lanes, shared across budgets, so rates are
-    monotone in the budget draw by draw.  Each stack is factored once and
-    each of its cells water-filled once, with the budgets as a leading
-    axis.  ``budgets`` entries are (Qav_P, Qav_S) pairs; ``RatePoint.Qav``
-    reports the primary budget.
+    monotone in the budget draw by draw.  For each run of lanes, every
+    split's stack is drawn and kept only as its cells' effective channels
+    and precoders; each served user is then factored once, and all
+    ``2 * len(splits)`` cells are water-filled in one solve, with the
+    budgets as a leading axis.  An overflow is refused for the first
+    failing cell in split order, primary before secondary, at its
+    smallest failing budget.  ``budgets`` entries are (Qav_P, Qav_S)
+    pairs; ``RatePoint.Qav`` reports the primary budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -325,22 +362,31 @@ def rate_region_sweep(
             reasons = "; ".join(str(v) for v in verdict.violated)
             raise InfeasibleAlloc(f"split {split.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
 
-    cell_budgets = np.array(budgets, dtype=float).T  # the Qav_P row, then the Qav_S row
+    # every split's Qav_P row, then its Qav_S row: one budget row per cell, in split order
+    rows = np.tile(np.array(budgets, dtype=float).T, (len(splits), 1))
+    samples = np.zeros((len(splits), len(budgets), trials, 2))
+    for part in lane_chunks(trials):
+        cells = [
+            cell
+            for s_idx, split in enumerate(splits)
+            for cell in _rate_inputs(dims, split, [derive_seed(seed, s_idx, t) for t in range(trials)[part]], sigma2s)
+        ]
+        for c_idx, (rate, _) in enumerate(_cell_rates(cells, rows)):
+            samples[c_idx // 2, :, part, c_idx % 2] = rate
     points: list[RatePoint] = []
-    for s_idx, split in enumerate(splits):
-        samples = np.zeros((len(budgets), trials, 2))
-        seeds = [derive_seed(seed, s_idx, t) for t in range(trials)]
-        for part in lane_chunks(trials):
-            ch, prs = draw_system(dims, split, seeds[part])
-            eff = effective_channels(ch, prs)
-            cells = (
-                ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
-                ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
-            )
-            for c_idx, (cell, qav) in enumerate(zip(cells, cell_budgets)):
-                samples[:, part, c_idx] = _cell_rate(*cell, qav)[0]
-        means = samples.mean(axis=1)
-        stderrs = samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
+    for split, split_samples in zip(splits, samples):
+        means = split_samples.mean(axis=1)
+        stderrs = split_samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
         for (qav_p, _qav_s), (R_P, R_S), (se_P, se_S) in zip(budgets, means.tolist(), stderrs.tolist()):
             points.append(RatePoint(R_P, R_S, Qav=qav_p, alloc=split, R_P_stderr=se_P, R_S_stderr=se_S, trials=trials))
     return points
+
+
+def _rate_inputs(dims: NetworkDims, split: StreamAlloc, seeds: list[int], sigma2s) -> tuple[tuple, tuple]:
+    """Draw and build one split's stack; keep only each cell's effective channels, precoders and noise."""
+    ch, prs = draw_system(dims, split, seeds)
+    eff = effective_channels(ch, prs)
+    return (
+        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
+        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+    )

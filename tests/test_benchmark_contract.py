@@ -107,9 +107,10 @@ def test_traced_rates_fill_each_cell_once_per_stack(tracer, tmp_path):
         assert cli.main(["rates", "--config", str(config), "--out", str(tmp_path), "--trials", "4", "--quiet"]) == 0
     # splits (1,0,2,2) and (1,1,1,1): one stacked factorization per served
     # user (P1, S1, S2, then all four); the 4 trials make one stack, and
-    # one solve per split and cell serves all three budgets
+    # one cell-stacked solve serves both splits' cells and all three
+    # budgets, so the public one-cell waterfill_cell never runs
     assert tr.call_count("numerics.svd_factor") == 3 + 4
-    assert tr.call_count("rates.waterfill_cell") == 2 * 2
+    assert tr.call_count("rates.waterfill_cell") == 0
     assert tr.call_count("cli.cmd_rates") == 1
     assert tracer.leftover_wrappers() == []
 

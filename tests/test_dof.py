@@ -132,6 +132,39 @@ class TestMutants:
         assert disagreements.pop(("", 0)) == 0
         assert [mutant for mutant, count in disagreements.items() if count == 0] == []
 
+    def test_oracle_refutes_every_mutant_at_the_full_antenna_range(self):
+        # quartets with entries 6..16, which the exhaustive populations never
+        # reach: for each of the ten mutants, the first 10 seeded tuples on
+        # which it disagrees with the true predicate; the oracle must side
+        # with the true predicate on all of them.  Small counts are drawn as
+        # often as large ones.  d_Pi is drawn up to M_P + 1, but StreamAlloc
+        # caps every count at 16, so mutant (iii)+1 (d_Pi = M_P + 1) is
+        # found only on quartets with M_P <= 15
+        mutants = [(family, shift) for family in ("i", "ii", "iii", "iv", "v") for shift in (-1, 1)]
+        kept = {mutant: [] for mutant in mutants}
+        rng, draws = random.Random(9), 0
+        while any(len(tuples) < 10 for tuples in kept.values()):
+            draws += 1
+            q = [rng.randint(6, MAX_ANTENNAS) for _ in range(4)]
+            tops = (min(q[0] + 1, MAX_ANTENNAS),) * 2 + (q[1],) * 2
+            dims, d = NetworkDims(*q), StreamAlloc(*(rng.randint(0, rng.randint(0, top)) for top in tops))
+            truth = mutated_predicate(dims, d)
+            for mutant, tuples in kept.items():
+                if len(tuples) < 10 and mutated_predicate(dims, d, *mutant) != truth:
+                    tuples.append((dims, d))
+        assert draws == 14_143
+        assert all(dims.M_P <= 15 for dims, d in kept[("iii", 1)])
+        population = [tup for tuples in kept.values() for tup in tuples]
+        assert [mutated_predicate(*tup) for tup in population] == [closed_form_feasible(*tup).feasible for tup in population]
+        wrong = [
+            (mutant, dims.as_tuple(), d.as_tuple())
+            for mutant, tuples in kept.items()
+            for dims, d in tuples
+            if constructive_check(dims, d, trials=20, seed=derive_seed(9, *dims.as_tuple(), *d.as_tuple())).feasible
+            != closed_form_feasible(dims, d).feasible
+        ]
+        assert wrong == []
+
 
 class TestVerdict:
     def test_infeasible_needs_a_violation(self):

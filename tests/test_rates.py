@@ -538,6 +538,65 @@ class TestStackedRates:
             assert_cell_lane(stacked, waterfill_cell(groups, float(budget)), b)
 
 
+class TestCellAxis:
+    """Cells water-filled together on one cell axis equal each cell solved alone, bit for bit.
+
+    Every cell but the longest is padded with dead streams; the padding
+    must not move a bit of any cell's result.
+    """
+
+    # per cell, (streams, dead streams, zero traced weight) per group: 0-8
+    # streams per cell, dead and zero-weight streams, an all-dead cell, an
+    # unserved (zero-group) cell and a zero-stream group
+    CELLS = [
+        ((1, 0, False),),
+        ((3, 0, False), (5, 0, False)),
+        ((2, 1, False), (0, 0, False)),
+        (),
+        ((4, 4, False),),
+        ((2, 0, True), (2, 2, False)),
+        ((8, 3, False),),
+        ((3, 0, False), (1, 0, True)),
+    ]
+
+    @staticmethod
+    def seeded_cell(rng, spec, lanes):
+        groups = []
+        for k, dead, weightless in spec:
+            gammas = 10.0 ** rng.uniform(-1.0, 1.0) * np.abs(rng.standard_normal(lanes + (k,)))
+            gammas[..., k - dead :] = 0.0
+            V = rng.standard_normal(lanes + (k + 2, k)) * (0.0 if weightless else 1.0)
+            Psi = np.linalg.qr(rng.standard_normal(lanes + (k, k)))[0]
+            groups.append(StreamGroup(gammas, float(10.0 ** rng.uniform(-2.0, 1.0)), V, Psi))
+        return groups
+
+    @pytest.mark.parametrize("lanes", [(), (3,), (2, 3)], ids=["one_draw", "3_lanes", "2x3_lanes"])
+    def test_each_cell_equals_its_solve_alone(self, lanes):
+        rng = np.random.default_rng(43000 + len(lanes))
+        for i in range(40):
+            picks = rng.choice(len(self.CELLS), size=1 + i % 4)
+            cells = [self.seeded_cell(rng, self.CELLS[p], lanes) for p in picks]
+            scalar = 10.0 ** rng.uniform(-3.0, 6.0, len(cells))
+            scalar[rng.integers(len(cells))] = 0.0 if i % 5 == 0 else scalar[0]
+            for rows in (scalar, 10.0 ** rng.uniform(-3.0, 6.0, (len(cells), 3))):
+                stacked = cogia.rates._waterfill_cells(cells, rows, lanes)
+                assert len(stacked) == len(cells)
+                for groups, row, cell in zip(cells, rows, stacked, strict=True):
+                    alone = waterfill_cell(groups, row)
+                    # an unserved cell has no lanes of its own; stacked, it takes the stack's
+                    shape = np.shape(cell.water_level)
+                    for name in ("water_level", "budget", "achieved_constraint", "no_positive_gain", "kkt_gap"):
+                        x = np.asarray(getattr(alone, name))
+                        x = np.broadcast_to(x.reshape(x.shape + (1,) * (len(shape) - x.ndim)), shape)
+                        assert same_bits(getattr(cell, name), x), (i, name)
+                    for name in ("per_stream_power", "Q"):
+                        assert len(getattr(cell, name)) == len(getattr(alone, name)) == len(groups)
+                        for u, (x, y) in enumerate(zip(getattr(cell, name), getattr(alone, name))):
+                            assert same_bits(x, y), (i, name, u)
+                    if not groups:
+                        assert cell.no_positive_gain.all() and not np.any(cell.water_level)
+
+
 class TestRateRegionSweep:
     DIMS = NetworkDims(5, 5, 5, 3)
 
@@ -599,19 +658,41 @@ class TestRateRegionSweep:
 
     def test_fills_each_cell_once_per_stack(self, monkeypatch):
         calls = []
-        real = cogia.rates.waterfill_cell
-        monkeypatch.setattr(cogia.rates, "waterfill_cell", lambda g, b, **kw: calls.append(b) or real(g, b, **kw))
+        real = cogia.rates._waterfill_cells
+
+        def spy(cells, rows, lanes):
+            calls.append((rows, lanes))
+            return real(cells, rows, lanes)
+
+        monkeypatch.setattr(cogia.rates, "_waterfill_cells", spy)
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
         budgets = [(1.0, 2.0), (10.0, 20.0), (100.0, 200.0)]
         rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 0, 0)], budgets, trials=4, seed=2)
-        # chunks of 3 and 1 trials; the first split serves both cells, the second only the primary
-        assert [b.tolist() for b in calls] == [[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]] * 2 + [[1.0, 10.0, 100.0]] * 2
+        # chunks of 3 and 1 trials, one solve each over every split's primary
+        # and secondary cell; the second split's secondary cell serves no one
+        # and still takes its budget row
+        assert [(rows.tolist(), lanes) for rows, lanes in calls] == [
+            ([[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]] * 2, lanes) for lanes in ((3,), (1,))
+        ]
 
     @pytest.mark.parametrize("budget, cell", [((1e308, 1.0), "primary"), ((1.0, 1e308), "secondary")])
     def test_overflowing_budget_is_refused(self, budget, cell):
         # finite, but twice the budget (the plain-trace power) overflows
         with pytest.raises(ScenarioError, match=rf"the {cell} cell's rate problem overflows float64 at budget 1e\+308"):
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=4, seed=0)
+
+    @pytest.mark.parametrize("chunk", [256, 3], ids=["one_chunk", "two_chunks"])
+    def test_overflow_in_a_later_split_names_its_cell(self, monkeypatch, chunk):
+        # a noise variance of 5e-324 overflows every rate of S1; the first
+        # split serves no S1 stream and rates finitely, so the refusal comes
+        # from the second split's secondary cell, at its smallest budget
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", chunk)
+        sigma2s = (1.0, 1.0, 5e-324, 1.0)
+        budgets = [(3.0, 10.0), (1.0, 2.0), (30.0, 0.5)]
+        first, later = StreamAlloc(1, 0, 0, 2), StreamAlloc(1, 0, 2, 2)
+        assert len(rate_region_sweep(self.DIMS, [first], budgets, trials=4, seed=8, sigma2s=sigma2s)) == 3
+        with pytest.raises(ScenarioError, match=r"^the secondary cell's rate problem overflows float64 at budget 0\.5$"):
+            rate_region_sweep(self.DIMS, [first, later], budgets, trials=4, seed=8, sigma2s=sigma2s)
 
     def test_large_finite_budget_gives_finite_rates(self):
         points = rate_region_sweep(self.DIMS, [StreamAlloc(1, 1, 1, 1)], [(1.0, 1.0), (1e300, 1e300)], trials=4, seed=0)
