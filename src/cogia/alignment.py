@@ -415,9 +415,16 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
                 draw_seeds[i] = derive_seed(trial_seeds[i], int(attempts[i]))
 
 
-def lane_chunks(count: int) -> list[slice]:
-    """Consecutive runs of at most LANE_CHUNK lanes covering ``range(count)``."""
-    return [slice(start, min(start + LANE_CHUNK, count)) for start in range(0, count, LANE_CHUNK)]
+def draw_trials(dims: NetworkDims, alloc: StreamAlloc, seed: int, trials: int):
+    """Build trial ``t`` of ``range(trials)`` by :func:`draw_system` from ``derive_seed(seed, t)``.
+
+    Yields ``(part, ch, prs)`` per stack of at most LANE_CHUNK trials, lane ``i`` being trial
+    ``part.start + i``; lanes are independent, so the split changes no bit.
+    """
+    for start in range(0, trials, LANE_CHUNK):
+        part = slice(start, min(start + LANE_CHUNK, trials))
+        # no name holds a stack while the caller works on it
+        yield (part, *draw_system(dims, alloc, [derive_seed(seed, t) for t in range(start, part.stop)]))
 
 
 def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveChannels:

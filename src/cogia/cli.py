@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .dof import closed_form_feasible, enumerate_region, grid_size, grid_tuples, projected_frontier
 from .errors import CogiaError, InfeasibleAlloc, ScenarioError
-from .alignment import draw_system, interference_report, lane_chunks
+from .alignment import draw_trials, interference_report
 from .numerics import ZERO_TOL
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
 from .scenario import Scenario, derive_seed, load_scenario
@@ -128,10 +128,8 @@ def cmd_verify(args) -> int:
         reasons = "; ".join(str(v) for v in verdict.violated)
         raise InfeasibleAlloc(f"allocation {alloc.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
 
-    seeds = [derive_seed(seed, t) for t in range(trials)]
     rows = []
-    for part in lane_chunks(trials):
-        ch, prs = draw_system(dims, alloc, seeds[part])
+    for part, ch, prs in draw_trials(dims, alloc, seed, trials):
         report = interference_report(ch, prs)
         rp = pcell_sum_rate(prs, report.eff, noise)
         rs = scell_sum_rate(prs, report.eff, noise)
@@ -163,7 +161,7 @@ def cmd_dof_region(args) -> int:
     scenario = load_scenario(args.config)
     seed, trials = _seed_and_trials(args, scenario)
     dims = scenario.dims
-    region = enumerate_region(dims, mode="closed_form", seed=seed, cap=scenario.grid_cap)
+    region = enumerate_region(dims, mode="closed_form", cap=scenario.grid_cap)
 
     def grid_rows(reg) -> list[list]:
         points, frontier = set(reg.points), set(reg.frontier)

@@ -16,14 +16,11 @@ construction failing.  A failure a shape forces (NoComplement,
 RankDeficient) repeats on every draw and settles the tuple on the first;
 any other rank loss is a measure-zero accident (DegenerateChannel) that
 :func:`cogia.alignment.draw_system`, the package's one redraw loop,
-redraws.
-All trials are built as one stack, which gets one interference report
-and one rank test per effective channel.  When the closed form expects
-a refusal, the first trial is built alone before the stack, as a probe
-that settles a structural failure at the cost of one build.  The closed
-form only orders this work: every verdict comes from the construction,
-and a tuple it wrongly accepts is refused by the stack with the same
-trial-0 text and stage.
+redraws.  The trials are built in the bounded stacks of
+:func:`cogia.alignment.draw_trials`, after a trial-0 probe when the
+closed form expects a refusal (see :func:`constructive_check`); the
+closed form only orders this work, and every verdict comes from the
+construction.
 
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
@@ -37,10 +34,10 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .alignment import PrecoderReceiverSet, draw_system, interference_report
-from .errors import CogiaError, GridTooLarge, NoComplement, RankDeficient
+from .alignment import PrecoderReceiverSet, draw_system, draw_trials, interference_report
+from .errors import GridTooLarge, NoComplement, RankDeficient
 from .numerics import ZERO_TOL, full_column_rank
-from .scenario import ChannelSet, NetworkDims, StreamAlloc, derive_seed
+from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
 __all__ = [
     "Violation",
@@ -150,46 +147,42 @@ def constructive_check(
 ) -> FeasibilityVerdict:
     """Feasibility by running the full construction on random channels.
 
-    Trial ``t`` builds through ``draw_system`` with the trial seed
-    ``derive_seed(seed, t)``.  A structural failure (NoComplement,
+    Trial ``t`` is built from the trial seed ``derive_seed(seed, t)``, in
+    the bounded stacks of :func:`cogia.alignment.draw_trials`, and each
+    stack is verified in one pass: one interference report and one rank
+    test per effective channel.  A structural failure (NoComplement,
     RankDeficient) marks the tuple infeasible; it applies to every trial,
     so the verdict names trial 0.  Otherwise every trial must finish with
     worst-case residual interference at or below ``numerics.ZERO_TOL``
     and full-column-rank effective channels, and the verdict names the
-    first trial in index order that does not.  A trial whose draws stay
-    degenerate through the retry budget raises TooManyDegenerateDraws.
+    first trial in index order that does not.  Every stack is drawn, so a
+    trial whose draws stay degenerate through the retry budget raises
+    TooManyDegenerateDraws whatever the other trials read.
 
-    All T trials are built as one stack (lane ``t`` is trial ``t``) and
-    verified in one pass: one interference report and one rank test per
-    effective channel.  A tuple that violates a closed-form condition
-    first builds trial 0 alone as a probe, which on a generic draw settles
-    every structural failure at the cost of one build, before any other
-    trial seed is derived.  The condition only decides whether the probe
-    runs: a structural failure repeats in every lane, so the stack
-    refuses with the same trial-0 text and stage as the probe.
+    A tuple that violates a closed-form condition first builds trial 0
+    alone as a probe, which on a generic draw settles every structural
+    failure at the cost of one build, before any other trial seed is
+    derived.  The condition only decides whether the probe runs: a
+    structural failure repeats in every lane, so the first stack refuses
+    with the same trial-0 text and stage as the probe.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    violated: tuple[Violation, ...] = ()
     try:
         if _violations(dims, d):
             # a refusal expected: one draw settles it before any other trial seed is derived
             draw_system(dims, d, derive_seed(seed, 0))
-        ch, prs = draw_system(dims, d, [derive_seed(seed, t) for t in range(trials)])
+        for part, ch, prs in draw_trials(dims, d, seed, trials):
+            violated = violated or _first_failure(ch, prs, part.start)
     except (NoComplement, RankDeficient) as exc:
-        return _verdict(_refusal(exc))
-    return _verdict(_first_failure(ch, prs))
+        detail = f"trial 0: {type(exc).__name__}: {exc}"
+        violated = (Violation("construction succeeds", detail, "constructive", exc.stage),)
+    return FeasibilityVerdict(not violated, violated)
 
 
-def _verdict(violation: Violation | None) -> FeasibilityVerdict:
-    return FeasibilityVerdict(True) if violation is None else FeasibilityVerdict(False, (violation,))
-
-
-def _refusal(exc: CogiaError) -> Violation:
-    return Violation("construction succeeds", f"trial 0: {type(exc).__name__}: {exc}", "constructive", exc.stage)
-
-
-def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None:
-    """The violation of the first trial (lane) whose construction leaks or loses rank, or None."""
+def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet, start: int) -> tuple[Violation, ...]:
+    """The violation of the first trial that leaks or loses rank, as a 1-tuple, or (); lane 0 is trial ``start``."""
     report = interference_report(ch, prs)
     eff = report.eff
     deficient = {
@@ -200,15 +193,13 @@ def _first_failure(ch: ChannelSet, prs: PrecoderReceiverSet) -> Violation | None
     leaky = worst > ZERO_TOL
     failing = np.flatnonzero(leaky | deficient["P1"] | deficient["P2"] | deficient["S1"] | deficient["S2"])
     if failing.size == 0:
-        return None
+        return ()
     t = failing[0]
     if leaky[t]:
-        return Violation("residual interference <= ZERO_TOL", f"trial {t}: worst_case = {worst[t]:.3e}", "constructive")
-    return Violation(
-        "effective channels have full column rank",
-        f"trial {t}: rank-deficient at {', '.join(name for name, bad in deficient.items() if bad[t])}",
-        "constructive",
-    )
+        detail = f"trial {start + t}: worst_case = {worst[t]:.3e}"
+        return (Violation("residual interference <= ZERO_TOL", detail, "constructive"),)
+    detail = f"trial {start + t}: rank-deficient at {', '.join(name for name, bad in deficient.items() if bad[t])}"
+    return (Violation("effective channels have full column rank", detail, "constructive"),)
 
 
 def grid_tuples(dims: NetworkDims) -> Iterator[StreamAlloc]:
@@ -249,7 +240,7 @@ def enumerate_region(
     mode: Literal["closed_form", "constructive"] = "closed_form",
     seed: int = 0,
     trials: int = 20,
-    cap: int = 10_000,
+    cap: int = DEFAULT_GRID_CAP,
 ) -> DofRegion:
     """Enumerate the achievable DoF region over the full tuple grid."""
     size = grid_size(dims)

@@ -54,11 +54,12 @@ cell whose water level, KKT gap or rate overflows float64 is refused
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import starmap
 
 import numpy as np
 
-from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_system, effective_channels, lane_chunks
+from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_trials, effective_channels
 from .dof import closed_form_feasible
 from .errors import InfeasibleAlloc, ScenarioError
 from .numerics import RANK_TOL, svd_factor
@@ -310,8 +311,8 @@ def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocatio
 
 def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
-    cell = ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], [noise.sigma2_P1, noise.sigma2_P2])
-    [(rate, alloc)] = _cell_rates([cell], np.array([noise.Qav_P], dtype=float))
+    primary, _ = _cells(prs, eff, astuple(noise))
+    [(rate, alloc)] = _cell_rates([primary], np.array([noise.Qav_P], dtype=float))
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
     for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.Q):
@@ -321,8 +322,8 @@ def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: Nois
 
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
-    cell = ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], [noise.sigma2_S1, noise.sigma2_S2])
-    [(rate, alloc)] = _cell_rates([cell], np.array([noise.Qav_S], dtype=float))
+    _, secondary = _cells(prs, eff, astuple(noise))
+    [(rate, alloc)] = _cell_rates([secondary], np.array([noise.Qav_S], dtype=float))
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
 
@@ -337,14 +338,14 @@ def rate_region_sweep(
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
     One RatePoint per (split, budget) pair, ordered by split then budget.
-    The draws of a split are built in stacks of at most
-    ``alignment.LANE_CHUNK`` lanes, shared across budgets, so rates are
-    monotone in the budget draw by draw.  For each run of lanes, every
-    split's stack is drawn and kept only as its cells' effective channels
-    and precoders; each served user is then factored once, and all
-    ``2 * len(splits)`` cells are water-filled in one solve, with the
-    budgets as a leading axis.  An overflow is refused for the first
-    failing cell in split order, primary before secondary, at its
+    Split ``s`` draws trial ``t`` from ``derive_seed(seed, s, t)``, in the
+    bounded stacks of :func:`cogia.alignment.draw_trials`, shared across
+    budgets, so rates are monotone in the budget draw by draw.  For each
+    run of lanes, every split's stack is drawn and kept only as its cells'
+    effective channels and precoders; each served user is then factored
+    once, and all ``2 * len(splits)`` cells are water-filled in one solve,
+    with the budgets as a leading axis.  An overflow is refused for the
+    first failing cell in split order, primary before secondary, at its
     smallest failing budget.  ``budgets`` entries are (Qav_P, Qav_S)
     pairs; ``RatePoint.Qav`` reports the primary budget.
     """
@@ -365,12 +366,16 @@ def rate_region_sweep(
     # every split's Qav_P row, then its Qav_S row: one budget row per cell, in split order
     rows = np.tile(np.array(budgets, dtype=float).T, (len(splits), 1))
     samples = np.zeros((len(splits), len(budgets), trials, 2))
-    for part in lane_chunks(trials):
-        cells = [
-            cell
-            for s_idx, split in enumerate(splits)
-            for cell in _rate_inputs(dims, split, [derive_seed(seed, s_idx, t) for t in range(trials)[part]], sigma2s)
-        ]
+
+    def cut(part, ch, prs):
+        # a stack is cut to its cells as it is drawn, so no ChannelSet is held through a solve
+        return part, _cells(prs, effective_channels(ch, prs), sigma2s)
+
+    # split s draws trial t from derive_seed(seed, s, t)
+    runs = [starmap(cut, draw_trials(dims, split, derive_seed(seed, s), trials)) for s, split in enumerate(splits)]
+    for run in zip(*runs):
+        part = run[0][0]
+        cells = [cell for _, split_cells in run for cell in split_cells]
         for c_idx, (rate, _) in enumerate(_cell_rates(cells, rows)):
             samples[c_idx // 2, :, part, c_idx % 2] = rate
     points: list[RatePoint] = []
@@ -382,11 +387,9 @@ def rate_region_sweep(
     return points
 
 
-def _rate_inputs(dims: NetworkDims, split: StreamAlloc, seeds: list[int], sigma2s) -> tuple[tuple, tuple]:
-    """Draw and build one split's stack; keep only each cell's effective channels, precoders and noise."""
-    ch, prs = draw_system(dims, split, seeds)
-    eff = effective_channels(ch, prs)
+def _cells(prs: PrecoderReceiverSet, eff: EffectiveChannels, sigma2s) -> tuple[tuple, tuple]:
+    """Each cell's name, effective channels, precoders and noise; ``sigma2s`` starts with P1's, P2's, S1's, S2's."""
     return (
-        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[:2]),
-        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:]),
+        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[0:2]),
+        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:4]),
     )

@@ -9,8 +9,6 @@ import pytest
 
 import cogia.alignment
 import cogia.cli
-import cogia.dof
-import cogia.rates
 from cogia.cli import main
 from cogia.errors import (
     DegenerateChannel,
@@ -198,12 +196,12 @@ class TestRefusal:
         "argv, config, forced_in, error",
         [
             pytest.param(["verify"], dict(REFERENCE_NETWORK, alloc=BAD_ALLOC), None, InfeasibleAlloc, id="verify-alloc"),
-            pytest.param(["verify"], REFERENCE_NETWORK, cogia.cli, NoComplement, id="verify-build"),
+            pytest.param(["verify"], REFERENCE_NETWORK, cogia.alignment, NoComplement, id="verify-build"),
             pytest.param(["rates"], dict(RATES, splits=[BAD_SPLIT]), None, InfeasibleAlloc, id="rates-split"),
-            pytest.param(["rates"], RATES, cogia.rates, RankDeficient, id="rates-build"),
+            pytest.param(["rates"], RATES, cogia.alignment, RankDeficient, id="rates-build"),
             pytest.param(["dof-region"], BIG_GRID, None, GridTooLarge, id="dof-grid"),
             pytest.param(
-                ["dof-region", "--constructive"], REFERENCE_NETWORK, cogia.dof, TooManyDegenerateDraws, id="dof-build"
+                ["dof-region", "--constructive"], REFERENCE_NETWORK, cogia.alignment, TooManyDegenerateDraws, id="dof-build"
             ),
         ],
     )
@@ -430,7 +428,7 @@ class TestRates:
         def refuse(*args):
             raise error("forced")
 
-        monkeypatch.setattr(cogia.rates, "draw_system", refuse)
+        monkeypatch.setattr(cogia.alignment, "draw_system", refuse)
         cfg = write_config(tmp_path, self.CONFIG)
         assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"rates failed: {error.__name__}: forced" in capsys.readouterr().err
@@ -491,11 +489,10 @@ class TestLaneChunks:
 
         whole = run(tmp_path / "whole")
         stacks = []
-        for module in (cogia.cli, cogia.rates):
-            real = module.draw_system
-            monkeypatch.setattr(
-                module, "draw_system", lambda d, a, seeds, real=real: stacks.append(len(seeds)) or real(d, a, seeds)
-            )
+        real = cogia.alignment.draw_system
+        monkeypatch.setattr(
+            cogia.alignment, "draw_system", lambda d, a, seeds: stacks.append(len(seeds)) or real(d, a, seeds)
+        )
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
         assert run(tmp_path / "chunked") == whole
         assert stacks == [3, 3, 3, 1] * 2  # verify, then the one rates split

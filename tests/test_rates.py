@@ -702,7 +702,7 @@ class TestRateRegionSweep:
 
     @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (10**400, 1.0)])
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
-        monkeypatch.setattr(cogia.rates, "draw_system", lambda *a: pytest.fail("drew a channel"))
+        monkeypatch.setattr(cogia.alignment, "draw_system", lambda *a: pytest.fail("drew a channel"))
         with pytest.raises(ScenarioError):
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=2, seed=0)
 

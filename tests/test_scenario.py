@@ -309,6 +309,22 @@ class TestDeriveSeed:
         for seed in (0, top):
             assert derive_seed(seed, *edges) == reference(seed, *edges)
 
+    def test_a_path_continues_from_its_prefix(self):
+        # derive_seed(s, i, j) == derive_seed(derive_seed(s, i), j): a rate
+        # sweep seeds split i with derive_seed(s, i) and draws its trial j
+        # from that, the seed derive_seed(s, i, j) names
+        top = (1 << 64) - 1
+        rng = random.Random(20261020)
+        edges = [0, 1, 1023, 1024, 1025, top]
+        assert cogia.scenario._HASHED_INDICES == 1024
+        for _ in range(500):
+            seed = rng.choice([0, top, rng.randrange(1 << 64)])
+            i, j = (rng.choice([rng.choice(edges), rng.randrange(2048), rng.randrange(1 << 64)]) for _ in range(2))
+            assert derive_seed(seed, i, j) == derive_seed(derive_seed(seed, i), j), (seed, i, j)
+        for i in edges:
+            for j in edges:
+                assert derive_seed(7, i, j) == derive_seed(derive_seed(7, i), j)
+
 
 class TestScenarioFiles:
     GOOD = {
