@@ -35,8 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dof import closed_form_feasible, enumerate_region, grid_size, grid_tuples, projected_frontier
-from .errors import CogiaError, InfeasibleAlloc, ScenarioError
+from .dof import enumerate_region, grid_size, grid_tuples, projected_frontier, require_feasible
+from .errors import CogiaError, ScenarioError
 from .alignment import draw_trials, interference_report
 from .numerics import ZERO_TOL
 from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
@@ -104,29 +104,11 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _seed_and_trials(args, scenario: Scenario) -> tuple[int, int]:
-    """The run's seed and trial count: the command line's, else the scenario's.
-
-    A command-line seed is held to the scenario file's rule.
-    """
-    seed = derive_seed(args.seed) if args.seed is not None else scenario.seed
-    trials = args.trials if args.trials is not None else scenario.trials
-    if trials < 1:
-        raise ScenarioError(f"trials must be a positive integer, got {trials}")
-    return seed, trials
-
-
-def cmd_verify(args) -> int:
-    scenario = load_scenario(args.config)
+def cmd_verify(args, scenario: Scenario, seed: int, trials: int) -> int:
     if scenario.alloc is None:
         raise ScenarioError("verify requires an 'alloc' object in the scenario")
-    seed, trials = _seed_and_trials(args, scenario)
     dims, alloc, noise = scenario.dims, scenario.alloc, scenario.noise
-
-    verdict = closed_form_feasible(dims, alloc)
-    if not verdict.feasible:
-        reasons = "; ".join(str(v) for v in verdict.violated)
-        raise InfeasibleAlloc(f"allocation {alloc.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
+    require_feasible(dims, alloc)
 
     rows = []
     for part, ch, prs in draw_trials(dims, alloc, seed, trials):
@@ -157,9 +139,7 @@ def _trial_kkt(rp, rs):
     return np.maximum(rp.allocation.kkt_gap, rs.allocation.kkt_gap)
 
 
-def cmd_dof_region(args) -> int:
-    scenario = load_scenario(args.config)
-    seed, trials = _seed_and_trials(args, scenario)
+def cmd_dof_region(args, scenario: Scenario, seed: int, trials: int) -> int:
     dims = scenario.dims
     region = enumerate_region(dims, mode="closed_form", cap=scenario.grid_cap)
 
@@ -190,11 +170,9 @@ def cmd_dof_region(args) -> int:
     return 0
 
 
-def cmd_rates(args) -> int:
-    scenario = load_scenario(args.config)
+def cmd_rates(args, scenario: Scenario, seed: int, trials: int) -> int:
     if not scenario.splits:
         raise ScenarioError("rates requires 'alloc' or 'splits' in the scenario")
-    seed, trials = _seed_and_trials(args, scenario)
     dims, noise = scenario.dims, scenario.noise
     sigma2s = (noise.sigma2_P1, noise.sigma2_P2, noise.sigma2_S1, noise.sigma2_S2)
     points = rate_region_sweep(dims, scenario.splits, scenario.budgets, trials=trials, seed=seed, sigma2s=sigma2s)
@@ -246,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the one place that maps an error to an exit code."""
+    """Run one command; the one place that loads a run's scenario and maps an error to an exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -255,7 +233,14 @@ def main(argv=None) -> int:
     # looked up per call, so a handler replaced on the module is the one that runs
     handlers = {"verify": cmd_verify, "dof-region": cmd_dof_region, "rates": cmd_rates}
     try:
-        return handlers[args.command](args)
+        scenario = load_scenario(args.config)
+        # the command line's seed and trial count, else the scenario's; a
+        # command-line seed is held to the scenario file's rule
+        seed = derive_seed(args.seed) if args.seed is not None else scenario.seed
+        trials = args.trials if args.trials is not None else scenario.trials
+        if trials < 1:
+            raise ScenarioError(f"trials must be a positive integer, got {trials}")
+        return handlers[args.command](args, scenario, seed, trials)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,10 @@ closed form expects a refusal (see :func:`constructive_check`); the
 closed form only orders this work, and every verdict comes from the
 construction.
 
+:func:`require_feasible` is the one closed-form refusal of a run: ``cogia
+verify`` and :func:`cogia.rates.rate_region_sweep` call it before any
+draw, and it raises InfeasibleAlloc naming every violated condition.
+
 The closed form carries no bound not validated by the constructive
 oracle; the maximum sum-DoF constants quoted elsewhere in the literature
 are deliberately not asserted here.
@@ -35,7 +39,7 @@ from typing import Iterator, Literal
 import numpy as np
 
 from .alignment import PrecoderReceiverSet, draw_system, draw_trials, interference_report
-from .errors import GridTooLarge, NoComplement, RankDeficient
+from .errors import GridTooLarge, InfeasibleAlloc, NoComplement, RankDeficient
 from .numerics import ZERO_TOL, full_column_rank
 from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, derive_seed
 
@@ -44,6 +48,7 @@ __all__ = [
     "FeasibilityVerdict",
     "DofRegion",
     "closed_form_feasible",
+    "require_feasible",
     "constructive_check",
     "enumerate_region",
     "grid_tuples",
@@ -132,11 +137,17 @@ def closed_form_feasible(dims: NetworkDims, d: StreamAlloc) -> FeasibilityVerdic
             v.append(Violation(f"{name} <= M_P", f"{n} > {M_P}", "structural"))
         elif family == "iv":
             v.append(Violation(f"N_P >= {name} + d_S1 + d_S2", f"{N_P} < {n} + {d.d_S1} + {d.d_S2}", "derived"))
-        elif family == "v":
+        else:  # "v"
             v.append(Violation("M_S >= N_P when d_Pi > Z", f"{M_S} < {N_P} with Z = {dims.Z}", "derived"))
-        else:
-            raise ValueError(f"unknown condition family {family!r}")
     return FeasibilityVerdict(not v, tuple(v))
+
+
+def require_feasible(dims: NetworkDims, d: StreamAlloc) -> None:
+    """Raise InfeasibleAlloc, naming every violated condition, unless (dims, d) passes the closed form."""
+    verdict = closed_form_feasible(dims, d)
+    if not verdict.feasible:
+        reasons = "; ".join(str(v) for v in verdict.violated)
+        raise InfeasibleAlloc(f"allocation {d.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
 
 
 def constructive_check(
@@ -164,7 +175,9 @@ def constructive_check(
     failure at the cost of one build, before any other trial seed is
     derived.  The condition only decides whether the probe runs: a
     structural failure repeats in every lane, so the first stack refuses
-    with the same trial-0 text and stage as the probe.
+    with the same trial-0 text and stage as the probe.  The probe derives
+    trial 0's seed itself, beside :func:`cogia.alignment.draw_trials`,
+    because one 2-D draw refuses faster than a one-lane stack.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

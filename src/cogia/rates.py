@@ -60,8 +60,8 @@ from itertools import starmap
 import numpy as np
 
 from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_trials, effective_channels
-from .dof import closed_form_feasible
-from .errors import InfeasibleAlloc, ScenarioError
+from .dof import require_feasible
+from .errors import ScenarioError
 from .numerics import RANK_TOL, svd_factor
 from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 
@@ -358,10 +358,7 @@ def rate_region_sweep(
     for split in splits:
         if split.total == 0:
             raise ScenarioError("a rate sweep split must carry at least one stream")
-        verdict = closed_form_feasible(dims, split)
-        if not verdict.feasible:
-            reasons = "; ".join(str(v) for v in verdict.violated)
-            raise InfeasibleAlloc(f"split {split.as_tuple()} infeasible for dims {dims.as_tuple()}: {reasons}")
+        require_feasible(dims, split)
 
     # every split's Qav_P row, then its Qav_S row: one budget row per cell, in split order
     rows = np.tile(np.array(budgets, dtype=float).T, (len(splits), 1))

@@ -74,6 +74,15 @@ PRECODER_STREAM_P1 = 8
 PRECODER_STREAM_P2 = 9
 
 
+def _check_counts(counts: dict[str, Any], low: int) -> None:
+    """Refuse any count that is not an integer in ``low``..MAX_ANTENNAS."""
+    for name, v in counts.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ScenarioError(f"{name} must be an integer, got {v!r}")
+        if not low <= v <= MAX_ANTENNAS:
+            raise ScenarioError(f"{name} must be in {low}..{MAX_ANTENNAS}, got {v}")
+
+
 @dataclass(frozen=True)
 class NetworkDims:
     """Antenna quartet (M_P, M_S, N_P, N_S)."""
@@ -84,12 +93,7 @@ class NetworkDims:
     N_S: int
 
     def __post_init__(self) -> None:
-        for name in ("M_P", "M_S", "N_P", "N_S"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScenarioError(f"{name} must be an integer, got {v!r}")
-            if not 1 <= v <= MAX_ANTENNAS:
-                raise ScenarioError(f"{name} must be in 1..{MAX_ANTENNAS}, got {v}")
+        _check_counts(vars(self), 1)
 
     @property
     def Z(self) -> int:
@@ -110,12 +114,7 @@ class StreamAlloc:
     d_S2: int
 
     def __post_init__(self) -> None:
-        for name in ("d_P1", "d_P2", "d_S1", "d_S2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScenarioError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= v <= MAX_ANTENNAS:
-                raise ScenarioError(f"{name} must be in 0..{MAX_ANTENNAS}, got {v}")
+        _check_counts(vars(self), 0)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d_P1, self.d_P2, self.d_S1, self.d_S2)
@@ -222,11 +221,7 @@ def derive_seed(seed: int, *indices: int) -> int:
         # checked before the table lookup, where True would act as 1
         if type(i) is not int or not 0 <= i <= _MASK64:
             _normalize_seed(i, "index")
-        # _splitmix64 of the running seed folded with the index's hash, inlined
-        x = ((x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1))) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
+        x = _splitmix64(x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1)))
     return x
 
 

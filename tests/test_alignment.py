@@ -33,6 +33,7 @@ from cogia.scenario import (
     derive_seed,
     generate_channels,
 )
+from bits import same_bits
 
 
 def system(dims_tuple, seed):
@@ -48,6 +49,14 @@ class TestPrimaryPrecoders:
         assert dims.Z == 0
         np.testing.assert_allclose(np.linalg.norm(V_P1, axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(V_P2, axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed, shown", [([1], "[1]"), (1, "1")], ids=["one-seed-short", "integer"])
+    def test_needs_one_seed_per_lane(self, seed, shown):
+        ch = generate_channels(NetworkDims(5, 5, 5, 3), [1, 2])
+        with pytest.raises(ValueError) as info:
+            build_primary_precoders(ch, StreamAlloc(1, 1, 0, 0), seed)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"need one seed per lane of the channels, (2,), got {shown}"
 
     def test_null_space_columns_cancel_other_user(self):
         # Z = 2 at (4,4,2,2): both streams of P1 vanish at P2 by precoding alone
@@ -482,10 +491,6 @@ PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet) if f.name 
 CHANNEL_ARRAYS = [f.name for f in dataclasses.fields(ChannelSet) if f.name != "dims"]
 # the README scenario and the widest benchmark scenario
 STACK_CASES = [((5, 5, 5, 3), (1, 0, 2, 2)), ((12, 16, 10, 5), (4, 4, 3, 3))]
-
-
-def same_bits(a, b) -> bool:
-    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestStackedDraws:

@@ -313,6 +313,32 @@ class TestTrialCount:
         assert not out.exists()
 
 
+class TestMissingAllocation:
+    NO_ALLOC = {k: v for k, v in REFERENCE_NETWORK.items() if k != "alloc"}
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("verify", "verify requires an 'alloc' object in the scenario"),
+            ("rates", "rates requires 'alloc' or 'splits' in the scenario"),
+        ],
+    )
+    def test_missing_allocation_is_a_scenario_error(self, tmp_path, capsys, command, message):
+        cfg = write_config(tmp_path, self.NO_ALLOC)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    def test_bad_trials_is_reported_before_the_missing_allocation(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.NO_ALLOC)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--trials", "0", "--quiet"]) == 1
+        assert capsys.readouterr().err == "scenario error: trials must be a positive integer, got 0\n"
+        assert not out.exists()
+
+
 class TestSeedOverride:
     @pytest.mark.parametrize("argv", [["verify"], ["rates"], ["dof-region"], ["dof-region", "--constructive"]])
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -336,7 +362,7 @@ class TestParser:
         assert main(argv) == 0
         # a handler replaced after the parser exists is the one that runs
         seen = []
-        monkeypatch.setattr(cogia.cli, "cmd_dof_region", lambda args: seen.append(args.command) or 0)
+        monkeypatch.setattr(cogia.cli, "cmd_dof_region", lambda args, *run: seen.append(args.command) or 0)
         assert main(argv) == 0
         assert seen == ["dof-region"]
         assert len(parsers) == 2 and parsers[0] is parsers[1]

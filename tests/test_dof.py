@@ -568,6 +568,28 @@ def leak_trials(monkeypatch, trials):
     return stacks
 
 
+def rank_deficient_trial(monkeypatch, trial):
+    """Make ``dof.interference_report`` zero ``eff.D_P1``'s first column in trial ``trial``'s lane.
+
+    The residuals are left as they are, so only the rank test can refuse
+    that trial.  Trials are counted across calls, one stack per call.
+    """
+    real = cogia.dof.interference_report
+    stacks = []
+
+    def report(ch, prs):
+        out = real(ch, prs)
+        start = sum(stacks)
+        stacks.append(len(out.worst_case))
+        if start <= trial < sum(stacks):
+            D_P1 = out.eff.D_P1.copy()
+            D_P1[trial - start, :, 0] = 0.0
+            out = dataclasses.replace(out, eff=dataclasses.replace(out.eff, D_P1=D_P1))
+        return out
+
+    monkeypatch.setattr(cogia.dof, "interference_report", report)
+
+
 class TestLaneChunks:
     """The oracle builds its trials in stacks of at most ``alignment.LANE_CHUNK`` lanes."""
 
@@ -601,6 +623,23 @@ class TestLaneChunks:
         size = chunk or 10
         assert stacks[: 7 // size + 1] == [size] * (7 // size + 1)
 
+    @pytest.mark.parametrize("chunk", [None, 2], ids=["default", "chunk_2"])
+    def test_rank_deficient_trial_is_named(self, monkeypatch, chunk):
+        # trial 5 is lane 5 of the one stack, or lane 1 of the third stack of 2
+        rank_deficient_trial(monkeypatch, 5)
+        assert self.check(monkeypatch, chunk) == FeasibilityVerdict(
+            False,
+            (Violation("effective channels have full column rank", "trial 5: rank-deficient at P1", "constructive"),),
+        )
+
+    @pytest.mark.parametrize("chunk", [None, 2], ids=["default", "chunk_2"])
+    def test_earlier_leak_is_named_before_a_later_rank_loss(self, monkeypatch, chunk):
+        rank_deficient_trial(monkeypatch, 5)
+        leak_trials(monkeypatch, {3})
+        assert self.check(monkeypatch, chunk) == FeasibilityVerdict(
+            False, (Violation("residual interference <= ZERO_TOL", "trial 3: worst_case = 1.000e+00", "constructive"),)
+        )
+
     def test_trial_out_of_redraws_in_a_later_stack_raises_after_an_earlier_leak(self, monkeypatch):
         # trial 1 leaks in the first stack of 2; trial 7, in the fourth, is
         # degenerate on every attempt
@@ -621,6 +660,24 @@ class TestLaneChunks:
             self.check(monkeypatch, 2)
         # the first stack was verified, and leaked, before the fourth ran out
         assert stacks[0] == 2
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=0),
+                "trials must be >= 1",
+            ),
+            (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), mode="oracle"), "unknown mode 'oracle'"),
+        ],
+        ids=["zero-trials", "unknown-mode"],
+    )
+    def test_refused_argument(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestRegion:

@@ -21,8 +21,8 @@ from cogia.dof import closed_form_feasible
 from cogia.numerics import ZERO_TOL
 from cogia.rates import pcell_sum_rate, scell_sum_rate
 from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
+from bits import same_bits
 from test_alignment import PRS_ARRAYS
-from test_rates import same_bits
 
 # one case per allocation family: the README splits (corrections, both
 # secondary users), one secondary user, the secondary cell alone, Z = 3

@@ -20,6 +20,7 @@ from cogia.numerics import (
     svd_factor,
     zero_forcing_columns,
 )
+from bits import same_bits
 
 RNG = np.random.default_rng(20240811)
 
@@ -166,6 +167,21 @@ class TestZeroForcingColumns:
         assert zero_forcing_columns(np.zeros((0, 4)), rng.standard_normal((5, 4)), "S2").shape == (4, 0)
 
 
+class TestShapeRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: null_space_basis(np.ones(3)), "matrix must be 2-D or a stack of 2-D matrices, got shape (3,)"),
+            (lambda: min_norm_right_solve(np.eye(2, 3), np.ones(3)), "rhs has leading dimension 3, expected 2"),
+        ],
+        ids=["one-dim-matrix", "rhs-rows"],
+    )
+    def test_refused_shape(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestMinNormRightSolve:
     def test_invertible_square(self):
         x = min_norm_right_solve(np.diag([2.0, 2.0]), np.array([2.0, 4.0]))
@@ -266,11 +282,6 @@ class TestKernelProperties:
         p1, g1, s1 = svd_factor(A)
         p2, g2, s2 = svd_factor(A.copy())
         assert np.array_equal(p1, p2) and np.array_equal(g1, g2) and np.array_equal(s1, s2)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 class TestRankUnderPolicy:

@@ -22,6 +22,7 @@ from cogia.rates import (
     waterfill_cell,
 )
 from cogia.scenario import MAX_ANTENNAS, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
+from bits import same_bits
 
 
 def haar_columns(rng, m, k):
@@ -459,11 +460,6 @@ class TestCellRates:
         assert res.uncharged_correction_power > 0.0
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-
-
 def lane(obj, t):
     """Lane ``t`` of a stacked PrecoderReceiverSet or EffectiveChannels (views)."""
     arrays = {f.name: getattr(obj, f.name)[t] for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)}
@@ -637,6 +633,12 @@ class TestRateRegionSweep:
     def test_infeasible_split_rejected(self):
         with pytest.raises(InfeasibleAlloc, match="2, 0, 2, 2"):
             rate_region_sweep(self.DIMS, [StreamAlloc(2, 0, 2, 2)], [(1.0, 1.0)], trials=2, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_non_positive_trials_rejected(self, trials):
+        with pytest.raises(ValueError) as info:
+            rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0)], trials=trials, seed=0)
+        assert type(info.value) is ValueError and str(info.value) == "trials must be >= 1"
 
     def test_empty_split_rejected(self):
         with pytest.raises(ScenarioError):

@@ -380,6 +380,39 @@ class TestScenarioFiles:
         assert len(sc.splits) == 2
         assert sc.budgets == ((1.0, 1.0), (10.0, 10.0), (100.0, 100.0))
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"dims": {"M_P": 5.0, "M_S": 5, "N_P": 5, "N_S": 3}}, "M_P must be an integer, got 5.0"),
+            ({"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": True, "d_S2": 2}}, "d_S1 must be an integer, got True"),
+            ({"noise": {"sigma2_S2": "1.0"}}, "sigma2_S2 must be a finite positive number, got '1.0'"),
+            ({"power": {"Qav_P": None}}, "Qav_P must be a finite positive number, got None"),
+            ({"noise": [1.0, 1.0, 1.0, 1.0]}, "'noise' must be an object"),
+            ({"dims": [5, 5, 5, 3]}, "dims must be an object"),
+            ({"splits": [{"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2}, 4]}, "splits[1] must be an object"),
+            ({"dims": {"M_P": 5, "M_S": 5}}, "dims is missing keys: ['N_P', 'N_S']"),
+            ({"trials": 0}, "trials must be a positive integer, got 0"),
+            ({"trials": 2.0}, "trials must be a positive integer, got 2.0"),
+            ({"splits": []}, "'splits' must be a non-empty list of alloc objects"),
+            ({"budgets": 10.0}, "'budgets' must be a non-empty list of finite positive numbers"),
+            ({"grid_cap": True}, "grid_cap must be a positive integer, got True"),
+        ],
+        ids=[
+            "float-count", "bool-count", "string-noise", "null-power", "section-not-object", "record-not-object",
+            "split-not-object", "missing-keys", "zero-trials", "float-trials", "empty-splits", "scalar-budgets",
+            "bool-grid-cap",
+        ],
+    )
+    def test_refused_document(self, patch, message):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(dict(self.GOOD, **patch))
+        assert str(info.value) == message
+
+    def test_document_that_is_not_an_object(self):
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict([self.GOOD])
+        assert str(info.value) == "scenario document must be a JSON object"
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         for content in (b"{not json", b"\xff\xfe{}"):  # not JSON; not UTF-8
