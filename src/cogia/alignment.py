@@ -39,24 +39,25 @@ secondary decoding sees only the diagonal effective channel plus noise.
 
 Stage order and failures
 ------------------------
-:func:`build_all` builds the secondary selector combiners first, then
-the secondary precoders aligned to them (they read only H_S1 and H_S2),
-then primary precoders, corrections and primary combiners.  No stage
-checks the allocation against the antenna counts; the construction
-itself refuses what the network cannot carry, by a formed matrix's
-shape alone: RankDeficient for more columns than rows (selectors,
-primary precoders) or rows than columns (corrections), NoComplement for
-zero-forcing rows that fill every dimension.  Every other rank loss is
-a measure-zero accident of the draw, DegenerateChannel, which
-:func:`draw_system` redraws, one channel draw per lane and attempt.  An
-error a stage raises carries its ``stage``: ``selectors``,
-``secondary``, ``primary_precoders``, ``corrections`` or
-``primary_receivers``.
+:func:`build_all` and :func:`draw_system` run the public stages in
+order: :func:`build_secondary_receivers` (the selector combiners),
+:func:`build_secondary_precoders` aligned to them (it reads only H_S1
+and H_S2), :func:`build_primary_precoders`, :func:`build_corrections`
+and :func:`build_primary_receivers`.  No stage checks the allocation
+against the antenna counts; the construction itself refuses what the
+network cannot carry, by a formed matrix's shape alone: RankDeficient
+for more columns than rows (selectors, primary precoders) or rows than
+columns (corrections), NoComplement for zero-forcing rows that fill
+every dimension.  Every other rank loss is a measure-zero accident of
+the draw, DegenerateChannel, which :func:`draw_system` redraws, one
+channel draw per lane and attempt.  An error a stage raises carries its
+``stage``: ``selectors``, ``secondary``, ``primary_precoders``,
+``corrections`` or ``primary_receivers``.
 
 Stacked draws
 -------------
-Every stage takes a :class:`ChannelSet` of one draw (2-D matrices) or of
-a stack of draws (a leading lane axis, one lane per draw) and returns
+Every stage takes the channels of one draw (2-D matrices) or of a
+stack of draws (a leading lane axis, one lane per draw) and returns
 arrays with the same leading axes: one draw is the plain 2-D case of the
 same code, and lane ``i`` of a stacked build is bit for bit the build of
 draw ``i`` alone.  A rank loss in one lane or all (one draw included)
@@ -137,7 +138,6 @@ class PrecoderReceiverSet:
     U_P2: np.ndarray
     U_S1: np.ndarray
     U_S2: np.ndarray
-    Z: int
 
 
 @dataclass(frozen=True)
@@ -252,22 +252,18 @@ def build_corrections(
     return Vbar_P1, Vbar_P2
 
 
-def _align_secondary(
+def build_secondary_precoders(
     H_S1: np.ndarray, H_S2: np.ndarray, U_S1: np.ndarray, U_S2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj: read them directly
-    V_S1 = zero_forcing_columns(H_S1[..., : U_S1.shape[1], :], H_S2, "S1")
-    V_S2 = zero_forcing_columns(H_S2[..., : U_S2.shape[1], :], H_S1, "S2")
-    return V_S1, V_S2
-
-
-def build_secondary_precoders(ch: ChannelSet, d: StreamAlloc) -> tuple[np.ndarray, np.ndarray]:
     """Secondary precoders V_S1, V_S2 implementing the stacked-space alignment.
 
     Stream g of S_j zero-forces the other secondary user's whole channel
     and the rows U_Sj selects for S_j's other streams.
     """
-    return _align_secondary(ch.H_S1, ch.H_S2, *build_secondary_receivers(ch.dims.N_S, d))
+    # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj: read them directly
+    V_S1 = zero_forcing_columns(H_S1[..., : U_S1.shape[1], :], H_S2, "S1")
+    V_S2 = zero_forcing_columns(H_S2[..., : U_S2.shape[1], :], H_S1, "S2")
+    return V_S1, V_S2
 
 
 def _primary_effective(
@@ -354,7 +350,7 @@ def _build_primary(
         arrays[name] = np.ndarray(lanes + U.shape, U.dtype, U, 0, (0,) * len(lanes) + U.strides)
     for a in arrays.values():
         a.flags.writeable = False
-    return PrecoderReceiverSet(Z=ch.dims.Z, **arrays)
+    return PrecoderReceiverSet(**arrays)
 
 
 def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> PrecoderReceiverSet:
@@ -365,7 +361,7 @@ def build_all(ch: ChannelSet, d: StreamAlloc, seed: int | list[int]) -> Precoder
     are the same for every lane.
     """
     U_S1, U_S2 = _stage("selectors", build_secondary_receivers, ch.dims.N_S, d)
-    V_S1, V_S2 = _stage("secondary", _align_secondary, ch.H_S1, ch.H_S2, U_S1, U_S2)
+    V_S1, V_S2 = _stage("secondary", build_secondary_precoders, ch.H_S1, ch.H_S2, U_S1, U_S2)
     return _build_primary(ch, d, seed, U_S1, U_S2, V_S1, V_S2)
 
 
@@ -401,7 +397,7 @@ def draw_system(dims: NetworkDims, alloc: StreamAlloc, seeds: int | list[int]) -
         lane_seeds = draw_seeds[0] if single else draw_seeds
         try:
             H_S1, H_S2, buf = _draw_channels(dims, lane_seeds)
-            V_S1, V_S2 = _stage("secondary", _align_secondary, H_S1, H_S2, U_S1, U_S2)
+            V_S1, V_S2 = _stage("secondary", build_secondary_precoders, H_S1, H_S2, U_S1, U_S2)
             ch = _channel_set(dims, H_S1, H_S2, buf)
             return ch, _build_primary(ch, alloc, lane_seeds, U_S1, U_S2, V_S1, V_S2)
         except DegenerateChannel as exc:

@@ -20,6 +20,7 @@ from cogia.numerics import min_norm_right_solve, null_space_basis, svd_factor
 from cogia.rates import StreamGroup, kkt_violation, rate_region_sweep, waterfill_cell
 from cogia.scenario import NetworkDims, StreamAlloc, derive_seed, generate_channels
 from cogia.alignment import build_all, interference_report
+from bits import build_note
 from test_alignment import STAGE_OF_CONDITION
 
 
@@ -222,7 +223,7 @@ def test_criterion_6_cli_determinism(tmp_path):
 def test_criterion_6_golden_outputs(tmp_path):
     run_criterion_6_commands(tmp_path, tmp_path / "out")
     got = {f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest() for f in CRITERION_6_SHA256}
-    assert got == CRITERION_6_SHA256
+    assert got == CRITERION_6_SHA256, build_note()
 
 
 def test_criterion_7_numerics_kernel():

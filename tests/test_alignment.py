@@ -41,6 +41,11 @@ def system(dims_tuple, seed):
     return dims, generate_channels(dims, seed)
 
 
+def secondary_precoders(ch, alloc):
+    """The selectors, then the secondary alignment to them, as the construction runs them."""
+    return build_secondary_precoders(ch.H_S1, ch.H_S2, *build_secondary_receivers(ch.dims.N_S, alloc))
+
+
 class TestPrimaryPrecoders:
     def test_square_primary_all_random(self):
         # M_P == N_P gives Z = 0: every column is a random unit vector
@@ -125,18 +130,18 @@ class TestCorrections:
 class TestSecondaryPrecoders:
     def test_single_stream_exists_iff_headroom(self):
         _, ch = system((5, 5, 5, 3), 10)
-        V_S1, _ = build_secondary_precoders(ch, StreamAlloc(0, 0, 1, 0))
+        V_S1, _ = secondary_precoders(ch, StreamAlloc(0, 0, 1, 0))
         assert np.linalg.norm(ch.H_S2 @ V_S1) < 1e-9
 
     def test_no_headroom_raises(self):
         # H_S2 alone fills the 3-dim transmit space
         _, ch = system((3, 3, 3, 3), 10)
         with pytest.raises(NoComplement, match="stream 1 of S1"):
-            build_secondary_precoders(ch, StreamAlloc(0, 0, 1, 0))
+            secondary_precoders(ch, StreamAlloc(0, 0, 1, 0))
 
     def test_alignment_structure(self):
         _, ch = system((5, 5, 5, 3), 11)
-        V_S1, V_S2 = build_secondary_precoders(ch, StreamAlloc(0, 0, 2, 2))
+        V_S1, V_S2 = secondary_precoders(ch, StreamAlloc(0, 0, 2, 2))
         # cross-cell: no leakage at the other secondary user
         assert np.linalg.norm(ch.H_S2 @ V_S1) < 1e-9
         assert np.linalg.norm(ch.H_S1 @ V_S2) < 1e-9
@@ -154,7 +159,7 @@ class TestSecondaryPrecoders:
         # three streams, two receive coordinates to align them onto
         _, ch = system((8, 8, 2, 2), 12)
         with pytest.raises(RankDeficient, match="U_S1 is 2x3"):
-            build_secondary_precoders(ch, StreamAlloc(0, 0, 3, 0))
+            secondary_precoders(ch, StreamAlloc(0, 0, 3, 0))
 
 
 class TestPrimaryReceivers:
@@ -180,7 +185,7 @@ class TestPrimaryReceivers:
         alloc = StreamAlloc(2, 0, 2, 2)  # 1 + 2 + 2 = 5 directions in 5-space
         V_P1, V_P2 = build_primary_precoders(ch, alloc, 15)
         Vbar_P1, Vbar_P2 = build_corrections(ch, V_P1, V_P2)
-        V_S1, V_S2 = build_secondary_precoders(ch, alloc)
+        V_S1, V_S2 = secondary_precoders(ch, alloc)
         with pytest.raises(NoComplement):
             build_primary_receivers(ch, V_P1, V_P2, Vbar_P1, Vbar_P2, V_S1, V_S2)
 
@@ -269,7 +274,7 @@ class TestEffectiveChannels:
             "U_P1": np.zeros((2, 1)), "U_P2": np.zeros((2, 0)),
             "U_S1": np.zeros((1, 0)), "U_S2": np.zeros((1, 0)),
         }
-        prs = PrecoderReceiverSet(Z=1, **zeros)
+        prs = PrecoderReceiverSet(**zeros)
         eff = effective_channels(ch, prs)
         assert not eff.G_P1.any()
 
@@ -309,7 +314,6 @@ class TestInterferenceReport:
             V_S1=unit((5, 2)), V_S2=unit((5, 2)),
             U_P1=unit((5, 1)), U_P2=np.zeros((5, 0)),
             U_S1=np.eye(3)[:, :2], U_S2=np.eye(3)[:, :2],
-            Z=0,
         )
         report = interference_report(ch, prs)
         assert report.worst_case > 1e-3
@@ -487,7 +491,7 @@ class TestDrawSystem:
         assert drawn == [(derive_seed(9, a), CHANNEL_STREAM) for a in range(MAX_DEGENERATE_RETRIES)]
 
 
-PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet) if f.name != "Z"]
+PRS_ARRAYS = [f.name for f in dataclasses.fields(PrecoderReceiverSet)]
 CHANNEL_ARRAYS = [f.name for f in dataclasses.fields(ChannelSet) if f.name != "dims"]
 # the README scenario and the widest benchmark scenario
 STACK_CASES = [((5, 5, 5, 3), (1, 0, 2, 2)), ((12, 16, 10, 5), (4, 4, 3, 3))]
@@ -546,7 +550,7 @@ class TestStackedDraws:
         _, clean = draw_system(dims, alloc, seeds)
         redraw_seed = derive_seed(seeds[5], 1)
         redrawn = build_all(generate_channels(dims, redraw_seed), alloc, redraw_seed)
-        real = cogia.alignment._align_secondary
+        real = cogia.alignment.build_secondary_precoders
         forced = np.zeros(20, dtype=bool)
         forced[5] = True
         aligned = []
@@ -557,7 +561,7 @@ class TestStackedDraws:
                 raise DegenerateChannel("forced", lanes=forced)
             return real(H_S1, *rest)
 
-        monkeypatch.setattr(cogia.alignment, "_align_secondary", flaky)
+        monkeypatch.setattr(cogia.alignment, "build_secondary_precoders", flaky)
         drawn = spy_on_draws(monkeypatch)
         _, prs = draw_system(dims, alloc, seeds)
         first = [derive_seed(s, 0) for s in seeds]

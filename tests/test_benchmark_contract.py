@@ -101,6 +101,24 @@ def test_traced_refusal_at_the_primary_receivers_costs_four_svds(tracer):
     assert tracer.leftover_wrappers() == []
 
 
+@pytest.mark.parametrize(
+    "dims_tuple, alloc_tuple, feasible",
+    [((5, 5, 5, 3), (1, 0, 2, 2), True), ((5, 4, 5, 3), (0, 0, 2, 0), False)],
+    ids=["feasible-stack", "secondary-refusal"],
+)
+def test_traced_draws_run_the_public_secondary_stage(tracer, dims_tuple, alloc_tuple, feasible):
+    # draw_system runs build_secondary_precoders itself, so the benchmark's
+    # alignment.build_secondary_precoders.self_s times the alignment every
+    # draw makes: once for a feasible tuple's 20-lane stack, once for the
+    # trial-0 draw a secondary refusal stops at
+    dims, alloc = scenario.NetworkDims(*dims_tuple), scenario.StreamAlloc(*alloc_tuple)
+    scenario.generate_channels(dims, 0)
+    with tracer.Tracer() as tr:
+        assert dof.constructive_check(dims, alloc, trials=20, seed=5).feasible is feasible
+    assert tr.call_count("alignment.build_secondary_precoders") == 1
+    assert tracer.leftover_wrappers() == []
+
+
 def test_traced_rates_fill_each_cell_once_per_stack(tracer, tmp_path):
     config = BENCH / "scenarios" / "readme.json"
     with tracer.Tracer() as tr:

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, CSV artifacts, manifests, determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ from cogia.errors import (
     RankDeficient,
     TooManyDegenerateDraws,
 )
-from cogia.scenario import derive_seed
+from cogia.scenario import StreamAlloc, derive_seed
 
 REFERENCE_NETWORK = {
     "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
@@ -411,6 +412,28 @@ class TestDofRegion:
         _, diff_rows = read_rows(out / "region_diff.csv")
         assert diff_rows == []
         assert (out / "region_constructive.csv").exists()
+
+    def test_constructive_diff_lists_a_refused_point(self, tmp_path, capsys, monkeypatch):
+        # the constructive region lacks one closed-form point: the diff file
+        # holds exactly that row, and the summary counts it
+        real = cogia.cli.enumerate_region
+        refused = StreamAlloc(1, 1, 1, 0)
+
+        def without_one_point(dims, mode="closed_form", seed=0, trials=20, cap=None):
+            region = real(dims, mode="closed_form", cap=cap)
+            if mode == "closed_form":
+                return region
+            assert refused in region.points
+            return dataclasses.replace(region, points=tuple(p for p in region.points if p != refused))
+
+        monkeypatch.setattr(cogia.cli, "enumerate_region", without_one_point)
+        cfg = write_config(tmp_path, {"dims": {"M_P": 3, "M_S": 3, "N_P": 2, "N_S": 1}, "trials": 5, "seed": 2})
+        out = tmp_path / "out"
+        assert main(["dof-region", "--config", cfg, "--out", str(out), "--constructive"]) == 0
+        assert (out / "region_diff.csv").read_bytes() == (
+            b"d_P1,d_P2,d_S1,d_S2,closed_form,constructive\n1,1,1,0,1,0\n"
+        )
+        assert "closed-form vs constructive differences: 1" in capsys.readouterr().out.splitlines()
 
     def test_grid_too_large_exits_two(self, tmp_path):
         cfg = write_config(

@@ -32,6 +32,7 @@ from cogia.scenario import (
     derive_seed,
     generate_channels,
 )
+from bits import build_note
 from test_alignment import STAGE_OF_CONDITION, channel_draws, spy_on_draws
 
 
@@ -537,7 +538,7 @@ class TestConstructiveCheck:
             lines = [repr(constructive_check(dims, t, trials=20, seed=seed)) for dims, t, seed in cases]
             digests[schedule] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         golden = "013c3f08e2550c7c1c9725ac7c0df10d67fac68db33681503f726546f76cd246"
-        assert digests == dict.fromkeys(schedules, golden)
+        assert digests == dict.fromkeys(schedules, golden), build_note()
 
     def test_bound_sharpness_hundred_seeds(self):
         dims = NetworkDims(5, 5, 5, 3)  # M_S - N_S = 2
@@ -702,6 +703,20 @@ class TestRegion:
                 if i != j:
                     assert not (np.all(a >= b) and np.any(a > b))
         assert set(region.frontier) <= set(region.points)
+
+    def test_frontier_keeps_every_undominated_point_across_blocks(self):
+        # 1,506 points: the frontier compares them in blocks of 512, so a
+        # block written back at the wrong offset drops or keeps the wrong points
+        region = enumerate_region(NetworkDims(12, 16, 10, 5), cap=10**5)
+        points = [p.as_tuple() for p in region.points]
+        assert len(points) == 1506
+
+        def dominated(t):
+            return any(o != t and all(map(int.__ge__, o, t)) for o in points)
+
+        reference = tuple(p for p, t in zip(region.points, points) if not dominated(t))
+        assert len(reference) == 36
+        assert region.frontier == reference
 
     def test_modes_agree(self):
         dims = NetworkDims(3, 3, 2, 1)

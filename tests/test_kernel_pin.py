@@ -19,6 +19,7 @@ from cogia.errors import NoComplement
 from cogia.numerics import min_norm_right_solve, null_space_basis, svd_factor, zero_forcing_columns
 from cogia.rates import StreamGroup, pcell_sum_rate, rate_region_sweep, scell_sum_rate, waterfill_cell
 from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
+from bits import build_note
 
 # recorded at commit 9b1a284 with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64);
 # another BLAS/LAPACK build may move the last bits of a float
@@ -148,10 +149,10 @@ def test_kernel_outputs_are_bit_pinned():
     outputs = pinned_outputs()
     assert sum(map(len, outputs.values())) >= 50
     assert outputs["refusal"] == ["avoid space for stream 1 of S2 fills all 4 dimensions"]
-    assert {name: digest(x) for name, x in outputs.items()} == KERNEL_SHA256
+    assert {name: digest(x) for name, x in outputs.items()} == KERNEL_SHA256, build_note()
 
 
 @pytest.mark.pin
 def test_rate_layer_outputs_are_bit_pinned():
     outputs = rate_outputs()
-    assert {name: digest(x) for name, x in outputs.items()} == RATE_SHA256
+    assert {name: digest(x) for name, x in outputs.items()} == RATE_SHA256, build_note()

@@ -42,7 +42,6 @@ def synthetic_prs_eff(E1, V1, n_rx=None):
         V_S1=np.zeros((V1.shape[0], 0)), V_S2=np.zeros((V1.shape[0], 0)),
         U_P1=U, U_P2=np.zeros((n_rx, 0)),
         U_S1=np.zeros((1, 0)), U_S2=np.zeros((1, 0)),
-        Z=0,
     )
     eff = EffectiveChannels(
         G_P1=G, G_P2=np.zeros((n_rx, 0)),
