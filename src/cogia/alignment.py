@@ -148,8 +148,9 @@ class EffectiveChannels:
     symbol of P_i at its receiver (direct channel plus correction path).
     D_Pi = U_Pi.T @ G_Pi (d_Pi x d_Pi) is the post-combining primary
     channel; its off-diagonal entries vanish when the combiners
-    zero-force.  D_Sj (d_Sj x d_Sj) is the post-combining secondary
-    channel, diagonal by construction.
+    zero-force.  D_Sj = U_Sj.T @ H_Sj @ V_Sj (d_Sj x d_Sj) is the
+    post-combining secondary channel, diagonal by construction; it is
+    formed from the d_Sj rows of H_Sj that the selector U_Sj picks.
     """
 
     G_P1: np.ndarray
@@ -431,8 +432,9 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
         G_P2=G_P2,
         D_P1=prs.U_P1.mT @ G_P1,
         D_P2=prs.U_P2.mT @ G_P2,
-        D_S1=prs.U_S1.mT @ ch.H_S1 @ prs.V_S1,
-        D_S2=prs.U_S2.mT @ ch.H_S2 @ prs.V_S2,
+        # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj
+        D_S1=ch.H_S1[..., : prs.U_S1.shape[-1], :] @ prs.V_S1,
+        D_S2=ch.H_S2[..., : prs.U_S2.shape[-1], :] @ prs.V_S2,
     )
 
 

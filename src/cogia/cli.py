@@ -155,12 +155,9 @@ def cmd_dof_region(args, scenario: Scenario, seed: int, trials: int) -> int:
     if args.constructive:
         region_c = enumerate_region(dims, mode="constructive", seed=seed, trials=trials, cap=scenario.grid_cap)
         tables["region_constructive.csv"] = (header, grid_rows(region_c))
-        feasible, feasible_c = set(region.points), set(region_c.points)
-        diff_rows = [
-            list(t.as_tuple()) + [int(t in feasible), int(t in feasible_c)]
-            for t in grid_tuples(dims)
-            if (t in feasible) != (t in feasible_c)
-        ]
+        # both files' rows walk the same grid: a row pair differs where its feasible flags do
+        pairs = zip(tables["region.csv"][1], tables["region_constructive.csv"][1])
+        diff_rows = [[*row[:5], row_c[4]] for row, row_c in pairs if row[4] != row_c[4]]
         diff_header = ["d_P1", "d_P2", "d_S1", "d_S2", "closed_form", "constructive"]
         tables["region_diff.csv"] = (diff_header, diff_rows)
         _say(args, f"closed-form vs constructive differences: {len(diff_rows)}")

@@ -234,8 +234,6 @@ def grid_size(dims: NetworkDims) -> int:
 
 
 def _compute_frontier(points: list[StreamAlloc]) -> tuple[StreamAlloc, ...]:
-    if not points:
-        return ()
     arr = np.array([p.as_tuple() for p in points], dtype=np.int64)
     n = len(points)
     dominated = np.zeros(n, dtype=bool)
@@ -264,7 +262,7 @@ def enumerate_region(
     points: list[StreamAlloc] = []
     for alloc in grid_tuples(dims):
         if mode == "closed_form":
-            ok = closed_form_feasible(dims, alloc).feasible
+            ok = not _violations(dims, alloc)
         else:
             ok = constructive_check(dims, alloc, trials=trials, seed=derive_seed(seed, *alloc.as_tuple())).feasible
         if ok:

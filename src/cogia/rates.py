@@ -54,7 +54,7 @@ cell whose water level, KKT gap or rate overflows float64 is refused
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import starmap
 
 import numpy as np
@@ -311,7 +311,7 @@ def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocatio
 
 def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Primary-cell water-filling sum rate (joint over both users), per lane."""
-    primary, _ = _cells(prs, eff, astuple(noise))
+    primary, _ = _cells(prs, eff, noise)
     [(rate, alloc)] = _cell_rates([primary], np.array([noise.Qav_P], dtype=float))
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
@@ -322,7 +322,7 @@ def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: Nois
 
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
     """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
-    _, secondary = _cells(prs, eff, astuple(noise))
+    _, secondary = _cells(prs, eff, noise)
     [(rate, alloc)] = _cell_rates([secondary], np.array([noise.Qav_S], dtype=float))
     return CellRateResult(sum_rate=rate, allocation=alloc)
 
@@ -351,8 +351,9 @@ def rate_region_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # the noise and budget checks, before any draw; the cells read this record's noise
+    noise = NoiseAndPower(*sigma2s)
     for qav_p, qav_s in budgets:
-        # the noise and budget checks, once per budget and before any draw
         NoiseAndPower(*sigma2s, Qav_P=qav_p, Qav_S=qav_s)
     splits = list(splits)
     for split in splits:
@@ -366,7 +367,7 @@ def rate_region_sweep(
 
     def cut(part, ch, prs):
         # a stack is cut to its cells as it is drawn, so no ChannelSet is held through a solve
-        return part, _cells(prs, effective_channels(ch, prs), sigma2s)
+        return part, _cells(prs, effective_channels(ch, prs), noise)
 
     # split s draws trial t from derive_seed(seed, s, t)
     runs = [starmap(cut, draw_trials(dims, split, derive_seed(seed, s), trials)) for s, split in enumerate(splits)]
@@ -384,9 +385,9 @@ def rate_region_sweep(
     return points
 
 
-def _cells(prs: PrecoderReceiverSet, eff: EffectiveChannels, sigma2s) -> tuple[tuple, tuple]:
-    """Each cell's name, effective channels, precoders and noise; ``sigma2s`` starts with P1's, P2's, S1's, S2's."""
+def _cells(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> tuple[tuple, tuple]:
+    """Each cell's name, effective channels, precoders and per-user noise variances."""
     return (
-        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], sigma2s[0:2]),
-        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], sigma2s[2:4]),
+        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], (noise.sigma2_P1, noise.sigma2_P2)),
+        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], (noise.sigma2_S1, noise.sigma2_S2)),
     )

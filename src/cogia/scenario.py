@@ -136,8 +136,7 @@ class NoiseAndPower:
     Qav_S: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("sigma2_P1", "sigma2_P2", "sigma2_S1", "sigma2_S2", "Qav_P", "Qav_S"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not _finite_positive(v):
                 raise ScenarioError(f"{name} must be a finite positive number, got {v!r}")
 
@@ -191,7 +190,7 @@ def _normalize_seed(seed: int, what: str = "seed") -> int:
         raise ScenarioError(f"{what} must be an integer, got {seed!r}")
     if seed < 0 or seed > _MASK64:
         raise ScenarioError(f"{what} must fit in 64 unsigned bits, got {seed}")
-    return seed
+    return int(seed)
 
 
 def _splitmix64(x: int) -> int:

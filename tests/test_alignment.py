@@ -278,6 +278,21 @@ class TestEffectiveChannels:
         eff = effective_channels(ch, prs)
         assert not eff.G_P1.any()
 
+    @pytest.mark.parametrize("dims_tuple", [(3, 3, 2, 1), (5, 5, 5, 3), (4, 6, 4, 2), (12, 16, 10, 5)])
+    def test_secondary_channel_is_the_papers_product(self, dims_tuple):
+        # D_Sj is read from the rows of H_Sj that U_Sj selects; the letter's
+        # U_Sj.T H_Sj V_Sj must agree bit for bit, on stacks and single draws
+        dims = NetworkDims(*dims_tuple)
+        feasible = [a for a in grid_tuples(dims) if not closed_form_feasible(dims, a).violated]
+        allocs = feasible[:: max(len(feasible) // 12, 1)]
+        assert any(0 in (a.d_S1, a.d_S2) for a in allocs) and any(a.d_S1 and a.d_S2 for a in allocs)
+        for k, alloc in enumerate(allocs):
+            for seeds in ([derive_seed(31, k, t) for t in range(6)], derive_seed(32, k)):
+                ch, prs = draw_system(dims, alloc, seeds)
+                eff = effective_channels(ch, prs)
+                assert same_bits(eff.D_S1, prs.U_S1.mT @ ch.H_S1 @ prs.V_S1), (alloc, seeds)
+                assert same_bits(eff.D_S2, prs.U_S2.mT @ ch.H_S2 @ prs.V_S2), (alloc, seeds)
+
 
 class TestInterferenceReport:
     def test_feasible_construction_is_clean(self):

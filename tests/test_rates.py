@@ -639,6 +639,13 @@ class TestRateRegionSweep:
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0)], trials=trials, seed=0)
         assert type(info.value) is ValueError and str(info.value) == "trials must be >= 1"
 
+    def test_empty_budget_list_gives_no_points(self):
+        assert rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [], trials=2, seed=0) == []
+
+    def test_noise_is_checked_without_budgets(self):
+        with pytest.raises(ScenarioError, match=r"^sigma2_P2 must be a finite positive number, got -1\.0$"):
+            rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [], trials=2, seed=0, sigma2s=(1.0, -1.0, 1.0, 1.0))
+
     def test_empty_split_rejected(self):
         with pytest.raises(ScenarioError):
             rate_region_sweep(self.DIMS, [StreamAlloc(0, 0, 0, 0)], [(1.0, 1.0)], trials=2, seed=0)

@@ -1,5 +1,7 @@
 """Scenario validation, channel generation and config file parsing."""
 
+import dataclasses
+import enum
 import json
 import random
 import re
@@ -25,6 +27,7 @@ from cogia.scenario import (
     scenario_from_dict,
     substream,
 )
+from bits import same_bits
 
 
 class TestTypes:
@@ -44,10 +47,11 @@ class TestTypes:
                 StreamAlloc(*counts)
 
     def test_noise_positive(self):
-        with pytest.raises(ScenarioError):
-            NoiseAndPower(sigma2_P1=0.0)
-        with pytest.raises(ScenarioError):
-            NoiseAndPower(Qav_P=-1.0)
+        # every field is checked, and its refusal names it
+        for name in (f.name for f in dataclasses.fields(NoiseAndPower)):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ScenarioError, match=re.escape(f"{name} must be a finite positive number, got {bad}")):
+                    NoiseAndPower(**{name: bad})
 
     def test_z_helper(self):
         assert NetworkDims(5, 5, 5, 3).Z == 0
@@ -308,6 +312,19 @@ class TestDeriveSeed:
             assert derive_seed(seed, *path) == reference(seed, *path), (seed, path)
         for seed in (0, top):
             assert derive_seed(seed, *edges) == reference(seed, *edges)
+
+    def test_int_subclass_seed_is_a_plain_int(self):
+        class Seed(enum.IntEnum):
+            SEVEN = 7
+
+        seed = Seed.SEVEN
+        assert type(derive_seed(seed)) is int and derive_seed(seed) == 7
+        assert derive_seed(5, seed) == derive_seed(5, 7)
+        dims = NetworkDims(3, 4, 2, 2)
+        ch, ch_int = generate_channels(dims, seed), generate_channels(dims, 7)
+        for name in CHANNEL_ORDER:
+            assert same_bits(getattr(ch, name), getattr(ch_int, name)), name
+        assert same_bits(substream(seed, seed).standard_normal(8), substream(7, 7).standard_normal(8))
 
     def test_a_path_continues_from_its_prefix(self):
         # derive_seed(s, i, j) == derive_seed(derive_seed(s, i), j): a rate
