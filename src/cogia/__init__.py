@@ -44,6 +44,7 @@ from .rates import (
     CellRateResult,
     RatePoint,
     StreamGroup,
+    cell_sum_rates,
     pcell_sum_rate,
     rate_region_sweep,
     scell_sum_rate,
@@ -71,7 +72,8 @@ __all__ = [
     "min_norm_right_solve", "null_space_basis", "orth_complement_vector",
     "svd_factor",
     "CellAllocation", "CellRateResult", "RatePoint", "StreamGroup",
-    "pcell_sum_rate", "rate_region_sweep", "scell_sum_rate", "waterfill_cell",
+    "cell_sum_rates", "pcell_sum_rate", "rate_region_sweep", "scell_sum_rate",
+    "waterfill_cell",
     "ChannelSet", "NetworkDims", "NoiseAndPower", "Scenario", "StreamAlloc",
     "derive_seed", "generate_channels", "load_scenario",
 ]

@@ -39,7 +39,7 @@ from .dof import enumerate_region, grid_size, grid_tuples, projected_frontier, r
 from .errors import CogiaError, ScenarioError
 from .alignment import draw_trials, interference_report
 from .numerics import ZERO_TOL
-from .rates import pcell_sum_rate, rate_region_sweep, scell_sum_rate
+from .rates import cell_sum_rates, rate_region_sweep
 from .scenario import Scenario, derive_seed, load_scenario
 
 
@@ -113,8 +113,7 @@ def cmd_verify(args, scenario: Scenario, seed: int, trials: int) -> int:
     rows = []
     for part, ch, prs in draw_trials(dims, alloc, seed, trials):
         report = interference_report(ch, prs)
-        rp = pcell_sum_rate(prs, report.eff, noise)
-        rs = scell_sum_rate(prs, report.eff, noise)
+        rp, rs = cell_sum_rates(prs, report.eff, noise)
         columns = [report.worst_case, *report.entries.values()]
         columns += [_trial_kkt(rp, rs), rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
         rows.extend([t, *row] for t, row in enumerate(np.stack(columns, axis=-1).tolist(), part.start))

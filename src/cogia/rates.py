@@ -42,9 +42,13 @@ of the lanes, one budget row per cell, each cell's stream vector padded
 to the longest with dead streams.  The padding moves no bit of any cell:
 the stable sort puts it last, it adds zero weight to the prefix sums,
 it is never live, and its power is ``max(0, lam - inf) = 0``.  A cell
-with no served user is all padding.  :func:`waterfill_cell` and the two
-cell rates are the one-cell case; :func:`rate_region_sweep` rates every
-cell of every split in one solve per stack of draws.
+with no served user is all padding.  Both commands rate whole cell
+pairs in such a solve: :func:`cell_sum_rates` rates both cells of a draw
+or a stack in one solve (``cogia verify``), and :func:`rate_region_sweep`
+rates every cell of every split in one solve per stack of draws (``cogia
+rates``).  :func:`waterfill_cell` is the one-cell case, and
+:func:`pcell_sum_rate` and :func:`scell_sum_rate` are entries 0 and 1 of
+:func:`cell_sum_rates`: public API that no command runs.
 
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.  A
 cell whose water level, KKT gap or rate overflows float64 is refused
@@ -72,6 +76,7 @@ __all__ = [
     "RatePoint",
     "waterfill_cell",
     "kkt_violation",
+    "cell_sum_rates",
     "pcell_sum_rate",
     "scell_sum_rate",
     "rate_region_sweep",
@@ -157,7 +162,8 @@ def waterfill_cell(
     ``budget`` puts a budget axis in front of the lane axes of every
     field of the result; entry ``b`` is bit for bit the solve under
     ``budget[b]`` alone.  This is the one-cell case of the cell-stacked
-    solve that :func:`rate_region_sweep` runs (see the module docstring).
+    solve that both commands run (see the module docstring); no command
+    calls it.
     """
     budget = np.asarray(budget, dtype=float)
     if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
@@ -309,22 +315,37 @@ def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocatio
     return results
 
 
-def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
-    """Primary-cell water-filling sum rate (joint over both users), per lane."""
-    primary, _ = _cells(prs, eff, noise)
-    [(rate, alloc)] = _cell_rates([primary], np.array([noise.Qav_P], dtype=float))
+def cell_sum_rates(
+    prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower
+) -> tuple[CellRateResult, CellRateResult]:
+    """The primary and the secondary cell's water-filling sum rates, per lane, from one solve.
+
+    Each cell is water-filled jointly over both of its users, under its
+    own budget (``noise.Qav_P``, ``noise.Qav_S``); the secondary cell is
+    interference-free by the ideal-DPC model.  Only the primary result
+    carries an ``uncharged_correction_power``.  An overflow in either
+    cell is refused, the primary cell's first; :func:`pcell_sum_rate`
+    and :func:`scell_sum_rate` are this call's two entries.
+    """
+    (rate_P, alloc_P), (rate_S, alloc_S) = _cell_rates(
+        _cells(prs, eff, noise), np.array([noise.Qav_P, noise.Qav_S], dtype=float)
+    )
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
-    for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc.Q):
+    for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc_P.Q):
         correction = correction + 0.5 * np.einsum("...ij,...ij->...", Vbar @ Q, Vbar)
-    return CellRateResult(sum_rate=rate, allocation=alloc, uncharged_correction_power=correction[()])
+    primary = CellRateResult(sum_rate=rate_P, allocation=alloc_P, uncharged_correction_power=correction[()])
+    return primary, CellRateResult(sum_rate=rate_S, allocation=alloc_S)
+
+
+def pcell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
+    """Primary-cell sum rate, per lane: entry 0 of :func:`cell_sum_rates`; no command calls it."""
+    return cell_sum_rates(prs, eff, noise)[0]
 
 
 def scell_sum_rate(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> CellRateResult:
-    """Secondary-cell sum rate, per lane; interference-free by the ideal-DPC model."""
-    _, secondary = _cells(prs, eff, noise)
-    [(rate, alloc)] = _cell_rates([secondary], np.array([noise.Qav_S], dtype=float))
-    return CellRateResult(sum_rate=rate, allocation=alloc)
+    """Secondary-cell sum rate, per lane: entry 1 of :func:`cell_sum_rates`; no command calls it."""
+    return cell_sum_rates(prs, eff, noise)[1]
 
 
 def rate_region_sweep(
@@ -347,7 +368,8 @@ def rate_region_sweep(
     with the budgets as a leading axis.  An overflow is refused for the
     first failing cell in split order, primary before secondary, at its
     smallest failing budget.  ``budgets`` entries are (Qav_P, Qav_S)
-    pairs; ``RatePoint.Qav`` reports the primary budget.
+    pairs; ``RatePoint.Qav`` reports the primary budget.  An empty
+    ``budgets`` returns ``[]`` after the checks, before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -360,6 +382,8 @@ def rate_region_sweep(
         if split.total == 0:
             raise ScenarioError("a rate sweep split must carry at least one stream")
         require_feasible(dims, split)
+    if not budgets:  # no point to rate, so nothing is drawn
+        return []
 
     # every split's Qav_P row, then its Qav_S row: one budget row per cell, in split order
     rows = np.tile(np.array(budgets, dtype=float).T, (len(splits), 1))

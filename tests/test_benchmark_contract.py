@@ -133,6 +133,21 @@ def test_traced_rates_fill_each_cell_once_per_stack(tracer, tmp_path):
     assert tracer.leftover_wrappers() == []
 
 
+def test_traced_verify_rates_both_cells_in_one_call(tracer, tmp_path):
+    config = BENCH / "scenarios" / "verify_large.json"
+    argv = ["verify", "--config", str(config), "--out", str(tmp_path), "--trials", "8", "--quiet"]
+    with tracer.Tracer() as tr:
+        assert cli.main(argv) == 0
+    # alloc (4,4,3,3): the 8 trials make one stack, each served user is
+    # factored once over it, and one solve rates both cells, so the public
+    # one-cell rates never run
+    assert tr.call_count("numerics.svd_factor") == 4
+    assert tr.call_count("rates.pcell_sum_rate") == 0
+    assert tr.call_count("rates.scell_sum_rate") == 0
+    assert tr.call_count("cli._trial_kkt") == 1
+    assert tracer.leftover_wrappers() == []
+
+
 def test_setup_probe_exits_zero():
     proc = subprocess.run(
         [sys.executable, str(BENCH / "setup_probe.py")], cwd=ROOT, capture_output=True, text=True, timeout=120

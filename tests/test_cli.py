@@ -10,6 +10,7 @@ import pytest
 
 import cogia.alignment
 import cogia.cli
+import cogia.rates
 from cogia.cli import main
 from cogia.errors import (
     DegenerateChannel,
@@ -85,6 +86,22 @@ class TestVerify:
         trial_seeds = [derive_seed(REFERENCE_NETWORK["seed"], t) for t in range(3)]
         assert len(rows) == 3
         assert calls == [[derive_seed(s, attempt) for s in trial_seeds] for attempt in (0, 1)]
+
+    def test_rates_both_cells_in_one_solve_per_stack(self, tmp_path, monkeypatch):
+        calls = []
+        real = cogia.rates._waterfill_cells
+
+        def spy(cells, rows, lanes):
+            calls.append((rows, lanes))
+            return real(cells, rows, lanes)
+
+        monkeypatch.setattr(cogia.rates, "_waterfill_cells", spy)
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, power={"Qav_P": 10.0, "Qav_S": 20.0}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "4", "--quiet"]) == 0
+        # stacks of 3 and 1 trials, one solve each over the primary and the
+        # secondary cell, one budget row per cell
+        assert [(rows.tolist(), lanes) for rows, lanes in calls] == [([10.0, 20.0], lanes) for lanes in ((3,), (1,))]
 
     def test_infeasible_alloc_exits_two(self, tmp_path, capsys):
         bad = dict(REFERENCE_NETWORK, alloc={"d_P1": 0, "d_P2": 0, "d_S1": 3, "d_S2": 0})
@@ -284,21 +301,23 @@ class TestNonFiniteScenario:
         assert not (tmp_path / "o").exists()
 
     # finite numbers whose water level or rate overflows float64; the
-    # message names the primary cell's smallest budget at fault
+    # message names the first failing cell, primary before secondary, at
+    # its smallest budget at fault
     @pytest.mark.parametrize("command", ["verify", "rates"])
     @pytest.mark.parametrize(
-        "patch, budget",
+        "patch, cell, budget",
         [
-            ({"power": {"Qav_P": 1e308, "Qav_S": 1e308}, "budgets": [1.0, 1e308]}, "1e+308"),
-            ({"noise": {"sigma2_P1": 5e-324}}, "10.0"),
+            ({"power": {"Qav_P": 1e308, "Qav_S": 1e308}, "budgets": [1.0, 1e308]}, "primary", "1e+308"),
+            ({"noise": {"sigma2_P1": 5e-324}}, "primary", "10.0"),
+            ({"noise": {"sigma2_S1": 5e-324}}, "secondary", "10.0"),
         ],
-        ids=["budget", "noise"],
+        ids=["budget", "noise", "secondary-noise"],
     )
-    def test_overflow_is_a_scenario_error(self, tmp_path, capsys, command, patch, budget):
+    def test_overflow_is_a_scenario_error(self, tmp_path, capsys, command, patch, cell, budget):
         cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, **patch))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert f"scenario error: the primary cell's rate problem overflows float64 at budget {budget}" in err
+        assert f"scenario error: the {cell} cell's rate problem overflows float64 at budget {budget}" in err
         assert "Warning" not in err
         assert not (tmp_path / "o").exists()
 

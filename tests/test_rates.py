@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import cogia.alignment
 import cogia.rates
 from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, draw_system, effective_channels
 from cogia.dof import closed_form_feasible
@@ -639,8 +640,14 @@ class TestRateRegionSweep:
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0)], trials=trials, seed=0)
         assert type(info.value) is ValueError and str(info.value) == "trials must be >= 1"
 
-    def test_empty_budget_list_gives_no_points(self):
-        assert rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [], trials=2, seed=0) == []
+    def test_empty_budget_list_gives_no_points(self, monkeypatch):
+        draws, solves = [], []
+        real_draw, real_solve = cogia.alignment.draw_system, cogia.rates._waterfill_cells
+        monkeypatch.setattr(cogia.alignment, "draw_system", lambda *a: draws.append(a) or real_draw(*a))
+        monkeypatch.setattr(cogia.rates, "_waterfill_cells", lambda *a: solves.append(a) or real_solve(*a))
+        assert rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [], trials=300, seed=0) == []
+        # the checks pass, and nothing is drawn or solved for no budget
+        assert draws == solves == []
 
     def test_noise_is_checked_without_budgets(self):
         with pytest.raises(ScenarioError, match=r"^sigma2_P2 must be a finite positive number, got -1\.0$"):
