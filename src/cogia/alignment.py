@@ -60,10 +60,12 @@ Every stage takes the channels of one draw (2-D matrices) or of a
 stack of draws (a leading lane axis, one lane per draw) and returns
 arrays with the same leading axes: one draw is the plain 2-D case of the
 same code, and lane ``i`` of a stacked build is bit for bit the build of
-draw ``i`` alone.  A rank loss in one lane or all (one draw included)
-is DegenerateChannel, with a *lane mask* (a boolean array over the lane
-axes) in its ``lanes`` attribute, and :func:`draw_system` redraws those
-lanes.  NoComplement and RankDeficient come from shapes, which every
+draw ``i`` alone.  Each stage also accepts the arrays of a set the
+construction built, stacked or one draw: the per-lane selectors of a
+stacked set give the precoders the 2-D selectors give.  A rank loss in
+one lane or all (one draw included) is DegenerateChannel, with a *lane
+mask* (a boolean array over the lane axes) in its ``lanes`` attribute,
+and :func:`draw_system` redraws those lanes.  NoComplement and RankDeficient come from shapes, which every
 lane shares, and carry no mask.  The stages raise at the first check
 any lane fails, so a build either returns every lane or none.
 """
@@ -253,6 +255,14 @@ def build_corrections(
     return Vbar_P1, Vbar_P2
 
 
+def _selected_rows(H: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``U.T @ H`` for a selector ``U``: the first d_Sj rows of ``H``, read directly.
+
+    ``U`` is N_S x d_Sj, behind any lane axes, so d_Sj is its last axis.
+    """
+    return H[..., : U.shape[-1], :]
+
+
 def build_secondary_precoders(
     H_S1: np.ndarray, H_S2: np.ndarray, U_S1: np.ndarray, U_S2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +271,8 @@ def build_secondary_precoders(
     Stream g of S_j zero-forces the other secondary user's whole channel
     and the rows U_Sj selects for S_j's other streams.
     """
-    # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj: read them directly
-    V_S1 = zero_forcing_columns(H_S1[..., : U_S1.shape[1], :], H_S2, "S1")
-    V_S2 = zero_forcing_columns(H_S2[..., : U_S2.shape[1], :], H_S1, "S2")
+    V_S1 = zero_forcing_columns(_selected_rows(H_S1, U_S1), H_S2, "S1")
+    V_S2 = zero_forcing_columns(_selected_rows(H_S2, U_S2), H_S1, "S2")
     return V_S1, V_S2
 
 
@@ -432,9 +441,8 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
         G_P2=G_P2,
         D_P1=prs.U_P1.mT @ G_P1,
         D_P2=prs.U_P2.mT @ G_P2,
-        # U_Sj.T @ H_Sj selects the first d_Sj rows of H_Sj
-        D_S1=ch.H_S1[..., : prs.U_S1.shape[-1], :] @ prs.V_S1,
-        D_S2=ch.H_S2[..., : prs.U_S2.shape[-1], :] @ prs.V_S2,
+        D_S1=_selected_rows(ch.H_S1, prs.U_S1) @ prs.V_S1,
+        D_S2=_selected_rows(ch.H_S2, prs.U_S2) @ prs.V_S2,
     )
 
 

@@ -281,7 +281,8 @@ class TestEffectiveChannels:
     @pytest.mark.parametrize("dims_tuple", [(3, 3, 2, 1), (5, 5, 5, 3), (4, 6, 4, 2), (12, 16, 10, 5)])
     def test_secondary_channel_is_the_papers_product(self, dims_tuple):
         # D_Sj is read from the rows of H_Sj that U_Sj selects; the letter's
-        # U_Sj.T H_Sj V_Sj must agree bit for bit, on stacks and single draws
+        # U_Sj.T H_Sj V_Sj must agree bit for bit, on stacks and single draws,
+        # and the secondary stage fed the set's own selectors rebuilds V_Sj
         dims = NetworkDims(*dims_tuple)
         feasible = [a for a in grid_tuples(dims) if not closed_form_feasible(dims, a).violated]
         allocs = feasible[:: max(len(feasible) // 12, 1)]
@@ -292,6 +293,8 @@ class TestEffectiveChannels:
                 eff = effective_channels(ch, prs)
                 assert same_bits(eff.D_S1, prs.U_S1.mT @ ch.H_S1 @ prs.V_S1), (alloc, seeds)
                 assert same_bits(eff.D_S2, prs.U_S2.mT @ ch.H_S2 @ prs.V_S2), (alloc, seeds)
+                V_S1, V_S2 = build_secondary_precoders(ch.H_S1, ch.H_S2, prs.U_S1, prs.U_S2)
+                assert same_bits(V_S1, prs.V_S1) and same_bits(V_S2, prs.V_S2), (alloc, seeds)
 
 
 class TestInterferenceReport:
