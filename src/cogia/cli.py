@@ -19,7 +19,8 @@ writes a JSON manifest, one line, sufficient to reproduce it.  A rerun
 into the same ``--out`` replaces each output file rather than rewriting
 it in place: a symlink there becomes a regular file and its target is
 left alone, a hard link to an earlier output keeps that run's bytes, and
-the new file takes the umask mode.
+the new file takes the umask mode; a path that reappears before the
+create is refused as an I/O error, not written through.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import datetime
 import functools
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,15 +45,28 @@ from .rates import cell_sum_rates, rate_region_sweep
 from .scenario import Scenario, derive_seed, load_scenario
 
 
+# create a new file only: a path that reappears after the unlink is refused, not written through
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0)
+
+
 def _replace(path: Path, data: bytes) -> None:
     """Write ``data`` to a new file at ``path``, first removing what is there.
 
     A file, hard link or symlink at ``path`` is unlinked, never written
     through or truncated: on ext4, truncating a file that holds data
-    flushes it, which costs a rerun more than a fresh create.
+    flushes it, which costs a rerun more than a fresh create.  The file is
+    then created with one exclusive ``os.open`` (mode 0o666 under the
+    umask) and written unbuffered; anything recreated at ``path`` in
+    between raises FileExistsError, an ``I/O error``.
     """
     path.unlink(missing_ok=True)
-    path.write_bytes(data)
+    fd = os.open(path, _CREATE, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> str:

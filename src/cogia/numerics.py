@@ -12,13 +12,12 @@ and ``full_column_rank`` make.  This is the only module that calls
 ``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
 values; all functions are pure and return freshly allocated arrays.
 
-Orthonormal factors follow one sign convention, applied by one routine:
-the first nonzero entry of each column is made positive (for
-``svd_factor`` the convention is applied to the left factor and each
-right-factor column flips with its left-factor column): row k of the
-column's signs weighs 2^-k, more than all later rows together, so the
-weighted sum has the sign of the first nonzero entry.  This keeps
-regression output byte-stable across reruns.
+Null-space bases follow one sign convention: the first nonzero entry of
+each column is made positive.  Row k of the column's signs weighs 2^-k,
+more than all later rows together, so the weighted sum has the sign of
+the first nonzero entry.  This keeps regression output byte-stable
+across reruns.  ``svd_factor`` returns LAPACK's factors unchanged: no
+output reads the sign of one of its columns.
 
 Stacked matrices
 ----------------
@@ -225,17 +224,13 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
 
 
 def svd_factor(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``A = Phi @ diag(gamma) @ Psi.T`` with fixed signs.
+    """Thin SVD ``A = Phi @ diag(gamma) @ Psi.T``, LAPACK's factors as they come.
 
     gamma is nonincreasing and nonnegative; Phi and Psi have orthonormal
-    columns.  The sign convention (first nonzero entry positive) is
-    applied to the columns of Phi, with the matching Psi column flipped to
-    preserve the product.
+    columns.  No sign convention is applied: the rate layer reads Psi only
+    through products in which each column appears twice (``Psi diag(q)
+    Psi^T`` and the traced weights ``|V Psi|^2``), so a column's sign
+    cancels to the bit.
     """
-    A = _as_matrix(A)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    # Phi columns are unit vectors, so the first nonzero entry of each
-    # stacked column lies in Phi and the Psi column flips with it
-    m = u.shape[-2]
-    B = _fix_column_signs(np.concatenate([u, vt.mT], axis=-2))
-    return B[..., :m, :], s, B[..., m:, :]
+    u, s, vt = np.linalg.svd(_as_matrix(A), full_matrices=False)
+    return u, s, vt.mT

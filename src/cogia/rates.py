@@ -24,6 +24,8 @@ its budget residual, and :func:`kkt_violation` forms both halves.  A
 cell's channels are factored, water-filled and turned into a sum rate
 in one call per stack of draws; a user's log-det term is formed over the
 streams the solve powered, ``sum_l log2(1 + gamma_l^2 q_l / sigma^2)``.
+The factors carry no sign convention: Psi is read only through ``Psi
+diag(q) Psi^T`` and the traced weights ``|V Psi|^2``, where signs cancel.
 The transmit power spent on correction vectors is not charged to either
 cell's constraint, mirroring the rate problem's trace term exactly; it
 is reported separately so the modeling gap stays visible.
@@ -42,7 +44,8 @@ of the lanes, one budget row per cell, each cell's stream vector padded
 to the longest with dead streams.  The padding moves no bit of any cell:
 the stable sort puts it last, it adds zero weight to the prefix sums,
 it is never live, and its power is ``max(0, lam - inf) = 0``.  A cell
-with no served user is all padding.  Both commands rate whole cell
+with no served user is all padding.  One ``log1p`` forms every cell's
+log-det terms on the stacked streams, each user's summed by its slice.  Both commands rate whole cell
 pairs in such a solve: :func:`cell_sum_rates` rates both cells of a draw
 or a stack in one solve (``cogia verify``), and :func:`rate_region_sweep`
 rates every cell of every split in one solve per stack of draws (``cogia
@@ -52,7 +55,8 @@ rates``).  :func:`waterfill_cell` is the one-cell case, and
 
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.  A
 cell whose water level, KKT gap or rate overflows float64 is refused
-(ScenarioError naming the cell and budget), with no RuntimeWarning.
+(ScenarioError naming the cell and budget, and in a sweep its split),
+with no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -168,16 +172,18 @@ def waterfill_cell(
     budget = np.asarray(budget, dtype=float)
     if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
         raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
-    return _waterfill_cells([groups], budget[None], _lanes(groups))[0]
+    return _waterfill_cells([groups], budget[None], _lanes(groups))[0][0]
 
 
-def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> list[CellAllocation]:
+def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple[list, np.ndarray, np.ndarray]:
     """Water-fill every cell in one solve: ``cells[i]`` is cell i's groups, ``rows[i]`` its budget or 1-D budgets.
 
     Every field of the solve has the cell axis first, then the budget axis (if any), then the lanes, so
-    cell i's result is entry i.
+    cell i's result is entry i.  Returns the allocations, then two arrays on the same axes: each cell's
+    log-det sum in nats (one log1p over every stream, each user's streams summed by its slice, in group
+    order) and where the water level, the KKT gap and that sum are all finite.
     """
-    cost, w, spans = _stream_vectors(cells, lanes)
+    cost, w, spans, g, sigma2 = _stream_vectors(cells, lanes)
     shaped = rows.reshape(rows.shape + (1,) * len(lanes)) + np.zeros(lanes)
     # a stream array's shape with the rows' budget axis (if any) behind the cell axis
     wide = cost.shape[:1] + (1,) * (rows.ndim - 1) + cost.shape[1:]
@@ -209,19 +215,25 @@ def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> list[Ce
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
 
     q = np.maximum(0.0, lam[..., None] - cost.reshape(wide))
-    powers, Qs, achieved = [], [], np.zeros(solve.shape)
+    # log1p(gamma^2 q / sigma^2) per stream, 0 over the padding (gamma and power 0, sigma^2 1); an
+    # overflow shows in ``finite``, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        stream_nats = np.log1p(g.reshape(wide) ** 2 * q / sigma2.reshape(wide))
+    powers, Qs, achieved, nats = [], [], np.zeros(solve.shape), np.zeros(solve.shape)
     for i, (groups, cell_spans) in enumerate(zip(cells, spans)):
         powers.append(tuple(q[i][..., span] for span in cell_spans))
         Qs.append(tuple((grp.Psi * p[..., None, :]) @ grp.Psi.mT for grp, p in zip(groups, powers[i])))
-        for grp, Q in zip(groups, Qs[i]):
+        for grp, Q, span in zip(groups, Qs[i], cell_spans):
             achieved[i] += np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
+            nats[i] += np.add.reduce(stream_nats[i][..., span], axis=-1)
     achieved *= 0.5
     spent = lam > 0.0
     unspent = np.abs(achieved - shaped) / np.where(spent, shaped, 1.0)
     # lam - lam is 0, or nan where the water level is not finite
     kkt_gap = np.where(spent, unspent, 0.0) + (lam - lam)
+    finite = np.isfinite(lam) & np.isfinite(kkt_gap) & np.isfinite(nats)
     # entry i of a 1-D field is a float, of a wider one a view
-    return [CellAllocation(*cell) for cell in zip(lam, shaped, achieved, no_gain, kkt_gap, powers, Qs)]
+    return [CellAllocation(*cell) for cell in zip(lam, shaped, achieved, no_gain, kkt_gap, powers, Qs)], nats, finite
 
 
 def _lanes(groups) -> tuple[int, ...]:
@@ -229,12 +241,13 @@ def _lanes(groups) -> tuple[int, ...]:
     return next((np.shape(grp.gammas)[:-1] for grp in groups), ())
 
 
-def _stream_vectors(cells, lanes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[list[slice]]]:
+def _stream_vectors(cells, lanes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list, np.ndarray, np.ndarray]:
     """Each cell's streams end to end (last axis), one cell per entry of a leading cell axis.
 
-    Returns the costs ``sigma2 / gamma^2``, the traced weights and each cell's group slices.  A stream at
-    or below RANK_TOL times its group's largest gamma is dead: infinite cost, zero weight.  A cell shorter
-    than the longest is padded with dead streams (gamma 0 at floor 0), which sort last and take no power.
+    Returns the costs ``sigma2 / gamma^2``, the traced weights, each cell's group slices, and each
+    stream's gamma and noise variance.  A stream at or below RANK_TOL times its group's largest gamma is
+    dead: infinite cost, zero weight.  A cell shorter than the longest is padded with dead streams (gamma
+    0 at floor 0, noise variance 1), which sort last and take no power.
     """
     spans = []
     for groups in cells:
@@ -245,8 +258,7 @@ def _stream_vectors(cells, lanes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
             spans[-1].append(slice(start, end))
     n = max((cell_spans[-1].stop for cell_spans in spans if cell_spans), default=0)
     shape = (len(cells),) + lanes + (n,)
-    g, floor, w = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    sigma2 = np.zeros(shape[:1] + (1,) * len(lanes) + (n,))  # 0 over the padding, which is never alive
+    g, floor, w, sigma2 = np.zeros(shape), np.zeros(shape), np.empty(shape), np.ones(shape)
     for c, (groups, cell_spans) in enumerate(zip(cells, spans)):
         for grp, span in zip(groups, cell_spans):
             x = np.asarray(grp.gammas, dtype=float)
@@ -256,7 +268,7 @@ def _stream_vectors(cells, lanes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
             np.einsum("...ij,...ij->...j", VPsi, VPsi, out=w[c, ..., span])
     alive = g > floor
     cost = np.where(alive, sigma2 / np.where(alive, g, 1.0) ** 2, np.inf)
-    return cost, np.where(np.isinf(cost), 0.0, w), spans
+    return cost, np.where(np.isinf(cost), 0.0, w), spans, g, sigma2
 
 
 def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[StreamGroup, ...]) -> np.ndarray:
@@ -288,31 +300,25 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
 def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocation]]:
     """Rate every cell in one solve: factor each served user's channel stack, water-fill, sum the stream rates.
 
-    ``cells`` holds ``(name, effectives, precoders, sigma2s)`` per cell, all on the same lanes, and
-    ``rows[i]`` is cell i's budget or 1-D budgets.  The first cell whose water level, KKT gap or rate
-    overflows is refused, at its smallest such budget.
+    ``cells`` holds ``(name, where, effectives, precoders, sigma2s)`` per cell, all on the same lanes,
+    and ``rows[i]`` is cell i's budget or 1-D budgets.  The first cell whose water level, KKT gap or rate
+    overflows is refused, at its own smallest such budget, its ``where`` closing the message.
     """
     groups = [[] for _ in cells]
-    for cell_groups, (_, effectives, precoders, sigma2s) in zip(groups, cells):
+    for cell_groups, (_, _, effectives, precoders, sigma2s) in zip(groups, cells):
         for E, V, s2 in zip(effectives, precoders, sigma2s):
             if E.shape[-1]:
                 _, gammas, Psi = svd_factor(E)
                 cell_groups.append(StreamGroup(gammas, s2, V, Psi))
-    results = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
-        allocs = _waterfill_cells(groups, rows, cells[0][1][0].shape[:-2])
-        for (cell, *_), cell_groups, alloc in zip(cells, groups, allocs):
-            streams = zip(cell_groups, alloc.per_stream_power)
-            nats = sum(
-                (np.add.reduce(np.log1p(grp.gammas**2 * q / grp.sigma2), axis=-1) for grp, q in streams),
-                np.zeros(np.shape(alloc.budget)),
-            )
-            finite = np.isfinite(alloc.water_level) & np.isfinite(alloc.kkt_gap) & np.isfinite(nats)
-            if not finite.all():
-                budget = float(np.asarray(alloc.budget)[~finite].min())
-                raise ScenarioError(f"the {cell} cell's rate problem overflows float64 at budget {budget!r}")
-            results.append((0.5 * nats / _LOG2, alloc))
-    return results
+        allocs, nats, finite = _waterfill_cells(groups, rows, cells[0][2][0].shape[:-2])
+    if not finite.all():
+        failed = ~finite
+        i = int(failed.reshape(len(cells), -1).any(axis=-1).argmax())
+        name, where = cells[i][:2]
+        budget = float(np.asarray(allocs[i].budget)[failed[i]].min())
+        raise ScenarioError(f"the {name} cell's rate problem overflows float64 at budget {budget!r}{where}")
+    return list(zip(0.5 * nats / _LOG2, allocs))
 
 
 def cell_sum_rates(
@@ -367,7 +373,9 @@ def rate_region_sweep(
     once, and all ``2 * len(splits)`` cells are water-filled in one solve,
     with the budgets as a leading axis.  An overflow is refused for the
     first failing cell in split order, primary before secondary, at its
-    smallest failing budget.  ``budgets`` entries are (Qav_P, Qav_S)
+    own smallest failing budget, and the message names the cell's split.
+    Every split's means and standard errors are taken in one pass over
+    the trial axis.  ``budgets`` entries are (Qav_P, Qav_S)
     pairs; ``RatePoint.Qav`` reports the primary budget.  An empty
     ``budgets`` returns ``[]`` after the checks, before any draw.
     """
@@ -389,29 +397,31 @@ def rate_region_sweep(
     rows = np.tile(np.array(budgets, dtype=float).T, (len(splits), 1))
     samples = np.zeros((len(splits), len(budgets), trials, 2))
 
-    def cut(part, ch, prs):
-        # a stack is cut to its cells as it is drawn, so no ChannelSet is held through a solve
-        return part, _cells(prs, effective_channels(ch, prs), noise)
+    def cut(s, split):
+        # split s draws trial t from derive_seed(seed, s, t); a stack is cut to its cells as it is drawn,
+        # so no ChannelSet is held through a solve
+        where = f" in split {split.as_tuple()}"
+        for part, ch, prs in draw_trials(dims, split, derive_seed(seed, s), trials):
+            yield part, _cells(prs, effective_channels(ch, prs), noise, where)
 
-    # split s draws trial t from derive_seed(seed, s, t)
-    runs = [starmap(cut, draw_trials(dims, split, derive_seed(seed, s), trials)) for s, split in enumerate(splits)]
-    for run in zip(*runs):
+    for run in zip(*starmap(cut, enumerate(splits))):
         part = run[0][0]
         cells = [cell for _, split_cells in run for cell in split_cells]
         for c_idx, (rate, _) in enumerate(_cell_rates(cells, rows)):
             samples[c_idx // 2, :, part, c_idx % 2] = rate
-    points: list[RatePoint] = []
-    for split, split_samples in zip(splits, samples):
-        means = split_samples.mean(axis=1)
-        stderrs = split_samples.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
-        for (qav_p, _qav_s), (R_P, R_S), (se_P, se_S) in zip(budgets, means.tolist(), stderrs.tolist()):
-            points.append(RatePoint(R_P, R_S, Qav=qav_p, alloc=split, R_P_stderr=se_P, R_S_stderr=se_S, trials=trials))
-    return points
+    # every split's means and standard errors over the trial axis at once
+    means = samples.mean(axis=2)
+    stderrs = samples.std(axis=2, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)
+    return [
+        RatePoint(R_P, R_S, Qav=qav_p, alloc=split, R_P_stderr=se_P, R_S_stderr=se_S, trials=trials)
+        for split, split_means, split_stderrs in zip(splits, means.tolist(), stderrs.tolist())
+        for (qav_p, _qav_s), (R_P, R_S), (se_P, se_S) in zip(budgets, split_means, split_stderrs)
+    ]
 
 
-def _cells(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower) -> tuple[tuple, tuple]:
-    """Each cell's name, effective channels, precoders and per-user noise variances."""
+def _cells(prs: PrecoderReceiverSet, eff: EffectiveChannels, noise: NoiseAndPower, where: str = "") -> tuple:
+    """Each cell's name, ``where`` (its overflow message's end), effective channels, precoders and noise variances."""
     return (
-        ("primary", [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], (noise.sigma2_P1, noise.sigma2_P2)),
-        ("secondary", [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], (noise.sigma2_S1, noise.sigma2_S2)),
+        ("primary", where, [eff.D_P1, eff.D_P2], [prs.V_P1, prs.V_P2], (noise.sigma2_P1, noise.sigma2_P2)),
+        ("secondary", where, [eff.D_S1, eff.D_S2], [prs.V_S1, prs.V_S2], (noise.sigma2_S1, noise.sigma2_S2)),
     )

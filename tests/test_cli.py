@@ -4,6 +4,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,49 @@ class TestRerun:
         assert report.read_text().startswith("trial,worst_case,")
         assert target.read_bytes() == b"kept\n"
 
+    def test_dangling_symlink_is_replaced_and_its_target_not_created(self, tmp_path):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, trials=3))
+        out, target = tmp_path / "out", tmp_path / "missing.csv"
+        out.mkdir()
+        (out / "rates.csv").symlink_to(target)
+        assert main(["rates", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        report = out / "rates.csv"
+        assert report.is_file() and not report.is_symlink()
+        assert report.read_text().startswith("qav,")
+        assert not target.exists() and not target.is_symlink()
+
+    @pytest.mark.parametrize("command", ["verify", "rates"])
+    def test_new_files_take_the_umask_mode(self, tmp_path, command):
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, trials=3))
+        out = tmp_path / "out"
+        old = os.umask(0o027)
+        try:
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        for name in (self.FILES[command], f"manifest_{command}.json"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o640, name
+
+    def test_path_recreated_after_the_unlink_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a symlink appears at the CSV's path between the unlink and the
+        # create: the run refuses it and does not write through it
+        cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, trials=3))
+        out, target = tmp_path / "out", tmp_path / "target.csv"
+        out.mkdir()
+        target.write_bytes(b"kept\n")
+        real_unlink = Path.unlink
+
+        def racing_unlink(path, missing_ok=False):
+            real_unlink(path, missing_ok=missing_ok)
+            if path.name == "rates.csv":
+                path.symlink_to(target)
+
+        monkeypatch.setattr(Path, "unlink", racing_unlink)
+        assert main(["rates", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert (out / "rates.csv").is_symlink() and target.read_bytes() == b"kept\n"
+        assert not (out / "manifest_rates.json").exists()
+
 
 class TestRefusal:
     """Every exit-2 refusal prints one classified line and writes nothing."""
@@ -319,6 +365,31 @@ class TestNonFiniteScenario:
         err = capsys.readouterr().err
         assert f"scenario error: the {cell} cell's rate problem overflows float64 at budget {budget}" in err
         assert "Warning" not in err
+        assert not (tmp_path / "o").exists()
+
+    # P2's noise variance of 5e-324 overflows every rate of a cell serving
+    # P2: split (1, 1, 1, 1)'s primary cell (cell 2), not split (1, 0, 2, 2)'s
+    SPLITS = {
+        "dims": REFERENCE_NETWORK["dims"],
+        "splits": [{"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2}, {"d_P1": 1, "d_P2": 1, "d_S1": 1, "d_S2": 1}],
+        "noise": {"sigma2_P2": 5e-324},
+        "trials": 3,
+    }
+
+    @pytest.mark.parametrize(
+        "budgets, message",
+        [
+            ([1.0, 10.0], "the primary cell's rate problem overflows float64 at budget 1.0 in split (1, 1, 1, 1)"),
+            # cell 0 fails only at 1e308, cell 2 at every budget: the first
+            # failing cell is named, at its own smallest failing budget
+            ([1.0, 1e308], "the primary cell's rate problem overflows float64 at budget 1e+308 in split (1, 0, 2, 2)"),
+        ],
+        ids=["names-its-split", "first-cell-first"],
+    )
+    def test_rates_overflow_names_its_split(self, tmp_path, capsys, budgets, message):
+        cfg = write_config(tmp_path, dict(self.SPLITS, budgets=budgets))
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -21,13 +21,14 @@ from cogia.rates import StreamGroup, pcell_sum_rate, rate_region_sweep, scell_su
 from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
 from bits import build_note
 
-# recorded at commit 9b1a284 with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64);
-# another BLAS/LAPACK build may move the last bits of a float
+# recorded at commit 9b1a284 with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64),
+# svd_factor re-recorded when it dropped its sign convention (LAPACK's
+# factors as they come); another BLAS/LAPACK build may move the last bits
 KERNEL_SHA256 = {
     "null_space_basis": "9166f2ea98dce78f5ce09b108c37a6b93b4e287361b11e0e9f0074694dfd16f9",
     "zero_forcing_columns": "198df178811d9a6621e606097977b77c72ddcad3f324928d5292b3655dc00e0b",
     "min_norm_right_solve": "3347848538c3b23aab1a242e32a5004349a2c522b7cef0b03acb7a914036b518",
-    "svd_factor": "7384627b5af9c3cf55cb694aa781bc56589a2ad176219dae8cb84354289e915a",
+    "svd_factor": "1f5c0e5a917aee8a55c326130f553f70dafa44eee69c7dea89cb8cfc9c482b32",
     "draw_system": "64871285ef8f9d786fbffea14777d4662aefd1ce01c78be032ac1a0f1d13b714",
     "refusal": "fc0a02124dadb11f55558d3e36e0e4d2b81996aeb4b468c7741496ed51d63691",
 }

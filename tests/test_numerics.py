@@ -240,11 +240,13 @@ class TestSvdFactor:
         np.testing.assert_allclose(phi.T @ phi, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(psi.T @ psi, np.eye(3), atol=1e-12)
 
-    def test_left_factor_sign_convention(self):
-        phi, _, _ = svd_factor(np.random.default_rng(19).standard_normal((5, 4)))
-        for j in range(phi.shape[1]):
-            col = phi[:, j]
-            assert col[np.flatnonzero(col)[0]] > 0
+    def test_factors_are_lapacks_thin_svd(self):
+        # no sign convention: Phi, gamma and Psi^T are numpy's thin SVD, bit for bit
+        for i, shape in enumerate([(5, 4), (4, 5), (3, 5, 4), (2, 3, 1, 6)]):
+            A = np.random.default_rng(19 + i).standard_normal(shape)
+            phi, g, psi = svd_factor(A)
+            u, s, vt = np.linalg.svd(A, full_matrices=False)
+            assert same_bits(phi, u) and same_bits(g, s) and same_bits(psi.mT, vt), shape
 
 
 class TestKernelProperties:

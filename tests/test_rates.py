@@ -16,6 +16,7 @@ from cogia.numerics import RANK_TOL
 from cogia.rates import (
     CellAllocation,
     StreamGroup,
+    cell_sum_rates,
     kkt_violation,
     pcell_sum_rate,
     rate_region_sweep,
@@ -24,6 +25,7 @@ from cogia.rates import (
 )
 from cogia.scenario import MAX_ANTENNAS, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
 from bits import same_bits
+from test_kernel_pin import RATE_CASES, fields
 
 
 def haar_columns(rng, m, k):
@@ -534,6 +536,59 @@ class TestStackedRates:
             assert_cell_lane(stacked, waterfill_cell(groups, float(budget)), b)
 
 
+class TestSignBlind:
+    """The rate layer reads no sign of ``svd_factor``'s columns.
+
+    A seam negates random column pairs of (Phi, Psi), lane by lane, keeping
+    each factor's memory layout: every product the layer forms holds a
+    column twice, so no output bit may move.
+    """
+
+    @staticmethod
+    def flipping(monkeypatch, seed):
+        rng, real = np.random.default_rng(seed), cogia.rates.svd_factor
+        flips = []
+
+        def factor(E):
+            phi, g, psi = real(E)
+            flip = rng.random(g.shape) < 0.5
+            flips.append(flip)
+            phi, psi = phi.copy(order="K"), psi.copy(order="K")
+            for X in (phi, psi):
+                np.negative(X, out=X, where=flip[..., None, :])
+            return phi, g, psi
+
+        monkeypatch.setattr(cogia.rates, "svd_factor", factor)
+        return flips
+
+    @pytest.mark.parametrize("dims_tuple, alloc_tuple", RATE_CASES)
+    def test_cell_sum_rates_are_sign_blind(self, monkeypatch, dims_tuple, alloc_tuple):
+        noise = NoiseAndPower(sigma2_P1=0.5, sigma2_P2=1.5, sigma2_S2=2.0, Qav_P=10.0, Qav_S=3.0)
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        for seeds in (derive_seed(31, 0), [derive_seed(31, t) for t in range(6)]):
+            ch, prs = draw_system(dims, alloc, seeds)
+            eff = effective_channels(ch, prs)
+            expected = [fields(result) for result in cell_sum_rates(prs, eff, noise)]
+            with monkeypatch.context() as m:
+                flips = self.flipping(m, seed=len(np.shape(seeds)))
+                flipped = [fields(result) for result in cell_sum_rates(prs, eff, noise)]
+            assert any(flip.any() for flip in flips)
+            for want, got in zip(expected, flipped, strict=True):
+                assert len(want) == len(got) and all(same_bits(x, y) for x, y in zip(want, got))
+
+    @pytest.mark.parametrize("dims_tuple, alloc_tuple", RATE_CASES)
+    @pytest.mark.parametrize("trials", [1, 5])
+    def test_sweep_points_are_sign_blind(self, monkeypatch, dims_tuple, alloc_tuple, trials):
+        dims, splits = NetworkDims(*dims_tuple), [StreamAlloc(*alloc_tuple)]
+        budgets, sigma2s = [(1.0, 2.0), (30.0, 0.5)], (0.5, 1.5, 1.0, 2.0)
+        expected = rate_region_sweep(dims, splits, budgets, trials, seed=13, sigma2s=sigma2s)
+        flips = self.flipping(monkeypatch, seed=trials)
+        flipped = rate_region_sweep(dims, splits, budgets, trials, seed=13, sigma2s=sigma2s)
+        assert any(flip.any() for flip in flips)
+        for want, got in zip(map(fields, expected), map(fields, flipped), strict=True):
+            assert len(want) == len(got) and all(same_bits(x, y) for x, y in zip(want, got))
+
+
 class TestCellAxis:
     """Cells water-filled together on one cell axis equal each cell solved alone, bit for bit.
 
@@ -575,7 +630,7 @@ class TestCellAxis:
             scalar = 10.0 ** rng.uniform(-3.0, 6.0, len(cells))
             scalar[rng.integers(len(cells))] = 0.0 if i % 5 == 0 else scalar[0]
             for rows in (scalar, 10.0 ** rng.uniform(-3.0, 6.0, (len(cells), 3))):
-                stacked = cogia.rates._waterfill_cells(cells, rows, lanes)
+                stacked = cogia.rates._waterfill_cells(cells, rows, lanes)[0]
                 assert len(stacked) == len(cells)
                 for groups, row, cell in zip(cells, rows, stacked, strict=True):
                     alone = waterfill_cell(groups, row)
@@ -700,13 +755,14 @@ class TestRateRegionSweep:
     def test_overflow_in_a_later_split_names_its_cell(self, monkeypatch, chunk):
         # a noise variance of 5e-324 overflows every rate of S1; the first
         # split serves no S1 stream and rates finitely, so the refusal comes
-        # from the second split's secondary cell, at its smallest budget
+        # from the second split's secondary cell, at its smallest budget, and names that split
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", chunk)
         sigma2s = (1.0, 1.0, 5e-324, 1.0)
         budgets = [(3.0, 10.0), (1.0, 2.0), (30.0, 0.5)]
         first, later = StreamAlloc(1, 0, 0, 2), StreamAlloc(1, 0, 2, 2)
         assert len(rate_region_sweep(self.DIMS, [first], budgets, trials=4, seed=8, sigma2s=sigma2s)) == 3
-        with pytest.raises(ScenarioError, match=r"^the secondary cell's rate problem overflows float64 at budget 0\.5$"):
+        message = r"^the secondary cell's rate problem overflows float64 at budget 0\.5 in split \(1, 0, 2, 2\)$"
+        with pytest.raises(ScenarioError, match=message):
             rate_region_sweep(self.DIMS, [first, later], budgets, trials=4, seed=8, sigma2s=sigma2s)
 
     def test_large_finite_budget_gives_finite_rates(self):
