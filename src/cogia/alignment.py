@@ -79,6 +79,7 @@ import numpy as np
 
 from .errors import CogiaError, DegenerateChannel, RankDeficient, TooManyDegenerateDraws
 from .numerics import (
+    _zero_diagonal,
     lane_norm,
     min_norm_right_solve,
     null_space_basis,
@@ -446,14 +447,6 @@ def effective_channels(ch: ChannelSet, prs: PrecoderReceiverSet) -> EffectiveCha
     )
 
 
-def _offdiag(M: np.ndarray) -> np.ndarray:
-    out = M.copy()
-    rows, cols = M.shape[-2:]
-    # each diagonal entry: every (cols+1)-th entry of the flattened copy
-    out.reshape(M.shape[:-2] + (rows * cols,))[..., : min(rows, cols) * (cols + 1) : cols + 1] = 0.0
-    return out
-
-
 def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> InterferenceReport:
     """Measure every residual interference path of the construction.
 
@@ -475,10 +468,10 @@ def interference_report(ch: ChannelSet, prs: PrecoderReceiverSet) -> Interferenc
         "scell_intra_at_S1": (ch.H_S1 @ prs.V_S2, "H_S1"),
         "intercell_post_at_P1": (prs.U_P1.mT @ (ch.Hp_P1 @ V_S), "Hp_P1"),
         "intercell_post_at_P2": (prs.U_P2.mT @ (ch.Hp_P2 @ V_S), "Hp_P2"),
-        "cross_stream_at_P1": (_offdiag(eff.D_P1), "H_P1"),
-        "cross_stream_at_P2": (_offdiag(eff.D_P2), "H_P2"),
-        "cross_stream_at_S1": (_offdiag(eff.D_S1), "H_S1"),
-        "cross_stream_at_S2": (_offdiag(eff.D_S2), "H_S2"),
+        "cross_stream_at_P1": (_zero_diagonal(eff.D_P1.copy()), "H_P1"),
+        "cross_stream_at_P2": (_zero_diagonal(eff.D_P2.copy()), "H_P2"),
+        "cross_stream_at_S1": (_zero_diagonal(eff.D_S1.copy()), "H_S1"),
+        "cross_stream_at_S2": (_zero_diagonal(eff.D_S2.copy()), "H_S2"),
     }
     norms = {name: lane_norm(getattr(ch, name)) for name in CHANNEL_ORDER}
     r = np.array([lane_norm(residual) for residual, _ in paths.values()])

@@ -42,7 +42,7 @@ from .errors import CogiaError, ScenarioError
 from .alignment import draw_trials, interference_report
 from .numerics import ZERO_TOL
 from .rates import cell_sum_rates, rate_region_sweep
-from .scenario import Scenario, derive_seed, load_scenario
+from .scenario import Scenario, _require_count, derive_seed, load_scenario
 
 
 # create a new file only: a path that reappears after the unlink is refused, not written through
@@ -245,12 +245,10 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "dof-region": cmd_dof_region, "rates": cmd_rates}
     try:
         scenario = load_scenario(args.config)
-        # the command line's seed and trial count, else the scenario's; a
-        # command-line seed is held to the scenario file's rule
+        # the command line's seed and trial count, else the scenario's, held to the file's rules
         seed = derive_seed(args.seed) if args.seed is not None else scenario.seed
         trials = args.trials if args.trials is not None else scenario.trials
-        if trials < 1:
-            raise ScenarioError(f"trials must be a positive integer, got {trials}")
+        _require_count(trials, "trials")
         return handlers[args.command](args, scenario, seed, trials)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

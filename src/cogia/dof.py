@@ -41,7 +41,7 @@ import numpy as np
 from .alignment import PrecoderReceiverSet, draw_system, draw_trials, interference_report
 from .errors import GridTooLarge, InfeasibleAlloc, NoComplement, RankDeficient
 from .numerics import ZERO_TOL, full_column_rank
-from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, derive_seed
+from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, _require_count, derive_seed
 
 __all__ = [
     "Violation",
@@ -179,8 +179,7 @@ def constructive_check(
     trial 0's seed itself, beside :func:`cogia.alignment.draw_trials`,
     because one 2-D draw refuses faster than a one-lane stack.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count(trials, "trials", ValueError)
     violated: tuple[Violation, ...] = ()
     try:
         if _violations(dims, d):

@@ -4,11 +4,11 @@ Null-space bases, orthogonal complements, zero-forcing columns, SVD
 factorizations, minimum-norm right solves and the full-column-rank
 predicate.  The package makes every rank decision at one threshold,
 :data:`RANK_TOL`, and judges every residual that should vanish against
-another, :data:`ZERO_TOL`.  :func:`rank_under_policy` counts the
-singular values above RANK_TOL times the largest; they are nonincreasing,
-so a matrix has every rank its count of them allows exactly when the
-last is above RANK_TOL times the first, the one comparison each kernel
-and ``full_column_rank`` make.  This is the only module that calls
+another, :data:`ZERO_TOL`.  A matrix's rank counts its singular values
+above RANK_TOL times the largest; they are nonincreasing, so it has
+every rank their count allows exactly when the last is above RANK_TOL
+times the first, the one comparison each kernel and
+``full_column_rank`` make.  This is the only module that calls
 ``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
 values; all functions are pure and return freshly allocated arrays.
 
@@ -51,7 +51,6 @@ __all__ = [
     "min_norm_right_solve",
     "zero_forcing_columns",
     "svd_factor",
-    "rank_under_policy",
     "full_column_rank",
     "lane_norm",
 ]
@@ -100,15 +99,8 @@ def _fix_column_signs(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def rank_under_policy(s: np.ndarray) -> np.ndarray:
-    """Numerical rank from nonincreasing singular values (last axis), per lane."""
-    s = np.asarray(s)
-    # ndarray.sum without its Python-level wrapper
-    return np.add.reduce(s > RANK_TOL * s[..., :1], axis=-1)
-
-
 def _rank_lost(s: np.ndarray) -> np.ndarray:
-    """Per lane: ``rank_under_policy(s) < s.shape[-1]``; transposed so one matrix gives numpy scalars."""
+    """Per lane: fewer than ``s.shape[-1]`` of ``s`` exceed RANK_TOL times the first; one matrix gives numpy scalars."""
     return (s.T[-1] <= RANK_TOL * s.T[0]).T
 
 
@@ -128,6 +120,13 @@ def full_column_rank(M: np.ndarray) -> np.ndarray:
     if n == 0 or n > m:
         return np.full(M.shape[:-2], n == 0)
     return ~_rank_lost(np.linalg.svd(M, compute_uv=False))
+
+
+def _zero_diagonal(M: np.ndarray) -> np.ndarray:
+    """Zero each lane's diagonal in place through a flat reshape, a view since callers pass fresh C-ordered arrays."""
+    rows, cols = M.shape[-2:]
+    M.reshape(M.shape[:-2] + (rows * cols,))[..., : min(rows, cols) * (cols + 1) : cols + 1] = 0.0
+    return M
 
 
 def null_space_basis(A) -> np.ndarray:
@@ -216,9 +215,7 @@ def zero_forcing_columns(targets, avoid, name: str) -> np.ndarray:
         if spanned.flat[first]:
             raise NoComplement(f"avoid space for stream {first % d + 1} of {name} fills all {n} dimensions")
     P = vt.mT @ (u / s[..., None, :]).mT
-    R = B @ P[..., :d]
-    # each R[g, g]: every (d+1)-th entry of R's first d rows, flattened
-    R.reshape(R.shape[:-2] + (-1,))[..., : d * d : d + 1] = 0.0
+    R = _zero_diagonal(B @ P[..., :d])
     X = P[..., :d] - P @ R
     return X / lane_norm(X.mT, 1)[..., None, :]
 

@@ -71,7 +71,7 @@ from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_trials, effe
 from .dof import require_feasible
 from .errors import ScenarioError
 from .numerics import RANK_TOL, svd_factor
-from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
+from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, _require_count, derive_seed
 
 __all__ = [
     "StreamGroup",
@@ -379,8 +379,7 @@ def rate_region_sweep(
     pairs; ``RatePoint.Qav`` reports the primary budget.  An empty
     ``budgets`` returns ``[]`` after the checks, before any draw.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_count(trials, "trials", ValueError)
     # the noise and budget checks, before any draw; the cells read this record's noise
     noise = NoiseAndPower(*sigma2s)
     for qav_p, qav_s in budgets:

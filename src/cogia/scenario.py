@@ -11,8 +11,10 @@ Hp_S2, are not: under ideal dirty-paper coding nothing depends on them).
 Randomness contract
 -------------------
 All draws come from counter-based Philox streams keyed
-``(seed, stream_id)``, so results are reproducible across platforms and
-insensitive to draw order:
+``(seed, stream_id)``, so they are the same bits on every platform and
+insensitive to draw order (results computed from them keep their last
+bits only on the kernels the ``pytest -m pin`` digests were recorded on;
+see README):
 
 * stream id 0 carries the channel matrices of a draw seed: one
   ``standard_normal`` call fills all six, flattened row-major, one after
@@ -48,7 +50,6 @@ __all__ = [
     "ChannelSet",
     "Scenario",
     "derive_seed",
-    "substream",
     "generate_channels",
     "load_scenario",
     "scenario_from_dict",
@@ -193,6 +194,14 @@ def _normalize_seed(seed: int, what: str = "seed") -> int:
     return int(seed)
 
 
+def _require_count(v: Any, what: str, error: type[ValueError] = ScenarioError) -> None:
+    """Raise ``error`` unless ``v`` is an int, not a bool, of at least 1: a trial count or a grid cap."""
+    if type(v) is int and v >= 1:
+        return
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise error(f"{what} must be a positive integer, got {v!r}")
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -222,16 +231,6 @@ def derive_seed(seed: int, *indices: int) -> int:
             _normalize_seed(i, "index")
         x = _splitmix64(x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1)))
     return x
-
-
-def substream(seed: int, stream: int) -> np.random.Generator:
-    """Independent Philox generator for (seed, stream).
-
-    The stream id must be an integer in 0..2^64-1, like the seed: -1 or
-    2^64 + 3 would otherwise draw the bits of another stream.
-    """
-    key = np.array([_normalize_seed(seed), _normalize_seed(stream, "stream id")], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _checked_seeds(seed: int | list[int]) -> int | list[int]:
@@ -422,8 +421,7 @@ def scenario_from_dict(data: Any) -> Scenario:
 
     seed = _normalize_seed(data.get("seed", 0))
     trials = data.get("trials", 50)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ScenarioError(f"trials must be a positive integer, got {trials!r}")
+    _require_count(trials, "trials")
 
     splits: list[StreamAlloc] = []
     if "splits" in data:
@@ -448,8 +446,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         budgets.append((noise.Qav_P, noise.Qav_S))
 
     grid_cap = data.get("grid_cap", DEFAULT_GRID_CAP)
-    if not isinstance(grid_cap, int) or isinstance(grid_cap, bool) or grid_cap < 1:
-        raise ScenarioError(f"grid_cap must be a positive integer, got {grid_cap!r}")
+    _require_count(grid_cap, "grid_cap")
 
     return Scenario(
         dims=dims,

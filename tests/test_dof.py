@@ -23,6 +23,7 @@ from cogia.dof import (
 )
 from cogia.errors import DegenerateChannel, GridTooLarge, TooManyDegenerateDraws
 from cogia.numerics import ZERO_TOL
+from cogia.rates import rate_region_sweep
 from cogia.scenario import (
     CHANNEL_STREAM,
     MAX_ANTENNAS,
@@ -669,7 +670,7 @@ class TestArgumentRefusals:
         [
             (
                 lambda: constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=0),
-                "trials must be >= 1",
+                "trials must be a positive integer, got 0",
             ),
             (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), mode="oracle"), "unknown mode 'oracle'"),
         ],
@@ -679,6 +680,23 @@ class TestArgumentRefusals:
         with pytest.raises(ValueError) as info:
             call()
         assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("trials", [True, 2.5, "3", 0, -2])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda trials: constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=trials),
+            lambda trials: rate_region_sweep(NetworkDims(5, 5, 5, 3), [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0)], trials, 0),
+        ],
+        ids=["constructive_check", "rate_region_sweep"],
+    )
+    def test_bad_trial_count_refused_before_any_draw(self, monkeypatch, run, trials):
+        # the scenario file's rule and wording: an int, not a bool, of at least 1
+        drawn = spy_on_draws(monkeypatch)
+        with pytest.raises(ValueError) as info:
+            run(trials)
+        assert type(info.value) is ValueError and str(info.value) == f"trials must be a positive integer, got {trials!r}"
+        assert drawn == []
 
 
 class TestRegion:

@@ -10,6 +10,10 @@ output bit can be checked where the bits are made.
 
 import dataclasses
 import hashlib
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,3 +161,14 @@ def test_kernel_outputs_are_bit_pinned():
 def test_rate_layer_outputs_are_bit_pinned():
     outputs = rate_outputs()
     assert {name: digest(x) for name, x in outputs.items()} == RATE_SHA256, build_note()
+
+
+def test_build_note_names_the_running_kernels():
+    # the core as OpenBLAS reports it while loading into a fresh interpreter with this environment
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
+    err = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, check=True).stderr
+    core = re.search(r"^Core: (\S+)$", err, re.M)
+    (log1p,) = np.lib.introspect.opt_func_info("log1p", "float64")["log1p"].values()
+    note = build_note()
+    assert f"running OpenBLAS core {core[1] if core else 'unknown'}," in note
+    assert f"numpy log1p dispatch {log1p['current']};" in note

@@ -16,11 +16,10 @@ from cogia.numerics import (
     min_norm_right_solve,
     null_space_basis,
     orth_complement_vector,
-    rank_under_policy,
     svd_factor,
     zero_forcing_columns,
 )
-from bits import same_bits
+from bits import policy_rank, same_bits
 
 RNG = np.random.default_rng(20240811)
 
@@ -286,19 +285,6 @@ class TestKernelProperties:
         assert np.array_equal(p1, p2) and np.array_equal(g1, g2) and np.array_equal(s1, s2)
 
 
-class TestRankUnderPolicy:
-    def test_counts_strictly_above_the_tolerance(self):
-        s = np.sort(np.random.default_rng(9).uniform(0.0, 2.0, (4, 3, 5)), axis=-1)[..., ::-1].copy()
-        s[0, 0, 2:] = RANK_TOL * s[0, 0, 0]  # ties sit at the tolerance and count as zero
-        s[1, 2, 1:] = 0.0
-        s[2, 1] = 0.0
-        s[3, 0, -1] = np.nextafter(RANK_TOL * s[3, 0, 0], np.inf)
-        rank = rank_under_policy(s)
-        assert rank.shape == (4, 3) and np.issubdtype(rank.dtype, np.integer)
-        assert rank.tolist() == np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1).tolist()
-        assert (rank[0, 0], rank[1, 2], rank[2, 1], rank[3, 0]) == (2, 1, 0, 5)
-
-
 def threshold_lanes(m: int, n: int) -> np.ndarray:
     """Diagonal m x n matrices whose smallest singular value sits on, and one ulp either side of, the rank rule.
 
@@ -316,12 +302,12 @@ def threshold_lanes(m: int, n: int) -> np.ndarray:
 
 
 class TestRankRuleAtItsThreshold:
-    """Every kernel's rank decision is rank_under_policy's, to the last ulp."""
+    """Every kernel's rank decision is the rank count's (``bits.policy_rank``), to the last ulp."""
 
     @staticmethod
     def lost(A: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(A, compute_uv=False)
-        return rank_under_policy(s) < min(A.shape[-2:])
+        return policy_rank(s, RANK_TOL) < min(A.shape[-2:])
 
     @staticmethod
     def raised_mask(kernel, A):
@@ -362,7 +348,7 @@ class TestRankRuleAtItsThreshold:
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (2, 3), (1, 1), (0, 2), (2, 0)])
     def test_full_column_rank_is_the_rank_count(self, m, n):
         A = threshold_lanes(max(m, 2), max(n, 2))[:, :m, :n]
-        rank = rank_under_policy(np.linalg.svd(A, compute_uv=False)) if m and n else np.zeros(len(A), int)
+        rank = policy_rank(np.linalg.svd(A, compute_uv=False), RANK_TOL) if m and n else np.zeros(len(A), int)
         expected = rank == n
         assert full_column_rank(A).tolist() == expected.tolist()
         assert full_column_rank(A[:12].reshape(3, 4, m, n)).tolist() == expected[:12].reshape(3, 4).tolist()

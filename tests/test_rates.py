@@ -693,7 +693,7 @@ class TestRateRegionSweep:
     def test_non_positive_trials_rejected(self, trials):
         with pytest.raises(ValueError) as info:
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0)], trials=trials, seed=0)
-        assert type(info.value) is ValueError and str(info.value) == "trials must be >= 1"
+        assert type(info.value) is ValueError and str(info.value) == f"trials must be a positive integer, got {trials}"
 
     def test_empty_budget_list_gives_no_points(self, monkeypatch):
         draws, solves = [], []

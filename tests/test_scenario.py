@@ -25,9 +25,8 @@ from cogia.scenario import (
     generate_channels,
     load_scenario,
     scenario_from_dict,
-    substream,
 )
-from bits import same_bits
+from bits import fresh_philox, same_bits
 
 
 class TestTypes:
@@ -88,7 +87,7 @@ class TestChannelGeneration:
             ("H_P2", (N_P, M_P)), ("Hp_P1", (N_P, M_S)), ("Hp_P2", (N_P, M_S)),
         ]
         ch = generate_channels(NetworkDims(*dims_tuple), 99)
-        flat = substream(99, 0).standard_normal(sum(r * c for _, (r, c) in layout))
+        flat = fresh_philox(99, 0).standard_normal(sum(r * c for _, (r, c) in layout))
         start = 0
         for name, (r, c) in layout:
             assert np.array_equal(getattr(ch, name), flat[start : start + r * c].reshape(r, c)), name
@@ -156,17 +155,14 @@ class TestChannelGeneration:
         in_order = [(seed, sid) for seed in seeds for sid in range(10)]
         interleaved = [(seed, sid) for _ in range(2) for sid in (0, 8, 9) for seed in seeds]
 
-        def fresh(seed, sid):
-            return np.random.Generator(np.random.Philox(key=np.array([seed, sid], dtype=np.uint64)))
-
         def check(streams, schedule):
             for seed, sid in schedule:
-                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
+                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh_philox(seed, sid).standard_normal(7))
                 # an odd number of 32-bit draws keeps half a 64-bit word
                 words = streams.stream(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32)
-                assert np.array_equal(words, fresh(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32))
+                assert np.array_equal(words, fresh_philox(seed, sid).integers(0, 1 << 32, 5, dtype=np.uint32))
                 assert streams._bg.state["has_uint32"] == 1
-                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh(seed, sid).standard_normal(7))
+                assert np.array_equal(streams.stream(seed, sid).standard_normal(7), fresh_philox(seed, sid).standard_normal(7))
                 # left mid-buffer for the next reset
                 streams.stream(seed, sid).integers(0, 1 << 32, 3, dtype=np.uint32)
 
@@ -218,19 +214,6 @@ class TestChannelGeneration:
                 s = np.linalg.svd(M, compute_uv=False)
                 rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
                 assert rank == min(M.shape), f"{name} rank-deficient at seed {seed}"
-
-    def test_substream_rejects_bad_stream_id(self):
-        # folded mod 2^64, -1 would draw the bits of stream 2^64 - 1 and
-        # 2^64 + 3 those of stream 3; each of those keeps its own key
-        for bad, alias in ((-1, (1 << 64) - 1), ((1 << 64) + 3, 3)):
-            with pytest.raises(ScenarioError, match="stream id must fit in 64 unsigned bits"):
-                substream(1, bad)
-            fresh = np.random.Generator(np.random.Philox(key=np.array([1, alias], dtype=np.uint64)))
-            assert np.array_equal(substream(1, alias).standard_normal(4), fresh.standard_normal(4))
-        # True would key stream 1
-        for bad in (1.5, True):
-            with pytest.raises(ScenarioError, match="stream id must be an integer"):
-                substream(1, bad)
 
 
 class TestChannelSet:
@@ -324,7 +307,6 @@ class TestDeriveSeed:
         ch, ch_int = generate_channels(dims, seed), generate_channels(dims, 7)
         for name in CHANNEL_ORDER:
             assert same_bits(getattr(ch, name), getattr(ch_int, name)), name
-        assert same_bits(substream(seed, seed).standard_normal(8), substream(7, 7).standard_normal(8))
 
     def test_a_path_continues_from_its_prefix(self):
         # derive_seed(s, i, j) == derive_seed(derive_seed(s, i), j): a rate
