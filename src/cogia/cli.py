@@ -42,7 +42,7 @@ from .errors import CogiaError, ScenarioError
 from .alignment import draw_trials, interference_report
 from .numerics import ZERO_TOL
 from .rates import cell_sum_rates, rate_region_sweep
-from .scenario import Scenario, _require_count, derive_seed, load_scenario
+from .scenario import _MASK64, Scenario, _integer, load_scenario
 
 
 # create a new file only: a path that reappears after the unlink is refused, not written through
@@ -184,9 +184,7 @@ def cmd_dof_region(args, scenario: Scenario, seed: int, trials: int) -> int:
 def cmd_rates(args, scenario: Scenario, seed: int, trials: int) -> int:
     if not scenario.splits:
         raise ScenarioError("rates requires 'alloc' or 'splits' in the scenario")
-    dims, noise = scenario.dims, scenario.noise
-    sigma2s = (noise.sigma2_P1, noise.sigma2_P2, noise.sigma2_S1, noise.sigma2_S2)
-    points = rate_region_sweep(dims, scenario.splits, scenario.budgets, trials=trials, seed=seed, sigma2s=sigma2s)
+    points = rate_region_sweep(scenario.dims, scenario.splits, scenario.budgets, trials, seed, noise=scenario.noise)
 
     header = [
         "qav", "d_P1", "d_P2", "d_S1", "d_S2",
@@ -246,9 +244,8 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.config)
         # the command line's seed and trial count, else the scenario's, held to the file's rules
-        seed = derive_seed(args.seed) if args.seed is not None else scenario.seed
-        trials = args.trials if args.trials is not None else scenario.trials
-        _require_count(trials, "trials")
+        seed = _integer(args.seed, "seed", 0, _MASK64) if args.seed is not None else scenario.seed
+        trials = _integer(args.trials, "trials", 1) if args.trials is not None else scenario.trials
         return handlers[args.command](args, scenario, seed, trials)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

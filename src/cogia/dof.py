@@ -41,7 +41,7 @@ import numpy as np
 from .alignment import PrecoderReceiverSet, draw_system, draw_trials, interference_report
 from .errors import GridTooLarge, InfeasibleAlloc, NoComplement, RankDeficient
 from .numerics import ZERO_TOL, full_column_rank
-from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, _require_count, derive_seed
+from .scenario import DEFAULT_GRID_CAP, ChannelSet, NetworkDims, StreamAlloc, _integer, derive_seed
 
 __all__ = [
     "Violation",
@@ -179,7 +179,7 @@ def constructive_check(
     trial 0's seed itself, beside :func:`cogia.alignment.draw_trials`,
     because one 2-D draw refuses faster than a one-lane stack.
     """
-    _require_count(trials, "trials", ValueError)
+    _integer(trials, "trials", 1, error=ValueError)
     violated: tuple[Violation, ...] = ()
     try:
         if _violations(dims, d):
@@ -252,12 +252,13 @@ def enumerate_region(
     trials: int = 20,
     cap: int = DEFAULT_GRID_CAP,
 ) -> DofRegion:
-    """Enumerate the achievable DoF region over the full tuple grid."""
+    """Enumerate the achievable DoF region over the full tuple grid; ``mode``, then ``cap``, is checked first."""
+    if mode not in ("closed_form", "constructive"):
+        raise ValueError(f"unknown mode {mode!r}")
+    cap = _integer(cap, "cap", 1, error=ValueError)
     size = grid_size(dims)
     if size > cap:
         raise GridTooLarge(f"grid has {size} tuples, cap is {cap}")
-    if mode not in ("closed_form", "constructive"):
-        raise ValueError(f"unknown mode {mode!r}")
     points: list[StreamAlloc] = []
     for alloc in grid_tuples(dims):
         if mode == "closed_form":

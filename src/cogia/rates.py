@@ -62,7 +62,7 @@ with no RuntimeWarning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import starmap
 
 import numpy as np
@@ -71,7 +71,7 @@ from .alignment import EffectiveChannels, PrecoderReceiverSet, draw_trials, effe
 from .dof import require_feasible
 from .errors import ScenarioError
 from .numerics import RANK_TOL, svd_factor
-from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, _require_count, derive_seed
+from .scenario import NetworkDims, NoiseAndPower, StreamAlloc, _integer, derive_seed
 
 __all__ = [
     "StreamGroup",
@@ -169,10 +169,11 @@ def waterfill_cell(
     solve that both commands run (see the module docstring); no command
     calls it.
     """
-    budget = np.asarray(budget, dtype=float)
-    if budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
+    budget = np.asarray(budget)
+    # a bool or a string would otherwise convert to a number
+    if budget.dtype.kind not in "iuf" or budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
         raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
-    return _waterfill_cells([groups], budget[None], _lanes(groups))[0][0]
+    return _waterfill_cells([groups], budget.astype(float)[None], _lanes(groups))[0][0]
 
 
 def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple[list, np.ndarray, np.ndarray]:
@@ -300,13 +301,13 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
 def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocation]]:
     """Rate every cell in one solve: factor each served user's channel stack, water-fill, sum the stream rates.
 
-    ``cells`` holds ``(name, where, effectives, precoders, sigma2s)`` per cell, all on the same lanes,
+    ``cells`` holds ``(name, where, effectives, precoders, variances)`` per cell, all on the same lanes,
     and ``rows[i]`` is cell i's budget or 1-D budgets.  The first cell whose water level, KKT gap or rate
     overflows is refused, at its own smallest such budget, its ``where`` closing the message.
     """
     groups = [[] for _ in cells]
-    for cell_groups, (_, _, effectives, precoders, sigma2s) in zip(groups, cells):
-        for E, V, s2 in zip(effectives, precoders, sigma2s):
+    for cell_groups, (_, _, effectives, precoders, variances) in zip(groups, cells):
+        for E, V, s2 in zip(effectives, precoders, variances):
             if E.shape[-1]:
                 _, gammas, Psi = svd_factor(E)
                 cell_groups.append(StreamGroup(gammas, s2, V, Psi))
@@ -360,7 +361,7 @@ def rate_region_sweep(
     budgets: list[tuple[float, float]] | tuple[tuple[float, float], ...],
     trials: int,
     seed: int,
-    sigma2s: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
+    noise: NoiseAndPower = NoiseAndPower(),
 ) -> list[RatePoint]:
     """Monte Carlo (R_P, R_S) averages over channel draws.
 
@@ -375,15 +376,15 @@ def rate_region_sweep(
     first failing cell in split order, primary before secondary, at its
     own smallest failing budget, and the message names the cell's split.
     Every split's means and standard errors are taken in one pass over
-    the trial axis.  ``budgets`` entries are (Qav_P, Qav_S)
-    pairs; ``RatePoint.Qav`` reports the primary budget.  An empty
-    ``budgets`` returns ``[]`` after the checks, before any draw.
+    the trial axis.  The users' noise variances are ``noise``'s; each
+    ``budgets`` entry is a (Qav_P, Qav_S) pair that replaces ``noise``'s
+    own budgets, checked by the record's rule, and ``RatePoint.Qav``
+    reports the primary budget.  An empty ``budgets`` returns ``[]``
+    after the checks, before any draw.
     """
-    _require_count(trials, "trials", ValueError)
-    # the noise and budget checks, before any draw; the cells read this record's noise
-    noise = NoiseAndPower(*sigma2s)
-    for qav_p, qav_s in budgets:
-        NoiseAndPower(*sigma2s, Qav_P=qav_p, Qav_S=qav_s)
+    _integer(trials, "trials", 1, error=ValueError)
+    for qav_p, qav_s in budgets:  # the budget checks, before any draw
+        replace(noise, Qav_P=qav_p, Qav_S=qav_s)
     splits = list(splits)
     for split in splits:
         if split.total == 0:

@@ -75,13 +75,17 @@ PRECODER_STREAM_P1 = 8
 PRECODER_STREAM_P2 = 9
 
 
-def _check_counts(counts: dict[str, Any], low: int) -> None:
-    """Refuse any count that is not an integer in ``low``..MAX_ANTENNAS."""
-    for name, v in counts.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ScenarioError(f"{name} must be an integer, got {v!r}")
-        if not low <= v <= MAX_ANTENNAS:
-            raise ScenarioError(f"{name} must be in {low}..{MAX_ANTENNAS}, got {v}")
+def _integer(v: Any, what: str, low: int, high: int | None = None, error: type[ValueError] = ScenarioError) -> int:
+    """``v`` as a plain int, or ``error`` unless it is an int, not a bool, in ``low``..``high``.
+
+    The one rule of every integer input: antenna and stream counts, seeds
+    and their index paths, trial counts and grid caps.  ``high`` None
+    leaves the range open above.
+    """
+    if (type(v) is int or isinstance(v, int) and not isinstance(v, bool)) and low <= v and (high is None or v <= high):
+        return v if type(v) is int else int(v)  # an int subclass, such as an IntEnum, as a plain int
+    bounds = f">= {low}" if high is None else f"in {low}..{high}"
+    raise error(f"{what} must be an integer {bounds}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,8 @@ class NetworkDims:
     N_S: int
 
     def __post_init__(self) -> None:
-        _check_counts(vars(self), 1)
+        for name, v in vars(self).items():
+            _integer(v, name, 1, MAX_ANTENNAS)
 
     @property
     def Z(self) -> int:
@@ -115,7 +120,8 @@ class StreamAlloc:
     d_S2: int
 
     def __post_init__(self) -> None:
-        _check_counts(vars(self), 0)
+        for name, v in vars(self).items():
+            _integer(v, name, 0, MAX_ANTENNAS)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d_P1, self.d_P2, self.d_S1, self.d_S2)
@@ -184,24 +190,6 @@ class ChannelSet:
             raise ScenarioError(f"{name} contains non-finite entries")
 
 
-def _normalize_seed(seed: int, what: str = "seed") -> int:
-    if type(seed) is int and 0 <= seed <= _MASK64:
-        return seed
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"{what} must be an integer, got {seed!r}")
-    if seed < 0 or seed > _MASK64:
-        raise ScenarioError(f"{what} must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
-
-
-def _require_count(v: Any, what: str, error: type[ValueError] = ScenarioError) -> None:
-    """Raise ``error`` unless ``v`` is an int, not a bool, of at least 1: a trial count or a grid cap."""
-    if type(v) is int and v >= 1:
-        return
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise error(f"{what} must be a positive integer, got {v!r}")
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -224,11 +212,11 @@ def derive_seed(seed: int, *indices: int) -> int:
     Every index must be an integer in 0..2^64-1, like the seed: ``True``,
     ``1.9`` or ``"3"`` would otherwise hash as some other index path.
     """
-    x = _normalize_seed(seed)
+    x = _integer(seed, "seed", 0, _MASK64)
     for i in indices:
         # checked before the table lookup, where True would act as 1
         if type(i) is not int or not 0 <= i <= _MASK64:
-            _normalize_seed(i, "index")
+            i = _integer(i, "index", 0, _MASK64)
         x = _splitmix64(x ^ (_INDEX_HASHES[i] if i < _HASHED_INDICES else _splitmix64(i + 1)))
     return x
 
@@ -236,11 +224,11 @@ def derive_seed(seed: int, *indices: int) -> int:
 def _checked_seeds(seed: int | list[int]) -> int | list[int]:
     """``seed`` unchanged, once it (or each seed of a non-empty list) fits in 64 unsigned bits."""
     if not isinstance(seed, list):
-        return _normalize_seed(seed)
+        return _integer(seed, "seed", 0, _MASK64)
     if not seed:
         raise ScenarioError("need at least one seed, got an empty list")
     for s in seed:
-        _normalize_seed(s)
+        _integer(s, "seed", 0, _MASK64)
     return seed
 
 
@@ -364,7 +352,9 @@ class Scenario:
 
     ``budgets`` holds (Qav_P, Qav_S) pairs, one per rate-sweep power
     level; scalar entries in the file apply the same budget to both
-    cells.  ``splits`` defaults to the single ``alloc``.
+    cells, and each pair replaces ``noise``'s own in a rate sweep.
+    ``splits`` defaults to the single ``alloc``.  ``seed``, ``trials``
+    and ``grid_cap`` are plain ints held to :func:`_integer`.
     """
 
     dims: NetworkDims
@@ -419,9 +409,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     power_obj = _section(data, "power", _POWER_KEYS)
     noise = NoiseAndPower(**noise_obj, **power_obj)
 
-    seed = _normalize_seed(data.get("seed", 0))
-    trials = data.get("trials", 50)
-    _require_count(trials, "trials")
+    seed = _integer(data.get("seed", 0), "seed", 0, _MASK64)
+    trials = _integer(data.get("trials", 50), "trials", 1)
 
     splits: list[StreamAlloc] = []
     if "splits" in data:
@@ -445,8 +434,7 @@ def scenario_from_dict(data: Any) -> Scenario:
     else:
         budgets.append((noise.Qav_P, noise.Qav_S))
 
-    grid_cap = data.get("grid_cap", DEFAULT_GRID_CAP)
-    _require_count(grid_cap, "grid_cap")
+    grid_cap = _integer(data.get("grid_cap", DEFAULT_GRID_CAP), "grid_cap", 1)
 
     return Scenario(
         dims=dims,

@@ -400,7 +400,7 @@ class TestTrialCount:
         cfg = write_config(tmp_path, REFERENCE_NETWORK)
         out = tmp_path / "o"
         assert main(argv + ["--config", cfg, "--out", str(out), "--trials", trials, "--quiet"]) == 1
-        assert f"scenario error: trials must be a positive integer, got {trials}" in capsys.readouterr().err
+        assert f"scenario error: trials must be an integer >= 1, got {trials}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -426,7 +426,7 @@ class TestMissingAllocation:
         cfg = write_config(tmp_path, self.NO_ALLOC)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out), "--trials", "0", "--quiet"]) == 1
-        assert capsys.readouterr().err == "scenario error: trials must be a positive integer, got 0\n"
+        assert capsys.readouterr().err == "scenario error: trials must be an integer >= 1, got 0\n"
         assert not out.exists()
 
 
@@ -437,7 +437,7 @@ class TestSeedOverride:
         cfg = write_config(tmp_path, REFERENCE_NETWORK)
         out = tmp_path / "o"
         assert main(argv + ["--config", cfg, "--out", str(out), "--seed", str(seed), "--quiet"]) == 1
-        assert f"scenario error: seed must fit in 64 unsigned bits, got {seed}" in capsys.readouterr().err
+        assert f"scenario error: seed must be an integer in 0..18446744073709551615, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -670,11 +670,16 @@ class TestArgumentRefusals:
         [
             (
                 lambda: constructive_check(NetworkDims(5, 5, 5, 3), StreamAlloc(1, 0, 2, 2), trials=0),
-                "trials must be a positive integer, got 0",
+                "trials must be an integer >= 1, got 0",
             ),
             (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), mode="oracle"), "unknown mode 'oracle'"),
+            # the mode is checked before the cap, and the cap before the grid is sized
+            (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), mode="x", cap=1), "unknown mode 'x'"),
+            (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), cap=True), "cap must be an integer >= 1, got True"),
+            (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), cap="10"), "cap must be an integer >= 1, got '10'"),
+            (lambda: enumerate_region(NetworkDims(2, 2, 2, 1), cap=None), "cap must be an integer >= 1, got None"),
         ],
-        ids=["zero-trials", "unknown-mode"],
+        ids=["zero-trials", "unknown-mode", "mode-before-cap", "bool-cap", "string-cap", "no-cap"],
     )
     def test_refused_argument(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -695,7 +700,7 @@ class TestArgumentRefusals:
         drawn = spy_on_draws(monkeypatch)
         with pytest.raises(ValueError) as info:
             run(trials)
-        assert type(info.value) is ValueError and str(info.value) == f"trials must be a positive integer, got {trials!r}"
+        assert type(info.value) is ValueError and str(info.value) == f"trials must be an integer >= 1, got {trials!r}"
         assert drawn == []
 
 

@@ -111,9 +111,9 @@ class TestChannelGeneration:
     def test_bad_seed_in_a_stack_raises_before_any_draw(self, monkeypatch):
         drawn = []
         monkeypatch.setattr(cogia.scenario._SubstreamFactory, "normal", lambda self, *args: drawn.append(args))
-        bad_seeds = ((-1, "64 unsigned bits"), (1 << 64, "64 unsigned bits"), (2.0, "integer"), (True, "integer"))
-        for bad, message in bad_seeds:
-            with pytest.raises(ScenarioError, match=message):
+        for bad in (-1, 1 << 64, 2.0, True):
+            message = f"seed must be an integer in 0..{2**64 - 1}, got {bad!r}"
+            with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
                 generate_channels(NetworkDims(2, 2, 2, 2), [1, 2, bad])
         assert drawn == []
 
@@ -255,7 +255,7 @@ class TestDeriveSeed:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [(-1, "64 unsigned bits"), (1 << 64, "64 unsigned bits"), (True, "integer"), (1.9, "integer"), ("3", "integer"),
+        [(-1, f"in 0..{2**64 - 1}"), (1 << 64, f"in 0..{2**64 - 1}"), (True, "integer"), (1.9, "integer"), ("3", "integer"),
          (np.int64(3), "integer")],
     )
     def test_rejects_bad_index(self, bad, message):
@@ -382,19 +382,19 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "patch, message",
         [
-            ({"dims": {"M_P": 5.0, "M_S": 5, "N_P": 5, "N_S": 3}}, "M_P must be an integer, got 5.0"),
-            ({"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": True, "d_S2": 2}}, "d_S1 must be an integer, got True"),
+            ({"dims": {"M_P": 5.0, "M_S": 5, "N_P": 5, "N_S": 3}}, "M_P must be an integer in 1..16, got 5.0"),
+            ({"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": True, "d_S2": 2}}, "d_S1 must be an integer in 0..16, got True"),
             ({"noise": {"sigma2_S2": "1.0"}}, "sigma2_S2 must be a finite positive number, got '1.0'"),
             ({"power": {"Qav_P": None}}, "Qav_P must be a finite positive number, got None"),
             ({"noise": [1.0, 1.0, 1.0, 1.0]}, "'noise' must be an object"),
             ({"dims": [5, 5, 5, 3]}, "dims must be an object"),
             ({"splits": [{"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2}, 4]}, "splits[1] must be an object"),
             ({"dims": {"M_P": 5, "M_S": 5}}, "dims is missing keys: ['N_P', 'N_S']"),
-            ({"trials": 0}, "trials must be a positive integer, got 0"),
-            ({"trials": 2.0}, "trials must be a positive integer, got 2.0"),
+            ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+            ({"trials": 2.0}, "trials must be an integer >= 1, got 2.0"),
             ({"splits": []}, "'splits' must be a non-empty list of alloc objects"),
             ({"budgets": 10.0}, "'budgets' must be a non-empty list of finite positive numbers"),
-            ({"grid_cap": True}, "grid_cap must be a positive integer, got True"),
+            ({"grid_cap": True}, "grid_cap must be an integer >= 1, got True"),
         ],
         ids=[
             "float-count", "bool-count", "string-noise", "null-power", "section-not-object", "record-not-object",
