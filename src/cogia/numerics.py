@@ -12,12 +12,10 @@ times the first, the one comparison each kernel and
 ``numpy.linalg.svd``.  Matrices are real float64 ``numpy.ndarray``
 values; all functions are pure and return freshly allocated arrays.
 
-Null-space bases follow one sign convention: the first nonzero entry of
-each column is made positive.  Row k of the column's signs weighs 2^-k,
-more than all later rows together, so the weighted sum has the sign of
-the first nonzero entry.  This keeps regression output byte-stable
-across reruns.  ``svd_factor`` returns LAPACK's factors unchanged: no
-output reads the sign of one of its columns.
+No kernel applies a sign convention: ``null_space_basis`` and
+``svd_factor`` return LAPACK's singular vectors as they come, which are
+unique only up to sign, and no output reads the sign of a basis column.
+LAPACK is deterministic, so reruns give the same bits.
 
 Stacked matrices
 ----------------
@@ -84,21 +82,6 @@ def lane_norm(x: np.ndarray, core_ndim: int = 2) -> np.ndarray:
     return np.sqrt(np.vecdot(f, f))
 
 
-# 2^-k for rows k < 53: any sum of +-2^-k over them is exact in float64
-_LEAD_WEIGHTS = np.ldexp(1.0, -np.arange(53))
-
-
-def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    """Flip columns in place so the first nonzero entry of each is positive (module docstring)."""
-    S, k = np.sign(B), len(_LEAD_WEIGHTS)
-    lead = _LEAD_WEIGHTS[: B.shape[-2]] @ S[..., :k, :]
-    for start in range(k, B.shape[-2], k):
-        block = S[..., start : start + k, :]
-        lead = np.where(lead == 0.0, _LEAD_WEIGHTS[: block.shape[-2]] @ block, lead)
-    np.negative(B, out=B, where=(lead < 0.0)[..., None, :])
-    return B
-
-
 def _rank_lost(s: np.ndarray) -> np.ndarray:
     """Per lane: fewer than ``s.shape[-1]`` of ``s`` exceed RANK_TOL times the first; one matrix gives numpy scalars."""
     return (s.T[-1] <= RANK_TOL * s.T[0]).T
@@ -134,10 +117,10 @@ def null_space_basis(A) -> np.ndarray:
 
     Returns an n x k matrix (k = nullity, possibly 0) with orthonormal
     columns annihilated by ``A``, per lane for a stack.  Columns are
-    the right singular vectors beyond the first ``min(m, n)``, in order,
-    sign-fixed: k = n - min(m, n).  ``A`` may have zero rows, in which
-    case the basis spans all of R^n.  A lane whose rank at RANK_TOL falls
-    below ``min(m, n)``, the rank its shape allows, raises
+    LAPACK's right singular vectors beyond the first ``min(m, n)``, in
+    order and with its signs: k = n - min(m, n).  ``A`` may have zero
+    rows, in which case the basis spans all of R^n.  A lane whose rank at
+    RANK_TOL falls below ``min(m, n)``, the rank its shape allows, raises
     DegenerateChannel with the mask of those lanes.
     """
     A = _as_matrix(A)
@@ -145,13 +128,13 @@ def null_space_basis(A) -> np.ndarray:
     # with no rows, vt is the identity: the basis spans all of R^n
     _, s, vt = np.linalg.svd(A, full_matrices=True)
     _require_rank(s, f"{m}x{n} matrix has rank")
-    return _fix_column_signs(vt[..., min(m, n) :, :].mT.copy())
+    return vt[..., min(m, n) :, :].mT.copy()
 
 
 def orth_complement_vector(S) -> np.ndarray:
     """Unit vector orthogonal to every row of ``S`` (per lane for a stack).
 
-    Deterministic: the first column of ``null_space_basis(S)``.  Raises
+    The first column of ``null_space_basis(S)``, LAPACK's sign.  Raises
     NoComplement when the rows of ``S`` already span the full space.
     """
     B = null_space_basis(S)

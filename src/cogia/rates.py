@@ -377,14 +377,17 @@ def rate_region_sweep(
     own smallest failing budget, and the message names the cell's split.
     Every split's means and standard errors are taken in one pass over
     the trial axis.  The users' noise variances are ``noise``'s; each
-    ``budgets`` entry is a (Qav_P, Qav_S) pair that replaces ``noise``'s
-    own budgets, checked by the record's rule, and ``RatePoint.Qav``
+    ``budgets`` entry is a (Qav_P, Qav_S) tuple or list pair that replaces
+    ``noise``'s own budgets, checked by the record's rule (any other entry
+    is a ScenarioError), and ``RatePoint.Qav``
     reports the primary budget.  An empty ``budgets`` returns ``[]``
     after the checks, before any draw.
     """
     _integer(trials, "trials", 1, error=ValueError)
-    for qav_p, qav_s in budgets:  # the budget checks, before any draw
-        replace(noise, Qav_P=qav_p, Qav_S=qav_s)
+    for i, entry in enumerate(budgets):  # the budget checks, before any draw
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise ScenarioError(f"budgets[{i}] must be a (Qav_P, Qav_S) pair, got {entry!r}")
+        replace(noise, Qav_P=entry[0], Qav_S=entry[1])
     splits = list(splits)
     for split in splits:
         if split.total == 0:

@@ -368,45 +368,27 @@ class Scenario:
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r} in {where}")
-
-
-def _section(data: dict, name: str, keys: set) -> dict:
-    obj = data.get(name)
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{name!r} must be an object")
-    _reject_unknown(obj, keys, name)
-    return obj
-
-
-def _record(obj: Any, keys: set, where: str) -> dict:
-    """A JSON object holding exactly ``keys``."""
+def _record(obj: Any, keys: set, where: str, required: set | None = None) -> dict:
+    """A JSON object whose keys are among ``keys`` and include ``required`` (None: all of ``keys``)."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where} must be an object")
-    _reject_unknown(obj, keys, where)
-    missing = keys - obj.keys()
+    for key in obj:
+        if key not in keys:
+            raise ScenarioError(f"unknown key {key!r} in {where}")
+    missing = (keys if required is None else required) - obj.keys()
     if missing:
         raise ScenarioError(f"{where} is missing keys: {sorted(missing)}")
     return obj
 
 
 def scenario_from_dict(data: Any) -> Scenario:
-    """Validate and convert a scenario JSON document."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "scenario")
-    if "dims" not in data:
-        raise ScenarioError("scenario requires a 'dims' object")
+    """Validate and convert a scenario JSON document; an explicit null is refused for every key."""
+    _record(data, _TOP_KEYS, "scenario", required={"dims"})
     dims = NetworkDims(**_record(data["dims"], _DIMS_KEYS, "dims"))
     alloc = StreamAlloc(**_record(data["alloc"], _ALLOC_KEYS, "alloc")) if "alloc" in data else None
 
-    noise_obj = _section(data, "noise", _NOISE_KEYS)
-    power_obj = _section(data, "power", _POWER_KEYS)
+    noise_obj = _record(data.get("noise", {}), _NOISE_KEYS, "noise", required=set())
+    power_obj = _record(data.get("power", {}), _POWER_KEYS, "power", required=set())
     noise = NoiseAndPower(**noise_obj, **power_obj)
 
     seed = _integer(data.get("seed", 0), "seed", 0, _MASK64)

@@ -24,11 +24,14 @@ from cogia.alignment import (
 )
 from cogia.dof import closed_form_feasible, constructive_check, grid_tuples
 from cogia.errors import DegenerateChannel, NoComplement, RankDeficient, ScenarioError, TooManyDegenerateDraws
+from cogia.numerics import ZERO_TOL
+from cogia.rates import cell_sum_rates
 from cogia.scenario import (
     CHANNEL_STREAM,
     PRECODER_STREAM_P1,
     ChannelSet,
     NetworkDims,
+    NoiseAndPower,
     StreamAlloc,
     derive_seed,
     generate_channels,
@@ -362,6 +365,55 @@ class TestConstructionInvariants:
         prs = build_all(ch, StreamAlloc(1, 0, 2, 2), 24)
         np.testing.assert_allclose(prs.U_S1.T @ prs.U_S1, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(prs.U_P1.T @ prs.U_P1, np.eye(1), atol=1e-12)
+
+
+class TestSignBlindConstruction:
+    """No output of the construction reads the sign of a null-space basis column.
+
+    A seam negates every other column of each ``null_space_basis`` result
+    the primary stage reads, as another LAPACK build may: cancellation,
+    both cells' rates, the correction power and the feasibility verdict
+    must hold.
+    """
+
+    @staticmethod
+    def negating(monkeypatch):
+        real, calls = cogia.alignment.null_space_basis, []
+
+        def basis(A):
+            B = real(A)
+            B[..., ::2] *= -1.0
+            calls.append(B.shape)
+            return B
+
+        monkeypatch.setattr(cogia.alignment, "null_space_basis", basis)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dims_tuple, alloc_tuple",
+        [((12, 16, 10, 5), (4, 4, 3, 3)), ((5, 5, 3, 2), (2, 2, 0, 1)), ((6, 4, 3, 1), (3, 2, 0, 0))],
+    )
+    def test_outputs_ignore_column_signs(self, monkeypatch, dims_tuple, alloc_tuple):
+        dims, alloc = NetworkDims(*dims_tuple), StreamAlloc(*alloc_tuple)
+        seeds = [derive_seed(41, t) for t in range(20)]
+        noise = NoiseAndPower(sigma2_P1=0.5, sigma2_P2=1.5, sigma2_S2=2.0, Qav_P=10.0, Qav_S=3.0)
+
+        def run():
+            ch, prs = draw_system(dims, alloc, seeds)
+            report = interference_report(ch, prs)
+            rp, rs = cell_sum_rates(prs, report.eff, noise)
+            outputs = [rp.sum_rate, rs.sum_rate, rp.uncharged_correction_power]
+            return report.worst_case, outputs, constructive_check(dims, alloc, trials=20, seed=41)
+
+        worst, expected, verdict = run()
+        with monkeypatch.context() as m:
+            calls = self.negating(m)
+            flipped_worst, flipped, flipped_verdict = run()
+        assert calls and all(shape[-1] >= 1 for shape in calls)
+        assert worst.max() <= ZERO_TOL and flipped_worst.max() <= ZERO_TOL
+        for want, got in zip(expected, flipped, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert flipped_verdict == verdict
 
 
 def spy_on_draws(monkeypatch) -> list[tuple[int, int]]:

@@ -1,11 +1,13 @@
-"""Bit pin of the linear-algebra kernels, of one seeded construction stack and of the rate layer.
+"""Bit pin of the linear-algebra kernels, of one seeded construction stack, of the rate layer and of whole runs.
 
 Each kernel runs over seeded one-matrix and stacked inputs, and the sha256
 of its outputs' bytes (in call order) must equal the recorded digest.  A
 rate-layer entry hashes every field of each result it makes.  The
 criterion-6 goldens see the kernels only through whole runs; this gate
 shows bit identity at each kernel, so a change that claims to move no
-output bit can be checked where the bits are made.
+output bit can be checked where the bits are made.  The whole-run pin
+hashes the ``verify`` and ``rates`` CSVs of the benchmark's two scenario
+files at seeds 1-3, read from ``perfbench/scenarios`` and never edited.
 """
 
 import dataclasses
@@ -14,11 +16,13 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cogia.alignment import draw_system, effective_channels
+from cogia.cli import main
 from cogia.errors import NoComplement
 from cogia.numerics import min_norm_right_solve, null_space_basis, svd_factor, zero_forcing_columns
 from cogia.rates import StreamGroup, pcell_sum_rate, rate_region_sweep, scell_sum_rate, waterfill_cell
@@ -26,23 +30,45 @@ from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAllo
 from bits import build_note
 
 # recorded at commit 9b1a284 with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64),
-# svd_factor re-recorded when it dropped its sign convention (LAPACK's
-# factors as they come); another BLAS/LAPACK build may move the last bits
+# svd_factor and then null_space_basis re-recorded when each dropped its
+# sign convention (LAPACK's vectors as they come: whole columns negated);
+# another BLAS/LAPACK build may move the last bits
 KERNEL_SHA256 = {
-    "null_space_basis": "9166f2ea98dce78f5ce09b108c37a6b93b4e287361b11e0e9f0074694dfd16f9",
+    "null_space_basis": "9f1e14a338e8d463963e8c80ddbe8d1a3ece07fa7e4983d92482ed13aa7f841c",
     "zero_forcing_columns": "198df178811d9a6621e606097977b77c72ddcad3f324928d5292b3655dc00e0b",
     "min_norm_right_solve": "3347848538c3b23aab1a242e32a5004349a2c522b7cef0b03acb7a914036b518",
     "svd_factor": "1f5c0e5a917aee8a55c326130f553f70dafa44eee69c7dea89cb8cfc9c482b32",
     "draw_system": "64871285ef8f9d786fbffea14777d4662aefd1ce01c78be032ac1a0f1d13b714",
     "refusal": "fc0a02124dadb11f55558d3e36e0e4d2b81996aeb4b468c7741496ed51d63691",
 }
-# recorded at commit 7bd4dcc, on the same numpy and BLAS
+# recorded at commit 7bd4dcc, on the same numpy and BLAS; pcell_sum_rate
+# re-recorded with null_space_basis: only the covariances Q of the Z = 2
+# case moved, by at most 4.6e-16 relative, and no rate or power did
 RATE_SHA256 = {
     "waterfill_cell": "6070bc07a29d9fc530ab770bd7325ca186ccdabcfeccf0d3ea99787a48b8f70f",
-    "pcell_sum_rate": "76bc5aa54961a4ec3e648851b66426665780e8279b52eff919ce74524268899f",
+    "pcell_sum_rate": "892183e9e8fe8e69d75ddd40e8ec097a98f241a980722479caef3131ea9a2674",
     "scell_sum_rate": "c3e1566f5c2d11ae0c5c6bc4853d5ecdc7cb4903e6137963c69aa856807b3767",
     "rate_region_sweep": "8e995c34e67e96f08d258515136d94c16828eb129613c29d8fe1b75e49031da6",
 }
+# recorded at commit a021f9b, on the same numpy and BLAS: the sha256 of the
+# CSV of each (scenario file, command, --seed) run, the one whole-run pin
+# whose configuration has Z > 0 and so calls null_space_basis
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+CSV_SHA256 = {
+    ("readme.json", "verify", 1): "2afb7960a40a1665e07993b0444597fe94ecd25eaafebe2852e41f52f8dabafe",
+    ("readme.json", "verify", 2): "ed8f8f38eb6fbf41a33c443f0bab836f4b1f5914512a1df39d4222a7716d9aa0",
+    ("readme.json", "verify", 3): "b3748d5c2a012321d8ecb5da0a7900767b0537a5a6b899f43ccbbd6f06c9459f",
+    ("readme.json", "rates", 1): "612d8a3edf35dfc7b85920d55408c78cfa652b3b7316623fcd6f973277f8f20e",
+    ("readme.json", "rates", 2): "3cbac4ba7baa85681adfb04d5ccc32936631215385e77911c418f7a6cac964af",
+    ("readme.json", "rates", 3): "7335b32d027beb7e4d74ae5dd6f6d9d49963d52a0509063c1effdf4c928a1ed2",
+    ("verify_large.json", "verify", 1): "3ec79960026314080839940246bae7b8c1839ce4d5fd723e85ba186be46b40be",
+    ("verify_large.json", "verify", 2): "39d72a53a6874c612770b7d3bd165b5f5573b99109dcbf56403ee071a7b3dfe1",
+    ("verify_large.json", "verify", 3): "94ea0939638bfee9b12923e151bc6402827360a71ed3c198c8bc74af2ab2d383",
+    ("verify_large.json", "rates", 1): "21e165dbf387953dadac5e4f6db48068777c96010c04bbd3f8eb8673c0679059",
+    ("verify_large.json", "rates", 2): "b6789c6ef310adf500d504fa1fbd1ef2b6125b7b593d4933f5532b84eda681ef",
+    ("verify_large.json", "rates", 3): "abafe63738cca3abc4044cf69aa62eab65918ca7d66a637cfb87489ac5aa073b",
+}
+CSV_NAME = {"verify": "verify_report.csv", "rates": "rates.csv"}
 
 # one matrix, then a stack of 3 lanes, for each shape
 SHAPES = [(1, 1), (2, 5), (3, 3), (4, 9), (5, 16), (16, 16)]
@@ -161,6 +187,17 @@ def test_kernel_outputs_are_bit_pinned():
 def test_rate_layer_outputs_are_bit_pinned():
     outputs = rate_outputs()
     assert {name: digest(x) for name, x in outputs.items()} == RATE_SHA256, build_note()
+
+
+@pytest.mark.pin
+def test_benchmark_scenario_csvs_are_bit_pinned(tmp_path):
+    digests = {}
+    for config, command, seed in CSV_SHA256:
+        out = tmp_path / f"{config}-{command}-{seed}"
+        argv = [command, "--config", str(SCENARIOS / config), "--out", str(out), "--seed", str(seed), "--quiet"]
+        assert main(argv) == 0
+        digests[config, command, seed] = hashlib.sha256((out / CSV_NAME[command]).read_bytes()).hexdigest()
+    assert digests == CSV_SHA256, build_note()
 
 
 def test_build_note_names_the_running_kernels():

@@ -771,11 +771,19 @@ class TestRateRegionSweep:
         assert np.isfinite(rates).all()
         assert points[1].R_P > points[0].R_P and points[1].R_S > points[0].R_S
 
-    @pytest.mark.parametrize("budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (10**400, 1.0)])
+    @pytest.mark.parametrize(
+        "budget", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0), (10**400, 1.0), 1.0, (1.0,), (1.0, 2.0, 3.0)]
+    )
     def test_bad_budget_rejected_before_drawing(self, monkeypatch, budget):
         monkeypatch.setattr(cogia.alignment, "draw_system", lambda *a: pytest.fail("drew a channel"))
         with pytest.raises(ScenarioError):
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), budget], trials=2, seed=0)
+
+    def test_unordered_budget_pair_is_refused_by_name(self):
+        # a set unpacks as two budgets in no defined order
+        with pytest.raises(ScenarioError) as info:
+            rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), {1.0, 2.0}], trials=2, seed=0)
+        assert str(info.value) == "budgets[1] must be a (Qav_P, Qav_S) pair, got {1.0, 2.0}"
 
 
 class TestDofSlope:

@@ -356,8 +356,11 @@ class TestScenarioFiles:
             scenario_from_dict(bad)
 
     def test_missing_dims(self):
-        with pytest.raises(ScenarioError, match="dims"):
-            scenario_from_dict({"seed": 1})
+        # GOOD without dims: test_refused_document's patches can only add or replace keys
+        data = {key: value for key, value in self.GOOD.items() if key != "dims"}
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(data)
+        assert str(info.value) == "scenario is missing keys: ['dims']"
 
     def test_defaults(self):
         sc = scenario_from_dict({"dims": self.GOOD["dims"]})
@@ -386,8 +389,11 @@ class TestScenarioFiles:
             ({"alloc": {"d_P1": 1, "d_P2": 0, "d_S1": True, "d_S2": 2}}, "d_S1 must be an integer in 0..16, got True"),
             ({"noise": {"sigma2_S2": "1.0"}}, "sigma2_S2 must be a finite positive number, got '1.0'"),
             ({"power": {"Qav_P": None}}, "Qav_P must be a finite positive number, got None"),
-            ({"noise": [1.0, 1.0, 1.0, 1.0]}, "'noise' must be an object"),
+            ({"noise": [1.0, 1.0, 1.0, 1.0]}, "noise must be an object"),
+            ({"noise": None}, "noise must be an object"),
+            ({"power": None}, "power must be an object"),
             ({"dims": [5, 5, 5, 3]}, "dims must be an object"),
+            ({"dims": None}, "dims must be an object"),
             ({"splits": [{"d_P1": 1, "d_P2": 0, "d_S1": 2, "d_S2": 2}, 4]}, "splits[1] must be an object"),
             ({"dims": {"M_P": 5, "M_S": 5}}, "dims is missing keys: ['N_P', 'N_S']"),
             ({"trials": 0}, "trials must be an integer >= 1, got 0"),
@@ -397,9 +403,9 @@ class TestScenarioFiles:
             ({"grid_cap": True}, "grid_cap must be an integer >= 1, got True"),
         ],
         ids=[
-            "float-count", "bool-count", "string-noise", "null-power", "section-not-object", "record-not-object",
-            "split-not-object", "missing-keys", "zero-trials", "float-trials", "empty-splits", "scalar-budgets",
-            "bool-grid-cap",
+            "float-count", "bool-count", "string-noise", "null-power", "section-not-object", "null-noise-section",
+            "null-power-section", "record-not-object", "null-dims", "split-not-object", "missing-keys",
+            "zero-trials", "float-trials", "empty-splits", "scalar-budgets", "bool-grid-cap",
         ],
     )
     def test_refused_document(self, patch, message):
@@ -410,7 +416,7 @@ class TestScenarioFiles:
     def test_document_that_is_not_an_object(self):
         with pytest.raises(ScenarioError) as info:
             scenario_from_dict([self.GOOD])
-        assert str(info.value) == "scenario document must be a JSON object"
+        assert str(info.value) == "scenario must be an object"
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
