@@ -16,9 +16,10 @@ costs (Palomar & Fonollosa, IEEE TSP 53(2), 2005), in one step and
 with no search.  The weights ``w_l`` are the exact traced powers of the
 precoder directions, so the solve stays correct when precoder columns
 are not orthonormal.  A cell is solved on one stream vector, its users'
-streams end to end, and one :class:`CellAllocation` records the solve:
-the cell-level numbers once, and each user's powers (a view of that
-vector) and covariance in group order.  The powers are the clamp above
+streams end to end; where a caller reads more than the rates, one
+:class:`CellAllocation` records the solve: the cell-level numbers once,
+and each user's powers (a view of that vector) and covariance in group
+order (the sweep forms none).  The powers are the clamp above
 itself, so stationarity holds by construction: the solve's KKT gap is
 its budget residual, and :func:`kkt_violation` forms both halves.  A
 cell's channels are factored, water-filled and turned into a sum rate
@@ -54,9 +55,10 @@ rates``).  :func:`waterfill_cell` is the one-cell case, and
 :func:`cell_sum_rates`: public API that no command runs.
 
 Rates are in bits per (real) channel use, keeping the 1/2 prefactor.  A
-cell whose water level, KKT gap or rate overflows float64 is refused
-(ScenarioError naming the cell and budget, and in a sweep its split),
-with no RuntimeWarning.
+cell is refused (ScenarioError naming the cell and budget, and in a sweep
+its split), with no RuntimeWarning, where :func:`cell_sum_rates` finds its
+water level, KKT gap or rate, or :func:`rate_region_sweep` its water level
+or rate, overflowing float64.
 """
 
 from __future__ import annotations
@@ -173,16 +175,17 @@ def waterfill_cell(
     # a bool or a string would otherwise convert to a number
     if budget.dtype.kind not in "iuf" or budget.ndim > 1 or not all(0.0 <= b < math.inf for b in budget.flat):
         raise ValueError(f"budget must be finite and nonnegative, a float or a 1-D array, got {budget}")
-    return _waterfill_cells([groups], budget.astype(float)[None], _lanes(groups))[0][0]
+    return _allocations([groups], _solve([groups], budget.astype(float)[None], _lanes(groups)))[0][0]
 
 
-def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple[list, np.ndarray, np.ndarray]:
-    """Water-fill every cell in one solve: ``cells[i]`` is cell i's groups, ``rows[i]`` its budget or 1-D budgets.
+def _solve(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple:
+    """The solve of every cell at once: ``cells[i]`` is cell i's groups, ``rows[i]`` its budget or 1-D budgets.
 
-    Every field of the solve has the cell axis first, then the budget axis (if any), then the lanes, so
-    cell i's result is entry i.  Returns the allocations, then two arrays on the same axes: each cell's
-    log-det sum in nats (one log1p over every stream, each user's streams summed by its slice, in group
-    order) and where the water level, the KKT gap and that sum are all finite.
+    Every array has the cell axis first, then the budget axis (if any), then the lanes, so cell i's
+    result is entry i.  Returns the water levels, the budgets on those axes, the stream powers and costs
+    (last axis), each cell's group slices, and each cell's log-det sum in nats (one log1p over every
+    stream, each user's streams summed by its slice, in group order).  No covariance, traced power or
+    KKT gap is formed: :func:`_allocations` forms them, for the callers that read them.
     """
     cost, w, spans, g, sigma2 = _stream_vectors(cells, lanes)
     shaped = rows.reshape(rows.shape + (1,) * len(lanes)) + np.zeros(lanes)
@@ -190,8 +193,6 @@ def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple[l
     wide = cost.shape[:1] + (1,) * (rows.ndim - 1) + cost.shape[1:]
     # a dead stream has zero weight, so a positive weight is a live one
     solve = (w > 0.0).any(axis=-1).reshape(wide[:-1]) & (shaped > 0.0)
-    # one per budget
-    no_gain = np.zeros(solve.shape, dtype=bool) | ~np.isfinite(cost).any(axis=-1).reshape(wide[:-1])
     lam = np.zeros(solve.shape)
     if solve.any():
         # per cell and lane, one row each: the live costs in ascending
@@ -215,26 +216,40 @@ def _waterfill_cells(cells, rows: np.ndarray, lanes: tuple[int, ...]) -> tuple[l
         W_k, S_k = (np.where(below_level, X, 0.0).max(axis=-1) for X in (W, S))
         lam = np.where(solve, (level + S_k) / np.where(solve, W_k, 1.0), 0.0)
 
-    q = np.maximum(0.0, lam[..., None] - cost.reshape(wide))
+    cost = cost.reshape(wide)
+    q = np.maximum(0.0, lam[..., None] - cost)
     # log1p(gamma^2 q / sigma^2) per stream, 0 over the padding (gamma and power 0, sigma^2 1); an
-    # overflow shows in ``finite``, without a warning
+    # overflow shows in the nats, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         stream_nats = np.log1p(g.reshape(wide) ** 2 * q / sigma2.reshape(wide))
-    powers, Qs, achieved, nats = [], [], np.zeros(solve.shape), np.zeros(solve.shape)
+    nats = np.zeros(solve.shape)
+    for i, cell_spans in enumerate(spans):
+        for span in cell_spans:
+            nats[i] += np.add.reduce(stream_nats[i][..., span], axis=-1)
+    return lam, shaped, q, cost, spans, nats
+
+
+def _allocations(cells, solved: tuple) -> tuple[list[CellAllocation], np.ndarray]:
+    """The allocation assembly of a :func:`_solve` of ``cells``: one CellAllocation per cell, then the KKT gaps.
+
+    Each user's covariance and each cell's traced power, KKT gap and no-gain flag are formed here alone.
+    """
+    lam, shaped, q, cost, spans, _ = solved
+    # one per budget
+    no_gain = np.zeros(lam.shape, dtype=bool) | ~np.isfinite(cost).any(axis=-1)
+    powers, Qs, achieved = [], [], np.zeros(lam.shape)
     for i, (groups, cell_spans) in enumerate(zip(cells, spans)):
         powers.append(tuple(q[i][..., span] for span in cell_spans))
         Qs.append(tuple((grp.Psi * p[..., None, :]) @ grp.Psi.mT for grp, p in zip(groups, powers[i])))
-        for grp, Q, span in zip(groups, Qs[i], cell_spans):
+        for grp, Q in zip(groups, Qs[i]):
             achieved[i] += np.einsum("...ij,...ij->...", grp.V @ Q, grp.V)
-            nats[i] += np.add.reduce(stream_nats[i][..., span], axis=-1)
     achieved *= 0.5
     spent = lam > 0.0
     unspent = np.abs(achieved - shaped) / np.where(spent, shaped, 1.0)
     # lam - lam is 0, or nan where the water level is not finite
     kkt_gap = np.where(spent, unspent, 0.0) + (lam - lam)
-    finite = np.isfinite(lam) & np.isfinite(kkt_gap) & np.isfinite(nats)
     # entry i of a 1-D field is a float, of a wider one a view
-    return [CellAllocation(*cell) for cell in zip(lam, shaped, achieved, no_gain, kkt_gap, powers, Qs)], nats, finite
+    return [CellAllocation(*cell) for cell in zip(lam, shaped, achieved, no_gain, kkt_gap, powers, Qs)], kkt_gap
 
 
 def _lanes(groups) -> tuple[int, ...]:
@@ -298,12 +313,12 @@ def kkt_violation(cell: CellAllocation, groups: list[StreamGroup] | tuple[Stream
     return np.where(spent, np.maximum(worst, unspent), worst)[()]
 
 
-def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocation]]:
-    """Rate every cell in one solve: factor each served user's channel stack, water-fill, sum the stream rates.
+def _cell_rates(cells, rows: np.ndarray) -> tuple[list, tuple, np.ndarray]:
+    """Factor each served user's channel stack and solve every cell: the groups, the solve, the rates in bits.
 
     ``cells`` holds ``(name, where, effectives, precoders, variances)`` per cell, all on the same lanes,
-    and ``rows[i]`` is cell i's budget or 1-D budgets.  The first cell whose water level, KKT gap or rate
-    overflows is refused, at its own smallest such budget, its ``where`` closing the message.
+    and ``rows[i]`` is cell i's budget or 1-D budgets.  The caller refuses an overflow, over what it reads:
+    :func:`cell_sum_rates` a water level, KKT gap or rate, and :func:`rate_region_sweep` a water level or rate.
     """
     groups = [[] for _ in cells]
     for cell_groups, (_, _, effectives, precoders, variances) in zip(groups, cells):
@@ -311,15 +326,21 @@ def _cell_rates(cells, rows: np.ndarray) -> list[tuple[np.ndarray, CellAllocatio
             if E.shape[-1]:
                 _, gammas, Psi = svd_factor(E)
                 cell_groups.append(StreamGroup(gammas, s2, V, Psi))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
-        allocs, nats, finite = _waterfill_cells(groups, rows, cells[0][2][0].shape[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by the caller, without a warning
+        solved = _solve(groups, rows, cells[0][2][0].shape[:-2])
+    return groups, solved, 0.5 * solved[-1] / _LOG2
+
+
+def _refuse_overflow(cells, solved: tuple, *more: np.ndarray) -> None:
+    """Refuse the first cell whose water level, rate or any of ``more`` is not finite, at its smallest such budget."""
+    lam, shaped, *_, nats = solved
+    finite = np.logical_and.reduce([np.isfinite(x) for x in (lam, nats, *more)])
     if not finite.all():
         failed = ~finite
         i = int(failed.reshape(len(cells), -1).any(axis=-1).argmax())
         name, where = cells[i][:2]
-        budget = float(np.asarray(allocs[i].budget)[failed[i]].min())
+        budget = float(np.asarray(shaped[i])[failed[i]].min())
         raise ScenarioError(f"the {name} cell's rate problem overflows float64 at budget {budget!r}{where}")
-    return list(zip(0.5 * nats / _LOG2, allocs))
 
 
 def cell_sum_rates(
@@ -330,13 +351,15 @@ def cell_sum_rates(
     Each cell is water-filled jointly over both of its users, under its
     own budget (``noise.Qav_P``, ``noise.Qav_S``); the secondary cell is
     interference-free by the ideal-DPC model.  Only the primary result
-    carries an ``uncharged_correction_power``.  An overflow in either
-    cell is refused, the primary cell's first; :func:`pcell_sum_rate`
+    carries an ``uncharged_correction_power``.  A water level, KKT gap
+    or rate that overflows is refused, the primary cell's first; :func:`pcell_sum_rate`
     and :func:`scell_sum_rate` are this call's two entries.
     """
-    (rate_P, alloc_P), (rate_S, alloc_S) = _cell_rates(
-        _cells(prs, eff, noise), np.array([noise.Qav_P, noise.Qav_S], dtype=float)
-    )
+    cells = _cells(prs, eff, noise)
+    groups, solved, (rate_P, rate_S) = _cell_rates(cells, np.array([noise.Qav_P, noise.Qav_S], dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, without a warning
+        (alloc_P, alloc_S), kkt_gap = _allocations(groups, solved)
+    _refuse_overflow(cells, solved, kkt_gap)
     correction = np.zeros(eff.D_P1.shape[:-2])
     # Vbar_Pi has one column per stream of P_i, so the served users keep theirs
     for Vbar, Q in zip([Vbar for Vbar in (prs.Vbar_P1, prs.Vbar_P2) if Vbar.shape[-1]], alloc_P.Q):
@@ -372,9 +395,10 @@ def rate_region_sweep(
     run of lanes, every split's stack is drawn and kept only as its cells'
     effective channels and precoders; each served user is then factored
     once, and all ``2 * len(splits)`` cells are water-filled in one solve,
-    with the budgets as a leading axis.  An overflow is refused for the
-    first failing cell in split order, primary before secondary, at its
-    own smallest failing budget, and the message names the cell's split.
+    with the budgets as a leading axis; no CellAllocation is formed.  A
+    water level or rate that overflows is refused for the first failing
+    cell in split order, primary before secondary, at its own smallest
+    failing budget, and the message names the cell's split.
     Every split's means and standard errors are taken in one pass over
     the trial axis.  The users' noise variances are ``noise``'s; each
     ``budgets`` entry is a (Qav_P, Qav_S) tuple or list pair that replaces
@@ -384,11 +408,11 @@ def rate_region_sweep(
     after the checks, before any draw.
     """
     _integer(trials, "trials", 1, error=ValueError)
+    budgets, splits = list(budgets), list(splits)  # read once: an iterator would be spent by the checks
     for i, entry in enumerate(budgets):  # the budget checks, before any draw
         if not isinstance(entry, (tuple, list)) or len(entry) != 2:
             raise ScenarioError(f"budgets[{i}] must be a (Qav_P, Qav_S) pair, got {entry!r}")
         replace(noise, Qav_P=entry[0], Qav_S=entry[1])
-    splits = list(splits)
     for split in splits:
         if split.total == 0:
             raise ScenarioError("a rate sweep split must carry at least one stream")
@@ -410,8 +434,9 @@ def rate_region_sweep(
     for run in zip(*starmap(cut, enumerate(splits))):
         part = run[0][0]
         cells = [cell for _, split_cells in run for cell in split_cells]
-        for c_idx, (rate, _) in enumerate(_cell_rates(cells, rows)):
-            samples[c_idx // 2, :, part, c_idx % 2] = rate
+        _, solved, rates = _cell_rates(cells, rows)
+        _refuse_overflow(cells, solved)
+        samples[:, :, part] = np.moveaxis(rates.reshape(len(splits), 2, *rates.shape[1:]), 1, -1)  # cell axis last
     # every split's means and standard errors over the trial axis at once
     means = samples.mean(axis=2)
     stderrs = samples.std(axis=2, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros_like(means)

@@ -1,15 +1,38 @@
-"""Bit-for-bit comparison of arrays and the references the tests hold the package to."""
+"""Bit-for-bit comparison of arrays, the references the tests hold the package to, and the rate layer's spies."""
 
 import ctypes
 from pathlib import Path
 
 import numpy as np
 
+import cogia.rates
+
 
 def same_bits(a, b) -> bool:
     """True when ``a`` and ``b`` have the same shape, dtype and bytes."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def spy_on_solves(monkeypatch) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Record the budget rows and the lane axes of each rate solve (``cogia.rates._solve``), which still runs."""
+    calls = []
+    real = cogia.rates._solve
+
+    def spy(cells, rows, lanes):
+        calls.append((rows, lanes))
+        return real(cells, rows, lanes)
+
+    monkeypatch.setattr(cogia.rates, "_solve", spy)
+    return calls
+
+
+def spy_on_assemblies(monkeypatch) -> list[int]:
+    """Record the cell count of each allocation assembly (``cogia.rates._allocations``), which still runs."""
+    calls = []
+    real = cogia.rates._allocations
+    monkeypatch.setattr(cogia.rates, "_allocations", lambda cells, solved: calls.append(len(cells)) or real(cells, solved))
+    return calls
 
 
 def fresh_philox(seed: int, stream: int) -> np.random.Generator:

@@ -24,6 +24,7 @@ from cogia.errors import (
     TooManyDegenerateDraws,
 )
 from cogia.scenario import StreamAlloc, derive_seed
+from bits import spy_on_assemblies, spy_on_solves
 
 REFERENCE_NETWORK = {
     "dims": {"M_P": 5, "M_S": 5, "N_P": 5, "N_S": 3},
@@ -91,20 +92,21 @@ class TestVerify:
         assert calls == [[derive_seed(s, attempt) for s in trial_seeds] for attempt in (0, 1)]
 
     def test_rates_both_cells_in_one_solve_per_stack(self, tmp_path, monkeypatch):
-        calls = []
-        real = cogia.rates._waterfill_cells
-
-        def spy(cells, rows, lanes):
-            calls.append((rows, lanes))
-            return real(cells, rows, lanes)
-
-        monkeypatch.setattr(cogia.rates, "_waterfill_cells", spy)
+        calls = spy_on_solves(monkeypatch)
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
         cfg = write_config(tmp_path, dict(REFERENCE_NETWORK, power={"Qav_P": 10.0, "Qav_S": 20.0}))
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "4", "--quiet"]) == 0
         # stacks of 3 and 1 trials, one solve each over the primary and the
         # secondary cell, one budget row per cell
         assert [(rows.tolist(), lanes) for rows, lanes in calls] == [([10.0, 20.0], lanes) for lanes in ((3,), (1,))]
+
+    def test_verify_assembles_both_cells_once_per_stack(self, tmp_path, monkeypatch):
+        # the report reads each trial's KKT gap and correction power, so verify forms the allocations
+        assembled = spy_on_assemblies(monkeypatch)
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        cfg = write_config(tmp_path, REFERENCE_NETWORK)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "4", "--quiet"]) == 0
+        assert assembled == [2, 2]
 
     def test_infeasible_alloc_exits_two(self, tmp_path, capsys):
         bad = dict(REFERENCE_NETWORK, alloc={"d_P1": 0, "d_P2": 0, "d_S1": 3, "d_S2": 0})
@@ -555,6 +557,14 @@ class TestRates:
             "R_P_mean", "R_S_mean", "R_P_stderr", "R_S_stderr", "trials", "seed",
         ]
         assert len(rows) == 9
+
+    def test_rates_assemble_no_allocation(self, tmp_path, monkeypatch):
+        # rates.csv reads only the rates, so the sweep forms no covariance, traced power or KKT gap
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
+        monkeypatch.setattr(cogia.rates, "_allocations", lambda *a: pytest.fail("assembled an allocation"))
+        assert main(["rates", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+        assert (tmp_path / "b" / "rates.csv").read_bytes() == (tmp_path / "a" / "rates.csv").read_bytes()
 
     def test_infeasible_split_named(self, tmp_path, capsys):
         bad = dict(self.CONFIG, splits=[{"d_P1": 2, "d_P2": 0, "d_S1": 2, "d_S2": 2}])

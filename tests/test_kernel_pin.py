@@ -8,6 +8,8 @@ shows bit identity at each kernel, so a change that claims to move no
 output bit can be checked where the bits are made.  The whole-run pin
 hashes the ``verify`` and ``rates`` CSVs of the benchmark's two scenario
 files at seeds 1-3, read from ``perfbench/scenarios`` and never edited.
+The overflow table pins the rate sweep's outcome on those files at extreme
+budgets and noise variances: the digest of its points, or its refusal.
 """
 
 import dataclasses
@@ -23,10 +25,10 @@ import pytest
 
 from cogia.alignment import draw_system, effective_channels
 from cogia.cli import main
-from cogia.errors import NoComplement
+from cogia.errors import NoComplement, ScenarioError
 from cogia.numerics import min_norm_right_solve, null_space_basis, svd_factor, zero_forcing_columns
 from cogia.rates import StreamGroup, pcell_sum_rate, rate_region_sweep, scell_sum_rate, waterfill_cell
-from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed
+from cogia.scenario import CHANNEL_ORDER, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, load_scenario
 from bits import build_note
 
 # recorded at commit 9b1a284 with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64),
@@ -69,6 +71,79 @@ CSV_SHA256 = {
     ("verify_large.json", "rates", 3): "abafe63738cca3abc4044cf69aa62eab65918ca7d66a637cfb87489ac5aa073b",
 }
 CSV_NAME = {"verify": "verify_report.csv", "rates": "rates.csv"}
+# recorded at commit c528deb, on the same numpy and BLAS: the outcome of
+# rate_region_sweep(dims, splits, [(1, 1), b], 5, seed) for each (scenario
+# file, noise record), one row per budget pair b of OVERFLOW_BUDGETS and one
+# entry per seed 0-2: the first 16 hex digits of the digest of every field
+# of its points, or "P<s>" ("S<s>") where the primary (secondary) cell of
+# split s is refused as overflowing at its budget in b
+OVERFLOW_BUDGETS = [
+    (1e290, 1e290), (1e303, 1.0), (1.0, 1e303), (1e305, 1e305),
+    (3e306, 1.0), (1.0, 3e306), (1e307, 1e307), (8.9e307, 1.0),
+]
+OVERFLOW_NOISE = {"own": {}, "sigma2_S1": {"sigma2_S1": 1e-300}, "sigma2_P1": {"sigma2_P1": 1e-250}}
+SWEEP_OUTCOMES = {
+    ("readme.json", "own"): [
+        ["6dbf297b808bc17a", "8f49220f5073181c", "d7d9ba67017b6f07"],
+        ["7feaf85efee171bb", "c51e26f4b22efd83", "28fdac9f803fbc34"],
+        ["fa14f3b4a57dc5fe", "7684ab0e86567b73", "f79f8458ddbb4547"],
+        ["P1", "3ef64c1c5beb98cf", "P1"],
+        ["P1", "P0", "P0"],
+        ["de29e46c63faca7b", "94e575895ff481e5", "6ef45171500a5a11"],
+        ["P1", "P0", "P0"],
+        ["P1", "P0", "P0"],
+    ],
+    ("readme.json", "sigma2_S1"): [
+        ["S0", "S0", "S0"],
+        ["94ceae1d503bd6a4", "0ca2c7ae0b90f53b", "19fd6cdc73f4d16f"],
+        ["S0", "S0", "S0"],
+        ["S0", "S0", "S0"],
+        ["P1", "P0", "P0"],
+        ["S0", "S0", "S0"],
+        ["S0", "P0", "P0"],
+        ["P1", "P0", "P0"],
+    ],
+    ("readme.json", "sigma2_P1"): [
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+        ["c85f46e3ed603cda", "e2fddc104456a00e", "4da9850946be2978"],
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+        ["17c7cb3a2e08b6ff", "0bd5359276faef1f", "f7abae1f06ceaf3e"],
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+    ],
+    ("verify_large.json", "own"): [
+        ["955c13fab8e83ead", "5b2a16cb0e1f18d2", "cfef4cb1de585932"],
+        ["c5bc4a50d173f397", "154ebf2f56d0271c", "2f456731d9b3227c"],
+        ["46007aaaa8180766", "50392a2b77976ede", "266d5bde168b6c48"],
+        ["8aa649fbd2f4cb6b", "0b13ef44df3a0a58", "cabb001bd3695426"],
+        ["bfa2eecc62bc0a3a", "037ee00ece7f168c", "f7ce1e2de7827243"],
+        ["5bfe331e247a2b07", "cf5f85235d5276f7", "1ac3f24001c642be"],
+        ["1d921e7a5edd3dcb", "83c2f7016a12e2e9", "55c0d5082db53b8e"],
+        ["P0", "05875e5f52fd2765", "a5132a1ff728552c"],
+    ],
+    ("verify_large.json", "sigma2_S1"): [
+        ["S0", "S0", "S0"],
+        ["4bfd43aeb0623bcd", "eb20716e4d45aaf7", "a2c062bbfb7da37c"],
+        ["S0", "S0", "S0"],
+        ["S0", "S0", "S0"],
+        ["699ca8b3d12b303b", "280e9dd1772f2503", "ae5c175228b3c9cb"],
+        ["S0", "S0", "S0"],
+        ["S0", "S0", "S0"],
+        ["P0", "344038dadea71ef8", "685549dd6007dc74"],
+    ],
+    ("verify_large.json", "sigma2_P1"): [
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+        ["bc9837395ad1f77b", "7bb26aace39920f4", "3821f8d46fbc1279"],
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+        ["c93413f021bd2deb", "f08c88590b0da1e3", "5819f0f1f6a0e695"],
+        ["P0", "P0", "P0"],
+        ["P0", "P0", "P0"],
+    ],
+}
 
 # one matrix, then a stack of 3 lanes, for each shape
 SHAPES = [(1, 1), (2, 5), (3, 3), (4, 9), (5, 16), (16, 16)]
@@ -198,6 +273,29 @@ def test_benchmark_scenario_csvs_are_bit_pinned(tmp_path):
         assert main(argv) == 0
         digests[config, command, seed] = hashlib.sha256((out / CSV_NAME[command]).read_bytes()).hexdigest()
     assert digests == CSV_SHA256, build_note()
+
+
+@pytest.mark.pin
+def test_sweep_overflow_outcomes_are_pinned():
+    # the sweep refuses a cell whose water level or rate overflows, and rates every other cell as before
+    outcomes, expected = {}, {}
+    for config, noise_name in SWEEP_OUTCOMES:
+        sc = load_scenario(SCENARIOS / config)
+        noise = dataclasses.replace(sc.noise, **OVERFLOW_NOISE[noise_name])
+        outcomes[config, noise_name], expected[config, noise_name] = [], []
+        for b, row in zip(OVERFLOW_BUDGETS, SWEEP_OUTCOMES[config, noise_name], strict=True):
+            for seed, code in enumerate(row):
+                try:
+                    points = rate_region_sweep(sc.dims, sc.splits, [(1.0, 1.0), b], 5, seed, noise=noise)
+                    outcomes[config, noise_name].append(digest([x for pt in points for x in fields(pt)])[:16])
+                except ScenarioError as exc:
+                    outcomes[config, noise_name].append(str(exc))
+                if len(code) == 2:  # a refusal: its cell, then the index of its split
+                    cell, budget = ("primary", b[0]) if code[0] == "P" else ("secondary", b[1])
+                    split = sc.splits[int(code[1])].as_tuple()
+                    code = f"the {cell} cell's rate problem overflows float64 at budget {budget!r} in split {split}"
+                expected[config, noise_name].append(code)
+    assert outcomes == expected, build_note()
 
 
 def test_build_note_names_the_running_kernels():

@@ -9,7 +9,14 @@ import pytest
 
 import cogia.alignment
 import cogia.rates
-from cogia.alignment import EffectiveChannels, PrecoderReceiverSet, build_all, draw_system, effective_channels
+from cogia.alignment import (
+    EffectiveChannels,
+    PrecoderReceiverSet,
+    build_all,
+    draw_system,
+    draw_trials,
+    effective_channels,
+)
 from cogia.dof import closed_form_feasible
 from cogia.errors import InfeasibleAlloc, ScenarioError
 from cogia.numerics import RANK_TOL
@@ -23,9 +30,17 @@ from cogia.rates import (
     scell_sum_rate,
     waterfill_cell,
 )
-from cogia.scenario import MAX_ANTENNAS, NetworkDims, NoiseAndPower, StreamAlloc, derive_seed, generate_channels
-from bits import same_bits
-from test_kernel_pin import RATE_CASES, fields
+from cogia.scenario import (
+    MAX_ANTENNAS,
+    NetworkDims,
+    NoiseAndPower,
+    StreamAlloc,
+    derive_seed,
+    generate_channels,
+    load_scenario,
+)
+from bits import same_bits, spy_on_assemblies, spy_on_solves
+from test_kernel_pin import RATE_CASES, SCENARIOS, fields
 
 
 def haar_columns(rng, m, k):
@@ -275,6 +290,14 @@ class TestCellWaterfill:
             for grp, Q in zip(groups, cell.Q)
         )
         assert abs(0.5 * total - 5.0) <= 1e-8 * 5.0
+
+    def test_one_solve_and_one_assembly_per_call(self, monkeypatch):
+        # the one-cell entry returns a CellAllocation, so it runs both steps, once each
+        solves, assembled = spy_on_solves(monkeypatch), spy_on_assemblies(monkeypatch)
+        V, Psi = np.broadcast_to(np.eye(3)[:, :2], (2, 3, 2)), np.broadcast_to(np.eye(2), (2, 2, 2))
+        cell = waterfill_cell([StreamGroup(np.array([[2.0, 0.5], [1.0, 0.0]]), 1.0, V, Psi)], np.array([1.0, 4.0]))
+        assert np.shape(cell.water_level) == (2, 2) and len(cell.Q) == 1
+        assert [(rows.tolist(), lanes) for rows, lanes in solves] == [([[1.0, 4.0]], (2,))] and assembled == [1]
 
 
 def reference_costs(grp: StreamGroup) -> np.ndarray:
@@ -634,7 +657,7 @@ class TestCellAxis:
             scalar = 10.0 ** rng.uniform(-3.0, 6.0, len(cells))
             scalar[rng.integers(len(cells))] = 0.0 if i % 5 == 0 else scalar[0]
             for rows in (scalar, 10.0 ** rng.uniform(-3.0, 6.0, (len(cells), 3))):
-                stacked = cogia.rates._waterfill_cells(cells, rows, lanes)[0]
+                stacked = cogia.rates._allocations(cells, cogia.rates._solve(cells, rows, lanes))[0]
                 assert len(stacked) == len(cells)
                 for groups, row, cell in zip(cells, rows, stacked, strict=True):
                     alone = waterfill_cell(groups, row)
@@ -700,13 +723,28 @@ class TestRateRegionSweep:
         assert type(info.value) is ValueError and str(info.value) == f"trials must be an integer >= 1, got {trials}"
 
     def test_empty_budget_list_gives_no_points(self, monkeypatch):
-        draws, solves = [], []
-        real_draw, real_solve = cogia.alignment.draw_system, cogia.rates._waterfill_cells
+        draws, solves = [], spy_on_solves(monkeypatch)
+        real_draw = cogia.alignment.draw_system
         monkeypatch.setattr(cogia.alignment, "draw_system", lambda *a: draws.append(a) or real_draw(*a))
-        monkeypatch.setattr(cogia.rates, "_waterfill_cells", lambda *a: solves.append(a) or real_solve(*a))
         assert rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [], trials=300, seed=0) == []
         # the checks pass, and nothing is drawn or solved for no budget
         assert draws == solves == []
+
+    def test_budget_iterator_gives_the_list_points(self):
+        # the budgets are read once, so the checks do not spend an iterator before the draws
+        budgets = [(1.0, 2.0), (10.0, 20.0)]
+        points = rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], budgets, trials=3, seed=4)
+        assert len(points) == 2
+        for once in (iter(budgets), (pair for pair in budgets)):
+            assert rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], once, trials=3, seed=4) == points
+
+    def test_assembles_no_allocation(self, monkeypatch):
+        # no row reads a covariance, traced power or KKT gap, so the sweep forms none
+        splits, budgets = [StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 1, 1)], [(1.0, 2.0), (10.0, 20.0)]
+        points = rate_region_sweep(self.DIMS, splits, budgets, trials=4, seed=2)
+        monkeypatch.setattr(cogia.rates, "_allocations", lambda *a: pytest.fail("assembled an allocation"))
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        assert rate_region_sweep(self.DIMS, splits, budgets, trials=4, seed=2) == points
 
     def test_empty_split_rejected(self):
         with pytest.raises(ScenarioError):
@@ -727,14 +765,7 @@ class TestRateRegionSweep:
         assert [E.shape[:-2] for E in calls] == [(4,)] * 3
 
     def test_fills_each_cell_once_per_stack(self, monkeypatch):
-        calls = []
-        real = cogia.rates._waterfill_cells
-
-        def spy(cells, rows, lanes):
-            calls.append((rows, lanes))
-            return real(cells, rows, lanes)
-
-        monkeypatch.setattr(cogia.rates, "_waterfill_cells", spy)
+        calls = spy_on_solves(monkeypatch)
         monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
         budgets = [(1.0, 2.0), (10.0, 20.0), (100.0, 200.0)]
         rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2), StreamAlloc(1, 1, 0, 0)], budgets, trials=4, seed=2)
@@ -784,6 +815,37 @@ class TestRateRegionSweep:
         with pytest.raises(ScenarioError) as info:
             rate_region_sweep(self.DIMS, [StreamAlloc(1, 0, 2, 2)], [(1.0, 1.0), {1.0, 2.0}], trials=2, seed=0)
         assert str(info.value) == "budgets[1] must be a (Qav_P, Qav_S) pair, got {1.0, 2.0}"
+
+
+class TestOneSolveTwoCallers:
+    """The sweep and :func:`cell_sum_rates` rate a cell through the one solve, so they cannot drift apart."""
+
+    def test_sweep_rates_equal_cell_sum_rates(self, monkeypatch):
+        # the README scenario's two splits, in stacks of 3 and 2 trials; each per-trial rate of the
+        # sweep is cell_sum_rates' on the same stack, bit for bit, under every budget pair
+        sc = load_scenario(SCENARIOS / "readme.json")
+        monkeypatch.setattr(cogia.alignment, "LANE_CHUNK", 3)
+        swept, real = [], cogia.rates._cell_rates
+
+        def spy(cells, rows):
+            out = real(cells, rows)
+            swept.append(out[2])
+            return out
+
+        monkeypatch.setattr(cogia.rates, "_cell_rates", spy)
+        points = rate_region_sweep(sc.dims, sc.splits, sc.budgets, 5, sc.seed, noise=sc.noise)
+        assert [rates.shape for rates in swept] == [(4, 3, 3), (4, 3, 2)]
+        for s, split in enumerate(sc.splits):
+            per_trial = np.zeros((len(sc.budgets), 5, 2))
+            for stack, (part, ch, prs) in zip(swept, draw_trials(sc.dims, split, derive_seed(sc.seed, s), 5)):
+                eff = effective_channels(ch, prs)
+                for b, (qav_p, qav_s) in enumerate(sc.budgets):
+                    both = cell_sum_rates(prs, eff, dataclasses.replace(sc.noise, Qav_P=qav_p, Qav_S=qav_s))
+                    for c, cell in enumerate(both):
+                        assert same_bits(stack[2 * s + c, b], cell.sum_rate), (s, b, c)
+                        per_trial[b, part, c] = cell.sum_rate
+            means = per_trial.mean(axis=1)
+            assert [[pt.R_P, pt.R_S] for pt in points[3 * s : 3 * s + 3]] == means.tolist()
 
 
 class TestDofSlope:
